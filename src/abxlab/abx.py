@@ -27,6 +27,7 @@ from .errors import EmptyTaskError, UsageError
 
 TASK_KINDS = ("phone", "af")
 MODES = ("within", "across")
+PAIRWISE_HEADER = "category_x,category_y,context_prev,context_next,condition,rate"
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ class AbxReport:
 
     def to_csv_bytes(self) -> bytes:
         """Context-level rows at full float precision, for re-aggregation."""
-        lines = ["category_x,category_y,context_prev,context_next,condition,rate"]
+        lines = [PAIRWISE_HEADER]
         for (x, y, ctx) in sorted(self.context_rates):
             rate = self.context_rates[(x, y, ctx)]
             lines.append(f"{x},{y},{ctx[0]},{ctx[1]},{self.condition},{rate!r}")

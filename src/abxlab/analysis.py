@@ -1,8 +1,9 @@
-"""Phoneme-level rates, AF attribute rates, confusion metrics, correlation.
+"""Per-category rates, confusion metrics, correlation.
 
 These operations consume pairwise ABX rates or frame-label tracks and
 produce the derived quantities used in the reports: per-phoneme error
-xi, per-attribute error, the row-normalized confusion matrix with its
+xi (per-attribute error when the categories are AF attributes), the
+row-normalized confusion matrix with its
 co-occurrence probabilities, relative error-rate reduction, and Pearson
 or Spearman correlation.
 """
@@ -45,8 +46,10 @@ class PhonemeReport:
 def phoneme_level_rates(pairwise, inventory=None, condition: str = "") -> PhonemeReport:
     """xi(w) = mean of pairwise rates over present pairs containing w.
 
-    ``inventory`` defaults to every phone appearing in the pairwise map;
-    phones with no scorable pair land in ``missing`` instead of ``xi``.
+    The categories w are phones, or AF attributes for the pairwise map
+    of an AF task (which then get the tag "other").  ``inventory``
+    defaults to every category appearing in the pairwise map;
+    categories with no scorable pair land in ``missing`` instead of ``xi``.
     """
     if not pairwise:
         raise DataError("empty pairwise rate map")
@@ -63,27 +66,6 @@ def phoneme_level_rates(pairwise, inventory=None, condition: str = "") -> Phonem
         denom[w] = len(incident)
     tags = {w: phone_category(w) for w in sorted(inventory)}
     return PhonemeReport(condition, xi, denom, tags, missing)
-
-
-def af_attribute_rates(pairwise_af, attributes=None):
-    """rate(a) = mean of pairwise AF rates over pairs containing a.
-
-    Returns (rates, missing): attributes named in ``attributes`` but
-    present in no pair are listed in ``missing`` rather than scored.
-    """
-    if not pairwise_af:
-        raise DataError("empty pairwise AF rate map")
-    rates = {_norm_pair(k): float(v) for k, v in pairwise_af.items()}
-    if attributes is None:
-        attributes = sorted({a for pair in rates for a in pair})
-    out, missing = {}, []
-    for attr in sorted(attributes):
-        incident = [r for (a, b), r in sorted(rates.items()) if attr in (a, b) and a != b]
-        if not incident:
-            missing.append(attr)
-            continue
-        out[attr] = sum(incident) / len(incident)
-    return out, missing
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ Subcommands:
 
 Every run that produces a report directory also writes ``manifest.json``
 recording the command line, the merged configuration, SHA-256 digests of
-the inputs, the seed, wall time, and the tool version.
+the inputs, the seed, wall time, and the tool version.  Each such
+command returns its files as bytes and ``main`` writes them together
+with the manifest in one atomic ``write_outputs`` call.
 
 Exit codes: 0 success, 2 usage error, 3 malformed or inconsistent data,
 4 empty task (no scorable cells), 5 inconclusive gradient check.
@@ -23,9 +25,10 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
-from .abx import CellLimits, score_corpus
+from .abx import PAIRWISE_HEADER, CellLimits, score_corpus
 from .af_tables import BUILTIN_TABLES, load_af_table
 from .analysis import (
     co_occurrence,
@@ -44,11 +47,11 @@ from .apc import (
     train,
 )
 from .corpus import (
+    feature_archive_files,
     load_feature_archive,
     load_item_file,
     load_label_track,
     segment_frames,
-    write_feature_archive,
 )
 from .distance import DtwConfig
 from .errors import (
@@ -60,9 +63,19 @@ from .errors import (
 )
 from .manifest import RunManifest, digest_inputs, write_outputs
 from .svgplot import bar_chart, scatter_plot
-from .synth import SynthConfig, generate_corpus, write_corpus
+from .synth import SynthConfig, corpus_files, generate_corpus
 
 GRADCHECK_BOUND = 1e-4
+
+
+class Outputs(NamedTuple):
+    """What an output-writing command hands back to ``main``."""
+
+    files: dict  # {relative name: bytes}, written beside manifest.json
+    config: dict
+    inputs: list  # paths whose digests go into the manifest
+    seed: int | None
+    message: str  # printed once everything is written
 
 
 # ---------------------------------------------------------------------------
@@ -102,21 +115,22 @@ def _resolve_jobs(value) -> int:
                     f"ABXLAB_JOBS must be an integer, got {env!r}"
                 ) from None
     if value is None:
-        value = os.cpu_count() or 1
+        # the CPUs this process may run on, which can be fewer than the machine's
+        if hasattr(os, "sched_getaffinity"):
+            value = len(os.sched_getaffinity(0))
+        else:
+            value = os.cpu_count() or 1
     if value < 1:
         raise UsageError(f"jobs must be >= 1, got {value}")
     return value
 
 
-def _manifest(args, config: dict, inputs, seed, t0: float) -> bytes:
-    man = RunManifest(
-        command=["abxlab"] + list(args.argv),
-        config=config,
-        inputs=digest_inputs(inputs),
-        seed=seed,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    return man.to_json_bytes()
+def _json_bytes(doc) -> bytes:
+    return json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n"
+
+
+def _lines_bytes(lines) -> bytes:
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _parse_rate(path, line_no: int, text: str) -> float:
@@ -131,11 +145,7 @@ def _parse_rate(path, line_no: int, text: str) -> float:
 # eval
 
 
-PAIRWISE_HEADER = "category_x,category_y,context_prev,context_next,condition,rate"
-
-
-def cmd_eval(args) -> int:
-    t0 = time.perf_counter()
+def cmd_eval(args) -> Outputs:
     jobs = _resolve_jobs(args.jobs)
     archive = load_feature_archive(args.features)
     segments = load_item_file(args.items)
@@ -184,20 +194,18 @@ def cmd_eval(args) -> int:
         "jobs": jobs,
         "per_cell": bool(args.per_cell),
     }
-    write_outputs(
-        args.out,
+    return Outputs(
         {
             "report.json": report.to_json_bytes(include_per_cell=args.per_cell),
             "pairwise.csv": report.to_csv_bytes(),
-            "manifest.json": _manifest(args, config, inputs, args.seed, t0),
         },
-    )
-    print(
+        config,
+        inputs,
+        args.seed,
         f"{args.task} {args.mode} ABX error: {report.overall:.6f} "
         f"({report.metadata['cells']} cells, "
-        f"{report.metadata['comparisons']} comparisons)"
+        f"{report.metadata['comparisons']} comparisons)",
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +248,7 @@ def _pairwise_from_rows(rows):
     return pairwise
 
 
-def cmd_analyze_phoneme(args) -> int:
-    t0 = time.perf_counter()
+def cmd_analyze_phoneme(args) -> Outputs:
     rows = _read_pairwise_csv(args.pairwise)
     conditions = sorted({cond for _, _, _, cond, _ in rows})
     condition = conditions[0] if len(conditions) == 1 else "mixed"
@@ -255,9 +262,6 @@ def cmd_analyze_phoneme(args) -> int:
         "tags": report.tags,
         "missing": report.missing,
     }
-    json_bytes = (
-        json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n"
-    )
     csv_lines = ["category,rate,n_pairs,tag"]
     for p in sorted(report.xi):
         csv_lines.append(
@@ -268,22 +272,20 @@ def cmd_analyze_phoneme(args) -> int:
         title=f"per-category ABX error ({condition})",
         ylabel="error rate",
     )
-    config = {"pairwise": str(args.pairwise), "condition": condition}
-    write_outputs(
-        args.out,
+    return Outputs(
         {
-            "phoneme.json": json_bytes,
-            "phoneme.csv": ("\n".join(csv_lines) + "\n").encode(),
+            "phoneme.json": _json_bytes(doc),
+            "phoneme.csv": _lines_bytes(csv_lines),
             "bars.svg": svg.encode(),
-            "manifest.json": _manifest(args, config, [args.pairwise], None, t0),
         },
+        {"pairwise": str(args.pairwise), "condition": condition},
+        [args.pairwise],
+        None,
+        f"wrote per-category rates for {len(report.xi)} categories to {args.out}",
     )
-    print(f"wrote per-category rates for {len(report.xi)} categories to {args.out}")
-    return 0
 
 
-def cmd_analyze_confusion(args) -> int:
-    t0 = time.perf_counter()
+def cmd_analyze_confusion(args) -> Outputs:
     truth = load_label_track(args.truth)
     hyp = load_label_track(args.hyp)
     cm = confusion_matrix(
@@ -313,27 +315,27 @@ def cmd_analyze_confusion(args) -> int:
         "frame_period": args.frame_period,
         "strip_tones": bool(args.strip_tones),
     }
-    write_outputs(
-        args.out,
+    return Outputs(
         {
             "confusion.csv": cm.to_csv_bytes(),
-            "pco.csv": ("\n".join(pco_lines) + "\n").encode(),
-            "confusion.json": json.dumps(doc, indent=2, sort_keys=True).encode()
-            + b"\n",
-            "manifest.json": _manifest(
-                args, config, [args.truth, args.hyp], None, t0
-            ),
+            "pco.csv": _lines_bytes(pco_lines),
+            "confusion.json": _json_bytes(doc),
         },
-    )
-    print(
+        config,
+        [args.truth, args.hyp],
+        None,
         f"confusion matrix over {len(cm.row_symbols)} truth symbols "
-        f"written to {args.out}"
+        f"written to {args.out}",
     )
-    return 0
 
 
-def _load_rate_map(path) -> dict:
-    """Read a {key: value} map from flat JSON, phoneme.json, or 2+ column CSV."""
+def _load_rate_map(path, key: str) -> dict:
+    """Read a {category: value} map from JSON or a 2+ column CSV.
+
+    JSON may be a flat object or a report whose ``key`` entry holds the
+    map (``"xi"`` in phoneme.json, ``"p_co"`` in confusion.json); a
+    value that is itself an object is read at ``key`` too.
+    """
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"rate file not found: {path}")
@@ -342,17 +344,19 @@ def _load_rate_map(path) -> dict:
             doc = json.loads(p.read_text())
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}: invalid JSON: {e}") from None
-        if isinstance(doc, dict) and isinstance(doc.get("xi"), dict):
-            doc = doc["xi"]
+        if isinstance(doc, dict) and isinstance(doc.get(key), dict):
+            doc = doc[key]
         if not isinstance(doc, dict) or not doc:
             raise DataError(f"{path}: expected a non-empty JSON object of rates")
         out = {}
-        for key, value in doc.items():
+        for name, value in doc.items():
+            if isinstance(value, dict):
+                value = value.get(key)
             try:
-                out[str(key)] = float(value)
+                out[str(name)] = float(value)
             except (TypeError, ValueError):
                 raise DataError(
-                    f"{path}: value for {key!r} is not numeric"
+                    f"{path}: value for {name!r} is not numeric"
                 ) from None
         return out
     out = {}
@@ -373,10 +377,9 @@ def _load_rate_map(path) -> dict:
     return out
 
 
-def cmd_analyze_reduce(args) -> int:
-    t0 = time.perf_counter()
-    baseline = _load_rate_map(args.baseline)
-    improved = _load_rate_map(args.improved)
+def cmd_analyze_reduce(args) -> Outputs:
+    baseline = _load_rate_map(args.baseline, "xi")
+    improved = _load_rate_map(args.improved, "xi")
     reductions, undefined = relative_reduction(baseline, improved)
 
     csv_lines = ["category,reduction_percent"]
@@ -388,57 +391,23 @@ def cmd_analyze_reduce(args) -> int:
         "reduction": {k: f"{v:.6f}" for k, v in reductions.items()},
         "undefined": list(undefined),
     }
-    config = {"baseline": str(args.baseline), "improved": str(args.improved)}
-    write_outputs(
-        args.out,
+    return Outputs(
         {
-            "reduction.json": json.dumps(doc, indent=2, sort_keys=True).encode()
-            + b"\n",
-            "reduction.csv": ("\n".join(csv_lines) + "\n").encode(),
-            "manifest.json": _manifest(
-                args, config, [args.baseline, args.improved], None, t0
-            ),
+            "reduction.json": _json_bytes(doc),
+            "reduction.csv": _lines_bytes(csv_lines),
         },
-    )
-    print(
+        {"baseline": str(args.baseline), "improved": str(args.improved)},
+        [args.baseline, args.improved],
+        None,
         f"relative reduction for {len(reductions)} categories "
-        f"({len(undefined)} undefined) written to {args.out}"
+        f"({len(undefined)} undefined) written to {args.out}",
     )
-    return 0
 
 
-def _load_pco_map(path) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"p_co file not found: {path}")
-    if p.suffix == ".json":
-        try:
-            doc = json.loads(p.read_text())
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}: invalid JSON: {e}") from None
-        if isinstance(doc, dict) and isinstance(doc.get("p_co"), dict):
-            doc = doc["p_co"]
-        if not isinstance(doc, dict) or not doc:
-            raise DataError(f"{path}: expected a non-empty JSON object")
-        out = {}
-        for key, value in doc.items():
-            if isinstance(value, dict):
-                value = value.get("p_co")
-            try:
-                out[str(key)] = float(value)
-            except (TypeError, ValueError):
-                raise DataError(
-                    f"{path}: value for {key!r} is not numeric"
-                ) from None
-        return out
-    return _load_rate_map(path)
-
-
-def cmd_analyze_correlate(args) -> int:
-    t0 = time.perf_counter()
-    baseline = _load_rate_map(args.baseline)
-    improved = _load_rate_map(args.improved)
-    pco = _load_pco_map(args.pco)
+def cmd_analyze_correlate(args) -> Outputs:
+    baseline = _load_rate_map(args.baseline, "xi")
+    improved = _load_rate_map(args.improved, "xi")
+    pco = _load_rate_map(args.pco, "p_co")
     reductions, undefined = relative_reduction(baseline, improved)
 
     common = sorted(set(reductions) & set(pco))
@@ -473,19 +442,13 @@ def cmd_analyze_correlate(args) -> int:
         "pco": str(args.pco),
         "method": args.method,
     }
-    write_outputs(
-        args.out,
-        {
-            "correlate.json": json.dumps(doc, indent=2, sort_keys=True).encode()
-            + b"\n",
-            "scatter.svg": svg.encode(),
-            "manifest.json": _manifest(
-                args, config, [args.baseline, args.improved, args.pco], None, t0
-            ),
-        },
+    return Outputs(
+        {"correlate.json": _json_bytes(doc), "scatter.svg": svg.encode()},
+        config,
+        [args.baseline, args.improved, args.pco],
+        None,
+        f"{args.method} r = {r:.6f} over {len(common)} categories",
     )
-    print(f"{args.method} r = {r:.6f} over {len(common)} categories")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +490,7 @@ def _parse_frames(text: str):
     return (lo, hi)
 
 
-def cmd_synth(args) -> int:
-    t0 = time.perf_counter()
+def cmd_synth(args) -> Outputs:
     file_doc = _load_config_file(args.config) if args.config else {}
     flags = {
         "phones": _parse_phones(args.phones) if args.phones else None,
@@ -549,15 +511,14 @@ def cmd_synth(args) -> int:
     cfg = SynthConfig.from_dict(merged)
 
     corpus = generate_corpus(cfg)
-    write_corpus(corpus, args.out)
-    inputs = [args.config] if args.config else []
-    manifest = _manifest(args, cfg.to_dict(), inputs, cfg.seed, t0)
-    (Path(args.out) / "manifest.json").write_bytes(manifest)
-    print(
+    return Outputs(
+        corpus_files(corpus),
+        cfg.to_dict(),
+        [args.config] if args.config else [],
+        cfg.seed,
         f"synthesized {len(corpus.segments)} segments over "
-        f"{len(corpus.archive.utterance_ids())} utterances into {args.out}"
+        f"{len(corpus.archive.utterance_ids())} utterances into {args.out}",
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -577,73 +538,57 @@ _APC_FLAG_KEYS = (
 )
 
 
-def _apc_config(args) -> ApcConfig:
-    file_doc = _load_config_file(args.config) if args.config else {}
-    flags = {key: getattr(args, key) for key in _APC_FLAG_KEYS}
-    merged = _merge_config(file_doc, flags)
+def _apc_config(doc: dict) -> ApcConfig:
     try:
-        return ApcConfig.from_dict(merged)
-    except UsageError:
-        raise
+        return ApcConfig.from_dict(doc)
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad APC config: {e}") from None
 
 
-def cmd_apc_train(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _apc_config(args)
+def cmd_apc_train(args) -> Outputs:
+    file_doc = _load_config_file(args.config) if args.config else {}
+    flags = {key: getattr(args, key) for key in _APC_FLAG_KEYS}
+    cfg = _apc_config(_merge_config(file_doc, flags))
     archive = load_feature_archive(args.features)
     model, losses = train(cfg, archive)
 
     curve_lines = ["epoch,loss"]
     for epoch, loss in enumerate(losses):
         curve_lines.append(f"{epoch},{loss!r}")
-    inputs = [args.features] + ([args.config] if args.config else [])
-    write_outputs(
-        args.out,
+    return Outputs(
         {
             "apc.ckpt": checkpoint_bytes(model),
-            "loss_curve.csv": ("\n".join(curve_lines) + "\n").encode(),
-            "manifest.json": _manifest(
-                args, model.config.to_dict(), inputs, model.config.seed, t0
-            ),
+            "loss_curve.csv": _lines_bytes(curve_lines),
         },
-    )
-    print(
+        model.config.to_dict(),
+        [args.features] + ([args.config] if args.config else []),
+        model.config.seed,
         f"trained {model.config.cell_kind} APC for {model.config.epochs} epochs: "
-        f"loss {losses[0]:.6f} -> {losses[-1]:.6f}"
+        f"loss {losses[0]:.6f} -> {losses[-1]:.6f}",
     )
-    return 0
 
 
-def cmd_apc_extract(args) -> int:
-    t0 = time.perf_counter()
+def cmd_apc_extract(args) -> Outputs:
     model = load_checkpoint(args.model)
     archive = load_feature_archive(args.features)
     out_archive = extract_features(model, archive)
-    write_feature_archive(out_archive, args.out, format=args.format)
     config = {
         "model": str(args.model),
         "features": str(args.features),
         "format": args.format,
     }
-    manifest = _manifest(args, config, [args.model, args.features], None, t0)
-    (Path(args.out) / "manifest.json").write_bytes(manifest)
-    print(
+    return Outputs(
+        feature_archive_files(out_archive, args.format),
+        config,
+        [args.model, args.features],
+        None,
         f"extracted {out_archive.dim}-dim features for "
-        f"{len(out_archive.utterance_ids())} utterances into {args.out}"
+        f"{len(out_archive.utterance_ids())} utterances into {args.out}",
     )
-    return 0
 
 
 def cmd_apc_gradcheck(args) -> int:
-    cfg = None
-    if args.config:
-        file_doc = _load_config_file(args.config)
-        try:
-            cfg = ApcConfig.from_dict(file_doc)
-        except (TypeError, ValueError) as e:
-            raise UsageError(f"bad APC config: {e}") from None
+    cfg = _apc_config(_load_config_file(args.config)) if args.config else None
     err, resamples = run_gradient_check(
         cfg, seed=args.seed, epsilon=args.epsilon
     )
@@ -774,14 +719,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.argv = argv
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        run = args.func(args)
+        if isinstance(run, int):  # apc gradcheck writes no files
+            return run
+        manifest = RunManifest(
+            command=["abxlab"] + argv,
+            config=run.config,
+            inputs=digest_inputs(run.inputs),
+            seed=run.seed,
+            wall_time_s=time.perf_counter() - t0,
+        )
+        write_outputs(args.out, {**run.files, "manifest.json": manifest.to_json_bytes()})
     except AbxlabError as e:
         print(f"abxlab: error: {e}", file=sys.stderr)
         return e.exit_code
+    print(run.message)
+    return 0
 
 
 if __name__ == "__main__":

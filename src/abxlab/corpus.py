@@ -12,7 +12,6 @@ across threads or worker processes.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +27,7 @@ from .errors import (
     FormatError,
     RowError,
 )
+from .manifest import write_outputs
 
 FBIN_MAGIC = b"FEAT"
 FBIN_VERSION = 1
@@ -124,17 +124,6 @@ class FeatureArchive:
 
     def n_frames(self, utt: str) -> int:
         return self.frames(utt).shape[0]
-
-    def total_frames(self) -> int:
-        return sum(m.shape[0] for m in self._utterances.values())
-
-    def summary(self) -> dict:
-        return {
-            "utterances": len(self),
-            "dim": self.dim,
-            "frame_period": self.frame_period,
-            "total_frames": self.total_frames(),
-        }
 
 
 def segment_frames(seg: ItemSegment, archive: FeatureArchive) -> np.ndarray:
@@ -239,22 +228,27 @@ def load_feature_archive(path, format: str = "auto") -> FeatureArchive:
     return FeatureArchive(utterances, periods.pop())
 
 
-def write_feature_archive(archive: FeatureArchive, path, format: str = "binary") -> None:
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
+def feature_archive_files(archive: FeatureArchive, format: str = "binary") -> dict:
+    """The archive as {"<utt>.fbin" or "<utt>.ftxt": file bytes}."""
+    if format not in ("binary", "text"):
+        raise UsageError(f"unknown feature format {format!r}")
+    files = {}
     for utt in archive.utterance_ids():
         mat = archive.frames(utt)
         if format == "binary":
             header = _FBIN_HEADER.pack(
                 FBIN_MAGIC, FBIN_VERSION, mat.shape[1], mat.shape[0], archive.frame_period
             )
-            (root / f"{utt}.fbin").write_bytes(header + mat.astype("<f4").tobytes())
-        elif format == "text":
+            files[f"{utt}.fbin"] = header + mat.astype("<f4").tobytes()
+        else:
             lines = [f"dim={mat.shape[1]} period_us={archive.frame_period}"]
             lines += [" ".join(repr(float(v)) for v in row) for row in mat]
-            (root / f"{utt}.ftxt").write_text("\n".join(lines) + "\n")
-        else:
-            raise UsageError(f"unknown feature format {format!r}")
+            files[f"{utt}.ftxt"] = ("\n".join(lines) + "\n").encode()
+    return files
+
+
+def write_feature_archive(archive: FeatureArchive, path, format: str = "binary") -> None:
+    write_outputs(path, feature_archive_files(archive, format))
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +280,17 @@ def load_item_file(path) -> list[ItemSegment]:
     return segments
 
 
-def write_item_file(segments, path) -> None:
+def item_file_bytes(segments) -> bytes:
     lines = [ITEM_HEADER]
     for s in segments:
         lines.append(
             f"{s.utt} {s.onset:.6f} {s.offset:.6f} {s.phone} {s.prev} {s.next} {s.speaker}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def write_item_file(segments, path) -> None:
+    Path(path).write_bytes(item_file_bytes(segments))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +311,8 @@ def load_label_track(path) -> list[FrameLabelTrack]:
             onset, offset = float(onset_s), float(offset_s)
         except ValueError:
             raise RowError(path, i, f"non-numeric time {onset_s!r}/{offset_s!r}") from None
+        if not (math.isfinite(onset) and math.isfinite(offset)) or onset < 0:
+            raise RowError(path, i, "times must be finite and onset >= 0")
         if offset <= onset:
             raise RowError(path, i, f"offset {offset} <= onset {onset}")
         per_utt.setdefault(utt, []).append((onset, offset, label))
@@ -329,9 +329,13 @@ def load_label_track(path) -> list[FrameLabelTrack]:
     return tracks
 
 
-def write_label_track(tracks, path) -> None:
+def label_track_bytes(tracks) -> bytes:
     lines = []
     for track in tracks:
         for onset, offset, label in track.spans:
             lines.append(f"{track.utt}\t{onset:.6f}\t{offset:.6f}\t{label}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    return ("\n".join(lines) + ("\n" if lines else "")).encode()
+
+
+def write_label_track(tracks, path) -> None:
+    Path(path).write_bytes(label_track_bytes(tracks))

@@ -40,6 +40,10 @@ class RowError(FormatError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = str(path)
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):
+        return (type(self), (self.path, self.line_no, self.message))
 
 
 class UnmappedPhoneError(DataError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -57,7 +57,6 @@ class RunManifest:
     seed: int | None = None
     wall_time_s: float = 0.0
     tool_version: str = __version__
-    extra: dict = field(default_factory=dict)
 
     def to_json_bytes(self) -> bytes:
         doc = {
@@ -68,7 +67,6 @@ class RunManifest:
             "tool_version": self.tool_version,
             "wall_time_s": round(self.wall_time_s, 6),
         }
-        doc.update(self.extra)
         return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 

@@ -24,11 +24,12 @@ from .corpus import (
     FeatureArchive,
     FrameLabelTrack,
     ItemSegment,
-    write_feature_archive,
-    write_item_file,
-    write_label_track,
+    feature_archive_files,
+    item_file_bytes,
+    label_track_bytes,
 )
 from .errors import UsageError
+from .manifest import write_outputs
 
 
 @dataclass(frozen=True)
@@ -178,18 +179,27 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
     return SynthCorpus(archive, segments, tracks, cfg)
 
 
-def write_corpus(corpus: SynthCorpus, out_dir) -> dict:
-    """Write features/, items.item, labels.tsv and the synth.json sidecar."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_feature_archive(corpus.archive, out / "features", format="binary")
-    write_item_file(corpus.segments, out / "items.item")
-    write_label_track(corpus.tracks, out / "labels.tsv")
+def corpus_files(corpus: SynthCorpus) -> dict:
+    """The corpus tree as {relative name: bytes}: features/, items.item,
+    labels.tsv and the synth.json sidecar."""
+    files = {
+        f"features/{name}": data
+        for name, data in feature_archive_files(corpus.archive, "binary").items()
+    }
+    files["items.item"] = item_file_bytes(corpus.segments)
+    files["labels.tsv"] = label_track_bytes(corpus.tracks)
     sidecar = {
         "config": corpus.config.to_dict() if corpus.config else None,
         "generator": {"name": "PCG64", "numpy": np.__version__},
     }
-    (out / "synth.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    files["synth.json"] = (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode()
+    return files
+
+
+def write_corpus(corpus: SynthCorpus, out_dir) -> dict:
+    """Write features/, items.item, labels.tsv and the synth.json sidecar."""
+    out = Path(out_dir)
+    write_outputs(out, corpus_files(corpus))
     return {
         "features": out / "features",
         "items": out / "items.item",

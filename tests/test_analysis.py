@@ -3,7 +3,6 @@ import pytest
 
 from abxlab.af_tables import CMU_PHONES
 from abxlab.analysis import (
-    af_attribute_rates,
     co_occurrence,
     confusion_matrix,
     pearson_correlation,
@@ -72,23 +71,24 @@ def test_xi_rejects_empty():
 
 
 # ---------------------------------------------------------------------------
-# AF attribute rates
+# AF attribute rates: phoneme_level_rates over the pairwise map of an AF task
 
 
 def test_af_attribute_rates_basic():
-    rates, missing = af_attribute_rates(
+    report = phoneme_level_rates(
         {("St", "Fr"): 0.25, ("St", "Na"): 0.17, ("Fr", "Na"): 0.12}
     )
+    rates = report.xi
     assert rates["St"] == pytest.approx(0.21, abs=1e-12)
     assert f"{rates['St']:.6f}" == "0.210000"
     assert rates["Fr"] == (0.25 + 0.12) / 2
     assert rates["Na"] == (0.17 + 0.12) / 2
-    assert missing == []
+    assert report.missing == []
+    assert set(report.tags.values()) == {"other"}
 
 
 def test_af_attribute_rates_single_pair():
-    rates, _ = af_attribute_rates({("St", "Fr"): 0.09})
-    assert rates == {"St": 0.09, "Fr": 0.09}
+    assert phoneme_level_rates({("St", "Fr"): 0.09}).xi == {"St": 0.09, "Fr": 0.09}
 
 
 def test_af_attribute_rates_five_attribute_table():
@@ -98,21 +98,22 @@ def test_af_attribute_rates_five_attribute_table():
     for i, a in enumerate(attrs):
         for b in attrs[i + 1:]:
             pairwise[(a, b)] = float(rng.uniform(0, 1))
-    rates, missing = af_attribute_rates(pairwise, attributes=attrs)
-    assert missing == []
+    report = phoneme_level_rates(pairwise, inventory=attrs)
+    assert report.missing == []
     for a in attrs:
         incident = sorted(
             (min(k), max(k), v) for k, v in pairwise.items() if a in k
         )
         assert len(incident) == 4
         hand = sum(v for _, _, v in incident) / 4
-        assert rates[a] == hand
+        assert report.xi[a] == hand
+        assert report.denominators[a] == 4
 
 
 def test_af_attribute_rates_missing_attribute():
-    rates, missing = af_attribute_rates({("St", "Fr"): 0.1}, attributes=("St", "Fr", "Na"))
-    assert missing == ["Na"]
-    assert "Na" not in rates
+    report = phoneme_level_rates({("St", "Fr"): 0.1}, inventory=("St", "Fr", "Na"))
+    assert report.missing == ["Na"]
+    assert "Na" not in report.xi
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 from abxlab import cli
 from abxlab.apc import load_checkpoint
 from abxlab.corpus import FrameLabelTrack, load_feature_archive, write_label_track
-from abxlab.errors import InconclusiveGradCheck
+from abxlab.errors import DataError, InconclusiveGradCheck
 from abxlab.manifest import verify_digests, write_outputs
 
 
@@ -30,6 +31,18 @@ def eval_dir(corpus_dir, tmp_path_factory):
         "eval", "--features", str(corpus_dir / "features"),
         "--items", str(corpus_dir / "items.item"),
         "--mode", "within", "--out", str(out),
+    ])
+    assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="session")
+def apc_dir(corpus_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("apc")
+    rc = cli.main([
+        "apc", "train", "--features", str(corpus_dir / "features"),
+        "--n", "1", "--layers", "1", "--hidden-dim", "3", "--cell", "simple-rnn",
+        "--epochs", "1", "--seed", "0", "--out", str(out),
     ])
     assert rc == 0
     return out
@@ -154,6 +167,9 @@ def test_jobs_env_fallback(corpus_dir, tmp_path, monkeypatch):
         "--mode", "within", "--out", str(tmp_path / "out"),
     ])
     assert rc == 0
+    monkeypatch.delenv("ABXLAB_JOBS")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._resolve_jobs(None) == 1  # the CPUs this process may use
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +216,22 @@ def test_analyze_confusion_identity(tmp_path):
     assert doc["p_co"]["b"]["p_co"] == "1.000000"
     pco_lines = (tmp_path / "out" / "pco.csv").read_text().splitlines()
     assert pco_lines[0] == "phone,p_co,label"
+
+
+@pytest.mark.parametrize("onset,offset", [("nan", "0.1"), ("-0.5", "0.1"), ("0.0", "inf")])
+def test_analyze_confusion_bad_times_exit_3(tmp_path, capsys, onset, offset):
+    good = tmp_path / "good.tsv"
+    good.write_text("u1\t0.0\t0.1\ta\n")
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(f"u1\t0.2\t0.3\ta\nu1\t{onset}\t{offset}\tb\n")
+    rc = cli.main([
+        "analyze", "confusion", "--truth", str(bad), "--hyp", str(good),
+        "--frame-period", "10000", "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{bad}:2:" in err
+    assert "Traceback" not in err
 
 
 def test_analyze_reduce_and_correlate(tmp_path):
@@ -340,6 +372,62 @@ def test_apc_train_bad_config_file(corpus_dir, tmp_path):
 
 # ---------------------------------------------------------------------------
 # plumbing
+
+
+def _runner_argv(name, corpus_dir, eval_dir, apc_dir, tmp_path):
+    """argv of one output-writing subcommand, without --out."""
+    for stem, rates in (("base", {"a": 0.4, "b": 0.2}), ("imp", {"a": 0.2, "b": 0.15}),
+                        ("pco", {"a": 0.9, "b": 0.5})):
+        (tmp_path / f"{stem}.json").write_text(json.dumps(rates))
+    feats = str(corpus_dir / "features")
+    labels = str(corpus_dir / "labels.tsv")
+    rates = ["--baseline", str(tmp_path / "base.json"),
+             "--improved", str(tmp_path / "imp.json")]
+    return {
+        "eval": ["eval", "--features", feats, "--items", str(corpus_dir / "items.item"),
+                 "--mode", "within"],
+        "analyze phoneme": ["analyze", "phoneme", "--pairwise",
+                            str(eval_dir / "pairwise.csv")],
+        "analyze confusion": ["analyze", "confusion", "--truth", labels, "--hyp", labels,
+                              "--frame-period", "10000"],
+        "analyze reduce": ["analyze", "reduce"] + rates,
+        "analyze correlate": ["analyze", "correlate", "--pco", str(tmp_path / "pco.json")]
+                             + rates,
+        "synth": ["synth", "--phones", "a,b", "--dim", "2", "--seed", "1"],
+        "apc train": ["apc", "train", "--features", feats, "--n", "1", "--layers", "1",
+                      "--hidden-dim", "3", "--cell", "simple-rnn", "--epochs", "1"],
+        "apc extract": ["apc", "extract", "--model", str(apc_dir / "apc.ckpt"),
+                        "--features", feats],
+    }[name]
+
+
+@pytest.mark.parametrize("name", [
+    "eval", "analyze phoneme", "analyze confusion", "analyze reduce",
+    "analyze correlate", "synth", "apc train", "apc extract",
+])
+def test_runner_writes_manifest(name, corpus_dir, eval_dir, apc_dir, tmp_path):
+    out = tmp_path / "out"
+    argv = _runner_argv(name, corpus_dir, eval_dir, apc_dir, tmp_path)
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {
+        "command", "config", "inputs", "seed", "tool_version", "wall_time_s",
+    }
+    assert manifest["command"] == ["abxlab"] + argv + ["--out", str(out)]
+    assert list(out.rglob("*.tmp-*")) == []
+
+
+@pytest.mark.parametrize("name", ["synth", "apc extract"])
+def test_runner_failure_writes_nothing(name, corpus_dir, eval_dir, apc_dir, tmp_path,
+                                       monkeypatch):
+    def fail(paths):
+        raise DataError("cannot digest inputs")
+
+    argv = _runner_argv(name, corpus_dir, eval_dir, apc_dir, tmp_path)
+    monkeypatch.setattr(cli, "digest_inputs", fail)
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 3
+    assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 def test_write_outputs_is_atomic(tmp_path):

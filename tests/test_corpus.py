@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,3 +286,10 @@ def test_label_track_row_errors(tmp_path):
     p.write_text("u01\t0.0\tten\tA\n")
     with pytest.raises(RowError):
         load_label_track(p)
+
+
+def test_row_error_pickles():
+    e = pickle.loads(pickle.dumps(RowError("x.tsv", 3, "bad row")))
+    assert isinstance(e, RowError)
+    assert str(e) == "x.tsv:3: bad row"
+    assert (e.path, e.line_no) == ("x.tsv", 3)
