@@ -2,10 +2,14 @@
 
 A cell is the smallest scoring unit: one unordered category pair, one
 triphone context, one speaker (within) or one ordered speaker pair
-(across).  Cell scores are pure functions of the archive, so they can
-be computed in parallel; everything that follows the per-cell stage is
-a sequential fold over sorted keys, which makes reports bit-identical
-regardless of worker count.
+(across).  Cells that read the same segments (one context and speaker
+within, one context across) form a group.  Each group computes a dense
+segment x segment block of DTW dissimilarities, every unordered pair
+once through the batched kernel, and its cells are scored by lookups
+into that block.  Groups are pure functions of the archive, so they can
+be scored in parallel; everything after that is a sequential fold over
+sorted keys, which makes reports bit-identical regardless of worker
+count.
 
 Scoring counts strict wins and exact ties as integers and divides once
 at the end, so the comparison order inside a cell cannot perturb eta.
@@ -22,7 +26,7 @@ import numpy as np
 
 from .af_tables import AfTable
 from .corpus import FeatureArchive, ItemSegment, segment_frames
-from .distance import DEFAULT_DTW, DtwConfig, dtw_dissimilarity
+from .distance import DEFAULT_DTW, DtwConfig, dtw_dissimilarity_batch
 from .errors import EmptyTaskError, UsageError
 
 TASK_KINDS = ("phone", "af")
@@ -246,30 +250,81 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
 # ---------------------------------------------------------------------------
 # scoring
 
+# Pairs of one distance block run through the batched DTW kernel in
+# shape-sorted chunks of this many; it bounds the kernel's temporaries.
+DTW_CHUNK = 64
 
-def _make_distance(archive, cfg, memo):
-    frames_cache: dict[ItemSegment, np.ndarray] = {}
 
-    def frames(seg):
-        m = frames_cache.get(seg)
-        if m is None:
-            m = segment_frames(seg, archive)
-            frames_cache[seg] = m
-        return m
+def _indexed(sets):
+    """The distinct segments of ``sets`` in sorted order, and each set as
+    an index array into them (a segment listed twice keeps both entries)."""
+    segments = sorted({s for members in sets for s in members})
+    pos = {s: i for i, s in enumerate(segments)}
+    return segments, [np.array([pos[s] for s in members], dtype=np.intp) for members in sets]
 
-    def d(a, b):
-        key = (a, b)
-        v = memo.get(key)
-        if v is None:
-            v = dtw_dissimilarity(frames(a), frames(b), cfg)
-            memo[key] = v
-        return v
 
-    return d
+def _distance_block(segments, triples, archive, cfg) -> np.ndarray:
+    """Dense segment x segment DTW block over the pairs that ``triples`` read.
+
+    ``triples`` holds (A, B, X) index arrays; every pair in A x X and
+    B x X is computed, each unordered pair once because DTW is
+    bit-symmetric.  The diagonal stays 0.0, which is what DTW of a
+    segment with itself gives (the equal-frame rule zeroes its diagonal
+    path); pairs that nothing reads also stay 0.0 and are never looked at.
+    """
+    n = len(segments)
+    read = np.zeros((n, n), dtype=bool)
+    for a, b, x in triples:
+        read[np.ix_(a, x)] = True
+        read[np.ix_(b, x)] = True
+    i, j = np.nonzero(np.triu(read | read.T, 1))
+    frames = [segment_frames(s, archive) for s in segments]
+    lengths = np.array([f.shape[0] for f in frames])
+    order = np.lexsort((lengths[j], lengths[i]))
+    i, j = i[order], j[order]
+    # all frames end to end in the kernel's float64, then one zero row
+    # that padding indexes
+    flat = np.concatenate(frames + [np.zeros_like(frames[0][:1])], dtype=np.float64)
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+
+    def padded(idx):
+        steps = np.arange(lengths[idx].max())
+        rows = starts[idx, None] + steps
+        rows[steps >= lengths[idx, None]] = flat.shape[0] - 1
+        return flat[rows]
+
+    block = np.zeros((n, n))
+    for lo in range(0, len(i), DTW_CHUNK):
+        ci, cj = i[lo:lo + DTW_CHUNK], j[lo:lo + DTW_CHUNK]
+        block[ci, cj] = block[cj, ci] = dtw_dissimilarity_batch(
+            padded(ci), padded(cj), lengths[ci], lengths[cj], cfg
+        )
+    return block
+
+
+def _eta(block, a, b, x, within: bool) -> float:
+    """Error rate of A, X drawn from ``a`` and ``x`` against B from ``b``.
+
+    A strict d(A,X) > d(B,X) counts 1, an exact 64-bit tie counts 1/2;
+    within mode (``x`` is ``a``) skips the A at X's own position.  The
+    integer totals are divided once, so no comparison order is involved.
+    """
+    dax = block[np.ix_(a, x)][:, None, :]
+    dbx = block[np.ix_(b, x)][None, :, :]
+    gt = dax > dbx
+    eq = dax == dbx
+    if within:
+        other = ~np.eye(len(a), dtype=bool)[:, None, :]
+        gt &= other
+        eq &= other
+        total = len(a) * (len(a) - 1) * len(b)
+    else:
+        total = len(a) * len(b) * len(x)
+    return (2 * int(np.count_nonzero(gt)) + int(np.count_nonzero(eq))) / (2 * total)
 
 
 def asymmetric_score(set_x_ab, set_y_ab, set_x_X, archive: FeatureArchive,
-                     cfg: DtwConfig = DEFAULT_DTW, memo: dict | None = None) -> float:
+                     cfg: DtwConfig = DEFAULT_DTW) -> float:
     """One direction of the ABX error rate.
 
     Within mode (X drawn from set_x_ab itself, A excluded by position)
@@ -286,35 +341,8 @@ def asymmetric_score(set_x_ab, set_y_ab, set_x_X, archive: FeatureArchive,
     within = set_x_X == set_x_ab
     if within and len(set_x_ab) < 2:
         raise UsageError("within mode needs at least 2 segments in the X category")
-    d = _make_distance(archive, cfg, {} if memo is None else memo)
-
-    gt = 0
-    eq = 0
-    if within:
-        for ia, a in enumerate(set_x_ab):
-            for ix, x in enumerate(set_x_ab):
-                if ix == ia:
-                    continue
-                dax = d(a, x)
-                for b in set_y_ab:
-                    dbx = d(b, x)
-                    if dax > dbx:
-                        gt += 1
-                    elif dax == dbx:
-                        eq += 1
-        total = len(set_x_ab) * (len(set_x_ab) - 1) * len(set_y_ab)
-    else:
-        for a in set_x_ab:
-            for x in set_x_X:
-                dax = d(a, x)
-                for b in set_y_ab:
-                    dbx = d(b, x)
-                    if dax > dbx:
-                        gt += 1
-                    elif dax == dbx:
-                        eq += 1
-        total = len(set_x_ab) * len(set_y_ab) * len(set_x_X)
-    return (2 * gt + eq) / (2 * total)
+    segments, (a, b, x) = _indexed((set_x_ab, set_y_ab, set_x_X))
+    return _eta(_distance_block(segments, [(a, b, x)], archive, cfg), a, b, x, within)
 
 
 def _cell_comparisons(cell: TaskCell) -> int:
@@ -324,21 +352,33 @@ def _cell_comparisons(cell: TaskCell) -> int:
     return nx * ny * len(cell.set_x_x) + ny * nx * len(cell.set_y_x)
 
 
+def _score_group(cells, archive: FeatureArchive, cfg: DtwConfig) -> list[CellScore]:
+    """Score cells that share segments from one distance block.
+
+    epsilon = (eta(x->y) + eta(y->x)) / 2 for each cell.
+    """
+    segments, idx = _indexed(
+        [s for c in cells for s in (c.set_x_ab, c.set_y_ab, c.set_x_x, c.set_y_x)]
+    )
+    xy = [(idx[k], idx[k + 1], idx[k + 2]) for k in range(0, len(idx), 4)]
+    yx = [(idx[k + 1], idx[k], idx[k + 3]) for k in range(0, len(idx), 4)]
+    block = _distance_block(segments, xy + yx, archive, cfg)
+    scores = []
+    for cell, triple_xy, triple_yx in zip(cells, xy, yx):
+        eta_xy = _eta(block, *triple_xy, cell.within)
+        eta_yx = _eta(block, *triple_yx, cell.within)
+        scores.append(CellScore(
+            cell.kind, cell.category_x, cell.category_y, cell.context,
+            cell.speaker_ab, cell.speaker_x,
+            eta_xy, eta_yx, (eta_xy + eta_yx) / 2.0, _cell_comparisons(cell),
+        ))
+    return scores
+
+
 def pairwise_score(cell: TaskCell, archive: FeatureArchive,
                    cfg: DtwConfig = DEFAULT_DTW) -> CellScore:
-    """epsilon = (eta(x->y) + eta(y->x)) / 2 for one cell.
-
-    DTW dissimilarities are memoized per ordered segment pair for the
-    duration of the cell, shared between the two directions.
-    """
-    memo: dict = {}
-    eta_xy = asymmetric_score(cell.set_x_ab, cell.set_y_ab, cell.set_x_x, archive, cfg, memo)
-    eta_yx = asymmetric_score(cell.set_y_ab, cell.set_x_ab, cell.set_y_x, archive, cfg, memo)
-    return CellScore(
-        cell.kind, cell.category_x, cell.category_y, cell.context,
-        cell.speaker_ab, cell.speaker_x,
-        eta_xy, eta_yx, (eta_xy + eta_yx) / 2.0, _cell_comparisons(cell),
-    )
+    """epsilon = (eta(x->y) + eta(y->x)) / 2 for one cell."""
+    return _score_group([cell], archive, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +426,14 @@ def _worker_init(archive, cfg):
     _WORKER_STATE = (archive, cfg)
 
 
-def _worker_score(cell):
-    archive, cfg = _WORKER_STATE
-    return pairwise_score(cell, archive, cfg)
+def _worker_group(cells):
+    return _score_group(cells, *_WORKER_STATE)
+
+
+def _group_key(cell: TaskCell):
+    """The segments a cell reads: one speaker's in its context (within),
+    or every speaker's in its context (across)."""
+    return (cell.context, cell.speaker_ab) if cell.within else (cell.context,)
 
 
 def config_digest(doc: dict) -> str:
@@ -398,10 +443,11 @@ def config_digest(doc: dict) -> str:
 def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
                  af_table: AfTable | None = None, cfg: DtwConfig = DEFAULT_DTW,
                  limits: CellLimits = CellLimits(), jobs: int = 1) -> AbxReport:
-    """build_cells -> pairwise_score (parallel) -> aggregate.
+    """build_cells -> distance blocks (parallel over groups) -> aggregate.
 
-    The report is bit-identical for any jobs value: cells are scored
-    independently and folded in sorted order.
+    The report is bit-identical for any jobs value: each group's cells
+    are scored from its own distance block, and the scores are folded in
+    sorted order.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
@@ -410,14 +456,19 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
         raise EmptyTaskError(
             f"no scoreable cells (undersized candidates: {stats['undersized']})"
         )
-    if jobs == 1 or len(cells) == 1:
-        scores = [pairwise_score(c, archive, cfg) for c in cells]
+    by_key: dict[tuple, list[TaskCell]] = {}
+    for cell in cells:
+        by_key.setdefault(_group_key(cell), []).append(cell)
+    groups = [by_key[key] for key in sorted(by_key)]
+    if jobs == 1 or len(groups) == 1:
+        scored = [_score_group(g, archive, cfg) for g in groups]
     else:
-        chunk = max(1, len(cells) // (jobs * 4))
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=(archive, cfg)
+            max_workers=min(jobs, len(groups)), initializer=_worker_init,
+            initargs=(archive, cfg),
         ) as pool:
-            scores = list(pool.map(_worker_score, cells, chunksize=chunk))
+            scored = list(pool.map(_worker_group, groups))
+    scores = [s for group in scored for s in group]
     metadata = {
         "task": kind,
         "condition": mode,

@@ -257,6 +257,8 @@ def write_feature_archive(archive: FeatureArchive, path, format: str = "binary")
 
 def load_item_file(path) -> list[ItemSegment]:
     path = Path(path)
+    if not path.is_file():
+        raise UsageError(f"item file not found: {path}")
     lines = path.read_text().splitlines()
     if not lines or lines[0].strip() != ITEM_HEADER:
         raise FormatError(f"{path}: first line must be '{ITEM_HEADER}'")
@@ -299,6 +301,8 @@ def write_item_file(segments, path) -> None:
 
 def load_label_track(path) -> list[FrameLabelTrack]:
     path = Path(path)
+    if not path.is_file():
+        raise UsageError(f"label file not found: {path}")
     per_utt: dict[str, list[tuple[float, float, str]]] = {}
     for i, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():

@@ -55,6 +55,9 @@ class UnmappedPhoneError(DataError):
             "phones not mapped or excluded by the AF table: " + " ".join(self.phones)
         )
 
+    def __reduce__(self):
+        return (type(self), (self.phones,))
+
 
 class EmptyTaskError(AbxlabError):
     """No scorable cells could be built."""

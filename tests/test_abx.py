@@ -15,7 +15,7 @@ from abxlab.abx import (
 from abxlab.af_tables import AfTable, load_af_table
 from abxlab.corpus import FeatureArchive, ItemSegment
 from abxlab.distance import DtwConfig, dtw_dissimilarity
-from abxlab.errors import EmptyTaskError, UnmappedPhoneError, UsageError
+from abxlab.errors import DataError, EmptyTaskError, UnmappedPhoneError, UsageError
 from abxlab.synth import SynthConfig, generate_corpus
 
 from oracles import abx_ref
@@ -297,18 +297,44 @@ def test_csv_rates_reaggregate_exactly():
         assert sum(rates) / len(rates) == report.pairwise[pair]
 
 
-def test_parallel_scoring_is_bit_identical():
+@pytest.mark.parametrize("mode", ["within", "across"])
+@pytest.mark.parametrize("kind", ["phone", "af"])
+def test_parallel_scoring_is_bit_identical(kind, mode):
+    # several groups (contexts, and speakers within), so the pool gets work
     corpus = generate_corpus(
         SynthConfig(
-            phones=("AE", "EH", "IY"), n_speakers=3, dim=4,
+            phones=("AE", "EH", "IY", "UW"), n_speakers=3, dim=4,
             noise_scale=0.6, speaker_offset_scale=0.3, seed=8,
         )
     )
-    r1 = score_corpus(corpus.archive, corpus.segments, "across", "phone", jobs=1)
-    r4 = score_corpus(corpus.archive, corpus.segments, "across", "phone", jobs=4)
-    assert r1.to_json_bytes() == r4.to_json_bytes()
-    assert r1.to_csv_bytes() == r4.to_csv_bytes()
-    assert [c.epsilon for c in r1.per_cell] == [c.epsilon for c in r4.per_cell]
+    table = load_af_table("english-height") if kind == "af" else None
+    r1 = score_corpus(corpus.archive, corpus.segments, mode, kind, af_table=table, jobs=1)
+    for jobs in (2, 4):
+        rj = score_corpus(corpus.archive, corpus.segments, mode, kind, af_table=table, jobs=jobs)
+        assert r1.to_json_bytes() == rj.to_json_bytes()
+        assert r1.to_csv_bytes() == rj.to_csv_bytes()
+        assert [c.epsilon for c in r1.per_cell] == [c.epsilon for c in rj.per_cell]
+
+
+class UncheckedArchive:
+    """One utterance served without FeatureArchive's finiteness check."""
+
+    frame_period = 10000
+
+    def __init__(self, frames):
+        self._frames = frames
+
+    def frames(self, utt):
+        return self._frames
+
+
+def test_non_finite_frame_fails_scoring_with_exit_3():
+    archive, segments = one_hot_corpus()
+    frames = archive.frames("u01").copy()
+    frames[5, 0] = np.inf
+    with pytest.raises(DataError) as e:
+        score_corpus(UncheckedArchive(frames), segments, "within", "phone")
+    assert e.value.exit_code == 3
 
 
 def test_aggregate_empty_fails():

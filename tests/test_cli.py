@@ -234,6 +234,27 @@ def test_analyze_confusion_bad_times_exit_3(tmp_path, capsys, onset, offset):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--items", "--truth", "--hyp"])
+def test_missing_input_file_exits_2(flag, corpus_dir, tmp_path, capsys):
+    missing = tmp_path / "nope"
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("u1\t0.0\t0.1\ta\n")
+    if flag == "--items":
+        argv = ["eval", "--features", str(corpus_dir / "features"),
+                "--items", str(missing), "--mode", "within"]
+        what = "item file"
+    else:
+        files = {"--truth": labels, "--hyp": labels, flag: missing}
+        argv = ["analyze", "confusion", "--truth", str(files["--truth"]),
+                "--hyp", str(files["--hyp"]), "--frame-period", "10000"]
+        what = "label file"
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{what} not found: {missing}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_reduce_and_correlate(tmp_path):
     base = {"a": 0.4, "b": 0.2, "c": 0.0}
     improved = {"a": 0.2, "b": 0.15, "c": 0.0}

@@ -25,6 +25,7 @@ from abxlab.errors import (
     EmptyArchiveError,
     FormatError,
     RowError,
+    UnmappedPhoneError,
     UsageError,
 )
 
@@ -289,7 +290,12 @@ def test_label_track_row_errors(tmp_path):
 
 
 def test_row_error_pickles():
-    e = pickle.loads(pickle.dumps(RowError("x.tsv", 3, "bad row")))
-    assert isinstance(e, RowError)
-    assert str(e) == "x.tsv:3: bad row"
-    assert (e.path, e.line_no) == ("x.tsv", 3)
+    for error, text in (
+        (RowError("x.tsv", 3, "bad row"), "x.tsv:3: bad row"),
+        (UnmappedPhoneError({"YY", "XX"}),
+         "phones not mapped or excluded by the AF table: XX YY"),
+    ):
+        e = pickle.loads(pickle.dumps(error))
+        assert type(e) is type(error)
+        assert str(e) == text
+        assert vars(e) == vars(error)

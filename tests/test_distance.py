@@ -8,6 +8,7 @@ from abxlab.distance import (
     cosine_cost_matrix,
     cosine_distance,
     dtw_dissimilarity,
+    dtw_dissimilarity_batch,
 )
 from abxlab.errors import DataError, UsageError
 
@@ -189,3 +190,75 @@ def test_dtw_general_scale_invariance_within_tolerance():
     base = dtw_dissimilarity(A, X)
     scaled = dtw_dissimilarity((A * 2.5).astype(np.float32), X)
     assert scaled == pytest.approx(base, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# batched DTW
+
+
+def planted_pairs(rng, d, dtype, count=40):
+    """(A, X) pairs of 1-16 frames with zero, equal and tie-heavy frames."""
+    pairs = []
+    for k in range(count):
+        m, n = (int(v) for v in rng.integers(1, 17, size=2))
+        A = (rng.standard_normal((m, d)) * 2).astype(dtype)
+        X = (rng.standard_normal((n, d)) * 2).astype(dtype)
+        kind = k % 5
+        if kind == 1:  # zero-norm frames, one of them on both sides
+            A[rng.integers(m)] = 0.0
+            X[rng.integers(n)] = 0.0
+        elif kind == 2:  # exactly equal frames
+            for _ in range(min(m, n)):
+                A[rng.integers(m)] = X[rng.integers(n)]
+        elif kind == 3:  # constant rows: the cost grid ties everywhere
+            v = A[0]
+            A[:] = v
+            X[:] = v * dtype(2.0)
+            X[rng.integers(n)] = -v
+        elif kind == 4:  # orthogonal one-hot rows: every cell costs 1
+            A = np.eye(m, d, dtype=dtype)
+            X = np.eye(n, d, k=min(m, d), dtype=dtype) if d > m else np.zeros((n, d), dtype)
+        pairs.append((A, X))
+    return pairs
+
+
+def padded_batch(pairs):
+    rows = max(A.shape[0] for A, _ in pairs)
+    cols = max(X.shape[0] for _, X in pairs)
+    d = pairs[0][0].shape[1]
+    a = np.zeros((len(pairs), rows, d), dtype=pairs[0][0].dtype)
+    x = np.zeros((len(pairs), cols, d), dtype=pairs[0][0].dtype)
+    for p, (A, X) in enumerate(pairs):
+        a[p, : A.shape[0]] = A
+        x[p, : X.shape[0]] = X
+    m = [A.shape[0] for A, _ in pairs]
+    n = [X.shape[0] for _, X in pairs]
+    return a, x, m, n
+
+
+@pytest.mark.parametrize("zero_vector_distance", [0.0, 0.25, 2.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [1, 13, 100])
+def test_dtw_batch_is_bitwise_scalar(d, dtype, zero_vector_distance):
+    rng = np.random.default_rng(d * 1000 + int(zero_vector_distance * 4))
+    cfg = DtwConfig(zero_vector_distance=zero_vector_distance)
+    pairs = planted_pairs(rng, d, dtype)
+    for batch in (pairs, [(X, A) for A, X in pairs]):  # and the transpose
+        got = dtw_dissimilarity_batch(*padded_batch(batch), cfg)
+        want = np.array([dtw_dissimilarity(A, X, cfg) for A, X in batch])
+        assert got.dtype == np.float64
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_dtw_batch_validation():
+    a = np.zeros((2, 3, 4))
+    with pytest.raises(UsageError):
+        dtw_dissimilarity_batch(a, np.zeros((2, 3, 5)), [3, 3], [3, 3])
+    with pytest.raises(UsageError):
+        dtw_dissimilarity_batch(a, a, [3, 4], [3, 3])  # longer than the padding
+    with pytest.raises(UsageError):
+        dtw_dissimilarity_batch(a, a, [3, 0], [3, 3])
+    bad = a.copy()
+    bad[1, 2, 0] = np.nan
+    with pytest.raises(DataError):
+        dtw_dissimilarity_batch(bad, a, [3, 3], [3, 3])
