@@ -26,7 +26,7 @@ import numpy as np
 
 from .af_tables import AfTable
 from .corpus import FeatureArchive, ItemSegment, segment_frames
-from .distance import DEFAULT_DTW, DtwConfig, dtw_dissimilarity_batch
+from .distance import DEFAULT_DTW, DtwConfig, dtw_pairs
 from .errors import EmptyTaskError, UsageError
 
 TASK_KINDS = ("phone", "af")
@@ -250,11 +250,6 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
 # ---------------------------------------------------------------------------
 # scoring
 
-# Pairs of one distance block run through the batched DTW kernel in
-# shape-sorted chunks of this many; it bounds the kernel's temporaries.
-DTW_CHUNK = 64
-
-
 def _indexed(sets):
     """The distinct segments of ``sets`` in sorted order, and each set as
     an index array into them (a segment listed twice keeps both entries)."""
@@ -278,27 +273,10 @@ def _distance_block(segments, triples, archive, cfg) -> np.ndarray:
         read[np.ix_(a, x)] = True
         read[np.ix_(b, x)] = True
     i, j = np.nonzero(np.triu(read | read.T, 1))
-    frames = [segment_frames(s, archive) for s in segments]
-    lengths = np.array([f.shape[0] for f in frames])
-    order = np.lexsort((lengths[j], lengths[i]))
-    i, j = i[order], j[order]
-    # all frames end to end in the kernel's float64, then one zero row
-    # that padding indexes
-    flat = np.concatenate(frames + [np.zeros_like(frames[0][:1])], dtype=np.float64)
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-
-    def padded(idx):
-        steps = np.arange(lengths[idx].max())
-        rows = starts[idx, None] + steps
-        rows[steps >= lengths[idx, None]] = flat.shape[0] - 1
-        return flat[rows]
-
     block = np.zeros((n, n))
-    for lo in range(0, len(i), DTW_CHUNK):
-        ci, cj = i[lo:lo + DTW_CHUNK], j[lo:lo + DTW_CHUNK]
-        block[ci, cj] = block[cj, ci] = dtw_dissimilarity_batch(
-            padded(ci), padded(cj), lengths[ci], lengths[cj], cfg
-        )
+    block[i, j] = block[j, i] = dtw_pairs(
+        [segment_frames(s, archive) for s in segments], i, j, cfg
+    )
     return block
 
 

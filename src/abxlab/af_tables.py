@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .corpus import read_text_file
 from .errors import DataError, RowError, UnmappedPhoneError, UsageError
 
 MONOPHTHONGS = ("AA", "AE", "AH", "AO", "EH", "ER", "IH", "IY", "UH", "UW")
@@ -115,7 +116,7 @@ EXCLUDED_TOKEN = "__EXCLUDED__"
 def _parse_af_tsv(path: Path) -> AfTable:
     entries: dict[str, str] = {}
     excluded: set[str] = set()
-    for i, line in enumerate(path.read_text().splitlines(), start=1):
+    for i, line in enumerate(read_text_file(path, "AF table file").splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")

@@ -508,7 +508,10 @@ def save_checkpoint(model: ApcModel, path) -> None:
 
 
 def load_checkpoint(path) -> ApcModel:
-    raw = Path(path).read_bytes()
+    path = Path(path)
+    if not path.is_file():
+        raise UsageError(f"checkpoint file not found: {path}")
+    raw = path.read_bytes()
     if len(raw) < 8 or raw[:4] != CKPT_MAGIC:
         raise FormatError(f"{path}: not an APC1 checkpoint")
     (cfg_len,) = struct.unpack_from("<I", raw, 4)

@@ -51,6 +51,7 @@ from .corpus import (
     load_feature_archive,
     load_item_file,
     load_label_track,
+    read_text_file,
     segment_frames,
 )
 from .distance import DtwConfig
@@ -83,11 +84,9 @@ class Outputs(NamedTuple):
 
 
 def _load_config_file(path) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"config file not found: {path}")
+    text = read_text_file(path, "config file")
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise UsageError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(doc, dict):
@@ -213,10 +212,7 @@ def cmd_eval(args) -> Outputs:
 
 
 def _read_pairwise_csv(path):
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"pairwise file not found: {path}")
-    lines = p.read_text().splitlines()
+    lines = read_text_file(path, "pairwise file").splitlines()
     if not lines or lines[0] != PAIRWISE_HEADER:
         raise FormatError(f"{path}: first line must be {PAIRWISE_HEADER!r}")
     rows = []
@@ -336,12 +332,10 @@ def _load_rate_map(path, key: str) -> dict:
     map (``"xi"`` in phoneme.json, ``"p_co"`` in confusion.json); a
     value that is itself an object is read at ``key`` too.
     """
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"rate file not found: {path}")
-    if p.suffix == ".json":
+    text = read_text_file(path, "rate file")
+    if Path(path).suffix == ".json":
         try:
-            doc = json.loads(p.read_text())
+            doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}: invalid JSON: {e}") from None
         if isinstance(doc, dict) and isinstance(doc.get(key), dict):
@@ -360,7 +354,7 @@ def _load_rate_map(path, key: str) -> dict:
                 ) from None
         return out
     out = {}
-    for line_no, line in enumerate(p.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split(",")

@@ -151,6 +151,22 @@ def segment_frames(seg: ItemSegment, archive: FeatureArchive) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# text input
+
+
+def read_text_file(path, what: str) -> str:
+    """The UTF-8 text of ``path``; a missing file is a usage error (exit
+    2) named by ``what``, undecodable bytes a format error (exit 3)."""
+    path = Path(path)
+    if not path.is_file():
+        raise UsageError(f"{what} not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
+
+
+# ---------------------------------------------------------------------------
 # binary / text feature files
 
 
@@ -177,7 +193,7 @@ def _read_fbin(path: Path) -> tuple[str, np.ndarray, int]:
 
 
 def _read_ftxt(path: Path) -> tuple[str, np.ndarray, int]:
-    lines = path.read_text().splitlines()
+    lines = read_text_file(path, "feature file").splitlines()
     if not lines:
         raise FormatError(f"{path}: empty file")
     head = lines[0].split()
@@ -256,10 +272,7 @@ def write_feature_archive(archive: FeatureArchive, path, format: str = "binary")
 
 
 def load_item_file(path) -> list[ItemSegment]:
-    path = Path(path)
-    if not path.is_file():
-        raise UsageError(f"item file not found: {path}")
-    lines = path.read_text().splitlines()
+    lines = read_text_file(path, "item file").splitlines()
     if not lines or lines[0].strip() != ITEM_HEADER:
         raise FormatError(f"{path}: first line must be '{ITEM_HEADER}'")
     segments = []
@@ -300,11 +313,8 @@ def write_item_file(segments, path) -> None:
 
 
 def load_label_track(path) -> list[FrameLabelTrack]:
-    path = Path(path)
-    if not path.is_file():
-        raise UsageError(f"label file not found: {path}")
     per_utt: dict[str, list[tuple[float, float, str]]] = {}
-    for i, line in enumerate(path.read_text().splitlines(), start=1):
+    for i, line in enumerate(read_text_file(path, "label file").splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.rstrip("\n").split("\t")

@@ -1,9 +1,12 @@
 """Cosine distance and DTW dissimilarity between frame matrices.
 
-All arithmetic runs in float64 regardless of storage dtype, and the
-inner products are computed with ``np.einsum`` so that summation order
-is fixed by the implementation, not by the BLAS build.  This keeps
-results reproducible across machines and across worker processes.
+One engine computes every distance: ``dtw_pairs`` runs many pairs of
+segments at once through a batched kernel, and ``dtw_dissimilarity`` is
+a one-pair call into it.  All arithmetic runs in float64 regardless of
+storage dtype, and the inner products are computed with ``np.einsum``
+so that summation order is fixed by the implementation, not by the BLAS
+build.  This keeps results reproducible across machines and across
+worker processes.
 """
 
 from __future__ import annotations
@@ -36,55 +39,9 @@ class DtwConfig:
 DEFAULT_DTW = DtwConfig()
 
 
-def cosine_distance(a, b, cfg: DtwConfig = DEFAULT_DTW) -> float:
-    """1 - cos(a, b), in [0, 2].
-
-    Bitwise-identical inputs return exactly 0.0 (even all-zero ones);
-    otherwise a zero-norm input yields ``cfg.zero_vector_distance``.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise UsageError(f"vectors must share one dimension, got {a.shape} and {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise DataError("non-finite value in cosine_distance input")
-    if np.array_equal(a, b):
-        return 0.0
-    sa = float(np.einsum("i,i->", a, a))
-    sb = float(np.einsum("i,i->", b, b))
-    if sa == 0.0 or sb == 0.0:
-        return cfg.zero_vector_distance
-    d = 1.0 - float(np.einsum("i,i->", a, b)) / np.sqrt(sa * sb)
-    return min(max(d, 0.0), 2.0)
-
-
-def cosine_cost_matrix(A, X, cfg: DtwConfig = DEFAULT_DTW) -> np.ndarray:
-    """Pairwise cosine distances between the rows of A and of X."""
-    A = np.asarray(A)
-    X = np.asarray(X)
-    if A.ndim != 2 or X.ndim != 2 or A.shape[1] != X.shape[1]:
-        raise UsageError(
-            f"frame matrices must be 2-D with equal dim, got {A.shape} and {X.shape}"
-        )
-    if A.shape[0] == 0 or X.shape[0] == 0:
-        raise UsageError("frame matrices must be non-empty")
-    a = A.astype(np.float64, copy=False)
-    x = X.astype(np.float64, copy=False)
-    if not (np.isfinite(a).all() and np.isfinite(x).all()):
-        raise DataError("non-finite value in frame matrix")
-    sa = np.einsum("ij,ij->i", a, a)
-    sx = np.einsum("ij,ij->i", x, x)
-    dots = np.einsum("ik,jk->ij", a, x)
-    denom = np.sqrt(sa[:, None] * sx[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cost = 1.0 - dots / denom
-    zero = (sa == 0.0)[:, None] | (sx == 0.0)[None, :]
-    cost[zero] = cfg.zero_vector_distance
-    # exact-equal frames have distance 0 by definition, also when all-zero
-    eq = (A[:, None, :] == X[None, :, :]).all(axis=2)
-    cost[eq] = 0.0
-    np.clip(cost, 0.0, 2.0, out=cost)
-    return cost
+# Pairs run through the kernel in shape-sorted chunks of this many; it
+# bounds the kernel's temporaries.
+DTW_CHUNK = 64
 
 
 def dtw_dissimilarity(A, X, cfg: DtwConfig = DEFAULT_DTW) -> float:
@@ -93,59 +50,61 @@ def dtw_dissimilarity(A, X, cfg: DtwConfig = DEFAULT_DTW) -> float:
     The path minimizes accumulated cost, with ties broken toward fewer
     cells; the result is that minimal sum divided by the path length.
     Steps are diagonal, vertical and horizontal, anchored at both ends.
+    One pair through ``dtw_pairs``, so a 1 x 1 call returns the cosine
+    distance of its two frames exactly.
     """
-    cost = cosine_cost_matrix(A, X, cfg)
-    m, n = cost.shape
-    sums = np.empty((m, n))
-    lens = np.empty((m, n), dtype=np.int64)
-    sums[0, 0] = cost[0, 0]
-    lens[0, 0] = 1
-    for j in range(1, n):
-        sums[0, j] = sums[0, j - 1] + cost[0, j]
-        lens[0, j] = j + 1
-    for i in range(1, m):
-        sums[i, 0] = sums[i - 1, 0] + cost[i, 0]
-        lens[i, 0] = i + 1
-        row = cost[i]
-        for j in range(1, n):
-            s, l = sums[i - 1, j - 1], lens[i - 1, j - 1]
-            s2, l2 = sums[i - 1, j], lens[i - 1, j]
-            if s2 < s or (s2 == s and l2 < l):
-                s, l = s2, l2
-            s3, l3 = sums[i, j - 1], lens[i, j - 1]
-            if s3 < s or (s3 == s and l3 < l):
-                s, l = s3, l3
-            sums[i, j] = s + row[j]
-            lens[i, j] = l + 1
-    return float(sums[m - 1, n - 1]) / int(lens[m - 1, n - 1])
-
-
-def dtw_dissimilarity_batch(A, X, m, n, cfg: DtwConfig = DEFAULT_DTW) -> np.ndarray:
-    """``dtw_dissimilarity`` of P frame-matrix pairs at once, bit for bit.
-
-    ``A`` is (P, M, d) and ``X`` is (P, N, d); pair p occupies the first
-    ``m[p]`` rows of ``A[p]`` and the first ``n[p]`` rows of ``X[p]``,
-    and the rows past them are zero padding.  The cost matrices and the
-    dynamic program run the scalar arithmetic elementwise along the pair
-    axis, with the same zero-norm, equality and clip rules and the same
-    tie-breaks, so each result is the scalar one.  Padding cannot leak in:
-    DP cell (i, j) reads only cells at smaller or equal i and j, and pair
-    p's result is read at (m[p]-1, n[p]-1).
-    """
-    a = np.asarray(A, dtype=np.float64)
-    x = np.asarray(X, dtype=np.float64)
-    m = np.asarray(m, dtype=np.int64)
-    n = np.asarray(n, dtype=np.int64)
-    if a.ndim != 3 or x.ndim != 3 or a.shape[0] != x.shape[0] or a.shape[2] != x.shape[2]:
+    A = np.asarray(A)
+    X = np.asarray(X)
+    if A.ndim != 2 or X.ndim != 2 or A.shape[1] != X.shape[1]:
         raise UsageError(
-            f"frame batches must be (P, M, d) and (P, N, d), got {a.shape} and {x.shape}"
+            f"frame matrices must be 2-D with equal dim, got {A.shape} and {X.shape}"
         )
+    if A.shape[0] == 0 or X.shape[0] == 0:
+        raise UsageError("frame matrices must be non-empty")
+    return float(dtw_pairs([A, X], [0], [1], cfg)[0])
+
+
+def dtw_pairs(frames, i, j, cfg: DtwConfig = DEFAULT_DTW) -> np.ndarray:
+    """``dtw_dissimilarity(frames[i[p]], frames[j[p]])`` for every p.
+
+    ``frames`` holds non-empty (t, d) matrices of one dim d.  The pairs
+    are sorted by shape and run in chunks of ``DTW_CHUNK``, each chunk
+    zero-padded to its longest pair; the results come back in input
+    order as float64.
+    """
+    i = np.asarray(i, dtype=np.intp)
+    j = np.asarray(j, dtype=np.intp)
+    lengths = np.array([f.shape[0] for f in frames])
+    # all frames end to end in float64, then one zero row that padding indexes
+    flat = np.concatenate(list(frames) + [np.zeros_like(frames[0][:1])], dtype=np.float64)
+    if not np.isfinite(flat).all():
+        raise DataError("non-finite value in frame matrix")
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+
+    def padded(idx):
+        steps = np.arange(lengths[idx].max())
+        rows = starts[idx, None] + steps
+        rows[steps >= lengths[idx, None]] = flat.shape[0] - 1
+        return flat[rows]
+
+    order = np.lexsort((lengths[j], lengths[i]))
+    out = np.empty(len(order))
+    for lo in range(0, len(order), DTW_CHUNK):
+        k = order[lo:lo + DTW_CHUNK]
+        out[k] = _dtw_padded(padded(i[k]), padded(j[k]), lengths[i[k]], lengths[j[k]], cfg)
+    return out
+
+
+def _dtw_padded(a, x, m, n, cfg: DtwConfig) -> np.ndarray:
+    """DTW of P zero-padded float64 pairs at once.
+
+    ``a`` is (P, M, d) and ``x`` is (P, N, d); pair p occupies the first
+    ``m[p]`` rows of ``a[p]`` and the first ``n[p]`` rows of ``x[p]``.
+    Padding cannot leak in: DP cell (i, j) reads only cells at smaller
+    or equal i and j, and pair p's result is read at (m[p]-1, n[p]-1).
+    """
     p, rows, cols = a.shape[0], a.shape[1], x.shape[1]
-    if m.shape != (p,) or n.shape != (p,) or not (
-        ((m >= 1) & (m <= rows) & (n >= 1) & (n <= cols)).all()
-    ):
-        raise UsageError("pair lengths must lie in [1, M] and [1, N]")
-    cost = _batch_cost_matrices(a, x, m, n, cfg)
+    cost = _cost_matrices(a, x, m, n, cfg)
 
     # The DP runs along anti-diagonals k = i + j, each of which depends
     # only on the two before it.  A diagonal is a (rows + 1, P) array
@@ -182,11 +141,11 @@ def dtw_dissimilarity_batch(A, X, m, n, cfg: DtwConfig = DEFAULT_DTW) -> np.ndar
     return end_s[last] / end_l[last]
 
 
-def _batch_cost_matrices(a, x, m, n, cfg: DtwConfig) -> np.ndarray:
-    """``cosine_cost_matrix`` of each pair of ``dtw_dissimilarity_batch``,
-    on its float64 frames; the padding cells hold arbitrary finite costs."""
-    if not (np.isfinite(a).all() and np.isfinite(x).all()):
-        raise DataError("non-finite value in frame matrix")
+def _cost_matrices(a, x, m, n, cfg: DtwConfig) -> np.ndarray:
+    """Cosine cost matrix of each pair of ``_dtw_padded``: 1 - cos in
+    [0, 2], exactly 0.0 for bitwise-equal frames (also all-zero ones),
+    else ``cfg.zero_vector_distance`` where a frame has zero norm.  The
+    padding cells hold arbitrary finite costs."""
     sa = np.einsum("pij,pij->pi", a, a)
     sx = np.einsum("pij,pij->pi", x, x)
     cost = np.einsum("pik,pjk->pij", a, x)

@@ -3,9 +3,15 @@
 Deliberately share as little code as possible with the package: the DTW
 oracle enumerates every monotone alignment path over its own pure-Python
 cost matrix, and the ABX oracle scores triples by direct enumeration.
+``dtw_scalar`` is the numpy cost matrix and row-by-row dynamic program
+that the batched engine must match bit for bit; the brute-force ABX
+tests take their distances from it because a one-pair call is cheaper
+here than through the engine.
 """
 
 import math
+
+import numpy as np
 
 
 def cosine_ref(a, b, zero_vector_distance=1.0):
@@ -52,6 +58,55 @@ def dtw_ref(A, X, zero_vector_distance=1.0):
     walk(0, 0, 0.0, 0)
     s, n = best[0]
     return s / n
+
+
+def cosine_cost_matrix(A, X, zero_vector_distance=1.0):
+    """Pairwise cosine distances between the rows of A and of X."""
+    A = np.asarray(A)
+    X = np.asarray(X)
+    a = A.astype(np.float64, copy=False)
+    x = X.astype(np.float64, copy=False)
+    sa = np.einsum("ij,ij->i", a, a)
+    sx = np.einsum("ij,ij->i", x, x)
+    dots = np.einsum("ik,jk->ij", a, x)
+    denom = np.sqrt(sa[:, None] * sx[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost = 1.0 - dots / denom
+    zero = (sa == 0.0)[:, None] | (sx == 0.0)[None, :]
+    cost[zero] = zero_vector_distance
+    # exact-equal frames have distance 0 by definition, also when all-zero
+    eq = (A[:, None, :] == X[None, :, :]).all(axis=2)
+    cost[eq] = 0.0
+    np.clip(cost, 0.0, 2.0, out=cost)
+    return cost
+
+
+def dtw_scalar(A, X, zero_vector_distance=1.0):
+    """DTW mean cost by the row-by-row dynamic program, ties toward fewer cells."""
+    cost = cosine_cost_matrix(A, X, zero_vector_distance)
+    m, n = cost.shape
+    sums = np.empty((m, n))
+    lens = np.empty((m, n), dtype=np.int64)
+    sums[0, 0] = cost[0, 0]
+    lens[0, 0] = 1
+    for j in range(1, n):
+        sums[0, j] = sums[0, j - 1] + cost[0, j]
+        lens[0, j] = j + 1
+    for i in range(1, m):
+        sums[i, 0] = sums[i - 1, 0] + cost[i, 0]
+        lens[i, 0] = i + 1
+        row = cost[i]
+        for j in range(1, n):
+            s, l = sums[i - 1, j - 1], lens[i - 1, j - 1]
+            s2, l2 = sums[i - 1, j], lens[i - 1, j]
+            if s2 < s or (s2 == s and l2 < l):
+                s, l = s2, l2
+            s3, l3 = sums[i, j - 1], lens[i, j - 1]
+            if s3 < s or (s3 == s and l3 < l):
+                s, l = s3, l3
+            sums[i, j] = s + row[j]
+            lens[i, j] = l + 1
+    return float(sums[m - 1, n - 1]) / int(lens[m - 1, n - 1])
 
 
 def eta_ref(a_ids, b_ids, x_ids, dist, exclude_same_index):

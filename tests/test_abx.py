@@ -14,11 +14,11 @@ from abxlab.abx import (
 )
 from abxlab.af_tables import AfTable, load_af_table
 from abxlab.corpus import FeatureArchive, ItemSegment
-from abxlab.distance import DtwConfig, dtw_dissimilarity
+from abxlab.distance import DtwConfig
 from abxlab.errors import DataError, EmptyTaskError, UnmappedPhoneError, UsageError
 from abxlab.synth import SynthConfig, generate_corpus
 
-from oracles import abx_ref
+from oracles import abx_ref, dtw_scalar
 
 
 def seg(utt, onset, phone, prev="S", nxt="T", speaker="s01", dur=0.02):
@@ -234,7 +234,7 @@ def test_aggregate_is_three_level_unweighted():
     report = score_corpus(corpus.archive, corpus.segments, "within", "phone")
     per_cell, context_rates, pairwise, overall = abx_ref(
         corpus.segments,
-        lambda a, b: dtw_dissimilarity(
+        lambda a, b: dtw_scalar(
             corpus.archive.frames(a.utt)[
                 round(a.onset * 100) : round(a.offset * 100)
             ],
@@ -358,7 +358,7 @@ def dist_for(corpus, cfg=DtwConfig()):
             qa = round(a.offset * 1e6 / corpus.archive.frame_period)
             pb = round(b.onset * 1e6 / corpus.archive.frame_period)
             qb = round(b.offset * 1e6 / corpus.archive.frame_period)
-            cache[key] = dtw_dissimilarity(fa[pa:qa], fb[pb:qb], cfg)
+            cache[key] = dtw_scalar(fa[pa:qa], fb[pb:qb], cfg.zero_vector_distance)
         return cache[key]
 
     return d

@@ -43,7 +43,7 @@ from abxlab.errors import DataError, FormatError, RowError
 from abxlab.synth import SynthConfig, generate_corpus
 from abxlab import cli
 
-from oracles import abx_ref, dtw_ref
+from oracles import abx_ref, dtw_ref, dtw_scalar
 
 
 def dist_for(corpus, cfg=DtwConfig()):
@@ -59,7 +59,7 @@ def dist_for(corpus, cfg=DtwConfig()):
             qa = round(a.offset * 1e6 / period)
             pb = round(b.onset * 1e6 / period)
             qb = round(b.offset * 1e6 / period)
-            cache[key] = dtw_dissimilarity(fa[pa:qa], fb[pb:qb], cfg)
+            cache[key] = dtw_scalar(fa[pa:qa], fb[pb:qb], cfg.zero_vector_distance)
         return cache[key]
 
     return d

@@ -234,7 +234,7 @@ def test_analyze_confusion_bad_times_exit_3(tmp_path, capsys, onset, offset):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["--items", "--truth", "--hyp"])
+@pytest.mark.parametrize("flag", ["--items", "--truth", "--hyp", "--model"])
 def test_missing_input_file_exits_2(flag, corpus_dir, tmp_path, capsys):
     missing = tmp_path / "nope"
     labels = tmp_path / "labels.tsv"
@@ -243,6 +243,15 @@ def test_missing_input_file_exits_2(flag, corpus_dir, tmp_path, capsys):
         argv = ["eval", "--features", str(corpus_dir / "features"),
                 "--items", str(missing), "--mode", "within"]
         what = "item file"
+    elif flag == "--model":
+        argv = ["apc", "extract", "--model", str(missing),
+                "--features", str(corpus_dir / "features")]
+        what = "checkpoint file"
+        # a directory is no checkpoint file either
+        argv_dir = ["apc", "extract", "--model", str(tmp_path),
+                    "--features", str(corpus_dir / "features")]
+        assert cli.main(argv_dir + ["--out", str(tmp_path / "out")]) == 2
+        assert f"{what} not found: {tmp_path}" in capsys.readouterr().err
     else:
         files = {"--truth": labels, "--hyp": labels, flag: missing}
         argv = ["analyze", "confusion", "--truth", str(files["--truth"]),
@@ -251,6 +260,42 @@ def test_missing_input_file_exits_2(flag, corpus_dir, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"{what} not found: {missing}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag", ["--items", "--config", "--features", "--truth", "--pairwise", "--af-table",
+             "--baseline"],
+)
+def test_undecodable_text_input_exits_3(flag, corpus_dir, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    names = {"--features": "u1.ftxt", "--af-table": "table.tsv", "--baseline": "base.json"}
+    target = bad / names.get(flag, "input")
+    target.write_bytes(b"\xff\xfe")
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("u1\t0.0\t0.1\ta\n")
+    rates = tmp_path / "rates.json"
+    rates.write_text('{"a": 0.1}')
+    features, items = str(corpus_dir / "features"), str(corpus_dir / "items.item")
+    argv = {
+        "--items": ["eval", "--features", features, "--items", str(target),
+                    "--mode", "within"],
+        "--config": ["synth", "--config", str(target)],
+        "--features": ["eval", "--features", str(bad), "--items", items,
+                       "--mode", "within"],
+        "--truth": ["analyze", "confusion", "--truth", str(target), "--hyp", str(labels),
+                    "--frame-period", "10000"],
+        "--pairwise": ["analyze", "phoneme", "--pairwise", str(target)],
+        "--af-table": ["eval", "--features", features, "--items", items, "--mode", "within",
+                       "--task", "af", "--af-table", str(target)],
+        "--baseline": ["analyze", "reduce", "--baseline", str(target),
+                       "--improved", str(rates)],
+    }[flag]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"{target}: not UTF-8 text" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

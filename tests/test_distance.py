@@ -3,16 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abxlab.distance import (
-    DtwConfig,
-    cosine_cost_matrix,
-    cosine_distance,
-    dtw_dissimilarity,
-    dtw_dissimilarity_batch,
-)
+from abxlab.distance import DTW_CHUNK, DtwConfig, dtw_dissimilarity, dtw_pairs
 from abxlab.errors import DataError, UsageError
 
-from oracles import dtw_ref
+from oracles import cosine_cost_matrix, cosine_ref, dtw_ref, dtw_scalar
 
 
 def rand_mat(rng, t, d):
@@ -20,7 +14,11 @@ def rand_mat(rng, t, d):
 
 
 # ---------------------------------------------------------------------------
-# cosine distance
+# cosine distance: a 1 x 1 DTW returns its one cost cell exactly
+
+
+def cosine_distance(a, b, cfg=DtwConfig()):
+    return dtw_dissimilarity([a], [b], cfg)
 
 
 def test_cosine_trivial_values():
@@ -49,6 +47,25 @@ def test_cosine_validation():
         DtwConfig(zero_vector_distance=-0.1)
 
 
+def test_cost_matrix_validation():
+    for A, X in (
+        ([[1.0]], [[1.0, 2.0]]),  # unequal dims
+        ([1.0, 2.0], [[1.0, 2.0]]),  # not 2-D
+        (np.zeros((2, 2, 3)), np.zeros((2, 3))),
+        (np.zeros((0, 3)), np.zeros((2, 3))),  # empty
+        (np.zeros((2, 3)), np.zeros((0, 3))),
+    ):
+        with pytest.raises(UsageError):
+            dtw_dissimilarity(A, X)
+    for bad in (np.nan, np.inf, -np.inf):
+        A = np.zeros((3, 2))
+        A[2, 1] = bad
+        with pytest.raises(DataError):
+            dtw_dissimilarity(A, np.ones((2, 2)))
+        with pytest.raises(DataError):
+            dtw_dissimilarity(np.ones((2, 2)), A)
+
+
 def test_cost_matrix_matches_scalar_distance():
     rng = np.random.default_rng(7)
     A = rand_mat(rng, 4, 3)
@@ -57,22 +74,15 @@ def test_cost_matrix_matches_scalar_distance():
     A[3] = 0.0
     X[4] = 0.0
     cfg = DtwConfig(zero_vector_distance=0.5)
-    cost = cosine_cost_matrix(A, X, cfg)
+    cost = cosine_cost_matrix(A, X, 0.5)
     for i in range(4):
         for j in range(5):
-            assert cost[i, j] == cosine_distance(A[i], X[j], cfg)
-    assert cost[2, 1] == 0.0
-    assert cost[3, 4] == 0.0  # both zero: bitwise equal
-    assert cost[3, 0] == 0.5  # one zero
-
-
-def test_cost_matrix_validation():
-    with pytest.raises(UsageError):
-        cosine_cost_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
-    with pytest.raises(UsageError):
-        cosine_cost_matrix(np.zeros((0, 3)), np.zeros((2, 3)))
-    with pytest.raises(DataError):
-        cosine_cost_matrix(np.full((1, 2), np.inf), np.zeros((1, 2)))
+            got = cosine_distance(A[i], X[j], cfg)
+            assert got == cost[i, j]
+            assert got == pytest.approx(cosine_ref(A[i], X[j], 0.5), abs=1e-12)
+    assert cosine_distance(A[2], X[1], cfg) == 0.0
+    assert cosine_distance(A[3], X[4], cfg) == 0.0  # both zero: bitwise equal
+    assert cosine_distance(A[3], X[0], cfg) == 0.5  # one zero
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +206,7 @@ def test_dtw_general_scale_invariance_within_tolerance():
 # batched DTW
 
 
-def planted_pairs(rng, d, dtype, count=40):
+def planted_pairs(rng, d, dtype, count=150):
     """(A, X) pairs of 1-16 frames with zero, equal and tie-heavy frames."""
     pairs = []
     for k in range(count):
@@ -222,43 +232,36 @@ def planted_pairs(rng, d, dtype, count=40):
     return pairs
 
 
-def padded_batch(pairs):
-    rows = max(A.shape[0] for A, _ in pairs)
-    cols = max(X.shape[0] for _, X in pairs)
-    d = pairs[0][0].shape[1]
-    a = np.zeros((len(pairs), rows, d), dtype=pairs[0][0].dtype)
-    x = np.zeros((len(pairs), cols, d), dtype=pairs[0][0].dtype)
-    for p, (A, X) in enumerate(pairs):
-        a[p, : A.shape[0]] = A
-        x[p, : X.shape[0]] = X
-    m = [A.shape[0] for A, _ in pairs]
-    n = [X.shape[0] for _, X in pairs]
-    return a, x, m, n
-
-
 @pytest.mark.parametrize("zero_vector_distance", [0.0, 0.25, 2.0])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("d", [1, 13, 100])
 def test_dtw_batch_is_bitwise_scalar(d, dtype, zero_vector_distance):
+    # more pairs than one chunk, in random shape order: the engine's shape
+    # sort, its chunk boundaries and the write-back to input order all run
     rng = np.random.default_rng(d * 1000 + int(zero_vector_distance * 4))
     cfg = DtwConfig(zero_vector_distance=zero_vector_distance)
     pairs = planted_pairs(rng, d, dtype)
-    for batch in (pairs, [(X, A) for A, X in pairs]):  # and the transpose
-        got = dtw_dissimilarity_batch(*padded_batch(batch), cfg)
-        want = np.array([dtw_dissimilarity(A, X, cfg) for A, X in batch])
+    assert len(pairs) > 2 * DTW_CHUNK
+    frames = [f for pair in pairs for f in pair]
+    left = np.arange(0, len(frames), 2)
+    for i, j in ((left, left + 1), (left + 1, left)):  # and the transpose
+        got = dtw_pairs(frames, i, j, cfg)
+        want = np.array([dtw_scalar(frames[a], frames[b], zero_vector_distance)
+                         for a, b in zip(i, j)])
         assert got.dtype == np.float64
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_dtw_batch_validation():
-    a = np.zeros((2, 3, 4))
-    with pytest.raises(UsageError):
-        dtw_dissimilarity_batch(a, np.zeros((2, 3, 5)), [3, 3], [3, 3])
-    with pytest.raises(UsageError):
-        dtw_dissimilarity_batch(a, a, [3, 4], [3, 3])  # longer than the padding
-    with pytest.raises(UsageError):
-        dtw_dissimilarity_batch(a, a, [3, 0], [3, 3])
-    bad = a.copy()
-    bad[1, 2, 0] = np.nan
-    with pytest.raises(DataError):
-        dtw_dissimilarity_batch(bad, a, [3, 3], [3, 3])
+    # one finiteness check covers every frame, also one read only by a
+    # pair in a later chunk
+    rng = np.random.default_rng(5)
+    frames = [rand_mat(rng, int(t), 4) for t in rng.integers(1, 9, size=2 * DTW_CHUNK + 2)]
+    left = np.arange(0, len(frames), 2)
+    assert np.isfinite(dtw_pairs(frames, left, left + 1)).all()
+    for bad in (np.nan, np.inf):
+        broken = list(frames)
+        broken[-1] = frames[-1].copy()
+        broken[-1][0, 3] = bad
+        with pytest.raises(DataError):
+            dtw_pairs(broken, left, left + 1)
