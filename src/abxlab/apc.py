@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import FeatureArchive
+from .corpus import FeatureArchive, read_bytes_file
 from .errors import (
     DataError,
     FormatError,
@@ -133,12 +133,9 @@ def init_model(cfg: ApcConfig) -> ApcModel:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow: exp only ever sees -|z|."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +154,11 @@ def _lstm_forward(layer, x):
     c_prev = np.zeros((B, H))
     for t in range(T):
         z = zx[:, t] + h_prev @ layer["Wh"]
-        i[:, t] = _sigmoid(z[:, :H])
-        f[:, t] = _sigmoid(z[:, H:2 * H])
+        s = _sigmoid(z)
+        i[:, t] = s[:, :H]
+        f[:, t] = s[:, H:2 * H]
         g[:, t] = np.tanh(z[:, 2 * H:3 * H])
-        o[:, t] = _sigmoid(z[:, 3 * H:])
+        o[:, t] = s[:, 3 * H:]
         c[:, t] = f[:, t] * c_prev + i[:, t] * g[:, t]
         h[:, t] = o[:, t] * np.tanh(c[:, t])
         h_prev = h[:, t]
@@ -168,38 +166,49 @@ def _lstm_forward(layer, x):
     return h, {"x": x, "i": i, "f": f, "g": g, "o": o, "c": c, "h": h}
 
 
+def _weight_grads(layer, x, h, dz):
+    """Gradients of a layer from its pre-activation gradients dz (B, T, G).
+
+    Nothing here is recurrent, so each is one matrix product or sum over
+    all steps; h[:, t - 1] feeds step t, and step 0 saw h = 0.
+    """
+    B, T, G = dz.shape
+    dz2 = dz.reshape(B * T, G)
+    dWh = np.zeros_like(layer["Wh"])
+    # one product per sequence: the shifted (B, T - 1) views of a batch
+    # would be copied to flatten them
+    for h_b, dz_b in zip(h[:, :-1], dz[:, 1:]):
+        dWh += h_b.T @ dz_b
+    grads = {
+        "Wx": x.reshape(B * T, -1).T @ dz2,
+        "Wh": dWh,
+        "b": dz2.sum(axis=0),
+    }
+    dx = (dz2 @ layer["Wx"].T).reshape(x.shape)
+    return dx, grads
+
+
 def _lstm_backward(layer, cache, dh_out):
+    """BPTT; the time loop carries only dh and dc back one step."""
     x, i, f, g, o, c, h = (cache[k] for k in ("x", "i", "f", "g", "o", "c", "h"))
     B, T, H = h.shape
+    Wh_T = layer["Wh"].T
     tanh_c = np.tanh(c)
-    dWx = np.zeros_like(layer["Wx"])
-    dWh = np.zeros_like(layer["Wh"])
-    db = np.zeros_like(layer["b"])
-    dx = np.empty_like(x)
+    dz = np.empty((B, T, 4 * H))
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
         dh = dh_out[:, t] + dh_next
-        do = dh * tanh_c[:, t]
         dc = dh * o[:, t] * (1.0 - tanh_c[:, t] ** 2) + dc_next
-        di = dc * g[:, t]
-        dg = dc * i[:, t]
         c_prev = c[:, t - 1] if t > 0 else np.zeros((B, H))
-        df = dc * c_prev
-        dz = np.concatenate([
-            di * i[:, t] * (1.0 - i[:, t]),
-            df * f[:, t] * (1.0 - f[:, t]),
-            dg * (1.0 - g[:, t] ** 2),
-            do * o[:, t] * (1.0 - o[:, t]),
-        ], axis=1)
-        dWx += x[:, t].T @ dz
-        db += dz.sum(axis=0)
+        dz[:, t, :H] = dc * g[:, t] * i[:, t] * (1.0 - i[:, t])
+        dz[:, t, H:2 * H] = dc * c_prev * f[:, t] * (1.0 - f[:, t])
+        dz[:, t, 2 * H:3 * H] = dc * i[:, t] * (1.0 - g[:, t] ** 2)
+        dz[:, t, 3 * H:] = dh * tanh_c[:, t] * o[:, t] * (1.0 - o[:, t])
         if t > 0:
-            dWh += h[:, t - 1].T @ dz
-            dh_next = dz @ layer["Wh"].T
-        dx[:, t] = dz @ layer["Wx"].T
-        dc_next = dc * f[:, t]
-    return dx, {"Wx": dWx, "Wh": dWh, "b": db}
+            dh_next = dz[:, t] @ Wh_T
+            dc_next = dc * f[:, t]
+    return _weight_grads(layer, x, h, dz)
 
 
 def _rnn_forward(layer, x):
@@ -217,22 +226,14 @@ def _rnn_forward(layer, x):
 def _rnn_backward(layer, cache, dh_out):
     x, h = cache["x"], cache["h"]
     B, T, H = h.shape
-    dWx = np.zeros_like(layer["Wx"])
-    dWh = np.zeros_like(layer["Wh"])
-    db = np.zeros_like(layer["b"])
-    dx = np.empty_like(x)
+    Wh_T = layer["Wh"].T
+    dz = np.empty((B, T, H))
     dh_next = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
-        dz = (dh_out[:, t] + dh_next) * (1.0 - h[:, t] ** 2)
-        dWx += x[:, t].T @ dz
-        db += dz.sum(axis=0)
+        dz[:, t] = (dh_out[:, t] + dh_next) * (1.0 - h[:, t] ** 2)
         if t > 0:
-            dWh += h[:, t - 1].T @ dz
-            dh_next = dz @ layer["Wh"].T
-        else:
-            dh_next = np.zeros((B, H))
-        dx[:, t] = dz @ layer["Wx"].T
-    return dx, {"Wx": dWx, "Wh": dWh, "b": db}
+            dh_next = dz[:, t] @ Wh_T
+    return _weight_grads(layer, x, h, dz)
 
 
 def _forward_batch(model: ApcModel, x: np.ndarray):
@@ -272,18 +273,21 @@ def apc_loss(xhat, x, n: int) -> float:
     return float(np.abs(xhat[:T - n] - x[n:]).sum())
 
 
+def _seq_losses(xhat, x, n: int):
+    """Per-sequence L1 loss of a (B, T, d) batch, and the residuals it sums."""
+    diff = xhat[:, :x.shape[1] - n] - x[:, n:]
+    return np.abs(diff).sum(axis=(1, 2)), diff
+
+
 def _batch_loss_grads(model: ApcModel, x: np.ndarray, scale: float):
     """Mean-per-sequence loss and gradients, scaled by ``scale`` per item.
 
     x is (B, T, d); the L1 subgradient at zero is taken as 0 (np.sign).
     """
-    n = model.config.n
-    B, T, _ = x.shape
     xhat, h_top, caches = _forward_batch(model, x)
-    diff = xhat[:, :T - n] - x[:, n:]
-    seq_losses = np.abs(diff).sum(axis=(1, 2))
+    seq_losses, diff = _seq_losses(xhat, x, model.config.n)
     dxhat = np.zeros_like(xhat)
-    dxhat[:, :T - n] = np.sign(diff) * scale
+    dxhat[:, :diff.shape[1]] = np.sign(diff) * scale
     step_back = _lstm_backward if model.config.cell_kind == "lstm" else _rnn_backward
     grads = {"W": np.einsum("bti,btj->ij", h_top, dxhat), "layers": []}
     dh = dxhat @ model.W.T
@@ -381,7 +385,8 @@ def train(cfg: ApcConfig, archive: FeatureArchive):
         model, cfg.learning_rate
     )
     initial = sum(
-        float(_batch_loss_grads(model, b, 0.0)[0].sum()) for b in batches
+        float(_seq_losses(_forward_batch(model, b)[0], b, cfg.n)[0].sum())
+        for b in batches
     ) / n_seqs
     losses = [initial]
     for epoch in range(1, cfg.epochs + 1):
@@ -509,9 +514,7 @@ def save_checkpoint(model: ApcModel, path) -> None:
 
 def load_checkpoint(path) -> ApcModel:
     path = Path(path)
-    if not path.is_file():
-        raise UsageError(f"checkpoint file not found: {path}")
-    raw = path.read_bytes()
+    raw = read_bytes_file(path, "checkpoint file")
     if len(raw) < 8 or raw[:4] != CKPT_MAGIC:
         raise FormatError(f"{path}: not an APC1 checkpoint")
     (cfg_len,) = struct.unpack_from("<I", raw, 4)

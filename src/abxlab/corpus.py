@@ -154,6 +154,15 @@ def segment_frames(seg: ItemSegment, archive: FeatureArchive) -> np.ndarray:
 # text input
 
 
+def read_bytes_file(path, what: str) -> bytes:
+    """The bytes of ``path``; a missing file (or a directory) is a usage
+    error (exit 2) named by ``what``."""
+    path = Path(path)
+    if not path.is_file():
+        raise UsageError(f"{what} not found: {path}")
+    return path.read_bytes()
+
+
 def read_text_file(path, what: str) -> str:
     """The UTF-8 text of ``path``; a missing file is a usage error (exit
     2) named by ``what``, undecodable bytes a format error (exit 3)."""
@@ -171,7 +180,7 @@ def read_text_file(path, what: str) -> str:
 
 
 def _read_fbin(path: Path) -> tuple[str, np.ndarray, int]:
-    raw = path.read_bytes()
+    raw = read_bytes_file(path, "feature file")
     if len(raw) < _FBIN_HEADER.size:
         raise FormatError(f"{path}: truncated header")
     magic, version, dim, nframes, period = _FBIN_HEADER.unpack_from(raw, 0)
@@ -223,7 +232,7 @@ def load_feature_archive(path, format: str = "auto") -> FeatureArchive:
     """Load all feature files under ``path`` into one validated archive."""
     root = Path(path)
     if not root.is_dir():
-        raise AbxlabError(f"feature directory not found: {root}")
+        raise UsageError(f"feature directory not found: {root}")
     if format == "auto":
         format = "binary" if sorted(root.glob("*.fbin")) else "text"
     suffix = {"binary": "*.fbin", "text": "*.ftxt"}.get(format)

@@ -6,7 +6,10 @@ cost matrix, and the ABX oracle scores triples by direct enumeration.
 ``dtw_scalar`` is the numpy cost matrix and row-by-row dynamic program
 that the batched engine must match bit for bit; the brute-force ABX
 tests take their distances from it because a one-pair call is cheaper
-here than through the engine.
+here than through the engine.  ``lstm_backward_steps`` and
+``rnn_backward_steps`` are BPTT with every weight gradient accumulated
+step by step inside the time loop, and ``sigmoid_masked`` is the logistic
+function split by sign; the APC backward and sigmoid must match them.
 """
 
 import math
@@ -197,3 +200,70 @@ def abx_ref(segments, dist, mode, category_of=None, condition=None):
         return per_cell, {}, {}, None
     overall = sum(pairwise[k] for k in sorted(pairwise)) / len(pairwise)
     return per_cell, context_rates, pairwise, overall
+
+
+def sigmoid_masked(z):
+    """Logistic function evaluated separately on z >= 0 and z < 0."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def lstm_backward_steps(layer, cache, dh_out):
+    """LSTM BPTT with per-step gradient accumulation; same interface as apc's."""
+    x, i, f, g, o, c, h = (cache[k] for k in ("x", "i", "f", "g", "o", "c", "h"))
+    B, T, H = h.shape
+    tanh_c = np.tanh(c)
+    dWx = np.zeros_like(layer["Wx"])
+    dWh = np.zeros_like(layer["Wh"])
+    db = np.zeros_like(layer["b"])
+    dx = np.empty_like(x)
+    dh_next = np.zeros((B, H))
+    dc_next = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        dh = dh_out[:, t] + dh_next
+        do = dh * tanh_c[:, t]
+        dc = dh * o[:, t] * (1.0 - tanh_c[:, t] ** 2) + dc_next
+        di = dc * g[:, t]
+        dg = dc * i[:, t]
+        c_prev = c[:, t - 1] if t > 0 else np.zeros((B, H))
+        df = dc * c_prev
+        dz = np.concatenate([
+            di * i[:, t] * (1.0 - i[:, t]),
+            df * f[:, t] * (1.0 - f[:, t]),
+            dg * (1.0 - g[:, t] ** 2),
+            do * o[:, t] * (1.0 - o[:, t]),
+        ], axis=1)
+        dWx += x[:, t].T @ dz
+        db += dz.sum(axis=0)
+        if t > 0:
+            dWh += h[:, t - 1].T @ dz
+            dh_next = dz @ layer["Wh"].T
+        dx[:, t] = dz @ layer["Wx"].T
+        dc_next = dc * f[:, t]
+    return dx, {"Wx": dWx, "Wh": dWh, "b": db}
+
+
+def rnn_backward_steps(layer, cache, dh_out):
+    """Simple-RNN BPTT with per-step gradient accumulation."""
+    x, h = cache["x"], cache["h"]
+    B, T, H = h.shape
+    dWx = np.zeros_like(layer["Wx"])
+    dWh = np.zeros_like(layer["Wh"])
+    db = np.zeros_like(layer["b"])
+    dx = np.empty_like(x)
+    dh_next = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        dz = (dh_out[:, t] + dh_next) * (1.0 - h[:, t] ** 2)
+        dWx += x[:, t].T @ dz
+        db += dz.sum(axis=0)
+        if t > 0:
+            dWh += h[:, t - 1].T @ dz
+            dh_next = dz @ layer["Wh"].T
+        else:
+            dh_next = np.zeros((B, H))
+        dx[:, t] = dz @ layer["Wx"].T
+    return dx, {"Wx": dWx, "Wh": dWh, "b": db}

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from abxlab import apc
 from abxlab.apc import (
     ApcConfig,
     apc_loss,
@@ -16,10 +18,12 @@ from abxlab.apc import (
     run_gradient_check,
     save_checkpoint,
     train,
+    _batch_loss_grads,
     _make_batches,
 )
 from abxlab.corpus import FeatureArchive
 from abxlab.errors import DataError, FormatError, TrainingError, UsageError
+from oracles import lstm_backward_steps, rnn_backward_steps, sigmoid_masked
 
 
 def toy_archive(seed=0, n_utts=4, t=12, dim=3, period=10000):
@@ -182,6 +186,89 @@ def test_gradient_check_detects_disagreement():
     x = rng.standard_normal((8, 2))
     assert gradient_check(model, x, 1) < 1e-4
     assert gradient_check(model, x, 2) > 1e-2
+
+
+# ---------------------------------------------------------------------------
+# BPTT and sigmoid against the step-by-step oracles
+
+STEP_ORACLES = {"lstm": lstm_backward_steps, "simple-rnn": rnn_backward_steps}
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("cell", ["lstm", "simple-rnn"])
+@pytest.mark.parametrize("B,T", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 9)])
+def test_bptt_matches_step_oracle(cell, B, T):
+    rng = np.random.default_rng(10 * B + T)
+    model = init_model(ApcConfig(n=1, L=2, hidden_dim=4, input_dim=3, cell_kind=cell))
+    for layer in model.layers:
+        layer["b"][...] = rng.standard_normal(layer["b"].shape)
+    _, _, caches = apc._forward_batch(model, rng.standard_normal((B, T, 3)))
+    backward = apc._lstm_backward if cell == "lstm" else apc._rnn_backward
+    for layer, (cache, _) in zip(model.layers, caches):
+        dh_out = rng.standard_normal(cache["h"].shape)
+        dx, grads = backward(layer, cache, dh_out)
+        dx_ref, grads_ref = STEP_ORACLES[cell](layer, cache, dh_out)
+        assert_close(dx, dx_ref)
+        for k in ("Wx", "Wh", "b"):
+            assert_close(grads[k], grads_ref[k])
+
+
+@pytest.mark.parametrize("cell", ["lstm", "simple-rnn"])
+def test_batch_gradients_match_step_oracle_through_residuals(cell, monkeypatch):
+    rng = np.random.default_rng(5)
+    model = init_model(ApcConfig(n=2, L=2, hidden_dim=4, input_dim=4, cell_kind=cell))
+    x = rng.standard_normal((2, 7, 4))
+    assert [res for _, res in apc._forward_batch(model, x)[2]] == [True, True]
+    losses, grads = _batch_loss_grads(model, x, 0.5)
+    monkeypatch.setattr(apc, "_lstm_backward", lstm_backward_steps)
+    monkeypatch.setattr(apc, "_rnn_backward", rnn_backward_steps)
+    losses_ref, grads_ref = _batch_loss_grads(model, x, 0.5)
+    assert np.array_equal(losses, losses_ref)
+    for (_, g), (_, g_ref) in zip(apc._grad_items(grads), apc._grad_items(grads_ref)):
+        assert_close(g, g_ref)
+
+
+def test_sigmoid_matches_masked_oracle():
+    rng = np.random.default_rng(0)
+    edge = np.array([0.0, 1e-300, 1e-8, 0.5, 1.0, 30.0, 36.8, 700.0, np.inf])
+    z = np.concatenate([edge, -edge, 20.0 * rng.standard_normal(400)]).reshape(-1, 2)
+    with np.errstate(all="raise"):
+        got, want = apc._sigmoid(z), sigmoid_masked(z)
+    assert got.shape == z.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # past |z| ~ 708, exp(-|z|) underflows in both versions; nothing may
+    # overflow or go invalid, and the value saturates exactly
+    far = np.array([[800.0, -800.0], [1e308, -1e308]])
+    with np.errstate(all="raise", under="ignore"):
+        got, want = apc._sigmoid(far), sigmoid_masked(far)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+
+
+def test_initial_loss_is_forward_only(monkeypatch):
+    rng = np.random.default_rng(2)
+    archive = FeatureArchive(
+        {u: rng.standard_normal((t, 3)).astype(np.float32)
+         for u, t in (("a", 9), ("b", 12), ("c", 9))},
+        10000,
+    )
+    cfg = ApcConfig(n=2, L=2, hidden_dim=5, epochs=1, batch_size=4, seed=3)
+    model = init_model(replace(cfg, input_dim=archive.dim))
+    batches = _make_batches(archive, cfg.n, cfg.batch_size)
+    bptt_initial = sum(
+        float(_batch_loss_grads(model, b, 0.0)[0].sum()) for b in batches
+    ) / len(archive.utterance_ids())
+    calls = []
+    step_back = apc._lstm_backward
+    monkeypatch.setattr(
+        apc, "_lstm_backward", lambda *a: calls.append(1) or step_back(*a)
+    )
+    losses = train(cfg, archive)[1]
+    assert losses[0] == bptt_initial
+    assert len(calls) == cfg.epochs * len(batches) * cfg.L
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -260,6 +261,35 @@ def test_missing_input_file_exits_2(flag, corpus_dir, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"{what} not found: {missing}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "apc train"])
+def test_missing_feature_directory_exits_2(command, corpus_dir, tmp_path, capsys):
+    missing = tmp_path / "nope"
+    argv = {
+        "eval": ["eval", "--features", str(missing),
+                 "--items", str(corpus_dir / "items.item"), "--mode", "within"],
+        "apc train": ["apc", "train", "--features", str(missing), "--epochs", "1"],
+    }[command]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"feature directory not found: {missing}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fbin_directory_exits_2(corpus_dir, tmp_path, capsys):
+    features = tmp_path / "features"
+    shutil.copytree(corpus_dir / "features", features)
+    (features / "x.fbin").mkdir()
+    rc = cli.main(["eval", "--features", str(features),
+                   "--items", str(corpus_dir / "items.item"), "--mode", "within",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"feature file not found: {features / 'x.fbin'}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
