@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -441,6 +440,9 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
     if jobs == 1 or len(groups) == 1:
         scored = [_score_group(g, archive, cfg) for g in groups]
     else:
+        # imported here: the pool's modules cost start-up of every command
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(groups)), initializer=_worker_init,
             initargs=(archive, cfg),

@@ -132,10 +132,19 @@ def init_model(cfg: ApcConfig) -> ApcModel:
     return ApcModel(cfg, layers, W)
 
 
-def _sigmoid(z):
-    """Logistic function without overflow: exp only ever sees -|z|."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(z, out, e, nonneg):
+    """Logistic function of z into out without overflow: exp only sees -|z|.
+
+    e (float) and nonneg (bool) are scratch arrays of z's shape.  Since
+    e = exp(-|z|) lies in [0, 1] or is NaN, max(e, z >= 0) is
+    where(z >= 0, 1, e), and out = where(z >= 0, 1, e) / (1 + e).
+    """
+    np.copysign(z, -1.0, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(z, 0.0, out=nonneg)
+    np.maximum(e, nonneg, out=out)
+    np.add(e, 1.0, out=e)
+    return np.divide(out, e, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -143,26 +152,39 @@ def _sigmoid(z):
 
 
 def _lstm_forward(layer, x):
-    """x: (B, T, in) -> h: (B, T, H) plus the cache for BPTT."""
+    """x: (B, T, in) -> h: (B, T, H) plus the cache for BPTT.
+
+    Each step writes into preallocated buffers with ``out=``, keeping the
+    element arithmetic of ``z = zx + h_prev @ Wh``, ``c = f*c_prev + i*g``
+    and ``h = o*tanh(c)``.  The sigmoid goes straight into the step's row
+    of one (B, T, 4H) gate array, and tanh of the g pre-activations over
+    its g part; the cache's i, f, g and o are views into that array.
+    """
     B, T, _ = x.shape
-    H = layer["Wh"].shape[0]
+    Wh = layer["Wh"]
+    H = Wh.shape[0]
     zx = x @ layer["Wx"] + layer["b"]
-    i = np.empty((B, T, H)); f = np.empty((B, T, H))
-    g = np.empty((B, T, H)); o = np.empty((B, T, H))
+    gates = np.empty((B, T, 4 * H))
+    i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
     c = np.empty((B, T, H)); h = np.empty((B, T, H))
+    z = np.empty((B, 4 * H)); e = np.empty((B, 4 * H))
+    z_g = z[:, 2 * H:3 * H]
+    nonneg = np.empty((B, 4 * H), dtype=bool)
+    ig = np.empty((B, H))
     h_prev = np.zeros((B, H))
     c_prev = np.zeros((B, H))
-    for t in range(T):
-        z = zx[:, t] + h_prev @ layer["Wh"]
-        s = _sigmoid(z)
-        i[:, t] = s[:, :H]
-        f[:, t] = s[:, H:2 * H]
-        g[:, t] = np.tanh(z[:, 2 * H:3 * H])
-        o[:, t] = s[:, 3 * H:]
-        c[:, t] = f[:, t] * c_prev + i[:, t] * g[:, t]
-        h[:, t] = o[:, t] * np.tanh(c[:, t])
-        h_prev = h[:, t]
-        c_prev = c[:, t]
+    steps = zip(*(a.swapaxes(0, 1) for a in (zx, gates, i, f, g, o, c, h)))
+    for zx_t, s, i_t, f_t, g_t, o_t, c_t, h_t in steps:
+        np.matmul(h_prev, Wh, out=z)
+        np.add(zx_t, z, out=z)
+        _sigmoid(z, s, e, nonneg)
+        np.tanh(z_g, out=g_t)
+        np.multiply(f_t, c_prev, out=c_t)
+        np.multiply(i_t, g_t, out=ig)
+        np.add(c_t, ig, out=c_t)
+        np.tanh(c_t, out=h_t)
+        np.multiply(o_t, h_t, out=h_t)
+        h_prev, c_prev = h_t, c_t
     return h, {"x": x, "i": i, "f": f, "g": g, "o": o, "c": c, "h": h}
 
 
@@ -189,25 +211,56 @@ def _weight_grads(layer, x, h, dz):
 
 
 def _lstm_backward(layer, cache, dh_out):
-    """BPTT; the time loop carries only dh and dc back one step."""
+    """BPTT; the time loop carries only dh and dc back one step.
+
+    Every factor that does not depend on dh or dc is computed for all
+    steps before the loop, into one (B, T, 10, H) array.  The i, f and g
+    gates all start from dc and keep the association ((dc * u) * v) * w
+    of their formulas, so they run as in-place multiplies on one stacked
+    view: u = (g, c_prev, i), v = (i, f, 1-g^2), w = (1-i, 1-f) (g has no
+    third factor).  u and v share the slot of i.
+    """
     x, i, f, g, o, c, h = (cache[k] for k in ("x", "i", "f", "g", "o", "c", "h"))
     B, T, H = h.shape
     Wh_T = layer["Wh"].T
-    tanh_c = np.tanh(c)
+    # slots: g, c_prev, i, f, 1-g^2, 1-i, 1-f, tanh(c), 1-tanh(c)^2, 1-o
+    fac = np.empty((B, T, 10, H))
+    fac[:, :, 0] = g
+    fac[:, 0, 1] = 0.0
+    fac[:, 1:, 1] = c[:, :-1]
+    fac[:, :, 2] = i
+    fac[:, :, 3] = f
+    np.subtract(1.0, g ** 2, out=fac[:, :, 4])
+    np.subtract(1.0, fac[:, :, 2:4], out=fac[:, :, 5:7])
+    np.tanh(c, out=fac[:, :, 7])
+    np.subtract(1.0, fac[:, :, 7] ** 2, out=fac[:, :, 8])
+    np.subtract(1.0, o, out=fac[:, :, 9])
     dz = np.empty((B, T, 4 * H))
+    dz4 = dz.reshape(B, T, 4, H)
+    dh = np.empty((B, H))
+    dc3 = np.empty((B, 1, H))
+    dc = dc3[:, 0]
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
-    for t in range(T - 1, -1, -1):
-        dh = dh_out[:, t] + dh_next
-        dc = dh * o[:, t] * (1.0 - tanh_c[:, t] ** 2) + dc_next
-        c_prev = c[:, t - 1] if t > 0 else np.zeros((B, H))
-        dz[:, t, :H] = dc * g[:, t] * i[:, t] * (1.0 - i[:, t])
-        dz[:, t, H:2 * H] = dc * c_prev * f[:, t] * (1.0 - f[:, t])
-        dz[:, t, 2 * H:3 * H] = dc * i[:, t] * (1.0 - g[:, t] ** 2)
-        dz[:, t, 3 * H:] = dh * tanh_c[:, t] * o[:, t] * (1.0 - o[:, t])
+    steps = zip(range(T - 1, -1, -1), *(a.swapaxes(0, 1)[::-1] for a in (
+        dh_out, o, f, fac[:, :, 0:3], fac[:, :, 2:5], fac[:, :, 5:7],
+        fac[:, :, 7], fac[:, :, 8], fac[:, :, 9], dz, dz4[:, :, :3],
+        dz4[:, :, :2], dz4[:, :, 3])))
+    for (t, dh_out_t, o_t, f_t, u_t, v_t, w_t, tanh_c_t, dtanh_c_t,
+         one_minus_o_t, dz_t, dz_ifg, dz_if, dz_o) in steps:
+        np.add(dh_out_t, dh_next, out=dh)
+        np.multiply(dh, o_t, out=dc)
+        np.multiply(dc, dtanh_c_t, out=dc)
+        np.add(dc, dc_next, out=dc)
+        np.multiply(dc3, u_t, out=dz_ifg)
+        np.multiply(dz_ifg, v_t, out=dz_ifg)
+        np.multiply(dz_if, w_t, out=dz_if)
+        np.multiply(dh, tanh_c_t, out=dz_o)
+        np.multiply(dz_o, o_t, out=dz_o)
+        np.multiply(dz_o, one_minus_o_t, out=dz_o)
         if t > 0:
-            dh_next = dz[:, t] @ Wh_T
-            dc_next = dc * f[:, t]
+            np.matmul(dz_t, Wh_T, out=dh_next)
+            np.multiply(dc, f_t, out=dc_next)
     return _weight_grads(layer, x, h, dz)
 
 
@@ -227,10 +280,11 @@ def _rnn_backward(layer, cache, dh_out):
     x, h = cache["x"], cache["h"]
     B, T, H = h.shape
     Wh_T = layer["Wh"].T
+    dtanh = 1.0 - h ** 2
     dz = np.empty((B, T, H))
     dh_next = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
-        dz[:, t] = (dh_out[:, t] + dh_next) * (1.0 - h[:, t] ** 2)
+        dz[:, t] = (dh_out[:, t] + dh_next) * dtanh[:, t]
         if t > 0:
             dh_next = dz[:, t] @ Wh_T
     return _weight_grads(layer, x, h, dz)

@@ -13,8 +13,14 @@ the inputs, the seed, wall time, and the tool version.  Each such
 command returns its files as bytes and ``main`` writes them together
 with the manifest in one atomic ``write_outputs`` call.
 
-Exit codes: 0 success, 2 usage error, 3 malformed or inconsistent data,
-4 empty task (no scorable cells), 5 inconclusive gradient check.
+Exit codes: 0 success, 1 gradient check over its error bound, 2 usage
+error, 3 malformed or inconsistent data, 4 empty task (no scorable cells),
+5 inconclusive gradient check.
+
+``analysis``, ``svgplot`` and ``synth`` are imported inside the commands
+that use them, so ``eval`` and ``apc`` do not pay for them at start-up.
+``apc`` stays a module-level import: the benchmark tracer and the tests
+patch its names on this module.
 """
 
 from __future__ import annotations
@@ -30,14 +36,6 @@ from typing import NamedTuple
 from . import __version__
 from .abx import PAIRWISE_HEADER, CellLimits, score_corpus
 from .af_tables import BUILTIN_TABLES, load_af_table
-from .analysis import (
-    co_occurrence,
-    confusion_matrix,
-    pearson_correlation,
-    phoneme_level_rates,
-    relative_reduction,
-    spearman_correlation,
-)
 from .apc import (
     ApcConfig,
     checkpoint_bytes,
@@ -63,8 +61,6 @@ from .errors import (
     UsageError,
 )
 from .manifest import RunManifest, digest_inputs, write_outputs
-from .svgplot import bar_chart, scatter_plot
-from .synth import SynthConfig, corpus_files, generate_corpus
 
 GRADCHECK_BOUND = 1e-4
 
@@ -245,6 +241,9 @@ def _pairwise_from_rows(rows):
 
 
 def cmd_analyze_phoneme(args) -> Outputs:
+    from .analysis import phoneme_level_rates
+    from .svgplot import bar_chart
+
     rows = _read_pairwise_csv(args.pairwise)
     conditions = sorted({cond for _, _, _, cond, _ in rows})
     condition = conditions[0] if len(conditions) == 1 else "mixed"
@@ -282,6 +281,8 @@ def cmd_analyze_phoneme(args) -> Outputs:
 
 
 def cmd_analyze_confusion(args) -> Outputs:
+    from .analysis import co_occurrence, confusion_matrix
+
     truth = load_label_track(args.truth)
     hyp = load_label_track(args.hyp)
     cm = confusion_matrix(
@@ -372,6 +373,8 @@ def _load_rate_map(path, key: str) -> dict:
 
 
 def cmd_analyze_reduce(args) -> Outputs:
+    from .analysis import relative_reduction
+
     baseline = _load_rate_map(args.baseline, "xi")
     improved = _load_rate_map(args.improved, "xi")
     reductions, undefined = relative_reduction(baseline, improved)
@@ -399,6 +402,9 @@ def cmd_analyze_reduce(args) -> Outputs:
 
 
 def cmd_analyze_correlate(args) -> Outputs:
+    from .analysis import pearson_correlation, relative_reduction, spearman_correlation
+    from .svgplot import scatter_plot
+
     baseline = _load_rate_map(args.baseline, "xi")
     improved = _load_rate_map(args.improved, "xi")
     pco = _load_rate_map(args.pco, "p_co")
@@ -485,6 +491,8 @@ def _parse_frames(text: str):
 
 
 def cmd_synth(args) -> Outputs:
+    from .synth import SynthConfig, corpus_files, generate_corpus
+
     file_doc = _load_config_file(args.config) if args.config else {}
     flags = {
         "phones": _parse_phones(args.phones) if args.phones else None,

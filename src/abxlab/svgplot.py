@@ -6,9 +6,16 @@ surface, so the markup is generated directly with no plotting library.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 _FONT = 'font-family="sans-serif"'
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > in character data, as xml.sax.saxutils.escape does.
+
+    Inlined because importing xml.sax.saxutils also imports
+    urllib.request, http.client and ssl.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _ticks(lo: float, hi: float, n: int = 5):

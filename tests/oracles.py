@@ -10,11 +10,18 @@ here than through the engine.  ``lstm_backward_steps`` and
 ``rnn_backward_steps`` are BPTT with every weight gradient accumulated
 step by step inside the time loop, and ``sigmoid_masked`` is the logistic
 function split by sign; the APC backward and sigmoid must match them.
+``lstm_forward_alloc``, ``lstm_backward_alloc`` and ``rnn_backward_alloc``
+are the APC time loops written with a fresh array per operation (and
+``sigmoid_where`` the sigmoid they call); the buffered, in-place loops in
+``abxlab.apc`` must match them bit for bit.  They share ``_weight_grads``,
+the loop-free part, with the package.
 """
 
 import math
 
 import numpy as np
+
+from abxlab.apc import _weight_grads
 
 
 def cosine_ref(a, b, zero_vector_distance=1.0):
@@ -267,3 +274,69 @@ def rnn_backward_steps(layer, cache, dh_out):
             dh_next = np.zeros((B, H))
         dx[:, t] = dz @ layer["Wx"].T
     return dx, {"Wx": dWx, "Wh": dWh, "b": db}
+
+
+def sigmoid_where(z):
+    """Logistic function without overflow: exp only ever sees -|z|."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def lstm_forward_alloc(layer, x):
+    """x: (B, T, in) -> h: (B, T, H) plus the cache for BPTT."""
+    B, T, _ = x.shape
+    H = layer["Wh"].shape[0]
+    zx = x @ layer["Wx"] + layer["b"]
+    i = np.empty((B, T, H)); f = np.empty((B, T, H))
+    g = np.empty((B, T, H)); o = np.empty((B, T, H))
+    c = np.empty((B, T, H)); h = np.empty((B, T, H))
+    h_prev = np.zeros((B, H))
+    c_prev = np.zeros((B, H))
+    for t in range(T):
+        z = zx[:, t] + h_prev @ layer["Wh"]
+        s = sigmoid_where(z)
+        i[:, t] = s[:, :H]
+        f[:, t] = s[:, H:2 * H]
+        g[:, t] = np.tanh(z[:, 2 * H:3 * H])
+        o[:, t] = s[:, 3 * H:]
+        c[:, t] = f[:, t] * c_prev + i[:, t] * g[:, t]
+        h[:, t] = o[:, t] * np.tanh(c[:, t])
+        h_prev = h[:, t]
+        c_prev = c[:, t]
+    return h, {"x": x, "i": i, "f": f, "g": g, "o": o, "c": c, "h": h}
+
+
+def lstm_backward_alloc(layer, cache, dh_out):
+    """BPTT; the time loop carries only dh and dc back one step."""
+    x, i, f, g, o, c, h = (cache[k] for k in ("x", "i", "f", "g", "o", "c", "h"))
+    B, T, H = h.shape
+    Wh_T = layer["Wh"].T
+    tanh_c = np.tanh(c)
+    dz = np.empty((B, T, 4 * H))
+    dh_next = np.zeros((B, H))
+    dc_next = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        dh = dh_out[:, t] + dh_next
+        dc = dh * o[:, t] * (1.0 - tanh_c[:, t] ** 2) + dc_next
+        c_prev = c[:, t - 1] if t > 0 else np.zeros((B, H))
+        dz[:, t, :H] = dc * g[:, t] * i[:, t] * (1.0 - i[:, t])
+        dz[:, t, H:2 * H] = dc * c_prev * f[:, t] * (1.0 - f[:, t])
+        dz[:, t, 2 * H:3 * H] = dc * i[:, t] * (1.0 - g[:, t] ** 2)
+        dz[:, t, 3 * H:] = dh * tanh_c[:, t] * o[:, t] * (1.0 - o[:, t])
+        if t > 0:
+            dh_next = dz[:, t] @ Wh_T
+            dc_next = dc * f[:, t]
+    return _weight_grads(layer, x, h, dz)
+
+
+def rnn_backward_alloc(layer, cache, dh_out):
+    x, h = cache["x"], cache["h"]
+    B, T, H = h.shape
+    Wh_T = layer["Wh"].T
+    dz = np.empty((B, T, H))
+    dh_next = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        dz[:, t] = (dh_out[:, t] + dh_next) * (1.0 - h[:, t] ** 2)
+        if t > 0:
+            dh_next = dz[:, t] @ Wh_T
+    return _weight_grads(layer, x, h, dz)

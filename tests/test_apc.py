@@ -23,7 +23,14 @@ from abxlab.apc import (
 )
 from abxlab.corpus import FeatureArchive
 from abxlab.errors import DataError, FormatError, TrainingError, UsageError
-from oracles import lstm_backward_steps, rnn_backward_steps, sigmoid_masked
+from oracles import (
+    lstm_backward_alloc,
+    lstm_backward_steps,
+    lstm_forward_alloc,
+    rnn_backward_alloc,
+    rnn_backward_steps,
+    sigmoid_masked,
+)
 
 
 def toy_archive(seed=0, n_utts=4, t=12, dim=3, period=10000):
@@ -231,21 +238,69 @@ def test_batch_gradients_match_step_oracle_through_residuals(cell, monkeypatch):
         assert_close(g, g_ref)
 
 
+def sigmoid(z):
+    return apc._sigmoid(z, np.empty_like(z), np.empty_like(z), np.empty(z.shape, bool))
+
+
 def test_sigmoid_matches_masked_oracle():
     rng = np.random.default_rng(0)
     edge = np.array([0.0, 1e-300, 1e-8, 0.5, 1.0, 30.0, 36.8, 700.0, np.inf])
     z = np.concatenate([edge, -edge, 20.0 * rng.standard_normal(400)]).reshape(-1, 2)
     with np.errstate(all="raise"):
-        got, want = apc._sigmoid(z), sigmoid_masked(z)
+        got, want = sigmoid(z), sigmoid_masked(z)
     assert got.shape == z.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # past |z| ~ 708, exp(-|z|) underflows in both versions; nothing may
     # overflow or go invalid, and the value saturates exactly
     far = np.array([[800.0, -800.0], [1e308, -1e308]])
     with np.errstate(all="raise", under="ignore"):
-        got, want = apc._sigmoid(far), sigmoid_masked(far)
+        got, want = sigmoid(far), sigmoid_masked(far)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert got.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+
+
+def assert_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                          np.ascontiguousarray(want).view(np.int64))
+
+
+ALLOC_ORACLES = {
+    "lstm": (apc._lstm_forward, apc._lstm_backward, lstm_forward_alloc, lstm_backward_alloc),
+    "simple-rnn": (apc._rnn_forward, apc._rnn_backward, apc._rnn_forward, rnn_backward_alloc),
+}
+
+
+@pytest.mark.parametrize("cell", ["lstm", "simple-rnn"])
+@pytest.mark.parametrize("B,T", [(1, 1), (1, 2), (2, 1), (3, 9)])
+@pytest.mark.parametrize("saturate", [False, True])
+def test_step_loops_bit_equal_allocating_oracle(cell, B, T, saturate):
+    rng = np.random.default_rng(100 * B + T)
+    model = init_model(ApcConfig(n=1, L=2, hidden_dim=4, input_dim=3, cell_kind=cell))
+    for layer in model.layers:
+        layer["b"][...] = rng.standard_normal(layer["b"].shape)
+    x = rng.standard_normal((B, T, 3))
+    if saturate:
+        # one huge coordinate per frame drives most first-layer gates to
+        # exactly 0 or 1 and tanh to +-1, through exp underflow
+        x[..., 0] = rng.choice([700.0, -700.0, 1e308, -1e308], size=(B, T))
+    forward, backward, forward_ref, backward_ref = ALLOC_ORACLES[cell]
+    inp = x
+    for layer in model.layers:
+        h, cache = forward(layer, inp)
+        h_ref, cache_ref = forward_ref(layer, inp)
+        assert_bits(h, h_ref)
+        assert cache.keys() == cache_ref.keys()
+        for k in cache:
+            assert_bits(cache[k], cache_ref[k])
+        dh_out = rng.standard_normal(h.shape)
+        dx, grads = backward(layer, cache, dh_out)
+        dx_ref, grads_ref = backward_ref(layer, cache_ref, dh_out)
+        assert_bits(dx, dx_ref)
+        assert grads.keys() == grads_ref.keys()
+        for k in grads:
+            assert_bits(grads[k], grads_ref[k])
+        inp = h
 
 
 def test_initial_loss_is_forward_only(monkeypatch):

@@ -534,6 +534,46 @@ def test_write_outputs_is_atomic(tmp_path):
     assert not any(p.name.startswith("a.txt.tmp") for p in out.iterdir())
 
 
+def test_cli_import_leaves_unused_modules_out():
+    # eval and apc start-up pays only for what they use: the pool, the SVG
+    # plots (and through them xml.sax), synth and analysis load on demand
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    lazy = ["concurrent.futures.process", "xml.sax", "abxlab.synth",
+            "abxlab.analysis", "abxlab.svgplot"]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, abxlab.cli; "
+         f"print(json.dumps([m for m in {lazy!r} if m in sys.modules]))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_svg_escape_matches_saxutils(monkeypatch):
+    from xml.sax import saxutils
+
+    from abxlab import svgplot
+
+    text = "a&b<c>d\"e'f &amp; <<>>"
+
+    def charts():
+        return (
+            svgplot.bar_chart([(text, 0.25), ("x", 0.5)], title=text, ylabel=text),
+            svgplot.scatter_plot([(0.1, 0.2, text), (0.3, 0.4, "")],
+                                 title=text, xlabel=text, ylabel=text),
+        )
+
+    got = charts()
+    monkeypatch.setattr(svgplot, "escape", saxutils.escape)
+    want = charts()
+    assert [c.encode() for c in got] == [c.encode() for c in want]
+    assert svgplot.escape(text) == saxutils.escape(text)
+    assert "a&amp;b&lt;c&gt;d" in got[0]
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "abxlab.cli", "--version"],
