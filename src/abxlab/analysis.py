@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .af_tables import CMU_PHONES, CONSONANTS, DIPHTHONGS, MONOPHTHONGS
+from .af_tables import CONSONANTS, DIPHTHONGS, MONOPHTHONGS
 from .corpus import time_to_frame
 from .errors import DataError, UsageError
 

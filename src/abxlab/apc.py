@@ -15,6 +15,7 @@ training path parameter by parameter.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -92,44 +93,52 @@ def paper_preset(input_dim: int) -> ApcConfig:
 
 
 class ApcModel:
-    """Parameter container; layers hold Wx, Wh, b; W projects h_L to x."""
+    """All parameters in one float64 vector ``theta``, in checkpoint order.
 
-    def __init__(self, config: ApcConfig, layers: list, W: np.ndarray):
+    ``layers[i]`` holds the Wx, Wh and b of layer i + 1, and W projects h_L
+    to x; each is a view into theta.  A given ``theta`` is used as is,
+    which is how a gradient vector gets the same layout.
+    """
+
+    def __init__(self, config: ApcConfig, theta: np.ndarray | None = None):
         if config.input_dim is None:
             raise UsageError("model config must carry a concrete input_dim")
         self.config = config
-        self.layers = layers
-        self.W = W
+        H = config.hidden_dim
+        G = (4 if config.cell_kind == "lstm" else 1) * H
+        shapes = {}
+        for i in range(1, config.L + 1):
+            in_dim = config.input_dim if i == 1 else H
+            shapes.update({f"layer{i}.Wx": (in_dim, G), f"layer{i}.Wh": (H, G),
+                           f"layer{i}.b": (G,)})
+        shapes["W"] = (H, config.input_dim)
+        sizes = {name: math.prod(shape) for name, shape in shapes.items()}
+        self.theta = np.zeros(sum(sizes.values())) if theta is None else theta
+        self._params = {}
+        pos = 0
+        for name, shape in shapes.items():
+            self._params[name] = self.theta[pos:pos + sizes[name]].reshape(shape)
+            pos += sizes[name]
+        self.layers = [{k: self._params[f"layer{i}.{k}"] for k in ("Wx", "Wh", "b")}
+                       for i in range(1, config.L + 1)]
+        self.W = self._params["W"]
 
     def param_items(self):
         """(name, array) pairs in the fixed checkpoint order."""
-        for i, layer in enumerate(self.layers, start=1):
-            yield f"layer{i}.Wx", layer["Wx"]
-            yield f"layer{i}.Wh", layer["Wh"]
-            yield f"layer{i}.b", layer["b"]
-        yield "W", self.W
+        return iter(self._params.items())
 
     def n_params(self) -> int:
-        return sum(a.size for _, a in self.param_items())
+        return self.theta.size
 
 
 def init_model(cfg: ApcConfig) -> ApcModel:
-    if cfg.input_dim is None:
-        raise UsageError("input_dim must be set before initializing a model")
+    """Weights ~ N(0, 1/fan_in), drawn in checkpoint order; biases 0."""
+    model = ApcModel(cfg)
     rng = np.random.default_rng(cfg.seed)
-    gate_mult = 4 if cfg.cell_kind == "lstm" else 1
-    layers = []
-    in_dim = cfg.input_dim
-    for _ in range(cfg.L):
-        g = gate_mult * cfg.hidden_dim
-        layers.append({
-            "Wx": rng.standard_normal((in_dim, g)) / np.sqrt(in_dim),
-            "Wh": rng.standard_normal((cfg.hidden_dim, g)) / np.sqrt(cfg.hidden_dim),
-            "b": np.zeros(g),
-        })
-        in_dim = cfg.hidden_dim
-    W = rng.standard_normal((cfg.hidden_dim, cfg.input_dim)) / np.sqrt(cfg.hidden_dim)
-    return ApcModel(cfg, layers, W)
+    for name, p in model.param_items():
+        if not name.endswith(".b"):
+            p[...] = rng.standard_normal(p.shape) / np.sqrt(p.shape[0])
+    return model
 
 
 def _sigmoid(z, out, e, nonneg):
@@ -337,60 +346,54 @@ def _batch_loss_grads(model: ApcModel, x: np.ndarray, scale: float):
     """Mean-per-sequence loss and gradients, scaled by ``scale`` per item.
 
     x is (B, T, d); the L1 subgradient at zero is taken as 0 (np.sign).
+    The gradient is one vector laid out like ``model.theta``.
     """
     xhat, h_top, caches = _forward_batch(model, x)
     seq_losses, diff = _seq_losses(xhat, x, model.config.n)
     dxhat = np.zeros_like(xhat)
     dxhat[:, :diff.shape[1]] = np.sign(diff) * scale
     step_back = _lstm_backward if model.config.cell_kind == "lstm" else _rnn_backward
-    grads = {"W": np.einsum("bti,btj->ij", h_top, dxhat), "layers": []}
+    grads = ApcModel(model.config, np.empty_like(model.theta))
+    grads.W[...] = np.einsum("bti,btj->ij", h_top, dxhat)
     dh = dxhat @ model.W.T
-    for layer, (cache, residual) in zip(reversed(model.layers), reversed(caches)):
-        dx, layer_grads = step_back(layer, cache, dh)
+    for layer, layer_grads, (cache, residual) in zip(
+        reversed(model.layers), reversed(grads.layers), reversed(caches)
+    ):
+        dx, step_grads = step_back(layer, cache, dh)
         if residual:
             dx = dx + dh
-        grads["layers"].append(layer_grads)
+        for k, g in step_grads.items():
+            layer_grads[k][...] = g
         dh = dx
-    grads["layers"].reverse()
-    return seq_losses, grads
+    return seq_losses, grads.theta
 
 
 # ---------------------------------------------------------------------------
 # training
 
 
-def _grad_items(grads):
-    for i, layer in enumerate(grads["layers"], start=1):
-        yield f"layer{i}.Wx", layer["Wx"]
-        yield f"layer{i}.Wh", layer["Wh"]
-        yield f"layer{i}.b", layer["b"]
-    yield "W", grads["W"]
-
-
 class _Adam:
-    def __init__(self, model, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, n_params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {name: np.zeros_like(p) for name, p in model.param_items()}
-        self.v = {name: np.zeros_like(p) for name, p in model.param_items()}
+        self.m = np.zeros(n_params)
+        self.v = np.zeros(n_params)
 
-    def step(self, model, grads):
+    def step(self, theta, grad):
         self.t += 1
-        for (name, p), (_, g) in zip(model.param_items(), _grad_items(grads)):
-            m = self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            v = self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            mhat = m / (1 - self.b1 ** self.t)
-            vhat = v / (1 - self.b2 ** self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        self.m = self.b1 * self.m + (1 - self.b1) * grad
+        self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
+        mhat = self.m / (1 - self.b1 ** self.t)
+        vhat = self.v / (1 - self.b2 ** self.t)
+        theta -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 class _Sgd:
-    def __init__(self, model, lr):
+    def __init__(self, n_params, lr):
         self.lr = lr
 
-    def step(self, model, grads):
-        for (_, p), (_, g) in zip(model.param_items(), _grad_items(grads)):
-            p -= self.lr * g
+    def step(self, theta, grad):
+        theta -= self.lr * grad
 
 
 def _make_batches(archive: FeatureArchive, n: int, batch_size: int):
@@ -435,8 +438,8 @@ def train(cfg: ApcConfig, archive: FeatureArchive):
     batches = _make_batches(archive, cfg.n, cfg.batch_size)
     n_seqs = sum(b.shape[0] for b in batches)
     model = init_model(cfg)
-    opt = _Adam(model, cfg.learning_rate) if cfg.optimizer == "adam" else _Sgd(
-        model, cfg.learning_rate
+    opt = (_Adam if cfg.optimizer == "adam" else _Sgd)(
+        model.n_params(), cfg.learning_rate
     )
     initial = sum(
         float(_seq_losses(_forward_batch(model, b)[0], b, cfg.n)[0].sum())
@@ -446,9 +449,9 @@ def train(cfg: ApcConfig, archive: FeatureArchive):
     for epoch in range(1, cfg.epochs + 1):
         total = 0.0
         for batch in batches:
-            seq_losses, grads = _batch_loss_grads(model, batch, 1.0 / batch.shape[0])
+            seq_losses, grad = _batch_loss_grads(model, batch, 1.0 / batch.shape[0])
             total += float(seq_losses.sum())
-            opt.step(model, grads)
+            opt.step(model.theta, grad)
         mean_loss = total / n_seqs
         if not np.isfinite(mean_loss):
             raise TrainingError(f"loss diverged at epoch {epoch}")
@@ -473,40 +476,31 @@ def extract_features(model: ApcModel, archive: FeatureArchive) -> FeatureArchive
 # gradient check
 
 
-def _pack(model):
-    return np.concatenate([p.ravel() for _, p in model.param_items()])
-
-
-def _unpack_into(model, flat):
-    pos = 0
-    for _, p in model.param_items():
-        p[...] = flat[pos:pos + p.size].reshape(p.shape)
-        pos += p.size
-
-
 def gradient_check(model: ApcModel, x, n: int, epsilon: float = 1e-5) -> float:
-    """Max relative error between BPTT and central-difference gradients."""
+    """Max relative error between BPTT and central-difference gradients.
+
+    Each coordinate of ``model.theta`` is perturbed in place and restored,
+    so the model is left bit-identical.
+    """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise UsageError(f"epsilon must be finite and > 0, got {epsilon!r}")
     x = np.asarray(x, dtype=np.float64)
     cfg = model.config
     if cfg.L > 2 or cfg.hidden_dim > 8 or x.shape[0] > 20:
         raise UsageError(
             "gradient_check wants a small instance: L <= 2, hidden_dim <= 8, T <= 20"
         )
-    _, grads = _batch_loss_grads(model, x[None], 1.0)
-    analytic = np.concatenate([g.ravel() for _, g in _grad_items(grads)])
-    theta = _pack(model)
+    _, analytic = _batch_loss_grads(model, x[None], 1.0)
+    theta = model.theta
     numeric = np.empty_like(analytic)
     for k in range(theta.size):
         orig = theta[k]
         theta[k] = orig + epsilon
-        _unpack_into(model, theta)
         lp = apc_loss(_forward_batch(model, x[None])[0][0], x, n)
         theta[k] = orig - epsilon
-        _unpack_into(model, theta)
         lm = apc_loss(_forward_batch(model, x[None])[0][0], x, n)
         theta[k] = orig
         numeric[k] = (lp - lm) / (2.0 * epsilon)
-    _unpack_into(model, theta)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
 
@@ -557,8 +551,7 @@ def checkpoint_bytes(model: ApcModel) -> bytes:
     blob += CKPT_MAGIC
     blob += struct.pack("<I", len(cfg_json))
     blob += cfg_json
-    for _, p in model.param_items():
-        blob += np.ascontiguousarray(p, dtype="<f8").tobytes()
+    blob += model.theta.astype("<f8").tobytes()
     return bytes(blob)
 
 
@@ -578,12 +571,12 @@ def load_checkpoint(path) -> ApcModel:
         cfg = ApcConfig.from_dict(json.loads(raw[8:8 + cfg_len].decode()))
     except (ValueError, TypeError) as e:
         raise FormatError(f"{path}: bad config block: {e}") from None
-    model = init_model(cfg)
-    flat = np.frombuffer(raw[8 + cfg_len:], dtype="<f8")
-    if flat.size != model.n_params():
+    model = ApcModel(cfg)
+    payload = raw[8 + cfg_len:]
+    if len(payload) != 8 * model.n_params():
         raise FormatError(
-            f"{path}: parameter payload has {flat.size} values, "
-            f"config implies {model.n_params()}"
+            f"{path}: parameter payload has {len(payload)} bytes, "
+            f"config implies {8 * model.n_params()}"
         )
-    _unpack_into(model, flat.astype(np.float64))
+    model.theta[...] = np.frombuffer(payload, dtype="<f8")
     return model

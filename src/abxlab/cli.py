@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -133,6 +134,8 @@ def _parse_rate(path, line_no: int, text: str) -> float:
         value = float(text)
     except ValueError:
         raise RowError(path, line_no, f"non-numeric rate {text!r}") from None
+    if not math.isfinite(value):
+        raise RowError(path, line_no, f"non-finite rate {text!r}")
     return value
 
 
@@ -283,6 +286,8 @@ def cmd_analyze_phoneme(args) -> Outputs:
 def cmd_analyze_confusion(args) -> Outputs:
     from .analysis import co_occurrence, confusion_matrix
 
+    if args.frame_period < 1:
+        raise UsageError(f"--frame-period must be >= 1, got {args.frame_period}")
     truth = load_label_track(args.truth)
     hyp = load_label_track(args.hyp)
     cm = confusion_matrix(
@@ -348,11 +353,14 @@ def _load_rate_map(path, key: str) -> dict:
             if isinstance(value, dict):
                 value = value.get(key)
             try:
-                out[str(name)] = float(value)
+                value = float(value)
             except (TypeError, ValueError):
                 raise DataError(
                     f"{path}: value for {name!r} is not numeric"
                 ) from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}: value for {name!r} is not finite")
+            out[str(name)] = value
         return out
     out = {}
     for line_no, line in enumerate(text.splitlines(), start=1):

@@ -34,8 +34,6 @@ FBIN_VERSION = 1
 _FBIN_HEADER = struct.Struct("<4sIIII")  # magic, version, dim, nframes, period_us
 
 ITEM_HEADER = "#file onset offset #phone prev-phone next-phone speaker"
-BOUNDARY_MARKER = "SIL"
-EXCLUDED_TOKEN = "__EXCLUDED__"
 
 
 def time_to_frame(seconds: float, period_us: int) -> int:

@@ -14,14 +14,18 @@ function split by sign; the APC backward and sigmoid must match them.
 are the APC time loops written with a fresh array per operation (and
 ``sigmoid_where`` the sigmoid they call); the buffered, in-place loops in
 ``abxlab.apc`` must match them bit for bit.  They share ``_weight_grads``,
-the loop-free part, with the package.
+the loop-free part, with the package.  ``AdamByName`` and ``SgdByName``
+update the model one named parameter array at a time, with Adam's
+moments in dicts keyed by parameter name; the optimizers in
+``abxlab.apc``, which update the whole parameter vector at once, must
+match them bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from abxlab.apc import _weight_grads
+from abxlab.apc import ApcModel, _weight_grads
 
 
 def cosine_ref(a, b, zero_vector_distance=1.0):
@@ -340,3 +344,34 @@ def rnn_backward_alloc(layer, cache, dh_out):
         if t > 0:
             dh_next = dz[:, t] @ Wh_T
     return _weight_grads(layer, x, h, dz)
+
+
+def _grad_items(model, grad):
+    """(name, array) pairs of a gradient vector laid out like model.theta."""
+    return ApcModel(model.config, grad).param_items()
+
+
+class AdamByName:
+    def __init__(self, model, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {name: np.zeros_like(p) for name, p in model.param_items()}
+        self.v = {name: np.zeros_like(p) for name, p in model.param_items()}
+
+    def step(self, model, grad):
+        self.t += 1
+        for (name, p), (_, g) in zip(model.param_items(), _grad_items(model, grad)):
+            m = self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
+            v = self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
+            mhat = m / (1 - self.b1 ** self.t)
+            vhat = v / (1 - self.b2 ** self.t)
+            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+class SgdByName:
+    def __init__(self, model, lr):
+        self.lr = lr
+
+    def step(self, model, grad):
+        for (_, p), (_, g) in zip(model.param_items(), _grad_items(model, grad)):
+            p -= self.lr * g

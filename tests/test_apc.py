@@ -24,6 +24,8 @@ from abxlab.apc import (
 from abxlab.corpus import FeatureArchive
 from abxlab.errors import DataError, FormatError, TrainingError, UsageError
 from oracles import (
+    AdamByName,
+    SgdByName,
     lstm_backward_alloc,
     lstm_backward_steps,
     lstm_forward_alloc,
@@ -184,6 +186,15 @@ def test_gradient_check_rejects_large_instances():
         gradient_check(model, np.zeros((21, 2)), 1)
 
 
+def test_gradient_check_leaves_theta_bit_identical():
+    cfg = ApcConfig(n=1, L=2, hidden_dim=3, input_dim=2, seed=4)
+    model = init_model(cfg)
+    before = model.theta.copy()
+    x = np.random.default_rng(4).standard_normal((8, 2))
+    gradient_check(model, x, 1)
+    assert np.array_equal(model.theta.view(np.int64), before.view(np.int64))
+
+
 def test_gradient_check_detects_disagreement():
     # the analytic pass differentiates the loss at config.n; asking the
     # numeric pass about a different shift must trip the bound
@@ -234,8 +245,8 @@ def test_batch_gradients_match_step_oracle_through_residuals(cell, monkeypatch):
     monkeypatch.setattr(apc, "_rnn_backward", rnn_backward_steps)
     losses_ref, grads_ref = _batch_loss_grads(model, x, 0.5)
     assert np.array_equal(losses, losses_ref)
-    for (_, g), (_, g_ref) in zip(apc._grad_items(grads), apc._grad_items(grads_ref)):
-        assert_close(g, g_ref)
+    assert grads.shape == model.theta.shape
+    assert_close(grads, grads_ref)
 
 
 def sigmoid(z):
@@ -343,6 +354,25 @@ def test_training_reduces_loss_and_is_deterministic():
     assert model_a.config.input_dim == archive.dim
 
 
+@pytest.mark.parametrize("cell,optimizer,oracle", [
+    ("lstm", "adam", AdamByName), ("simple-rnn", "sgd", SgdByName),
+])
+def test_training_bit_equal_per_name_optimizer_oracle(cell, optimizer, oracle):
+    archive = toy_archive(seed=4)
+    cfg = ApcConfig(n=1, L=2, hidden_dim=3, cell_kind=cell, optimizer=optimizer,
+                    learning_rate=0.01, epochs=3, batch_size=2, seed=6)
+    model, _ = train(cfg, archive)
+    ref = init_model(model.config)
+    opt = oracle(ref, cfg.learning_rate)
+    batches = _make_batches(archive, cfg.n, cfg.batch_size)
+    assert len(batches) == 2
+    for _ in range(cfg.epochs):
+        for batch in batches:
+            opt.step(ref, _batch_loss_grads(ref, batch, 1.0 / batch.shape[0])[1])
+    assert not np.array_equal(ref.theta, init_model(model.config).theta)
+    assert_bits(model.theta, ref.theta)
+
+
 def test_training_with_sgd_and_rnn():
     archive = toy_archive(seed=3)
     cfg = ApcConfig(
@@ -433,6 +463,38 @@ def test_checkpoint_round_trip(tmp_path):
     assert path.read_bytes() == (tmp_path / "again.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("cell", ["lstm", "simple-rnn"])
+def test_parameters_are_views_into_theta(cell):
+    model = init_model(ApcConfig(n=1, L=3, hidden_dim=4, input_dim=3, cell_kind=cell))
+    items = list(model.param_items())
+    assert [name for name, _ in items] == [
+        f"layer{i}.{k}" for i in (1, 2, 3) for k in ("Wx", "Wh", "b")
+    ] + ["W"]
+    arrays = [layer[k] for layer in model.layers for k in ("Wx", "Wh", "b")] + [model.W]
+    assert all(a is p for a, (_, p) in zip(arrays, items))
+    for a in arrays:
+        assert a.base is not None and np.shares_memory(a, model.theta)
+    assert sum(a.size for a in arrays) == model.theta.size == model.n_params()
+    flat = np.concatenate([a.ravel() for a in arrays])
+    assert np.array_equal(flat.view(np.int64), model.theta.view(np.int64))
+    model.theta[...] = 0.5
+    assert all((a == 0.5).all() for a in arrays)
+
+
+def test_checkpoint_payload_is_theta(tmp_path):
+    model, _ = train(ApcConfig(epochs=2, hidden_dim=4, seed=3), toy_archive())
+    raw = checkpoint_bytes(model)
+    cfg_len = int.from_bytes(raw[4:8], "little")
+    assert raw[8 + cfg_len:] == model.theta.astype("<f8").tobytes()
+    assert raw[8 + cfg_len:] == b"".join(
+        p.astype("<f8").tobytes() for _, p in model.param_items()
+    )
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    assert_bits(loaded.theta, model.theta)
+    assert np.shares_memory(loaded.W, loaded.theta)
+
+
 def test_checkpoint_malformations(tmp_path):
     model = init_model(ApcConfig(input_dim=2, hidden_dim=3, L=1))
     raw = checkpoint_bytes(model)
@@ -449,6 +511,11 @@ def test_checkpoint_malformations(tmp_path):
     p.write_bytes(raw[:-8])  # missing one parameter
     with pytest.raises(FormatError):
         load_checkpoint(p)
+
+    for bad in (raw[:-3], raw + bytes(5)):  # not a whole number of float64s
+        p.write_bytes(bad)
+        with pytest.raises(FormatError, match="parameter payload"):
+            load_checkpoint(p)
 
     cfg_len = int.from_bytes(raw[4:8], "little")
     p.write_bytes(raw[:8] + b"x" * cfg_len + raw[8 + cfg_len:])

@@ -235,6 +235,21 @@ def test_analyze_confusion_bad_times_exit_3(tmp_path, capsys, onset, offset):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("period", ["0", "-5"])
+def test_analyze_confusion_bad_frame_period_exits_2(tmp_path, capsys, period):
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("u1\t0.0\t0.1\ta\n")
+    rc = cli.main([
+        "analyze", "confusion", "--truth", str(labels), "--hyp", str(labels),
+        f"--frame-period={period}", "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--frame-period" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag", ["--items", "--truth", "--hyp", "--model"])
 def test_missing_input_file_exits_2(flag, corpus_dir, tmp_path, capsys):
     missing = tmp_path / "nope"
@@ -359,6 +374,32 @@ def test_analyze_reduce_and_correlate(tmp_path):
     assert (tmp_path / "co" / "scatter.svg").exists()
 
 
+@pytest.mark.parametrize("flag", ["--baseline", "--improved", "--pco"])
+@pytest.mark.parametrize("name,text,where", [
+    ("rates.csv", "category,rate\na,0.1\nb,nan\n", ":3: non-finite rate 'nan'"),
+    ("rates.csv", "a,0.1\nb,-inf\n", ":2: non-finite rate '-inf'"),
+    ("rates.json", '{"a": 0.1, "b": NaN}', ": value for 'b' is not finite"),
+    ("rates.json", '{"a": {"xi": 0.1, "p_co": 0.1}, "b": {"xi": "inf", "p_co": "inf"}}',
+     ": value for 'b' is not finite"),
+])
+def test_analyze_non_finite_rate_exits_3(tmp_path, capsys, flag, name, text, where):
+    good = {"a": 0.4, "b": 0.2}
+    for f in ("base", "imp", "pco"):
+        (tmp_path / f"{f}.json").write_text(json.dumps(good))
+    bad = tmp_path / name
+    bad.write_text(text)
+    files = {"--baseline": tmp_path / "base.json", "--improved": tmp_path / "imp.json",
+             "--pco": tmp_path / "pco.json", flag: bad}
+    argv = ["analyze", "correlate" if flag == "--pco" else "reduce"]
+    for f in ("--baseline", "--improved") + (("--pco",) if flag == "--pco" else ()):
+        argv += [f, str(files[f])]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}{where}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_correlate_needs_two_points(tmp_path):
     (tmp_path / "base.json").write_text(json.dumps({"a": 0.4}))
     (tmp_path / "imp.json").write_text(json.dumps({"a": 0.2}))
@@ -455,6 +496,14 @@ def test_apc_gradcheck_failure_paths(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_gradient_check", explode)
     assert cli.main(["apc", "gradcheck"]) == 5
     assert "kinks everywhere" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1e-5", "nan", "inf"])
+def test_apc_gradcheck_bad_epsilon_exits_2(capsys, epsilon):
+    assert cli.main(["apc", "gradcheck", f"--epsilon={epsilon}"]) == 2
+    captured = capsys.readouterr()
+    assert "epsilon" in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_apc_train_bad_config_file(corpus_dir, tmp_path):
