@@ -63,8 +63,10 @@ class ApcConfig:
             raise UsageError(f"cell_kind must be one of {CELL_KINDS}")
         if self.optimizer not in OPTIMIZERS:
             raise UsageError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.learning_rate <= 0:
-            raise UsageError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise UsageError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate!r}"
+            )
         if self.epochs < 1 or self.batch_size < 1:
             raise UsageError("epochs and batch_size must be >= 1")
 
@@ -160,40 +162,93 @@ def _sigmoid(z, out, e, nonneg):
 # forward / backward
 
 
-def _lstm_forward(layer, x):
-    """x: (B, T, in) -> h: (B, T, H) plus the cache for BPTT.
+def _input_products(layer, x, spans):
+    """zx = x @ Wx + b for each group of rows over its own steps: (N, T, G).
+
+    Entries past a sequence's end are left unset; no step reads them.
+    """
+    zx = np.empty(x.shape[:2] + layer["b"].shape)
+    for r0, r1, T in spans:
+        zx_k = zx[r0:r1, :T]
+        np.matmul(x[r0:r1, :T], layer["Wx"], out=zx_k)
+        np.add(zx_k, layer["b"], out=zx_k)
+    return zx
+
+
+def _segments(spans):
+    """Split the steps of a pack where sequences end.
+
+    ``spans`` lists the groups (r0, r1, T) of equal-length rows, longest
+    first, so the rows still running at any step are a prefix.  Yields
+    (n, groups, t0, t1): over steps t0..t1-1 rows :n run, as the groups
+    (r0, r1) whose recurrent products are taken apart.
+    """
+    t0 = 0
+    for t1 in sorted({T for _, _, T in spans}):
+        groups = [(r0, r1) for r0, r1, T in spans if T >= t1]
+        yield groups[-1][1], groups, t0, t1
+        t0 = t1
+
+
+def _step_rows(shape):
+    """An (N, T, W) array whose T steps all share one (N, W) buffer.
+
+    A forward-only pass keeps no history of gates or cell states: with a
+    zero time stride the step loop writes each step over the last.
+    """
+    buf = np.empty((shape[0], shape[2]))
+    return np.lib.stride_tricks.as_strided(buf, shape, (buf.strides[0], 0, buf.strides[1]))
+
+
+def _lstm_forward(layer, x, spans=None, keep=True):
+    """x: (N, T, in) -> h: (N, T, H) plus the cache for BPTT.
 
     Each step writes into preallocated buffers with ``out=``, keeping the
     element arithmetic of ``z = zx + h_prev @ Wh``, ``c = f*c_prev + i*g``
     and ``h = o*tanh(c)``.  The sigmoid goes straight into the step's row
-    of one (B, T, 4H) gate array, and tanh of the g pre-activations over
+    of one (N, T, 4H) gate array, and tanh of the g pre-activations over
     its g part; the cache's i, f, g and o are views into that array.
+
+    ``spans`` (default: all rows, one group) packs sequences as for
+    ``_segments``; every elementwise call covers all running rows, and
+    the recurrent product is one matmul per group, so each group gets
+    the bits it gets alone.  Without ``keep`` there is no cache and the
+    gates and cell state of a step overwrite the last step's.
     """
-    B, T, _ = x.shape
+    N, T, _ = x.shape
     Wh = layer["Wh"]
     H = Wh.shape[0]
-    zx = x @ layer["Wx"] + layer["b"]
-    gates = np.empty((B, T, 4 * H))
+    spans = spans or [(0, N, T)]
+    zx = _input_products(layer, x, spans)
+    history = np.empty if keep else _step_rows
+    gates = history((N, T, 4 * H))
+    c = history((N, T, H))
+    h = np.zeros((N, T, H))
     i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
-    c = np.empty((B, T, H)); h = np.empty((B, T, H))
-    z = np.empty((B, 4 * H)); e = np.empty((B, 4 * H))
-    z_g = z[:, 2 * H:3 * H]
-    nonneg = np.empty((B, 4 * H), dtype=bool)
-    ig = np.empty((B, H))
-    h_prev = np.zeros((B, H))
-    c_prev = np.zeros((B, H))
-    steps = zip(*(a.swapaxes(0, 1) for a in (zx, gates, i, f, g, o, c, h)))
-    for zx_t, s, i_t, f_t, g_t, o_t, c_t, h_t in steps:
-        np.matmul(h_prev, Wh, out=z)
-        np.add(zx_t, z, out=z)
-        _sigmoid(z, s, e, nonneg)
-        np.tanh(z_g, out=g_t)
-        np.multiply(f_t, c_prev, out=c_t)
-        np.multiply(i_t, g_t, out=ig)
-        np.add(c_t, ig, out=c_t)
-        np.tanh(c_t, out=h_t)
-        np.multiply(o_t, h_t, out=h_t)
-        h_prev, c_prev = h_t, c_t
+    z = np.empty((N, 4 * H)); e = np.empty((N, 4 * H))
+    nonneg = np.empty((N, 4 * H), dtype=bool)
+    ig = np.empty((N, H))
+    h_prev = np.zeros((N, H))
+    c_prev = np.zeros((N, H))
+    for n, groups, t0, t1 in _segments(spans):
+        z_n, e_n, nonneg_n, ig_n = z[:n], e[:n], nonneg[:n], ig[:n]
+        z_g = z_n[:, 2 * H:3 * H]
+        h_prev, c_prev = h_prev[:n], c_prev[:n]
+        steps = zip(*(a[:n, t0:t1].swapaxes(0, 1) for a in (zx, gates, i, f, g, o, c, h)))
+        for zx_t, s, i_t, f_t, g_t, o_t, c_t, h_t in steps:
+            for r0, r1 in groups:
+                np.matmul(h_prev[r0:r1], Wh, out=z_n[r0:r1])
+            np.add(zx_t, z_n, out=z_n)
+            _sigmoid(z_n, s, e_n, nonneg_n)
+            np.tanh(z_g, out=g_t)
+            np.multiply(f_t, c_prev, out=c_t)
+            np.multiply(i_t, g_t, out=ig_n)
+            np.add(c_t, ig_n, out=c_t)
+            np.tanh(c_t, out=h_t)
+            np.multiply(o_t, h_t, out=h_t)
+            h_prev, c_prev = h_t, c_t
+    if not keep:
+        return h, None
     return h, {"x": x, "i": i, "f": f, "g": g, "o": o, "c": c, "h": h}
 
 
@@ -273,16 +328,25 @@ def _lstm_backward(layer, cache, dh_out):
     return _weight_grads(layer, x, h, dz)
 
 
-def _rnn_forward(layer, x):
-    B, T, _ = x.shape
-    H = layer["Wh"].shape[0]
-    zx = x @ layer["Wx"] + layer["b"]
-    h = np.empty((B, T, H))
-    h_prev = np.zeros((B, H))
-    for t in range(T):
-        h[:, t] = np.tanh(zx[:, t] + h_prev @ layer["Wh"])
-        h_prev = h[:, t]
-    return h, {"x": x, "h": h}
+def _rnn_forward(layer, x, spans=None, keep=True):
+    """h_t = tanh(zx_t + h_prev @ Wh); packs and ``keep`` as for the LSTM."""
+    N, T, _ = x.shape
+    Wh = layer["Wh"]
+    spans = spans or [(0, N, T)]
+    zx = _input_products(layer, x, spans)
+    h = np.zeros((N, T, Wh.shape[0]))
+    z = np.empty((N, Wh.shape[0]))
+    h_prev = np.zeros((N, Wh.shape[0]))
+    for n, groups, t0, t1 in _segments(spans):
+        z_n = z[:n]
+        h_prev = h_prev[:n]
+        for zx_t, h_t in zip(*(a[:n, t0:t1].swapaxes(0, 1) for a in (zx, h))):
+            for r0, r1 in groups:
+                np.matmul(h_prev[r0:r1], Wh, out=z_n[r0:r1])
+            np.add(zx_t, z_n, out=z_n)
+            np.tanh(z_n, out=h_t)
+            h_prev = h_t
+    return h, ({"x": x, "h": h} if keep else None)
 
 
 def _rnn_backward(layer, cache, dh_out):
@@ -299,20 +363,61 @@ def _rnn_backward(layer, cache, dh_out):
     return _weight_grads(layer, x, h, dz)
 
 
-def _forward_batch(model: ApcModel, x: np.ndarray):
-    """x: (B, T, d) -> (xhat, h_L, caches)."""
+def _stack(model: ApcModel, x: np.ndarray, spans, keep: bool):
+    """Every layer over the pack x (N, T, d) -> (h_L, [(cache, residual)])."""
     step = _lstm_forward if model.config.cell_kind == "lstm" else _rnn_forward
     inp = x
     caches = []
     for layer in model.layers:
-        out, cache = step(layer, inp)
+        out, cache = step(layer, inp, spans, keep)
         residual = inp.shape[-1] == out.shape[-1]
         if residual:
             out = out + inp
         caches.append((cache, residual))
         inp = out
-    xhat = inp @ model.W
-    return xhat, inp, caches
+    return inp, caches
+
+
+def _forward_batch(model: ApcModel, x: np.ndarray):
+    """x: (B, T, d) -> (xhat, h_L, caches)."""
+    h_top, caches = _stack(model, x, [(0, x.shape[0], x.shape[1])], keep=True)
+    return h_top @ model.W, h_top, caches
+
+
+def _packs(groups, capacity: int):
+    """Group indices, longest group first, cut into packs of <= capacity sequences."""
+    packs = []
+    for k in sorted(range(len(groups)), key=lambda k: -groups[k].shape[1]):
+        B = groups[k].shape[0]
+        if not packs or size + B > capacity:
+            packs.append([])
+            size = 0
+        packs[-1].append(k)
+        size += B
+    return packs
+
+
+def _forward_only(model: ApcModel, groups):
+    """Yield (k, h_L) for each (B, T, d) group k, with no BPTT caches.
+
+    The groups run in packs of at most ``batch_size`` sequences, zero
+    padded to the pack's longest; each group's h_L (B, T, H) is a view
+    into its pack and bit-identical to ``_forward_batch`` on the group
+    alone.
+    """
+    for pack in _packs(groups, model.config.batch_size):
+        first = groups[pack[0]]
+        x = np.zeros((sum(groups[k].shape[0] for k in pack),) + first.shape[1:])
+        spans = []
+        r0 = 0
+        for k in pack:
+            B, T, _ = groups[k].shape
+            x[r0:r0 + B, :T] = groups[k]
+            spans.append((r0, r0 + B, T))
+            r0 += B
+        h_top, _ = _stack(model, x, spans, keep=False)
+        for k, (r0, r1, T) in zip(pack, spans):
+            yield k, h_top[r0:r1, :T]
 
 
 def forward(model: ApcModel, x) -> tuple[np.ndarray, np.ndarray]:
@@ -322,8 +427,8 @@ def forward(model: ApcModel, x) -> tuple[np.ndarray, np.ndarray]:
         raise UsageError(
             f"expected (T, {model.config.input_dim}) input, got {x.shape}"
         )
-    xhat, h_top, _ = _forward_batch(model, x[None])
-    return xhat[0], h_top[0]
+    [(_, h_top)] = _forward_only(model, [x[None]])
+    return h_top[0] @ model.W, h_top[0]
 
 
 def apc_loss(xhat, x, n: int) -> float:
@@ -380,12 +485,24 @@ class _Adam:
         self.v = np.zeros(n_params)
 
     def step(self, theta, grad):
+        """In place, with each element's operations in the order of
+        m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        theta -= lr*mhat / (sqrt(vhat) + eps)."""
         self.t += 1
-        self.m = self.b1 * self.m + (1 - self.b1) * grad
-        self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
-        mhat = self.m / (1 - self.b1 ** self.t)
-        vhat = self.v / (1 - self.b2 ** self.t)
-        theta -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        a = (1 - self.b1) * grad
+        self.m *= self.b1
+        self.m += a
+        np.multiply(grad, 1 - self.b2, out=a)
+        a *= grad
+        self.v *= self.b2
+        self.v += a
+        np.divide(self.m, 1 - self.b1 ** self.t, out=a)
+        a *= self.lr
+        d = self.v / (1 - self.b2 ** self.t)
+        np.sqrt(d, out=d)
+        d += self.eps
+        a /= d
+        theta -= a
 
 
 class _Sgd:
@@ -441,11 +558,9 @@ def train(cfg: ApcConfig, archive: FeatureArchive):
     opt = (_Adam if cfg.optimizer == "adam" else _Sgd)(
         model.n_params(), cfg.learning_rate
     )
-    initial = sum(
-        float(_seq_losses(_forward_batch(model, b)[0], b, cfg.n)[0].sum())
-        for b in batches
-    ) / n_seqs
-    losses = [initial]
+    initial = {k: float(_seq_losses(h_top @ model.W, batches[k], cfg.n)[0].sum())
+               for k, h_top in _forward_only(model, batches)}
+    losses = [sum(initial[k] for k in range(len(batches))) / n_seqs]
     for epoch in range(1, cfg.epochs + 1):
         total = 0.0
         for batch in batches:
@@ -465,10 +580,10 @@ def extract_features(model: ApcModel, archive: FeatureArchive) -> FeatureArchive
         raise DataError(
             f"archive dim {archive.dim} != model input_dim {model.config.input_dim}"
         )
+    utts = archive.utterance_ids()
     out = {}
-    for utt in archive.utterance_ids():
-        _, h_top = forward(model, archive.frames(utt))
-        out[utt] = h_top.astype(np.float32)
+    for k, h_top in _forward_only(model, [archive.frames(u)[None] for u in utts]):
+        out[utts[k]] = h_top[0].astype(np.float32)
     return FeatureArchive(out, archive.frame_period)
 
 
@@ -496,9 +611,9 @@ def gradient_check(model: ApcModel, x, n: int, epsilon: float = 1e-5) -> float:
     for k in range(theta.size):
         orig = theta[k]
         theta[k] = orig + epsilon
-        lp = apc_loss(_forward_batch(model, x[None])[0][0], x, n)
+        lp = apc_loss(forward(model, x)[0], x, n)
         theta[k] = orig - epsilon
-        lm = apc_loss(_forward_batch(model, x[None])[0][0], x, n)
+        lm = apc_loss(forward(model, x)[0], x, n)
         theta[k] = orig
         numeric[k] = (lp - lm) / (2.0 * epsilon)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)

@@ -265,7 +265,9 @@ def feature_archive_files(archive: FeatureArchive, format: str = "binary") -> di
             files[f"{utt}.fbin"] = header + mat.astype("<f4").tobytes()
         else:
             lines = [f"dim={mat.shape[1]} period_us={archive.frame_period}"]
-            lines += [" ".join(repr(float(v)) for v in row) for row in mat]
+            # a float32 value widens exactly, so the Python float's repr is
+            # the same text as repr(float(v)) on the element
+            lines += [" ".join(map(repr, row)) for row in mat.tolist()]
             files[f"{utt}.ftxt"] = ("\n".join(lines) + "\n").encode()
     return files
 

@@ -10,22 +10,26 @@ here than through the engine.  ``lstm_backward_steps`` and
 ``rnn_backward_steps`` are BPTT with every weight gradient accumulated
 step by step inside the time loop, and ``sigmoid_masked`` is the logistic
 function split by sign; the APC backward and sigmoid must match them.
-``lstm_forward_alloc``, ``lstm_backward_alloc`` and ``rnn_backward_alloc``
-are the APC time loops written with a fresh array per operation (and
-``sigmoid_where`` the sigmoid they call); the buffered, in-place loops in
-``abxlab.apc`` must match them bit for bit.  They share ``_weight_grads``,
-the loop-free part, with the package.  ``AdamByName`` and ``SgdByName``
-update the model one named parameter array at a time, with Adam's
-moments in dicts keyed by parameter name; the optimizers in
-``abxlab.apc``, which update the whole parameter vector at once, must
-match them bit for bit.
+``lstm_forward_alloc``, ``lstm_backward_alloc``, ``rnn_forward_alloc`` and
+``rnn_backward_alloc`` are the APC time loops written with a fresh array
+per operation (and ``sigmoid_where`` the sigmoid they call); the
+buffered, in-place loops in ``abxlab.apc`` must match them bit for bit.
+They share ``_weight_grads``, the loop-free part, with the package.
+``extract_per_utterance`` and ``initial_loss_per_batch`` run
+``_forward_batch`` on one utterance or one training batch at a time; the
+packed forward-only pass must match them bit for bit.
+``AdamByName`` and ``SgdByName`` update the model one named parameter
+array at a time, with Adam's moments in dicts keyed by parameter name;
+the optimizers in ``abxlab.apc``, which update the whole parameter
+vector at once, must match them bit for bit.  ``ftxt_rows_per_value``
+formats text archive rows one element at a time.
 """
 
 import math
 
 import numpy as np
 
-from abxlab.apc import ApcModel, _weight_grads
+from abxlab.apc import ApcModel, _forward_batch, _seq_losses, _weight_grads
 
 
 def cosine_ref(a, b, zero_vector_distance=1.0):
@@ -310,6 +314,18 @@ def lstm_forward_alloc(layer, x):
     return h, {"x": x, "i": i, "f": f, "g": g, "o": o, "c": c, "h": h}
 
 
+def rnn_forward_alloc(layer, x):
+    B, T, _ = x.shape
+    H = layer["Wh"].shape[0]
+    zx = x @ layer["Wx"] + layer["b"]
+    h = np.empty((B, T, H))
+    h_prev = np.zeros((B, H))
+    for t in range(T):
+        h[:, t] = np.tanh(zx[:, t] + h_prev @ layer["Wh"])
+        h_prev = h[:, t]
+    return h, {"x": x, "h": h}
+
+
 def lstm_backward_alloc(layer, cache, dh_out):
     """BPTT; the time loop carries only dh and dc back one step."""
     x, i, f, g, o, c, h = (cache[k] for k in ("x", "i", "f", "g", "o", "c", "h"))
@@ -375,3 +391,25 @@ class SgdByName:
     def step(self, model, grad):
         for (_, p), (_, g) in zip(model.param_items(), _grad_items(model, grad)):
             p -= self.lr * g
+
+
+def extract_per_utterance(model, archive):
+    """Top-layer states of each utterance from its own forward pass, float32."""
+    out = {}
+    for utt in archive.utterance_ids():
+        x = archive.frames(utt).astype(np.float64)
+        out[utt] = _forward_batch(model, x[None])[1][0].astype(np.float32)
+    return out
+
+
+def initial_loss_per_batch(model, batches, n):
+    """Mean per-sequence loss, one forward pass per batch, summed in batch order."""
+    return sum(
+        float(_seq_losses(_forward_batch(model, b)[0], b, n)[0].sum())
+        for b in batches
+    ) / sum(b.shape[0] for b in batches)
+
+
+def ftxt_rows_per_value(mat):
+    """Text archive rows: repr of each element widened to a Python float."""
+    return [" ".join(repr(float(v)) for v in row) for row in mat]

@@ -26,11 +26,14 @@ from abxlab.errors import DataError, FormatError, TrainingError, UsageError
 from oracles import (
     AdamByName,
     SgdByName,
+    extract_per_utterance,
+    initial_loss_per_batch,
     lstm_backward_alloc,
     lstm_backward_steps,
     lstm_forward_alloc,
     rnn_backward_alloc,
     rnn_backward_steps,
+    rnn_forward_alloc,
     sigmoid_masked,
 )
 
@@ -64,8 +67,9 @@ def test_config_validation():
         ApcConfig(cell_kind="gru")
     with pytest.raises(UsageError):
         ApcConfig(optimizer="rmsprop")
-    with pytest.raises(UsageError):
-        ApcConfig(learning_rate=0.0)
+    for lr in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(UsageError):
+            ApcConfig(learning_rate=lr)
     with pytest.raises(UsageError):
         ApcConfig.from_dict({"layers": 3})
 
@@ -278,7 +282,7 @@ def assert_bits(got, want):
 
 ALLOC_ORACLES = {
     "lstm": (apc._lstm_forward, apc._lstm_backward, lstm_forward_alloc, lstm_backward_alloc),
-    "simple-rnn": (apc._rnn_forward, apc._rnn_backward, apc._rnn_forward, rnn_backward_alloc),
+    "simple-rnn": (apc._rnn_forward, apc._rnn_backward, rnn_forward_alloc, rnn_backward_alloc),
 }
 
 
@@ -338,6 +342,79 @@ def test_initial_loss_is_forward_only(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# packed forward-only pass against the one-sequence-at-a-time oracles
+
+# batch_size and the (B, T) of each group
+PACK_CASES = {
+    "ragged": (8, [(1, 9), (1, 4), (1, 12), (1, 2), (1, 7)]),
+    "T=1": (8, [(1, 1), (1, 3), (1, 1)]),
+    "tied": (8, [(3, 6), (2, 6), (1, 8), (2, 3)]),
+    "one sequence": (8, [(1, 5)]),
+    "several packs": (3, [(1, 2), (2, 9), (3, 5), (1, 11), (1, 3), (2, 7), (1, 5)]),
+}
+
+
+def pack_model(cell, case, seed=0):
+    rng = np.random.default_rng(seed)
+    cfg = ApcConfig(n=1, L=3, hidden_dim=4, input_dim=3, cell_kind=cell,
+                    batch_size=PACK_CASES[case][0], seed=seed)
+    model = init_model(cfg)
+    for layer in model.layers:  # nonzero biases, or -0.0 could hide in zx
+        layer["b"][...] = rng.standard_normal(layer["b"].shape)
+    return model
+
+
+def case_archive(case, seed=0):
+    rng = np.random.default_rng(seed)
+    utts = {}
+    for B, T in PACK_CASES[case][1]:
+        for _ in range(B):
+            utts[f"u{len(utts):02d}"] = rng.standard_normal((T, 3)).astype(np.float32)
+    return FeatureArchive(utts, 10000)
+
+
+@pytest.mark.parametrize("cell", ["lstm", "simple-rnn"])
+@pytest.mark.parametrize("case", PACK_CASES)
+def test_forward_only_groups_bit_equal_forward_batch(cell, case):
+    model = pack_model(cell, case)
+    rng = np.random.default_rng(1)
+    groups = [rng.standard_normal((B, T, 3)) for B, T in PACK_CASES[case][1]]
+    got = dict(apc._forward_only(model, groups))
+    assert sorted(got) == list(range(len(groups)))
+    packs = apc._packs(groups, model.config.batch_size)
+    assert all(sum(groups[k].shape[0] for k in p) <= model.config.batch_size
+               for p in packs)
+    assert (len(packs) > 1) == (case == "several packs")
+    for k, x in enumerate(groups):
+        assert_bits(got[k], apc._forward_batch(model, x)[1])
+
+
+@pytest.mark.parametrize("cell", ["lstm", "simple-rnn"])
+@pytest.mark.parametrize("case", PACK_CASES)
+def test_extract_bit_equal_per_utterance_oracle(cell, case):
+    model = pack_model(cell, case)
+    archive = case_archive(case)
+    got = extract_features(model, archive)
+    want = extract_per_utterance(model, archive)
+    assert got.utterance_ids() == sorted(want)
+    for utt, frames in want.items():
+        assert np.array_equal(got.frames(utt).view(np.int32), frames.view(np.int32))
+        _, h = forward(model, archive.frames(utt))
+        assert_bits(h.astype(np.float32), frames)
+
+
+@pytest.mark.parametrize("cell", ["lstm", "simple-rnn"])
+@pytest.mark.parametrize("case", [c for c in PACK_CASES if c != "T=1"])
+def test_initial_loss_bit_equal_per_batch_oracle(cell, case):
+    archive = case_archive(case)
+    cfg = replace(pack_model(cell, case).config, epochs=1, input_dim=None)
+    batches = _make_batches(archive, cfg.n, cfg.batch_size)
+    assert (max(b.shape[0] for b in batches) > 1) == (case in ("tied", "several packs"))
+    want = initial_loss_per_batch(init_model(replace(cfg, input_dim=3)), batches, cfg.n)
+    assert train(cfg, archive)[1][0].hex() == want.hex()
+
+
+# ---------------------------------------------------------------------------
 # training
 
 
@@ -370,6 +447,20 @@ def test_training_bit_equal_per_name_optimizer_oracle(cell, optimizer, oracle):
         for batch in batches:
             opt.step(ref, _batch_loss_grads(ref, batch, 1.0 / batch.shape[0])[1])
     assert not np.array_equal(ref.theta, init_model(model.config).theta)
+    assert_bits(model.theta, ref.theta)
+
+
+def test_adam_updates_moments_in_place():
+    model = init_model(ApcConfig(n=1, L=1, hidden_dim=3, input_dim=2, seed=1))
+    ref = init_model(model.config)
+    opt, opt_ref = apc._Adam(model.n_params(), 0.01), AdamByName(ref, 0.01)
+    m, v = opt.m, opt.v
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        grad = rng.standard_normal(model.n_params())
+        opt.step(model.theta, grad)
+        opt_ref.step(ref, grad)
+    assert opt.m is m and opt.v is v
     assert_bits(model.theta, ref.theta)
 
 

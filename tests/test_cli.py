@@ -515,6 +515,22 @@ def test_apc_train_bad_config_file(corpus_dir, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "0", "config NaN"])
+def test_apc_train_bad_learning_rate_exits_2(corpus_dir, tmp_path, capsys, lr):
+    argv = ["apc", "train", "--features", str(corpus_dir / "features"),
+            "--epochs", "1", "--out", str(tmp_path / "o")]
+    if lr == "config NaN":
+        (tmp_path / "cfg.json").write_text('{"learning_rate": NaN}')
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    else:
+        argv.append(f"--lr={lr}")
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "learning_rate must be finite and > 0" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

@@ -10,6 +10,7 @@ from abxlab.corpus import (
     FrameLabelTrack,
     ItemSegment,
     ITEM_HEADER,
+    feature_archive_files,
     load_feature_archive,
     load_item_file,
     load_label_track,
@@ -28,6 +29,7 @@ from abxlab.errors import (
     UnmappedPhoneError,
     UsageError,
 )
+from oracles import ftxt_rows_per_value
 
 
 def small_archive(period=10000):
@@ -146,6 +148,22 @@ def test_ftxt_round_trip_is_exact(tmp_path):
     back = load_feature_archive(tmp_path / "feat", format="text")
     for utt in arch.utterance_ids():
         assert np.array_equal(back.frames(utt), arch.frames(utt))
+
+
+def test_ftxt_bytes_match_per_value_oracle():
+    f32 = np.finfo(np.float32)
+    edge = np.array([[-0.0, 0.0, 1.0, -1.0],
+                     [f32.smallest_subnormal, -f32.smallest_subnormal, f32.max, -f32.max],
+                     [f32.tiny, f32.eps, 0.1, 1 / 3]], dtype=np.float32)
+    rng = np.random.default_rng(3)
+    arch = FeatureArchive({"edge": edge,
+                           "rand": (rng.standard_normal((5, 4)) * 1e3).astype(np.float32)},
+                          10000)
+    files = feature_archive_files(arch, "text")
+    for utt in arch.utterance_ids():
+        lines = ["dim=4 period_us=10000"] + ftxt_rows_per_value(arch.frames(utt))
+        assert files[f"{utt}.ftxt"] == ("\n".join(lines) + "\n").encode()
+    assert files["edge.ftxt"].split(b"\n")[1].startswith(b"-0.0 0.0 1.0 -1.0")
 
 
 @settings(max_examples=25, deadline=None)
