@@ -40,9 +40,9 @@ def main():
     truth, hyp = build_tracks()
     cm = confusion_matrix(truth, hyp, PERIOD)
     print("confusion matrix rows (truth x hypothesis, row-normalized):")
-    for sym in cm.row_symbols:
+    for sym, row in zip(cm.row_symbols, cm.values):
         cells = ", ".join(
-            f"{h}={v:.2f}" for h, v in zip(cm.col_symbols, cm.row(sym)) if v > 0
+            f"{h}={v:.2f}" for h, v in zip(cm.col_symbols, row) if v > 0
         )
         print(f"    {sym}: {cells}")
 

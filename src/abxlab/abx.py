@@ -3,16 +3,19 @@
 A cell is the smallest scoring unit: one unordered category pair, one
 triphone context, one speaker (within) or one ordered speaker pair
 (across).  Cells that read the same segments (one context and speaker
-within, one context across) form a group.  Each group computes a dense
-segment x segment block of DTW dissimilarities, every unordered pair
-once through the batched kernel, and its cells are scored by lookups
-into that block.  Groups are pure functions of the archive, so they can
-be scored in parallel; everything after that is a sequential fold over
-sorted keys, which makes reports bit-identical regardless of worker
-count.
+within, one context across) form a group, and the cell builder hands
+the cells out in those groups.  ``score_corpus`` is the one scoring
+entry: each group computes a dense segment x segment block of DTW
+dissimilarities, every unordered pair once through the batched kernel,
+and its cells are scored by lookups into that block.  Groups are pure
+functions of the archive, so they can be scored in parallel.
 
 Scoring counts strict wins and exact ties as integers and divides once
 at the end, so the comparison order inside a cell cannot perturb eta.
+Every rate mean after that (context, pair, overall and category rates,
+and the re-aggregation of ``pairwise.csv`` in ``cli`` and ``analysis``)
+is one fold, ``means``, over rows in sorted key order, which makes
+reports bit-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -101,12 +104,7 @@ class AbxReport:
 
     def category_rates(self) -> dict:
         """Per-category mean of incident pairwise rates, full precision."""
-        cats = sorted({c for pair in self.pairwise for c in pair})
-        out = {}
-        for cat in cats:
-            incident = [r for (x, y), r in sorted(self.pairwise.items()) if cat in (x, y)]
-            out[cat] = sum(incident) / len(incident)
-        return out
+        return means((c, r) for (x, y), r in sorted(self.pairwise.items()) for c in (x, y))
 
     def to_json_dict(self, include_per_cell: bool = False) -> dict:
         nested: dict[str, dict[str, str]] = {}
@@ -168,6 +166,10 @@ def _categorize(segments, kind, af_table):
 
 
 def _build_cells(segments, mode, kind, af_table, limits):
+    """Cells in scoring groups, the segments each group reads: one per
+    (context, speaker) within, one per context across.  Groups come in
+    sorted group order, cells in key order inside a group; empty groups
+    are dropped."""
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
     if kind not in TASK_KINDS:
@@ -181,7 +183,7 @@ def _build_cells(segments, mode, kind, af_table, limits):
             cat, []
         ).append(seg)
 
-    cells = []
+    groups = []
     stats = {"undersized": 0, "capped_speaker_pairs": 0}
     rng = np.random.default_rng(limits.seed)
 
@@ -190,6 +192,7 @@ def _build_cells(segments, mode, kind, af_table, limits):
         if mode == "within":
             for spk in sorted(speakers):
                 cats = speakers[spk]
+                cells = []
                 for x, y in _sorted_pairs(cats):
                     sx, sy = cats[x], cats[y]
                     if len(sx) < 2 or len(sy) < 2:
@@ -200,7 +203,9 @@ def _build_cells(segments, mode, kind, af_table, limits):
                     cells.append(
                         TaskCell(kind, x, y, ctx, spk, spk, sx, sy, sx, sy)
                     )
+                groups.append(cells)
         else:
+            cells = []
             all_cats = sorted({c for spk in speakers.values() for c in spk})
             for x, y in _sorted_pairs({c: None for c in all_cats}):
                 valid = []
@@ -229,8 +234,8 @@ def _build_cells(segments, mode, kind, af_table, limits):
                             tuple(sorted(speakers[s_x][y])),
                         )
                     )
-    cells.sort(key=TaskCell.key)
-    return cells, stats
+            groups.append(cells)
+    return [g for g in groups if g], stats
 
 
 def _sorted_pairs(cats: dict):
@@ -242,8 +247,8 @@ def _sorted_pairs(cats: dict):
 
 def build_cells(segments, mode, kind, af_table: AfTable | None = None,
                 limits: CellLimits = CellLimits()) -> list[TaskCell]:
-    cells, _ = _build_cells(segments, mode, kind, af_table, limits)
-    return cells
+    groups, _ = _build_cells(segments, mode, kind, af_table, limits)
+    return sorted((c for g in groups for c in g), key=TaskCell.key)
 
 
 # ---------------------------------------------------------------------------
@@ -300,28 +305,6 @@ def _eta(block, a, b, x, within: bool) -> float:
     return (2 * int(np.count_nonzero(gt)) + int(np.count_nonzero(eq))) / (2 * total)
 
 
-def asymmetric_score(set_x_ab, set_y_ab, set_x_X, archive: FeatureArchive,
-                     cfg: DtwConfig = DEFAULT_DTW) -> float:
-    """One direction of the ABX error rate.
-
-    Within mode (X drawn from set_x_ab itself, A excluded by position)
-    is detected by set identity; across mode draws X from a different
-    speaker's set with no exclusion.  A strict d(A,X) > d(B,X) counts 1,
-    an exact 64-bit tie counts 1/2; the total is divided once, so the
-    result does not depend on enumeration order.
-    """
-    set_x_ab = tuple(set_x_ab)
-    set_y_ab = tuple(set_y_ab)
-    set_x_X = tuple(set_x_X)
-    if not set_x_ab or not set_y_ab or not set_x_X:
-        raise UsageError("all segment sets must be non-empty")
-    within = set_x_X == set_x_ab
-    if within and len(set_x_ab) < 2:
-        raise UsageError("within mode needs at least 2 segments in the X category")
-    segments, (a, b, x) = _indexed((set_x_ab, set_y_ab, set_x_X))
-    return _eta(_distance_block(segments, [(a, b, x)], archive, cfg), a, b, x, within)
-
-
 def _cell_comparisons(cell: TaskCell) -> int:
     nx, ny = len(cell.set_x_ab), len(cell.set_y_ab)
     if cell.within:
@@ -352,14 +335,21 @@ def _score_group(cells, archive: FeatureArchive, cfg: DtwConfig) -> list[CellSco
     return scores
 
 
-def pairwise_score(cell: TaskCell, archive: FeatureArchive,
-                   cfg: DtwConfig = DEFAULT_DTW) -> CellScore:
-    """epsilon = (eta(x->y) + eta(y->x)) / 2 for one cell."""
-    return _score_group([cell], archive, cfg)[0]
-
-
 # ---------------------------------------------------------------------------
 # aggregation
+
+
+def means(rows) -> dict:
+    """{key: unweighted mean} over (key, value) rows, keys sorted.
+
+    Each key's values are summed in row order and divided once, so a
+    caller that passes rows in sorted order gets a pure function of the
+    rows.  This is the package's one rate fold.
+    """
+    groups: dict = {}
+    for key, value in rows:
+        groups.setdefault(key, []).append(value)
+    return {key: sum(groups[key]) / len(groups[key]) for key in sorted(groups)}
 
 
 def aggregate(per_cell, kind: str, condition: str, metadata: dict | None = None) -> AbxReport:
@@ -371,23 +361,11 @@ def aggregate(per_cell, kind: str, condition: str, metadata: dict | None = None)
     per_cell = sorted(per_cell, key=CellScore.key)
     if not per_cell:
         raise EmptyTaskError("no cell scores to aggregate")
-    ctx_groups: dict[tuple, list[CellScore]] = {}
-    for cs in per_cell:
-        ctx_groups.setdefault((cs.category_x, cs.category_y, cs.context), []).append(cs)
-    context_rates = {}
-    for key in sorted(ctx_groups):
-        scores = ctx_groups[key]
-        context_rates[key] = sum(c.epsilon for c in scores) / len(scores)
-
-    pair_groups: dict[tuple, list[float]] = {}
-    for (x, y, ctx) in sorted(context_rates):
-        pair_groups.setdefault((x, y), []).append(context_rates[(x, y, ctx)])
-    pairwise = {}
-    for pair in sorted(pair_groups):
-        rates = pair_groups[pair]
-        pairwise[pair] = sum(rates) / len(rates)
-
-    overall = sum(pairwise[p] for p in sorted(pairwise)) / len(pairwise)
+    context_rates = means(
+        ((cs.category_x, cs.category_y, cs.context), cs.epsilon) for cs in per_cell
+    )
+    pairwise = means(((x, y), r) for (x, y, _), r in context_rates.items())
+    overall = means(("overall", r) for r in pairwise.values())["overall"]
     return AbxReport(kind, condition, pairwise, context_rates, overall,
                      per_cell, metadata or {})
 
@@ -407,12 +385,6 @@ def _worker_group(cells):
     return _score_group(cells, *_WORKER_STATE)
 
 
-def _group_key(cell: TaskCell):
-    """The segments a cell reads: one speaker's in its context (within),
-    or every speaker's in its context (across)."""
-    return (cell.context, cell.speaker_ab) if cell.within else (cell.context,)
-
-
 def config_digest(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
@@ -420,23 +392,20 @@ def config_digest(doc: dict) -> str:
 def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
                  af_table: AfTable | None = None, cfg: DtwConfig = DEFAULT_DTW,
                  limits: CellLimits = CellLimits(), jobs: int = 1) -> AbxReport:
-    """build_cells -> distance blocks (parallel over groups) -> aggregate.
+    """Score an ABX task: the package's one scoring entry.
 
+    Cell groups -> distance blocks (parallel over groups) -> aggregate.
     The report is bit-identical for any jobs value: each group's cells
     are scored from its own distance block, and the scores are folded in
     sorted order.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
-    cells, stats = _build_cells(segments, mode, kind, af_table, limits)
-    if not cells:
+    groups, stats = _build_cells(segments, mode, kind, af_table, limits)
+    if not groups:
         raise EmptyTaskError(
             f"no scoreable cells (undersized candidates: {stats['undersized']})"
         )
-    by_key: dict[tuple, list[TaskCell]] = {}
-    for cell in cells:
-        by_key.setdefault(_group_key(cell), []).append(cell)
-    groups = [by_key[key] for key in sorted(by_key)]
     if jobs == 1 or len(groups) == 1:
         scored = [_score_group(g, archive, cfg) for g in groups]
     else:
@@ -452,7 +421,7 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
     metadata = {
         "task": kind,
         "condition": mode,
-        "cells": len(cells),
+        "cells": len(scores),
         "comparisons": sum(s.n_comparisons for s in scores),
         "skipped_undersized": stats["undersized"],
         "capped_speaker_pairs": stats["capped_speaker_pairs"],

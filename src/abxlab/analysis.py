@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .abx import means
 from .af_tables import CONSONANTS, DIPHTHONGS, MONOPHTHONGS
 from .corpus import time_to_frame
 from .errors import DataError, UsageError
@@ -56,14 +57,14 @@ def phoneme_level_rates(pairwise, inventory=None, condition: str = "") -> Phonem
     rates = {_norm_pair(k): float(v) for k, v in pairwise.items()}
     if inventory is None:
         inventory = sorted({p for pair in rates for p in pair})
-    xi, denom, missing = {}, {}, []
-    for w in sorted(inventory):
-        incident = [r for (a, b), r in sorted(rates.items()) if w in (a, b) and a != b]
-        if not incident:
-            missing.append(w)
-            continue
-        xi[w] = sum(incident) / len(incident)
-        denom[w] = len(incident)
+    wanted = set(inventory)
+    incident = [
+        (w, r) for (a, b), r in sorted(rates.items()) if a != b
+        for w in (a, b) if w in wanted
+    ]
+    xi = means(incident)
+    denom = {w: sum(1 for v, _ in incident if v == w) for w in xi}
+    missing = [w for w in sorted(inventory) if w not in xi]
     tags = {w: phone_category(w) for w in sorted(inventory)}
     return PhonemeReport(condition, xi, denom, tags, missing)
 
@@ -79,9 +80,6 @@ class ConfusionMatrix:
     values: np.ndarray
     frame_counts: list
     empty_rows: list = field(default_factory=list)
-
-    def row(self, symbol: str) -> np.ndarray:
-        return self.values[self.row_symbols.index(symbol)]
 
     def to_csv_bytes(self) -> bytes:
         lines = ["truth," + ",".join(self.col_symbols)]

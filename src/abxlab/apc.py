@@ -670,10 +670,6 @@ def checkpoint_bytes(model: ApcModel) -> bytes:
     return bytes(blob)
 
 
-def save_checkpoint(model: ApcModel, path) -> None:
-    Path(path).write_bytes(checkpoint_bytes(model))
-
-
 def load_checkpoint(path) -> ApcModel:
     path = Path(path)
     raw = read_bytes_file(path, "checkpoint file")

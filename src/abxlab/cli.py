@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .abx import PAIRWISE_HEADER, CellLimits, score_corpus
+from .abx import PAIRWISE_HEADER, CellLimits, means, score_corpus
 from .af_tables import BUILTIN_TABLES, load_af_table
 from .apc import (
     ApcConfig,
@@ -231,18 +231,6 @@ def _read_pairwise_csv(path):
     return rows
 
 
-def _pairwise_from_rows(rows):
-    """Collapse context-level rows to unweighted per-pair means."""
-    groups: dict = {}
-    for x, y, ctx, _, rate in rows:
-        groups.setdefault((x, y), []).append((ctx, rate))
-    pairwise = {}
-    for pair in sorted(groups):
-        rates = [r for _, r in sorted(groups[pair])]
-        pairwise[pair] = sum(rates) / len(rates)
-    return pairwise
-
-
 def cmd_analyze_phoneme(args) -> Outputs:
     from .analysis import phoneme_level_rates
     from .svgplot import bar_chart
@@ -250,7 +238,10 @@ def cmd_analyze_phoneme(args) -> Outputs:
     rows = _read_pairwise_csv(args.pairwise)
     conditions = sorted({cond for _, _, _, cond, _ in rows})
     condition = conditions[0] if len(conditions) == 1 else "mixed"
-    pairwise = _pairwise_from_rows(rows)
+    # context-level rows -> unweighted per-pair means, summed in
+    # (context, rate) order as the report's own fold does
+    rows.sort(key=lambda row: (row[0], row[1], row[2], row[4]))
+    pairwise = means(((x, y), rate) for x, y, _, _, rate in rows)
     report = phoneme_level_rates(pairwise, condition=condition)
 
     doc = {

@@ -277,7 +277,21 @@ def write_feature_archive(archive: FeatureArchive, path, format: str = "binary")
 
 
 # ---------------------------------------------------------------------------
-# item files
+# item files and label tracks
+
+
+def _parse_span(path, line_no: int, onset_s: str, offset_s: str) -> tuple[float, float]:
+    """A row's (onset, offset) in seconds: finite, onset >= 0 and
+    offset > onset, or a RowError naming the line."""
+    try:
+        onset, offset = float(onset_s), float(offset_s)
+    except ValueError:
+        raise RowError(path, line_no, f"non-numeric time {onset_s!r}/{offset_s!r}") from None
+    if not (math.isfinite(onset) and math.isfinite(offset)) or onset < 0:
+        raise RowError(path, line_no, "times must be finite and onset >= 0")
+    if offset <= onset:
+        raise RowError(path, line_no, f"offset {offset} <= onset {onset}")
+    return onset, offset
 
 
 def load_item_file(path) -> list[ItemSegment]:
@@ -292,14 +306,7 @@ def load_item_file(path) -> list[ItemSegment]:
         if len(parts) != 7:
             raise RowError(path, i, f"expected 7 fields, got {len(parts)}")
         utt, onset_s, offset_s, phone, prev, nxt, speaker = parts
-        try:
-            onset, offset = float(onset_s), float(offset_s)
-        except ValueError:
-            raise RowError(path, i, f"non-numeric time {onset_s!r}/{offset_s!r}") from None
-        if not (math.isfinite(onset) and math.isfinite(offset)) or onset < 0:
-            raise RowError(path, i, "times must be finite and onset >= 0")
-        if offset <= onset:
-            raise RowError(path, i, f"offset {offset} <= onset {onset}")
+        onset, offset = _parse_span(path, i, onset_s, offset_s)
         segments.append(ItemSegment(utt, onset, offset, phone, prev, nxt, speaker))
     return segments
 
@@ -313,14 +320,6 @@ def item_file_bytes(segments) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def write_item_file(segments, path) -> None:
-    Path(path).write_bytes(item_file_bytes(segments))
-
-
-# ---------------------------------------------------------------------------
-# frame-label tracks
-
-
 def load_label_track(path) -> list[FrameLabelTrack]:
     per_utt: dict[str, list[tuple[float, float, str]]] = {}
     for i, line in enumerate(read_text_file(path, "label file").splitlines(), start=1):
@@ -330,14 +329,7 @@ def load_label_track(path) -> list[FrameLabelTrack]:
         if len(parts) != 4:
             raise RowError(path, i, f"expected 4 tab-separated fields, got {len(parts)}")
         utt, onset_s, offset_s, label = parts
-        try:
-            onset, offset = float(onset_s), float(offset_s)
-        except ValueError:
-            raise RowError(path, i, f"non-numeric time {onset_s!r}/{offset_s!r}") from None
-        if not (math.isfinite(onset) and math.isfinite(offset)) or onset < 0:
-            raise RowError(path, i, "times must be finite and onset >= 0")
-        if offset <= onset:
-            raise RowError(path, i, f"offset {offset} <= onset {onset}")
+        onset, offset = _parse_span(path, i, onset_s, offset_s)
         per_utt.setdefault(utt, []).append((onset, offset, label))
     tracks = []
     for utt in sorted(per_utt):
@@ -358,7 +350,3 @@ def label_track_bytes(tracks) -> bytes:
         for onset, offset, label in track.spans:
             lines.append(f"{track.utt}\t{onset:.6f}\t{offset:.6f}\t{label}")
     return ("\n".join(lines) + ("\n" if lines else "")).encode()
-
-
-def write_label_track(tracks, path) -> None:
-    Path(path).write_bytes(label_track_bytes(tracks))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
+from .errors import UsageError
 
 
 def sha256_file(path) -> str:
@@ -70,19 +71,32 @@ class RunManifest:
         return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise UsageError(
+            f"cannot create output directory {path}: it or a parent is a file"
+        ) from None
+
+
 def write_outputs(out_dir, files: dict) -> None:
     """Write {relative name: bytes} atomically into out_dir.
 
     Everything goes to .tmp-<pid> names first; renames happen only after
     all writes succeed, so a failing command leaves no partial reports.
+    A directory that cannot be made because a regular file is in its
+    way, or an output name taken by a directory, is a usage error (exit 2).
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     staged = []
     try:
         for name, data in files.items():
             final = out / name
-            final.parent.mkdir(parents=True, exist_ok=True)
+            _make_dir(final.parent)
+            if final.is_dir():
+                raise UsageError(f"cannot write {final}: it is a directory")
             tmp = final.with_name(f"{final.name}.tmp-{os.getpid()}")
             tmp.write_bytes(data)
             staged.append((tmp, final))

@@ -6,10 +6,11 @@ import pytest
 from abxlab.abx import (
     AbxReport,
     CellLimits,
+    TaskCell,
+    _build_cells,
     aggregate,
-    asymmetric_score,
     build_cells,
-    pairwise_score,
+    means,
     score_corpus,
 )
 from abxlab.af_tables import AfTable, load_af_table
@@ -43,14 +44,12 @@ def one_hot_corpus():
 
 
 # ---------------------------------------------------------------------------
-# asymmetric scoring
+# cell scoring
 
 
 def test_eta_zero_on_separable_categories():
     archive, segments = one_hot_corpus()
-    cells = build_cells(segments, "within", "phone")
-    assert len(cells) == 1
-    score = pairwise_score(cells[0], archive)
+    (score,) = score_corpus(archive, segments, "within", "phone").per_cell
     assert score.eta_xy == 0.0
     assert score.eta_yx == 0.0
     assert score.epsilon == 0.0
@@ -89,20 +88,11 @@ def test_eta_counts_strict_win():
         seg("u01", 0.02, "EH", dur=0.01),
         seg("u01", 0.03, "EH", dur=0.01),
     ]
+    (cs,) = score_corpus(archive, segments, "within", "phone").per_cell
     # eta(AE->EH): A,X from {a1,a2}, B from {b1,b2}; all 4 triples correct
-    eta = asymmetric_score(segments[:2], segments[2:], segments[:2], archive)
-    assert eta == 0.0
+    assert cs.eta_xy == 0.0
     # eta(EH->AE): X=b, A=b', B=a; d(b,b')=0 always wins
-    eta = asymmetric_score(segments[2:], segments[:2], segments[2:], archive)
-    assert eta == 0.0
-
-
-def test_asymmetric_score_validation():
-    archive, segments = one_hot_corpus()
-    with pytest.raises(UsageError):
-        asymmetric_score([], segments[:1], segments[:1], archive)
-    with pytest.raises(UsageError):
-        asymmetric_score(segments[:1], segments[1:2], segments[:1], archive)  # within, |Sx|<2
+    assert cs.eta_yx == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +157,41 @@ def test_speaker_pair_cap_is_deterministic():
         limits=CellLimits(max_speaker_pairs_per_context=3, seed=43),
     )
     assert len(different) == len(a)
+
+
+@pytest.mark.parametrize("mode", ["within", "across"])
+@pytest.mark.parametrize("cap", [None, 2])
+def test_cell_groups_are_the_segments_cells_read(mode, cap):
+    # s02 keeps only AE, so its within groups are empty and get dropped
+    corpus = generate_corpus(SynthConfig(
+        phones=("AE", "EH", "IY"), n_speakers=4, dim=4, segments_per_cell=2, seed=3,
+    ))
+    segments = [s for s in corpus.segments if s.speaker != "s02" or s.phone == "AE"]
+    limits = CellLimits(max_speaker_pairs_per_context=cap)
+    groups, _ = _build_cells(segments, mode, "phone", None, limits)
+
+    def group_key(cell):
+        return (cell.context, cell.speaker_ab) if mode == "within" else (cell.context,)
+
+    keys = [group_key(g[0]) for g in groups]
+    assert all(groups) and keys == sorted(set(keys))
+    if mode == "within":
+        assert [k[1] for k in keys] == ["s01", "s03", "s04"] * len(corpus.config.contexts)
+    for g in groups:
+        assert {group_key(c) for c in g} == {group_key(g[0])}
+        assert g == sorted(g, key=TaskCell.key)
+    flat = build_cells(segments, mode, "phone", limits=limits)
+    assert flat == sorted((c for g in groups for c in g), key=TaskCell.key)
+
+
+def test_means_sums_in_row_order_and_sorts_keys():
+    rows = [("b", 0.1), ("a", 0.7), ("b", 0.2), ("b", 0.3)]
+    out = means(rows)
+    assert list(out) == ["a", "b"]
+    assert out["a"] == 0.7
+    assert out["b"] == (0.1 + 0.2 + 0.3) / 3
+    assert means(reversed(rows))["b"] == (0.3 + 0.2 + 0.1) / 3
+    assert means([]) == {}
 
 
 def test_cell_limit_validation():

@@ -26,7 +26,6 @@ from abxlab.apc import (
     init_model,
     load_checkpoint,
     run_gradient_check,
-    save_checkpoint,
     train,
 )
 from abxlab.corpus import (
@@ -40,6 +39,7 @@ from abxlab.corpus import (
 )
 from abxlab.distance import DtwConfig, dtw_dissimilarity
 from abxlab.errors import DataError, FormatError, RowError
+from abxlab.manifest import write_outputs
 from abxlab.synth import SynthConfig, generate_corpus
 from abxlab import cli
 
@@ -319,7 +319,7 @@ def test_criterion_08_confusion_metrics():
         + [(i * frame, (i + 1) * frame, "z") for i in range(75, 100)]
     )
     cm = confusion_matrix(truth, [FrameLabelTrack("u", hyp_spans)], 10000)
-    assert cm.row("a").tolist() == [0.40, 0.35, 0.25]
+    assert cm.values[cm.row_symbols.index("a")].tolist() == [0.40, 0.35, 0.25]
 
     # random many-symbol matrix: all rows sum to 1
     rng = np.random.default_rng(0)
@@ -440,8 +440,8 @@ def test_criterion_12_format_round_trips(tmp_path):
         assert a == b
 
     model = init_model(ApcConfig(input_dim=3, hidden_dim=4, seed=1))
-    save_checkpoint(model, tmp_path / "a.ckpt")
-    save_checkpoint(load_checkpoint(tmp_path / "a.ckpt"), tmp_path / "b.ckpt")
+    write_outputs(tmp_path, {"a.ckpt": checkpoint_bytes(model)})
+    write_outputs(tmp_path, {"b.ckpt": checkpoint_bytes(load_checkpoint(tmp_path / "a.ckpt"))})
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     # documented malformations all surface as data errors, exit code 3

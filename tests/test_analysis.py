@@ -153,9 +153,9 @@ def test_confusion_40_35_25_row():
     hyp = [track("u01", (0.0, 0.40, "A"), (0.40, 0.75, "B"), (0.75, 1.0, "C"))]
     cm = confusion_matrix(truth, hyp, PERIOD)
     assert cm.row_symbols == ["Q"]
-    assert list(cm.row("Q")) == [0.40, 0.35, 0.25]
+    assert list(cm.values[0]) == [0.40, 0.35, 0.25]
     assert cm.frame_counts == [100]
-    assert abs(cm.row("Q").sum() - 1.0) <= 1e-9
+    assert abs(cm.values[0].sum() - 1.0) <= 1e-9
 
 
 def test_pco_top_label_case():
@@ -197,8 +197,8 @@ def test_pco_lower_bound_and_row_sums():
     hyp = [track("u01", *hyp_spans)]
     cm = confusion_matrix(truth, hyp, PERIOD)
     m = len(cm.col_symbols)
-    for sym in cm.row_symbols:
-        assert cm.row(sym).sum() == pytest.approx(1.0, abs=1e-9)
+    for i, sym in enumerate(cm.row_symbols):
+        assert cm.values[i].sum() == pytest.approx(1.0, abs=1e-9)
         assert co_occurrence(cm)[sym][0] >= 1 / m - 1e-12
 
 

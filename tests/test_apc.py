@@ -16,13 +16,13 @@ from abxlab.apc import (
     load_checkpoint,
     paper_preset,
     run_gradient_check,
-    save_checkpoint,
     train,
     _batch_loss_grads,
     _make_batches,
 )
 from abxlab.corpus import FeatureArchive
 from abxlab.errors import DataError, FormatError, TrainingError, UsageError
+from abxlab.manifest import write_outputs
 from oracles import (
     AdamByName,
     SgdByName,
@@ -544,13 +544,13 @@ def test_checkpoint_round_trip(tmp_path):
     archive = toy_archive()
     model, _ = train(ApcConfig(epochs=2, hidden_dim=4, seed=7), archive)
     path = tmp_path / "apc.ckpt"
-    save_checkpoint(model, path)
+    write_outputs(tmp_path, {"apc.ckpt": checkpoint_bytes(model)})
     loaded = load_checkpoint(path)
     assert loaded.config == model.config
     for (na, pa), (nb, pb) in zip(model.param_items(), loaded.param_items()):
         assert na == nb
         assert np.array_equal(pa, pb)
-    save_checkpoint(loaded, tmp_path / "again.ckpt")
+    write_outputs(tmp_path, {"again.ckpt": checkpoint_bytes(loaded)})
     assert path.read_bytes() == (tmp_path / "again.ckpt").read_bytes()
 
 
@@ -580,7 +580,7 @@ def test_checkpoint_payload_is_theta(tmp_path):
     assert raw[8 + cfg_len:] == b"".join(
         p.astype("<f8").tobytes() for _, p in model.param_items()
     )
-    save_checkpoint(model, tmp_path / "m.ckpt")
+    write_outputs(tmp_path, {"m.ckpt": checkpoint_bytes(model)})
     loaded = load_checkpoint(tmp_path / "m.ckpt")
     assert_bits(loaded.theta, model.theta)
     assert np.shares_memory(loaded.W, loaded.theta)
@@ -617,7 +617,7 @@ def test_checkpoint_malformations(tmp_path):
 def test_extracted_features_are_stable_across_reload(tmp_path):
     archive = toy_archive()
     model, _ = train(ApcConfig(epochs=3, hidden_dim=4, seed=11), archive)
-    save_checkpoint(model, tmp_path / "m.ckpt")
+    write_outputs(tmp_path, {"m.ckpt": checkpoint_bytes(model)})
     again = load_checkpoint(tmp_path / "m.ckpt")
     a = extract_features(model, archive)
     b = extract_features(again, archive)

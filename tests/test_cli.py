@@ -7,8 +7,15 @@ import sys
 import pytest
 
 from abxlab import cli
+from abxlab.abx import score_corpus
+from abxlab.af_tables import load_af_table
 from abxlab.apc import load_checkpoint
-from abxlab.corpus import FrameLabelTrack, load_feature_archive, write_label_track
+from abxlab.corpus import (
+    FrameLabelTrack,
+    label_track_bytes,
+    load_feature_archive,
+    load_item_file,
+)
 from abxlab.errors import DataError, InconclusiveGradCheck
 from abxlab.manifest import verify_digests, write_outputs
 
@@ -177,18 +184,56 @@ def test_jobs_env_fallback(corpus_dir, tmp_path, monkeypatch):
 # analyze
 
 
-def test_analyze_phoneme_matches_report(eval_dir, tmp_path):
+@pytest.fixture(scope="module")
+def vowel_dir(tmp_path_factory):
+    """Six vowels over three english-height attributes, three speakers and
+    four contexts, so every mean sums at least three rates."""
+    out = tmp_path_factory.mktemp("vowels")
     rc = cli.main([
-        "analyze", "phoneme", "--pairwise", str(eval_dir / "pairwise.csv"),
+        "synth", "--phones", "AE,EH,IY,UW,AA,AO", "--dim", "6", "--speakers", "3",
+        "--segments-per-cell", "2", "--frames", "3:5", "--noise-scale", "0.7",
+        "--speaker-offset-scale", "0.3", "--contexts", "S:T,K:N,B:D,G:P",
+        "--seed", "5", "--out", str(out),
+    ])
+    assert rc == 0
+    return out
+
+
+@pytest.mark.parametrize("mode", ["within", "across"])
+@pytest.mark.parametrize("task", ["phone", "af"])
+def test_analyze_phoneme_matches_report(vowel_dir, tmp_path, mode, task):
+    table = "english-height" if task == "af" else None
+    rc = cli.main([
+        "eval", "--features", str(vowel_dir / "features"),
+        "--items", str(vowel_dir / "items.item"), "--mode", mode, "--task", task,
+        *(["--af-table", table] if table else []), "--jobs", "1",
+        "--out", str(tmp_path / "eval"),
+    ])
+    assert rc == 0
+    rc = cli.main([
+        "analyze", "phoneme", "--pairwise", str(tmp_path / "eval" / "pairwise.csv"),
         "--out", str(tmp_path / "ph"),
     ])
     assert rc == 0
     phoneme = json.loads((tmp_path / "ph" / "phoneme.json").read_text())
-    report = json.loads((eval_dir / "report.json").read_text())
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())
     assert phoneme["xi"] == report["categories"]
     assert (tmp_path / "ph" / "bars.svg").read_text().startswith("<svg")
     csv_lines = (tmp_path / "ph" / "phoneme.csv").read_text().splitlines()
     assert csv_lines[0] == "category,rate,n_pairs,tag"
+
+    # the full-precision rates are the library's own category rates, bit for bit
+    library = score_corpus(
+        load_feature_archive(vowel_dir / "features"),
+        load_item_file(vowel_dir / "items.item"), mode, task,
+        af_table=load_af_table(table) if table else None,
+    ).category_rates()
+    rates = {}
+    for line in csv_lines[1:]:
+        category, rate, _, _ = line.split(",")
+        rates[category] = float(rate)
+    assert len(library) == (3 if table else 6)
+    assert rates == library
 
 
 def test_analyze_phoneme_bad_csv_exits_3(tmp_path):
@@ -204,8 +249,7 @@ def test_analyze_confusion_identity(tmp_path):
         FrameLabelTrack("u1", [(0.0, 0.05, "a"), (0.05, 0.10, "b")]),
         FrameLabelTrack("u2", [(0.0, 0.10, "b")]),
     ]
-    write_label_track(tracks, tmp_path / "truth.tsv")
-    write_label_track(tracks, tmp_path / "hyp.tsv")
+    write_outputs(tmp_path, {name: label_track_bytes(tracks) for name in ("truth.tsv", "hyp.tsv")})
     rc = cli.main([
         "analyze", "confusion", "--truth", str(tmp_path / "truth.tsv"),
         "--hyp", str(tmp_path / "hyp.tsv"), "--frame-period", "10000",
@@ -589,6 +633,33 @@ def test_runner_failure_writes_nothing(name, corpus_dir, eval_dir, apc_dir, tmp_
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == 3
     assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+@pytest.mark.parametrize("name", ["eval", "synth"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_through_a_regular_file_exits_2(name, below, corpus_dir, eval_dir, apc_dir,
+                                            tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_bytes(b"keep me\n")
+    out = blocker / "x" if below else blocker
+    argv = _runner_argv(name, corpus_dir, eval_dir, apc_dir, tmp_path)
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("abxlab: error: ") and str(out) in err
+    assert "Traceback" not in err
+    assert blocker.read_bytes() == b"keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("F")) == ["F"]
+
+
+def test_output_name_taken_by_a_directory_exits_2(corpus_dir, eval_dir, apc_dir,
+                                                  tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "pairwise.csv").mkdir(parents=True)
+    argv = _runner_argv("eval", corpus_dir, eval_dir, apc_dir, tmp_path)
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"abxlab: error: cannot write {out / 'pairwise.csv'}: it is a directory\n"
+    assert [p.name for p in out.iterdir()] == ["pairwise.csv"]
 
 
 def test_write_outputs_is_atomic(tmp_path):

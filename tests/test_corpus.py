@@ -11,14 +11,14 @@ from abxlab.corpus import (
     ItemSegment,
     ITEM_HEADER,
     feature_archive_files,
+    item_file_bytes,
+    label_track_bytes,
     load_feature_archive,
     load_item_file,
     load_label_track,
     segment_frames,
     time_to_frame,
     write_feature_archive,
-    write_item_file,
-    write_label_track,
 )
 from abxlab.errors import (
     ConsistencyError,
@@ -29,6 +29,7 @@ from abxlab.errors import (
     UnmappedPhoneError,
     UsageError,
 )
+from abxlab.manifest import write_outputs
 from oracles import ftxt_rows_per_value
 
 
@@ -232,7 +233,7 @@ def test_item_file_round_trip(tmp_path):
         ItemSegment("u02", 0.0, 0.123456, "IY", "K", "N", "s02"),
     ]
     path = tmp_path / "x.item"
-    write_item_file(segments, path)
+    write_outputs(tmp_path, {"x.item": item_file_bytes(segments)})
     assert path.read_text().splitlines()[0] == ITEM_HEADER
     assert load_item_file(path) == segments
 
@@ -278,7 +279,7 @@ def test_label_track_round_trip(tmp_path):
         FrameLabelTrack("u02", ((0.0, 0.05, "K"),)),
     ]
     path = tmp_path / "x.tsv"
-    write_label_track(tracks, path)
+    write_outputs(tmp_path, {"x.tsv": label_track_bytes(tracks)})
     assert load_label_track(path) == tracks
 
 
