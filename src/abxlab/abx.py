@@ -52,6 +52,8 @@ class CellLimits:
         cap = self.max_speaker_pairs_per_context
         if cap is not None and cap < 1:
             raise UsageError(f"max_speaker_pairs_per_context must be >= 1, got {cap}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -284,8 +286,9 @@ def _distance_block(segments, triples, archive, cfg) -> np.ndarray:
     return block
 
 
-def _eta(block, a, b, x, within: bool) -> float:
-    """Error rate of A, X drawn from ``a`` and ``x`` against B from ``b``.
+def _eta(block, a, b, x, within: bool) -> tuple[float, int]:
+    """Error rate of A, X drawn from ``a`` and ``x`` against B from ``b``,
+    and the number of comparisons it is taken over.
 
     A strict d(A,X) > d(B,X) counts 1, an exact 64-bit tie counts 1/2;
     within mode (``x`` is ``a``) skips the A at X's own position.  The
@@ -302,14 +305,8 @@ def _eta(block, a, b, x, within: bool) -> float:
         total = len(a) * (len(a) - 1) * len(b)
     else:
         total = len(a) * len(b) * len(x)
-    return (2 * int(np.count_nonzero(gt)) + int(np.count_nonzero(eq))) / (2 * total)
-
-
-def _cell_comparisons(cell: TaskCell) -> int:
-    nx, ny = len(cell.set_x_ab), len(cell.set_y_ab)
-    if cell.within:
-        return nx * (nx - 1) * ny + ny * (ny - 1) * nx
-    return nx * ny * len(cell.set_x_x) + ny * nx * len(cell.set_y_x)
+    errors = 2 * int(np.count_nonzero(gt)) + int(np.count_nonzero(eq))
+    return errors / (2 * total), total
 
 
 def _score_group(cells, archive: FeatureArchive, cfg: DtwConfig) -> list[CellScore]:
@@ -325,12 +322,12 @@ def _score_group(cells, archive: FeatureArchive, cfg: DtwConfig) -> list[CellSco
     block = _distance_block(segments, xy + yx, archive, cfg)
     scores = []
     for cell, triple_xy, triple_yx in zip(cells, xy, yx):
-        eta_xy = _eta(block, *triple_xy, cell.within)
-        eta_yx = _eta(block, *triple_yx, cell.within)
+        eta_xy, total_xy = _eta(block, *triple_xy, cell.within)
+        eta_yx, total_yx = _eta(block, *triple_yx, cell.within)
         scores.append(CellScore(
             cell.kind, cell.category_x, cell.category_y, cell.context,
             cell.speaker_ab, cell.speaker_x,
-            eta_xy, eta_yx, (eta_xy + eta_yx) / 2.0, _cell_comparisons(cell),
+            eta_xy, eta_yx, (eta_xy + eta_yx) / 2.0, total_xy + total_yx,
         ))
     return scores
 

@@ -30,6 +30,7 @@ from .errors import (
     TrainingError,
     UsageError,
 )
+from .manifest import JsonConfig
 
 CKPT_MAGIC = b"APC1"
 
@@ -38,7 +39,7 @@ OPTIMIZERS = ("adam", "sgd")
 
 
 @dataclass(frozen=True)
-class ApcConfig:
+class ApcConfig(JsonConfig):
     n: int = 1
     L: int = 2
     hidden_dim: int = 16
@@ -69,22 +70,8 @@ class ApcConfig:
             )
         if self.epochs < 1 or self.batch_size < 1:
             raise UsageError("epochs and batch_size must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "L": self.L, "hidden_dim": self.hidden_dim,
-            "input_dim": self.input_dim, "cell_kind": self.cell_kind,
-            "learning_rate": self.learning_rate, "epochs": self.epochs,
-            "batch_size": self.batch_size, "seed": self.seed,
-            "optimizer": self.optimizer,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ApcConfig":
-        unknown = set(doc) - set(cls().to_dict())
-        if unknown:
-            raise UsageError(f"unknown apc config keys: {sorted(unknown)}")
-        return cls(**doc)
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
 
 
 def paper_preset(input_dim: int) -> ApcConfig:
@@ -92,6 +79,21 @@ def paper_preset(input_dim: int) -> ApcConfig:
     return ApcConfig(n=5, L=5, hidden_dim=100, input_dim=input_dim,
                      cell_kind="lstm", learning_rate=1e-4, epochs=100,
                      batch_size=32, optimizer="adam")
+
+
+def _param_shapes(config: ApcConfig) -> dict:
+    """{name: shape} of every parameter, in checkpoint order."""
+    if config.input_dim is None:
+        raise UsageError("model config must carry a concrete input_dim")
+    H = config.hidden_dim
+    G = (4 if config.cell_kind == "lstm" else 1) * H
+    shapes = {}
+    for i in range(1, config.L + 1):
+        in_dim = config.input_dim if i == 1 else H
+        shapes.update({f"layer{i}.Wx": (in_dim, G), f"layer{i}.Wh": (H, G),
+                       f"layer{i}.b": (G,)})
+    shapes["W"] = (H, config.input_dim)
+    return shapes
 
 
 class ApcModel:
@@ -103,17 +105,8 @@ class ApcModel:
     """
 
     def __init__(self, config: ApcConfig, theta: np.ndarray | None = None):
-        if config.input_dim is None:
-            raise UsageError("model config must carry a concrete input_dim")
         self.config = config
-        H = config.hidden_dim
-        G = (4 if config.cell_kind == "lstm" else 1) * H
-        shapes = {}
-        for i in range(1, config.L + 1):
-            in_dim = config.input_dim if i == 1 else H
-            shapes.update({f"layer{i}.Wx": (in_dim, G), f"layer{i}.Wh": (H, G),
-                           f"layer{i}.b": (G,)})
-        shapes["W"] = (H, config.input_dim)
+        shapes = _param_shapes(config)
         sizes = {name: math.prod(shape) for name, shape in shapes.items()}
         self.theta = np.zeros(sum(sizes.values())) if theta is None else theta
         self._params = {}
@@ -640,11 +633,10 @@ def run_gradient_check(cfg: ApcConfig | None = None, seed: int = 0,
     wide margin below 1e-4.
     """
     if cfg is None:
-        cfg = ApcConfig(n=1, L=2, hidden_dim=3, input_dim=2, seed=seed)
-    elif cfg.input_dim is None:
-        cfg = replace(cfg, input_dim=2)
+        cfg = ApcConfig(n=1, L=2, hidden_dim=3, input_dim=2)
+    cfg = replace(cfg, input_dim=cfg.input_dim or 2, seed=seed)
+    model = init_model(cfg)
     rng = np.random.default_rng(seed)
-    model = init_model(replace(cfg, seed=seed))
     for attempt in range(max_resamples + 1):
         x = rng.standard_normal((T, cfg.input_dim))
         xhat, _ = forward(model, x)
@@ -678,16 +670,19 @@ def load_checkpoint(path) -> ApcModel:
     (cfg_len,) = struct.unpack_from("<I", raw, 4)
     if len(raw) < 8 + cfg_len:
         raise FormatError(f"{path}: truncated config block")
+    payload = raw[8 + cfg_len:]
     try:
         cfg = ApcConfig.from_dict(json.loads(raw[8:8 + cfg_len].decode()))
-    except (ValueError, TypeError) as e:
+        # every layer holds parameters: this bounds the layer count by the file
+        if cfg.L > len(payload) // 8:
+            raise FormatError(f"{path}: {cfg.L} layers do not fit {len(payload)} "
+                              "payload bytes")
+        n_params = sum(map(math.prod, _param_shapes(cfg).values()))
+    except (UsageError, ValueError) as e:
         raise FormatError(f"{path}: bad config block: {e}") from None
-    model = ApcModel(cfg)
-    payload = raw[8 + cfg_len:]
-    if len(payload) != 8 * model.n_params():
+    if len(payload) != 8 * n_params:
         raise FormatError(
             f"{path}: parameter payload has {len(payload)} bytes, "
-            f"config implies {8 * model.n_params()}"
+            f"config implies {8 * n_params}"
         )
-    model.theta[...] = np.frombuffer(payload, dtype="<f8")
-    return model
+    return ApcModel(cfg, np.frombuffer(payload, dtype="<f8").astype(np.float64))

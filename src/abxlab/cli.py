@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -91,25 +92,18 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _merge_config(file_doc: dict, flags: dict) -> dict:
-    """File values first, then non-None command line flags on top."""
-    merged = dict(file_doc)
-    for key, value in flags.items():
+def _config_doc(cls, args) -> dict:
+    """The --config document with the given flags on top; a flag's
+    destination is the name of the ``cls`` field it sets."""
+    doc = _load_config_file(args.config) if args.config else {}
+    for f in fields(cls):
+        value = getattr(args, f.name, None)
         if value is not None:
-            merged[key] = value
-    return merged
+            doc[f.name] = value
+    return doc
 
 
 def _resolve_jobs(value) -> int:
-    if value is None:
-        env = os.environ.get("ABXLAB_JOBS")
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise UsageError(
-                    f"ABXLAB_JOBS must be an integer, got {env!r}"
-                ) from None
     if value is None:
         # the CPUs this process may run on, which can be fewer than the machine's
         if hasattr(os, "sched_getaffinity"):
@@ -457,7 +451,7 @@ def cmd_analyze_correlate(args) -> Outputs:
 def _parse_phones(text: str):
     phones = tuple(p.strip() for p in text.split(",") if p.strip())
     if not phones:
-        raise UsageError(f"--phones got no phone labels: {text!r}")
+        raise argparse.ArgumentTypeError(f"no phone labels in {text!r}")
     return phones
 
 
@@ -469,47 +463,33 @@ def _parse_contexts(text: str):
             continue
         parts = chunk.split(":")
         if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise UsageError(
-                f"--contexts entries must look like PREV:NEXT, got {chunk!r}"
+            raise argparse.ArgumentTypeError(
+                f"entries must look like PREV:NEXT, got {chunk!r}"
             )
         contexts.append((parts[0], parts[1]))
     if not contexts:
-        raise UsageError(f"--contexts got no contexts: {text!r}")
+        raise argparse.ArgumentTypeError(f"no contexts in {text!r}")
     return tuple(contexts)
 
 
 def _parse_frames(text: str):
     parts = text.split(":")
     if len(parts) != 2:
-        raise UsageError(f"--frames must look like MIN:MAX, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must look like MIN:MAX, got {text!r}")
     try:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
-        raise UsageError(f"--frames must be integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"must be integers, got {text!r}") from None
     return (lo, hi)
 
 
 def cmd_synth(args) -> Outputs:
     from .synth import SynthConfig, corpus_files, generate_corpus
 
-    file_doc = _load_config_file(args.config) if args.config else {}
-    flags = {
-        "phones": _parse_phones(args.phones) if args.phones else None,
-        "dim": args.dim,
-        "n_speakers": args.speakers,
-        "speaker_offset_scale": args.speaker_offset_scale,
-        "noise_scale": args.noise_scale,
-        "mean_scale": args.mean_scale,
-        "segments_per_cell": args.segments_per_cell,
-        "frames_per_segment": _parse_frames(args.frames) if args.frames else None,
-        "contexts": _parse_contexts(args.contexts) if args.contexts else None,
-        "frame_period": args.frame_period,
-        "seed": args.seed,
-    }
-    merged = _merge_config(file_doc, flags)
-    if "seed" not in merged:
+    doc = _config_doc(SynthConfig, args)
+    if "seed" not in doc:
         raise UsageError("synth requires a seed (--seed or config file)")
-    cfg = SynthConfig.from_dict(merged)
+    cfg = SynthConfig.from_dict(doc)
 
     corpus = generate_corpus(cfg)
     return Outputs(
@@ -526,30 +506,8 @@ def cmd_synth(args) -> Outputs:
 # apc
 
 
-_APC_FLAG_KEYS = (
-    "n",
-    "L",
-    "hidden_dim",
-    "cell_kind",
-    "learning_rate",
-    "epochs",
-    "batch_size",
-    "seed",
-    "optimizer",
-)
-
-
-def _apc_config(doc: dict) -> ApcConfig:
-    try:
-        return ApcConfig.from_dict(doc)
-    except (TypeError, ValueError) as e:
-        raise UsageError(f"bad APC config: {e}") from None
-
-
 def cmd_apc_train(args) -> Outputs:
-    file_doc = _load_config_file(args.config) if args.config else {}
-    flags = {key: getattr(args, key) for key in _APC_FLAG_KEYS}
-    cfg = _apc_config(_merge_config(file_doc, flags))
+    cfg = ApcConfig.from_dict(_config_doc(ApcConfig, args))
     archive = load_feature_archive(args.features)
     model, losses = train(cfg, archive)
 
@@ -589,7 +547,7 @@ def cmd_apc_extract(args) -> Outputs:
 
 
 def cmd_apc_gradcheck(args) -> int:
-    cfg = _apc_config(_load_config_file(args.config)) if args.config else None
+    cfg = ApcConfig.from_dict(_load_config_file(args.config)) if args.config else None
     err, resamples = run_gradient_check(
         cfg, seed=args.seed, epsilon=args.epsilon
     )
@@ -668,15 +626,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sy = sub.add_parser("synth", help="generate a synthetic corpus")
     p_sy.add_argument("--config", default=None, help="JSON config file")
-    p_sy.add_argument("--phones", default=None, help="comma-separated phone labels")
+    # flag destinations are SynthConfig field names
+    p_sy.add_argument("--phones", type=_parse_phones, default=None,
+                      help="comma-separated phone labels")
     p_sy.add_argument("--dim", type=int, default=None)
-    p_sy.add_argument("--speakers", type=int, default=None)
+    p_sy.add_argument("--speakers", dest="n_speakers", type=int, default=None)
     p_sy.add_argument("--speaker-offset-scale", type=float, default=None)
     p_sy.add_argument("--noise-scale", type=float, default=None)
     p_sy.add_argument("--mean-scale", type=float, default=None)
     p_sy.add_argument("--segments-per-cell", type=int, default=None)
-    p_sy.add_argument("--frames", default=None, help="frames per segment, MIN:MAX")
-    p_sy.add_argument("--contexts", default=None,
+    p_sy.add_argument("--frames", dest="frames_per_segment", type=_parse_frames,
+                      default=None, help="frames per segment, MIN:MAX")
+    p_sy.add_argument("--contexts", type=_parse_contexts, default=None,
                       help="comma-separated PREV:NEXT context pairs")
     p_sy.add_argument("--frame-period", type=int, default=None)
     p_sy.add_argument("--seed", type=int, default=None)
@@ -686,6 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_apc = sub.add_parser("apc", help="autoregressive predictive coding model")
     apc_sub = p_apc.add_subparsers(dest="apc_command", required=True)
 
+    # flag destinations are ApcConfig field names; the archive sets input_dim
     p_tr = apc_sub.add_parser("train", help="train an APC model")
     p_tr.add_argument("--features", required=True)
     p_tr.add_argument("--config", default=None, help="JSON config file")

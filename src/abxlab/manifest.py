@@ -12,11 +12,71 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from . import __version__
 from .errors import UsageError
+
+
+def _from_json(value, hint):
+    """``value`` checked against ``hint``, arrays as tuples; TypeError if it
+    does not conform.  Values are never coerced: 8.0 is not an int."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # X | None
+        return None if value is None else _from_json(value, args[0])
+    if origin is tuple and isinstance(value, (list, tuple)):
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if len(value) == len(args):
+            return tuple(map(_from_json, value, args))
+    elif origin is dict and isinstance(value, dict):
+        return {_from_json(k, args[0]): _from_json(v, args[1]) for k, v in value.items()}
+    elif origin is None and not isinstance(value, bool) and isinstance(
+        value, (int, float) if hint is float else hint
+    ):
+        return value
+    raise TypeError
+
+
+class JsonConfig:
+    """JSON form of a frozen config dataclass, read from its fields.
+
+    ``from_dict`` is where a config document from outside the program (a
+    ``--config`` file merged with flags, a checkpoint's config block) is
+    checked: keys must be field names, and each value must match its
+    field's annotation (``int`` is a JSON integer, ``float`` any JSON
+    number, tuples are arrays) before ``__post_init__`` checks ranges.
+    Every failure is a UsageError.
+    """
+
+    def to_dict(self) -> dict:
+        """{field: value}; json.dumps writes its tuples as arrays."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, doc):
+        name = cls.__name__
+        if not isinstance(doc, dict):
+            raise UsageError(f"{name} must be a JSON object, got {type(doc).__name__}")
+        hints = get_type_hints(cls)
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise UsageError(f"unknown {name} keys: {sorted(unknown)}")
+        kw = {}
+        for key, value in doc.items():
+            hint = hints[key]
+            try:
+                kw[key] = _from_json(value, hint)
+            except TypeError:
+                want = hint if get_args(hint) else hint.__name__
+                raise UsageError(f"{name}.{key} must be {want}, got {value!r}") from None
+        try:
+            return cls(**kw)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise UsageError(f"bad {name} config: {e}") from None
 
 
 def sha256_file(path) -> str:

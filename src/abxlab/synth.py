@@ -15,6 +15,7 @@ lengths aligned across a noise sweep at constant seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,23 +30,23 @@ from .corpus import (
     label_track_bytes,
 )
 from .errors import UsageError
-from .manifest import write_outputs
+from .manifest import JsonConfig, write_outputs
 
 
 @dataclass(frozen=True)
-class SynthConfig:
-    phones: tuple = ("AE", "EH", "IY")
+class SynthConfig(JsonConfig):
+    phones: tuple[str, ...] = ("AE", "EH", "IY")
     dim: int = 8
     n_speakers: int = 2
     speaker_offset_scale: float = 0.0
     noise_scale: float = 0.0
     segments_per_cell: int = 3
-    frames_per_segment: tuple = (4, 8)
-    contexts: tuple = (("S", "T"), ("K", "N"))
+    frames_per_segment: tuple[int, int] = (4, 8)
+    contexts: tuple[tuple[str, str], ...] = (("S", "T"), ("K", "N"))
     frame_period: int = 10000
     seed: int = 0
     mean_scale: float = 1.0
-    means: dict | None = None
+    means: dict[str, tuple[float, ...]] | None = None
 
     def __post_init__(self):
         if len(self.phones) < 1:
@@ -61,8 +62,11 @@ class SynthConfig:
                 f"one-hot means need dim >= n_phones, got dim={self.dim} "
                 f"for {len(self.phones)} phones"
             )
-        if self.speaker_offset_scale < 0 or self.noise_scale < 0:
-            raise UsageError("scales must be >= 0")
+        for scale in (self.speaker_offset_scale, self.noise_scale):
+            if not (math.isfinite(scale) and scale >= 0):
+                raise UsageError(f"scales must be finite and >= 0, got {scale!r}")
+        if not math.isfinite(self.mean_scale):
+            raise UsageError(f"mean_scale must be finite, got {self.mean_scale!r}")
         if self.segments_per_cell < 1:
             raise UsageError("segments_per_cell must be >= 1")
         lo, hi = self.frames_per_segment
@@ -72,49 +76,22 @@ class SynthConfig:
             raise UsageError("need at least 1 context")
         if self.frame_period < 1:
             raise UsageError("frame_period must be >= 1 microsecond")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.means is not None:
             for p in self.phones:
                 if p not in self.means:
                     raise UsageError(f"no mean vector for phone {p}")
                 if len(self.means[p]) != self.dim:
                     raise UsageError(f"mean vector for {p} has wrong dimension")
+                if not all(map(math.isfinite, self.means[p])):
+                    raise UsageError(f"mean vector for {p} is not finite")
 
     def to_dict(self) -> dict:
-        return {
-            "phones": list(self.phones),
-            "dim": self.dim,
-            "n_speakers": self.n_speakers,
-            "speaker_offset_scale": self.speaker_offset_scale,
-            "noise_scale": self.noise_scale,
-            "segments_per_cell": self.segments_per_cell,
-            "frames_per_segment": list(self.frames_per_segment),
-            "contexts": [list(c) for c in self.contexts],
-            "frame_period": self.frame_period,
-            "seed": self.seed,
-            "mean_scale": self.mean_scale,
-            "means": {p: list(map(float, v)) for p, v in self.means.items()}
-            if self.means
-            else None,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SynthConfig":
-        known = {
-            "phones", "dim", "n_speakers", "speaker_offset_scale", "noise_scale",
-            "segments_per_cell", "frames_per_segment", "contexts", "frame_period",
-            "seed", "mean_scale", "means",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise UsageError(f"unknown synth config keys: {sorted(unknown)}")
-        kw = dict(doc)
-        if "phones" in kw:
-            kw["phones"] = tuple(kw["phones"])
-        if "frames_per_segment" in kw:
-            kw["frames_per_segment"] = tuple(kw["frames_per_segment"])
-        if "contexts" in kw:
-            kw["contexts"] = tuple(tuple(c) for c in kw["contexts"])
-        return cls(**kw)
+        doc = super().to_dict()
+        if self.means is not None:  # written as floats whatever numbers they came as
+            doc["means"] = {p: list(map(float, v)) for p, v in self.means.items()}
+        return doc
 
 
 @dataclass

@@ -197,6 +197,8 @@ def test_means_sums_in_row_order_and_sorts_keys():
 def test_cell_limit_validation():
     with pytest.raises(UsageError):
         CellLimits(max_speaker_pairs_per_context=0)
+    with pytest.raises(UsageError):
+        CellLimits(seed=-1)
 
 
 def test_mode_and_kind_validation():

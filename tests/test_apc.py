@@ -71,6 +71,8 @@ def test_config_validation():
         with pytest.raises(UsageError):
             ApcConfig(learning_rate=lr)
     with pytest.raises(UsageError):
+        ApcConfig(seed=-1)
+    with pytest.raises(UsageError):
         ApcConfig.from_dict({"layers": 3})
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -161,21 +162,8 @@ def test_eval_af_task(corpus_dir, tmp_path, monkeypatch):
     assert report["metadata"]["task"] == "af"
 
 
-def test_jobs_env_fallback(corpus_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("ABXLAB_JOBS", "2")
-    assert cli._resolve_jobs(None) == 2
-    assert cli._resolve_jobs(1) == 1  # flag wins
-    monkeypatch.setenv("ABXLAB_JOBS", "zero")
-    with pytest.raises(Exception):
-        cli._resolve_jobs(None)
-    monkeypatch.setenv("ABXLAB_JOBS", "2")
-    rc = cli.main([
-        "eval", "--features", str(corpus_dir / "features"),
-        "--items", str(corpus_dir / "items.item"),
-        "--mode", "within", "--out", str(tmp_path / "out"),
-    ])
-    assert rc == 0
-    monkeypatch.delenv("ABXLAB_JOBS")
+def test_jobs_env_fallback(monkeypatch):
+    assert cli._resolve_jobs(1) == 1  # the flag
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert cli._resolve_jobs(None) == 1  # the CPUs this process may use
 
@@ -571,6 +559,72 @@ def test_apc_train_bad_learning_rate_exits_2(corpus_dir, tmp_path, capsys, lr):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert "learning_rate must be finite and > 0" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "o").exists()
+
+
+_BAD_INPUTS = {
+    # name: (argv without --config and --out, config document or None)
+    "synth seed -1": (["synth", "--seed", "-1"], None),
+    "synth noise nan": (["synth", "--seed", "1", "--noise-scale", "nan"], None),
+    "synth noise inf": (["synth", "--seed", "1", "--noise-scale", "inf"], None),
+    "synth speaker offset nan": (["synth", "--seed", "1", "--speaker-offset-scale", "nan"],
+                                 None),
+    "synth mean scale inf": (["synth", "--seed", "1", "--mean-scale", "inf"], None),
+    "synth config dim": (["synth"], {"seed": 1, "dim": "x"}),
+    "synth config frames": (["synth"], {"seed": 1, "frames_per_segment": 5}),
+    "synth config contexts": (["synth"], {"seed": 1, "contexts": [["S"]]}),
+    "synth config seed": (["synth"], {"seed": "abc"}),
+    "synth config phones": (["synth"], {"seed": 1, "phones": "AE"}),
+    "synth config means nan": (["synth"], {"seed": 1, "phones": ["a"], "dim": 1,
+                                           "means": {"a": [math.nan]}}),
+    "eval within seed -1": (["eval", "--mode", "within", "--seed", "-1"], None),
+    "eval across seed -1": (["eval", "--mode", "across", "--seed", "-1"], None),
+    "apc train seed -1": (["apc", "train", "--seed", "-1"], None),
+    "apc train config n": (["apc", "train"], {"n": 1.5}),
+    "apc train config hidden_dim": (["apc", "train"], {"hidden_dim": 2.5}),
+    "apc train config seed": (["apc", "train"], {"seed": "x"}),
+    "apc train config batch_size": (["apc", "train"], {"batch_size": 1.5}),
+    "apc gradcheck seed -1": (["apc", "gradcheck", "--seed", "-1"], None),
+    "apc gradcheck config seed -1": (["apc", "gradcheck", "--seed", "-1"], {"n": 1}),
+    "apc gradcheck config input_dim": (["apc", "gradcheck"], {"input_dim": 2.5}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_INPUTS))
+def test_bad_config_or_range_exits_2(name, corpus_dir, tmp_path, capsys):
+    argv, doc = _BAD_INPUTS[name]
+    if argv[0] == "eval":
+        argv = argv + ["--items", str(corpus_dir / "items.item")]
+    if argv[0] == "eval" or argv[:2] == ["apc", "train"]:
+        argv = argv + ["--features", str(corpus_dir / "features")]
+    if doc is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    if argv[:2] != ["apc", "gradcheck"]:
+        argv = argv + ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "abxlab: error:" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_apc_extract_bad_checkpoint_config_exits_3(corpus_dir, apc_dir, tmp_path, capsys):
+    raw = (apc_dir / "apc.ckpt").read_bytes()
+    cfg_len = int.from_bytes(raw[4:8], "little")
+    doc = json.loads(raw[8:8 + cfg_len])
+    doc["hidden_dim"] = float(doc["hidden_dim"])
+    block = json.dumps(doc, sort_keys=True).encode()
+    write_outputs(tmp_path, {"bad.ckpt": raw[:4] + len(block).to_bytes(4, "little")
+                             + block + raw[8 + cfg_len:]})
+    rc = cli.main([
+        "apc", "extract", "--model", str(tmp_path / "bad.ckpt"),
+        "--features", str(corpus_dir / "features"), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "bad config block" in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "o").exists()
 

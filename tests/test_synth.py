@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -35,8 +36,15 @@ def test_config_validation():
         SynthConfig(phones=("AE", "AE"))
     with pytest.raises(UsageError):
         SynthConfig(dim=2, phones=("A", "B", "C"))  # one-hot needs dim >= phones
+    for bad in (-0.1, math.nan, math.inf):
+        for key in ("noise_scale", "speaker_offset_scale"):
+            with pytest.raises(UsageError):
+                SynthConfig(**{key: bad})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(UsageError):
+            SynthConfig(mean_scale=bad)
     with pytest.raises(UsageError):
-        SynthConfig(noise_scale=-0.1)
+        SynthConfig(seed=-1)
     with pytest.raises(UsageError):
         SynthConfig(frames_per_segment=(5, 3))
     with pytest.raises(UsageError):
@@ -49,6 +57,8 @@ def test_config_validation():
         SynthConfig(means={"AE": [1.0, 0.0]}, dim=2, phones=("AE", "EH"))
     with pytest.raises(UsageError):
         SynthConfig(means={"AE": [1.0], "EH": [0.0]}, dim=2, phones=("AE", "EH"))
+    with pytest.raises(UsageError):
+        SynthConfig(means={"AE": [math.nan]}, dim=1, phones=("AE",))
 
 
 def test_explicit_means_allow_low_dim():
