@@ -21,6 +21,14 @@ error, 3 malformed or inconsistent data, 4 empty task (no scorable cells),
 that use them, so ``eval`` and ``apc`` do not pay for them at start-up.
 ``apc`` stays a module-level import: the benchmark tracer and the tests
 patch its names on this module.
+
+The command runs OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is
+set.  APC is the only BLAS user, and its products are too small for a
+second thread to pay: the idle worker spins through APC's single-threaded
+step loops, and the thread count changes checkpoint bits.  The default is
+set before numpy loads, so it holds for ``python -m abxlab.cli`` and the
+console script; a library caller that imported numpy first keeps its own
+process's thread count.
 """
 
 from __future__ import annotations
@@ -34,6 +42,8 @@ import time
 from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads: see above
 
 from . import __version__
 from .abx import PAIRWISE_HEADER, CellLimits, means, score_corpus

@@ -33,6 +33,9 @@ from .errors import UsageError
 from .manifest import JsonConfig, write_outputs
 
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 @dataclass(frozen=True)
 class SynthConfig(JsonConfig):
     phones: tuple[str, ...] = ("AE", "EH", "IY")
@@ -114,6 +117,7 @@ def _phone_means(cfg: SynthConfig) -> dict:
     return means
 
 
+@np.errstate(over="ignore", invalid="ignore")  # caught below, before the cast
 def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
     """One utterance per speaker, segments packed back to back."""
     rng = np.random.default_rng(cfg.seed)
@@ -150,7 +154,14 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
                     )
                     spans.append((onset, offset, phone))
                     cursor += t
-        utterances[utt] = np.concatenate(chunks).astype(np.float32)
+        frames = np.concatenate(chunks)
+        if not np.all(np.abs(frames) <= _FLOAT32_MAX):  # also false for inf and nan
+            raise UsageError(
+                f"{utt}: frames leave the float32 range; lower the scales "
+                f"(mean_scale={cfg.mean_scale!r}, noise_scale={cfg.noise_scale!r}, "
+                f"speaker_offset_scale={cfg.speaker_offset_scale!r})"
+            )
+        utterances[utt] = frames.astype(np.float32)
         tracks.append(FrameLabelTrack(utt, tuple(spans)))
     archive = FeatureArchive(utterances, cfg.frame_period)
     return SynthCorpus(archive, segments, tracks, cfg)

@@ -571,6 +571,9 @@ _BAD_INPUTS = {
     "synth speaker offset nan": (["synth", "--seed", "1", "--speaker-offset-scale", "nan"],
                                  None),
     "synth mean scale inf": (["synth", "--seed", "1", "--mean-scale", "inf"], None),
+    "synth noise past float32": (["synth", "--seed", "1", "--noise-scale", "1e300"], None),
+    "synth mean scale past float32": (["synth", "--seed", "1", "--mean-scale", "1e39"],
+                                      None),
     "synth config dim": (["synth"], {"seed": 1, "dim": "x"}),
     "synth config frames": (["synth"], {"seed": 1, "frames_per_segment": 5}),
     "synth config contexts": (["synth"], {"seed": 1, "contexts": [["S"]]}),
@@ -724,22 +727,74 @@ def test_write_outputs_is_atomic(tmp_path):
     assert not any(p.name.startswith("a.txt.tmp") for p in out.iterdir())
 
 
-def test_cli_import_leaves_unused_modules_out():
-    # eval and apc start-up pays only for what they use: the pool, the SVG
-    # plots (and through them xml.sax), synth and analysis load on demand
+def _child_env(blas_threads=None):
+    """This process's environment for a child that imports abxlab from
+    source, with OPENBLAS_NUM_THREADS set to ``blas_threads`` or unset."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
+
+
+def test_cli_import_leaves_unused_modules_out():
+    # eval and apc start-up pays only for what they use: the pool, the SVG
+    # plots (and through them xml.sax), synth and analysis load on demand
     lazy = ["concurrent.futures.process", "xml.sax", "abxlab.synth",
             "abxlab.analysis", "abxlab.svgplot"]
     proc = subprocess.run(
         [sys.executable, "-c",
          "import json, sys, abxlab.cli; "
          f"print(json.dumps([m for m in {lazy!r} if m in sys.modules]))"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("module, given, expected", [
+    ("abxlab.cli", None, "1"),
+    ("abxlab.cli", "3", "3"),
+    ("abxlab", None, None),
+])
+def test_cli_import_defaults_blas_to_one_thread(module, given, expected):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import json, os, {module}; "
+         "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))"],
+        capture_output=True, text=True, env=_child_env(given),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected
+
+
+def test_apc_bytes_unset_blas_threads_match_one_thread(corpus_dir, tmp_path):
+    # at hidden_dim 100 and T >= 30 a second BLAS thread can change the bits
+    # of the layer-2 gradient products, so an unset run must default to one
+    archive = load_feature_archive(corpus_dir / "features")
+    assert min(archive.n_frames(u) for u in archive.utterance_ids()) >= 30
+    outputs = {}
+    for given in (None, "1"):
+        out = tmp_path / f"threads-{given}"
+        for argv in (
+            ["apc", "train", "--features", str(corpus_dir / "features"),
+             "--cell", "lstm", "--layers", "2", "--hidden-dim", "100",
+             "--epochs", "1", "--seed", "0", "--out", str(out / "train")],
+            ["apc", "extract", "--model", str(out / "train" / "apc.ckpt"),
+             "--features", str(corpus_dir / "features"), "--format", "binary",
+             "--out", str(out / "feats")],
+        ):
+            proc = subprocess.run([sys.executable, "-m", "abxlab.cli", *argv],
+                                  capture_output=True, text=True, env=_child_env(given))
+            assert proc.returncode == 0, proc.stderr
+        outputs[given] = {
+            p.relative_to(out).as_posix(): p.read_bytes()
+            for p in [out / "train" / "apc.ckpt", *sorted((out / "feats").glob("*.fbin"))]
+        }
+    assert len(outputs[None]) == 3
+    assert outputs[None] == outputs["1"]
 
 
 def test_svg_escape_matches_saxutils(monkeypatch):
