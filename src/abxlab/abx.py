@@ -30,6 +30,7 @@ from .af_tables import AfTable
 from .corpus import FeatureArchive, ItemSegment, segment_frames
 from .distance import DEFAULT_DTW, DtwConfig, dtw_pairs
 from .errors import EmptyTaskError, UsageError
+from .manifest import json_bytes, lines_bytes
 
 TASK_KINDS = ("phone", "af")
 MODES = ("within", "across")
@@ -138,16 +139,14 @@ class AbxReport:
         return doc
 
     def to_json_bytes(self, include_per_cell: bool = False) -> bytes:
-        text = json.dumps(self.to_json_dict(include_per_cell), indent=2, sort_keys=True)
-        return (text + "\n").encode()
+        return json_bytes(self.to_json_dict(include_per_cell))
 
     def to_csv_bytes(self) -> bytes:
         """Context-level rows at full float precision, for re-aggregation."""
-        lines = [PAIRWISE_HEADER]
-        for (x, y, ctx) in sorted(self.context_rates):
-            rate = self.context_rates[(x, y, ctx)]
-            lines.append(f"{x},{y},{ctx[0]},{ctx[1]},{self.condition},{rate!r}")
-        return ("\n".join(lines) + "\n").encode()
+        return lines_bytes([PAIRWISE_HEADER] + [
+            f"{x},{y},{prev},{nxt},{self.condition},{rate!r}"
+            for (x, y, (prev, nxt)), rate in sorted(self.context_rates.items())
+        ])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .corpus import read_text_file
+from .corpus import read_rows
 from .errors import DataError, RowError, UnmappedPhoneError, UsageError
 
 MONOPHTHONGS = ("AA", "AE", "AH", "AO", "EH", "ER", "IH", "IY", "UH", "UW")
@@ -116,12 +116,7 @@ EXCLUDED_TOKEN = "__EXCLUDED__"
 def _parse_af_tsv(path: Path) -> AfTable:
     entries: dict[str, str] = {}
     excluded: set[str] = set()
-    for i, line in enumerate(read_text_file(path, "AF table file").splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise RowError(path, i, f"expected 2 tab-separated fields, got {len(parts)}")
+    for i, parts in read_rows(path, "AF table file", sep="\t", n_fields=2, comment="#"):
         phone, attribute = parts[0].strip(), parts[1].strip()
         if not phone or not attribute:
             raise RowError(path, i, "empty phone or attribute")

@@ -18,6 +18,7 @@ from .abx import means
 from .af_tables import CONSONANTS, DIPHTHONGS, MONOPHTHONGS
 from .corpus import time_to_frame
 from .errors import DataError, UsageError
+from .manifest import lines_bytes
 
 
 def phone_category(phone: str) -> str:
@@ -82,10 +83,10 @@ class ConfusionMatrix:
     empty_rows: list = field(default_factory=list)
 
     def to_csv_bytes(self) -> bytes:
-        lines = ["truth," + ",".join(self.col_symbols)]
-        for i, sym in enumerate(self.row_symbols):
-            lines.append(sym + "," + ",".join(repr(float(v)) for v in self.values[i]))
-        return ("\n".join(lines) + "\n").encode()
+        return lines_bytes(["truth," + ",".join(self.col_symbols)] + [
+            sym + "," + ",".join(repr(float(v)) for v in row)
+            for sym, row in zip(self.row_symbols, self.values)
+        ])
 
 
 def strip_tone(label: str) -> str:

@@ -678,7 +678,7 @@ def load_checkpoint(path) -> ApcModel:
             raise FormatError(f"{path}: {cfg.L} layers do not fit {len(payload)} "
                               "payload bytes")
         n_params = sum(map(math.prod, _param_shapes(cfg).values()))
-    except (UsageError, ValueError) as e:
+    except (UsageError, ValueError, RecursionError) as e:  # JSON nested too deep
         raise FormatError(f"{path}: bad config block: {e}") from None
     if len(payload) != 8 * n_params:
         raise FormatError(

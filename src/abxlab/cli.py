@@ -10,8 +10,13 @@ Subcommands:
 Every run that produces a report directory also writes ``manifest.json``
 recording the command line, the merged configuration, SHA-256 digests of
 the inputs, the seed, wall time, and the tool version.  Each such
-command returns its files as bytes and ``main`` writes them together
-with the manifest in one atomic ``write_outputs`` call.
+command returns only its files (as bytes) and a message; ``main`` builds
+the manifest from the parsed flags and writes it with the files in one
+atomic ``write_outputs`` call.  The config is every flag of the command
+(``synth`` and ``apc train`` return their merged config instead, and
+``analyze phoneme`` adds the condition it derives), the seed is the
+config's ``seed``, and the inputs are the flags typed ``InputPath`` whose
+path exists: a built-in AF table name is not a file and is not digested.
 
 Exit codes: 0 success, 1 gradient check over its error bound, 2 usage
 error, 3 malformed or inconsistent data, 4 empty task (no scorable cells),
@@ -61,6 +66,7 @@ from .corpus import (
     load_feature_archive,
     load_item_file,
     load_label_track,
+    read_rows,
     read_text_file,
     segment_frames,
 )
@@ -72,7 +78,7 @@ from .errors import (
     RowError,
     UsageError,
 )
-from .manifest import RunManifest, digest_inputs, write_outputs
+from .manifest import RunManifest, digest_inputs, json_bytes, lines_bytes, write_outputs
 
 GRADCHECK_BOUND = 1e-4
 
@@ -81,22 +87,33 @@ class Outputs(NamedTuple):
     """What an output-writing command hands back to ``main``."""
 
     files: dict  # {relative name: bytes}, written beside manifest.json
-    config: dict
-    inputs: list  # paths whose digests go into the manifest
-    seed: int | None
     message: str  # printed once everything is written
+    config: dict | None = None  # None: the command's flags
+
+
+class InputPath(str):
+    """Argparse type of a flag that names an input file or directory; the
+    manifest digests each such value that exists on disk."""
+
+
+# dests the parser sets for itself, not flags of the command
+_PARSER_DESTS = ("command", "analysis", "apc_command", "func", "out")
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
 
 
-def _load_config_file(path) -> dict:
-    text = read_text_file(path, "config file")
+def _read_json(path, what: str, error):
+    """The JSON document in ``path``; invalid JSON raises ``error``."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise UsageError(f"{path}: invalid JSON: {e}") from None
+        return json.loads(read_text_file(path, what))
+    except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested
+        raise error(f"{path}: invalid JSON: {e}") from None
+
+
+def _load_config_file(path) -> dict:
+    doc = _read_json(path, "config file", UsageError)
     if not isinstance(doc, dict):
         raise UsageError(f"{path}: config must be a JSON object")
     return doc
@@ -125,14 +142,6 @@ def _resolve_jobs(value) -> int:
     return value
 
 
-def _json_bytes(doc) -> bytes:
-    return json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n"
-
-
-def _lines_bytes(lines) -> bytes:
-    return ("\n".join(lines) + "\n").encode()
-
-
 def _parse_rate(path, line_no: int, text: str) -> float:
     try:
         value = float(text)
@@ -148,7 +157,7 @@ def _parse_rate(path, line_no: int, text: str) -> float:
 
 
 def cmd_eval(args) -> Outputs:
-    jobs = _resolve_jobs(args.jobs)
+    args.jobs = _resolve_jobs(args.jobs)  # the manifest records the resolved count
     archive = load_feature_archive(args.features)
     segments = load_item_file(args.items)
     for seg in segments:
@@ -178,32 +187,13 @@ def cmd_eval(args) -> Outputs:
         af_table=af_table,
         cfg=cfg,
         limits=limits,
-        jobs=jobs,
+        jobs=args.jobs,
     )
-
-    inputs = [args.features, args.items]
-    if args.af_table is not None and Path(args.af_table).is_file():
-        inputs.append(args.af_table)
-    config = {
-        "features": str(args.features),
-        "items": str(args.items),
-        "mode": args.mode,
-        "task": args.task,
-        "af_table": args.af_table,
-        "max_speaker_pairs": args.max_speaker_pairs,
-        "seed": args.seed,
-        "zero_vector_distance": args.zero_vector_distance,
-        "jobs": jobs,
-        "per_cell": bool(args.per_cell),
-    }
     return Outputs(
         {
             "report.json": report.to_json_bytes(include_per_cell=args.per_cell),
             "pairwise.csv": report.to_csv_bytes(),
         },
-        config,
-        inputs,
-        args.seed,
         f"{args.task} {args.mode} ABX error: {report.overall:.6f} "
         f"({report.metadata['cells']} cells, "
         f"{report.metadata['comparisons']} comparisons)",
@@ -215,16 +205,9 @@ def cmd_eval(args) -> Outputs:
 
 
 def _read_pairwise_csv(path):
-    lines = read_text_file(path, "pairwise file").splitlines()
-    if not lines or lines[0] != PAIRWISE_HEADER:
-        raise FormatError(f"{path}: first line must be {PAIRWISE_HEADER!r}")
     rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise RowError(path, line_no, f"expected 6 fields, got {len(parts)}")
+    for line_no, parts in read_rows(path, "pairwise file", sep=",", n_fields=6,
+                                    header=PAIRWISE_HEADER):
         x, y, prev, nxt, condition, rate_text = parts
         rate = _parse_rate(path, line_no, rate_text)
         if not 0.0 <= rate <= 1.0:
@@ -267,14 +250,12 @@ def cmd_analyze_phoneme(args) -> Outputs:
     )
     return Outputs(
         {
-            "phoneme.json": _json_bytes(doc),
-            "phoneme.csv": _lines_bytes(csv_lines),
+            "phoneme.json": json_bytes(doc),
+            "phoneme.csv": lines_bytes(csv_lines),
             "bars.svg": svg.encode(),
         },
-        {"pairwise": str(args.pairwise), "condition": condition},
-        [args.pairwise],
-        None,
         f"wrote per-category rates for {len(report.xi)} categories to {args.out}",
+        {"pairwise": args.pairwise, "condition": condition},
     )
 
 
@@ -306,21 +287,12 @@ def cmd_analyze_confusion(args) -> Outputs:
             for phone, (p, label) in pco.items()
         },
     }
-    config = {
-        "truth": str(args.truth),
-        "hyp": str(args.hyp),
-        "frame_period": args.frame_period,
-        "strip_tones": bool(args.strip_tones),
-    }
     return Outputs(
         {
             "confusion.csv": cm.to_csv_bytes(),
-            "pco.csv": _lines_bytes(pco_lines),
-            "confusion.json": _json_bytes(doc),
+            "pco.csv": lines_bytes(pco_lines),
+            "confusion.json": json_bytes(doc),
         },
-        config,
-        [args.truth, args.hyp],
-        None,
         f"confusion matrix over {len(cm.row_symbols)} truth symbols "
         f"written to {args.out}",
     )
@@ -333,12 +305,8 @@ def _load_rate_map(path, key: str) -> dict:
     map (``"xi"`` in phoneme.json, ``"p_co"`` in confusion.json); a
     value that is itself an object is read at ``key`` too.
     """
-    text = read_text_file(path, "rate file")
     if Path(path).suffix == ".json":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}: invalid JSON: {e}") from None
+        doc = _read_json(path, "rate file", FormatError)
         if isinstance(doc, dict) and isinstance(doc.get(key), dict):
             doc = doc[key]
         if not isinstance(doc, dict) or not doc:
@@ -348,8 +316,10 @@ def _load_rate_map(path, key: str) -> dict:
             if isinstance(value, dict):
                 value = value.get(key)
             try:
+                if isinstance(value, bool):  # true is not 1.0, as in JsonConfig
+                    raise TypeError
                 value = float(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # an int past float
                 raise DataError(
                     f"{path}: value for {name!r} is not numeric"
                 ) from None
@@ -358,12 +328,8 @@ def _load_rate_map(path, key: str) -> dict:
             out[str(name)] = value
         return out
     out = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) < 2:
-            raise RowError(path, line_no, "expected at least 2 comma fields")
+    rows = read_rows(path, "rate file", sep=",", n_fields=range(2, sys.maxsize))
+    for line_no, parts in rows:
         if line_no == 1:
             try:
                 float(parts[1])
@@ -393,12 +359,9 @@ def cmd_analyze_reduce(args) -> Outputs:
     }
     return Outputs(
         {
-            "reduction.json": _json_bytes(doc),
-            "reduction.csv": _lines_bytes(csv_lines),
+            "reduction.json": json_bytes(doc),
+            "reduction.csv": lines_bytes(csv_lines),
         },
-        {"baseline": str(args.baseline), "improved": str(args.improved)},
-        [args.baseline, args.improved],
-        None,
         f"relative reduction for {len(reductions)} categories "
         f"({len(undefined)} undefined) written to {args.out}",
     )
@@ -439,17 +402,8 @@ def cmd_analyze_correlate(args) -> Outputs:
         xlabel="p_co",
         ylabel="relative reduction (%)",
     )
-    config = {
-        "baseline": str(args.baseline),
-        "improved": str(args.improved),
-        "pco": str(args.pco),
-        "method": args.method,
-    }
     return Outputs(
-        {"correlate.json": _json_bytes(doc), "scatter.svg": svg.encode()},
-        config,
-        [args.baseline, args.improved, args.pco],
-        None,
+        {"correlate.json": json_bytes(doc), "scatter.svg": svg.encode()},
         f"{args.method} r = {r:.6f} over {len(common)} categories",
     )
 
@@ -504,11 +458,9 @@ def cmd_synth(args) -> Outputs:
     corpus = generate_corpus(cfg)
     return Outputs(
         corpus_files(corpus),
-        cfg.to_dict(),
-        [args.config] if args.config else [],
-        cfg.seed,
         f"synthesized {len(corpus.segments)} segments over "
         f"{len(corpus.archive.utterance_ids())} utterances into {args.out}",
+        cfg.to_dict(),
     )
 
 
@@ -521,19 +473,12 @@ def cmd_apc_train(args) -> Outputs:
     archive = load_feature_archive(args.features)
     model, losses = train(cfg, archive)
 
-    curve_lines = ["epoch,loss"]
-    for epoch, loss in enumerate(losses):
-        curve_lines.append(f"{epoch},{loss!r}")
+    curve = ["epoch,loss"] + [f"{epoch},{loss!r}" for epoch, loss in enumerate(losses)]
     return Outputs(
-        {
-            "apc.ckpt": checkpoint_bytes(model),
-            "loss_curve.csv": _lines_bytes(curve_lines),
-        },
-        model.config.to_dict(),
-        [args.features] + ([args.config] if args.config else []),
-        model.config.seed,
+        {"apc.ckpt": checkpoint_bytes(model), "loss_curve.csv": lines_bytes(curve)},
         f"trained {model.config.cell_kind} APC for {model.config.epochs} epochs: "
         f"loss {losses[0]:.6f} -> {losses[-1]:.6f}",
+        model.config.to_dict(),
     )
 
 
@@ -541,16 +486,8 @@ def cmd_apc_extract(args) -> Outputs:
     model = load_checkpoint(args.model)
     archive = load_feature_archive(args.features)
     out_archive = extract_features(model, archive)
-    config = {
-        "model": str(args.model),
-        "features": str(args.features),
-        "format": args.format,
-    }
     return Outputs(
         feature_archive_files(out_archive, args.format),
-        config,
-        [args.model, args.features],
-        None,
         f"extracted {out_archive.dim}-dim features for "
         f"{len(out_archive.utterance_ids())} utterances into {args.out}",
     )
@@ -584,12 +521,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="score an ABX task")
-    p_eval.add_argument("--features", required=True, help="feature archive directory")
-    p_eval.add_argument("--items", required=True, help="item file of segments")
+    p_eval.add_argument("--features", type=InputPath, required=True,
+                        help="feature archive directory")
+    p_eval.add_argument("--items", type=InputPath, required=True,
+                        help="item file of segments")
     p_eval.add_argument("--mode", required=True, choices=["within", "across"])
     p_eval.add_argument("--task", default="phone", choices=["phone", "af"])
     p_eval.add_argument(
         "--af-table",
+        type=InputPath,
         default=None,
         help=f"builtin table name ({', '.join(sorted(BUILTIN_TABLES))}) or TSV path",
     )
@@ -607,13 +547,13 @@ def build_parser() -> argparse.ArgumentParser:
     an_sub = p_an.add_subparsers(dest="analysis", required=True)
 
     p_ph = an_sub.add_parser("phoneme", help="per-category rates from pairwise.csv")
-    p_ph.add_argument("--pairwise", required=True)
+    p_ph.add_argument("--pairwise", type=InputPath, required=True)
     p_ph.add_argument("--out", required=True)
     p_ph.set_defaults(func=cmd_analyze_phoneme)
 
     p_cf = an_sub.add_parser("confusion", help="frame confusion matrix and p_co")
-    p_cf.add_argument("--truth", required=True)
-    p_cf.add_argument("--hyp", required=True)
+    p_cf.add_argument("--truth", type=InputPath, required=True)
+    p_cf.add_argument("--hyp", type=InputPath, required=True)
     p_cf.add_argument("--frame-period", type=int, required=True,
                       help="frame period in microseconds")
     p_cf.add_argument("--strip-tones", action="store_true")
@@ -621,21 +561,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.set_defaults(func=cmd_analyze_confusion)
 
     p_rd = an_sub.add_parser("reduce", help="relative error reduction")
-    p_rd.add_argument("--baseline", required=True)
-    p_rd.add_argument("--improved", required=True)
+    p_rd.add_argument("--baseline", type=InputPath, required=True)
+    p_rd.add_argument("--improved", type=InputPath, required=True)
     p_rd.add_argument("--out", required=True)
     p_rd.set_defaults(func=cmd_analyze_reduce)
 
     p_co = an_sub.add_parser("correlate", help="reduction vs. p_co correlation")
-    p_co.add_argument("--baseline", required=True)
-    p_co.add_argument("--improved", required=True)
-    p_co.add_argument("--pco", required=True)
+    p_co.add_argument("--baseline", type=InputPath, required=True)
+    p_co.add_argument("--improved", type=InputPath, required=True)
+    p_co.add_argument("--pco", type=InputPath, required=True)
     p_co.add_argument("--method", default="pearson", choices=["pearson", "spearman"])
     p_co.add_argument("--out", required=True)
     p_co.set_defaults(func=cmd_analyze_correlate)
 
     p_sy = sub.add_parser("synth", help="generate a synthetic corpus")
-    p_sy.add_argument("--config", default=None, help="JSON config file")
+    p_sy.add_argument("--config", type=InputPath, default=None, help="JSON config file")
     # flag destinations are SynthConfig field names
     p_sy.add_argument("--phones", type=_parse_phones, default=None,
                       help="comma-separated phone labels")
@@ -659,8 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # flag destinations are ApcConfig field names; the archive sets input_dim
     p_tr = apc_sub.add_parser("train", help="train an APC model")
-    p_tr.add_argument("--features", required=True)
-    p_tr.add_argument("--config", default=None, help="JSON config file")
+    p_tr.add_argument("--features", type=InputPath, required=True)
+    p_tr.add_argument("--config", type=InputPath, default=None, help="JSON config file")
     p_tr.add_argument("--n", type=int, default=None, help="prediction horizon")
     p_tr.add_argument("--layers", dest="L", type=int, default=None)
     p_tr.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=None)
@@ -675,14 +615,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.set_defaults(func=cmd_apc_train)
 
     p_ex = apc_sub.add_parser("extract", help="extract features with a checkpoint")
-    p_ex.add_argument("--model", required=True, help="apc.ckpt path")
-    p_ex.add_argument("--features", required=True)
+    p_ex.add_argument("--model", type=InputPath, required=True, help="apc.ckpt path")
+    p_ex.add_argument("--features", type=InputPath, required=True)
     p_ex.add_argument("--format", default="binary", choices=["binary", "text"])
     p_ex.add_argument("--out", required=True)
     p_ex.set_defaults(func=cmd_apc_extract)
 
     p_gc = apc_sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p_gc.add_argument("--config", default=None, help="JSON config file")
+    p_gc.add_argument("--config", type=InputPath, default=None, help="JSON config file")
     p_gc.add_argument("--seed", type=int, default=0)
     p_gc.add_argument("--epsilon", type=float, default=1e-5)
     p_gc.set_defaults(func=cmd_apc_gradcheck)
@@ -698,11 +638,15 @@ def main(argv=None) -> int:
         run = args.func(args)
         if isinstance(run, int):  # apc gradcheck writes no files
             return run
+        flags = {k: v for k, v in vars(args).items() if k not in _PARSER_DESTS}
+        config = flags if run.config is None else run.config
+        inputs = [v for v in flags.values()
+                  if isinstance(v, InputPath) and Path(v).exists()]
         manifest = RunManifest(
             command=["abxlab"] + argv,
-            config=run.config,
-            inputs=digest_inputs(run.inputs),
-            seed=run.seed,
+            config=config,
+            inputs=digest_inputs(inputs),
+            seed=config.get("seed"),
             wall_time_s=time.perf_counter() - t0,
         )
         write_outputs(args.out, {**run.files, "manifest.json": manifest.to_json_bytes()})

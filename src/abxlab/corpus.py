@@ -27,7 +27,7 @@ from .errors import (
     FormatError,
     RowError,
 )
-from .manifest import write_outputs
+from .manifest import lines_bytes, write_outputs
 
 FBIN_MAGIC = b"FEAT"
 FBIN_VERSION = 1
@@ -173,6 +173,35 @@ def read_text_file(path, what: str) -> str:
         raise FormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
 
 
+def read_rows(path, what: str, sep=None, n_fields=None, header=None, comment=None):
+    """Yield ``(line_no, fields)`` for each non-blank line of a text table.
+
+    Fields are split on ``sep`` (None: runs of whitespace).  ``header`` is
+    the text of line 1, compared with surrounding whitespace stripped, or a
+    function of line 1's fields that returns the data rows' field count
+    (a ``.ftxt`` header carries its dimension); line 1 is then not yielded.
+    Lines starting with ``comment`` after leading whitespace are skipped.
+    A row whose field count is not ``n_fields`` (an int, or a range of
+    counts) is a RowError naming its line.
+    """
+    lines = read_text_file(path, what).splitlines()
+    if callable(header):
+        n_fields = header(lines[0].split(sep) if lines else [])
+    elif header is not None and (not lines or lines[0].strip() != header):
+        raise FormatError(f"{path}: first line must be {header!r}")
+    start = 1 if header is None else 2
+    counts = n_fields if isinstance(n_fields, range) else (n_fields,)
+    want = f"at least {counts[0]}" if isinstance(n_fields, range) else n_fields
+    kind = "tab-separated fields" if sep == "\t" else "fields"
+    for line_no, line in enumerate(lines[start - 1:], start=start):
+        if not line.strip() or (comment and line.lstrip().startswith(comment)):
+            continue
+        fields = line.split(sep)
+        if n_fields is not None and len(fields) not in counts:
+            raise RowError(path, line_no, f"expected {want} {kind}, got {len(fields)}")
+        yield line_no, fields
+
+
 # ---------------------------------------------------------------------------
 # binary / text feature files
 
@@ -200,30 +229,27 @@ def _read_fbin(path: Path) -> tuple[str, np.ndarray, int]:
 
 
 def _read_ftxt(path: Path) -> tuple[str, np.ndarray, int]:
-    lines = read_text_file(path, "feature file").splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    head = lines[0].split()
-    try:
-        kv = dict(part.split("=", 1) for part in head)
-        dim = int(kv["dim"])
-        period = int(kv["period_us"])
-    except (ValueError, KeyError):
-        raise FormatError(f"{path}: header must be 'dim=<D> period_us=<P>'") from None
+    dim_period = []
+
+    def header(fields):  # "dim=<D> period_us=<P>": rows hold D values
+        try:
+            kv = dict(part.split("=", 1) for part in fields)
+            dim_period[:] = int(kv["dim"]), int(kv["period_us"])
+        except (ValueError, KeyError):
+            raise FormatError(f"{path}: header must be 'dim=<D> period_us=<P>'") from None
+        return dim_period[0]
+
     rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        vals = line.split()
-        if len(vals) != dim:
-            raise RowError(path, i, f"expected {dim} values, got {len(vals)}")
+    for line_no, vals in read_rows(path, "feature file", header=header):
         try:
             rows.append([float(v) for v in vals])
         except ValueError:
-            raise RowError(path, i, "non-numeric feature value") from None
+            raise RowError(path, line_no, "non-numeric feature value") from None
     if not rows:
         raise DataError(f"{path}: no frames")
-    return path.stem, np.array(rows, dtype=np.float32), period
+    with np.errstate(over="ignore"):  # past the float32 range is inf: the archive rejects it
+        mat = np.array(rows, dtype=np.float32)
+    return path.stem, mat, dim_period[1]
 
 
 def load_feature_archive(path, format: str = "auto") -> FeatureArchive:
@@ -232,7 +258,12 @@ def load_feature_archive(path, format: str = "auto") -> FeatureArchive:
     if not root.is_dir():
         raise UsageError(f"feature directory not found: {root}")
     if format == "auto":
-        format = "binary" if sorted(root.glob("*.fbin")) else "text"
+        n_bin, n_txt = (len(list(root.glob(s))) for s in ("*.fbin", "*.ftxt"))
+        if n_bin and n_txt:
+            raise ConsistencyError(
+                f"{root}: {n_bin} .fbin and {n_txt} .ftxt files; an archive has one format"
+            )
+        format = "binary" if n_bin else "text"
     suffix = {"binary": "*.fbin", "text": "*.ftxt"}.get(format)
     if suffix is None:
         raise UsageError(f"unknown feature format {format!r}")
@@ -264,11 +295,12 @@ def feature_archive_files(archive: FeatureArchive, format: str = "binary") -> di
             )
             files[f"{utt}.fbin"] = header + mat.astype("<f4").tobytes()
         else:
-            lines = [f"dim={mat.shape[1]} period_us={archive.frame_period}"]
             # a float32 value widens exactly, so the Python float's repr is
             # the same text as repr(float(v)) on the element
-            lines += [" ".join(map(repr, row)) for row in mat.tolist()]
-            files[f"{utt}.ftxt"] = ("\n".join(lines) + "\n").encode()
+            files[f"{utt}.ftxt"] = lines_bytes(
+                [f"dim={mat.shape[1]} period_us={archive.frame_period}"]
+                + [" ".join(map(repr, row)) for row in mat.tolist()]
+            )
     return files
 
 
@@ -295,16 +327,8 @@ def _parse_span(path, line_no: int, onset_s: str, offset_s: str) -> tuple[float,
 
 
 def load_item_file(path) -> list[ItemSegment]:
-    lines = read_text_file(path, "item file").splitlines()
-    if not lines or lines[0].strip() != ITEM_HEADER:
-        raise FormatError(f"{path}: first line must be '{ITEM_HEADER}'")
     segments = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 7:
-            raise RowError(path, i, f"expected 7 fields, got {len(parts)}")
+    for i, parts in read_rows(path, "item file", n_fields=7, header=ITEM_HEADER):
         utt, onset_s, offset_s, phone, prev, nxt, speaker = parts
         onset, offset = _parse_span(path, i, onset_s, offset_s)
         segments.append(ItemSegment(utt, onset, offset, phone, prev, nxt, speaker))
@@ -312,22 +336,15 @@ def load_item_file(path) -> list[ItemSegment]:
 
 
 def item_file_bytes(segments) -> bytes:
-    lines = [ITEM_HEADER]
-    for s in segments:
-        lines.append(
-            f"{s.utt} {s.onset:.6f} {s.offset:.6f} {s.phone} {s.prev} {s.next} {s.speaker}"
-        )
-    return ("\n".join(lines) + "\n").encode()
+    return lines_bytes([ITEM_HEADER] + [
+        f"{s.utt} {s.onset:.6f} {s.offset:.6f} {s.phone} {s.prev} {s.next} {s.speaker}"
+        for s in segments
+    ])
 
 
 def load_label_track(path) -> list[FrameLabelTrack]:
     per_utt: dict[str, list[tuple[float, float, str]]] = {}
-    for i, line in enumerate(read_text_file(path, "label file").splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 4:
-            raise RowError(path, i, f"expected 4 tab-separated fields, got {len(parts)}")
+    for i, parts in read_rows(path, "label file", sep="\t", n_fields=4):
         utt, onset_s, offset_s, label = parts
         onset, offset = _parse_span(path, i, onset_s, offset_s)
         per_utt.setdefault(utt, []).append((onset, offset, label))
@@ -345,8 +362,8 @@ def load_label_track(path) -> list[FrameLabelTrack]:
 
 
 def label_track_bytes(tracks) -> bytes:
-    lines = []
-    for track in tracks:
-        for onset, offset, label in track.spans:
-            lines.append(f"{track.utt}\t{onset:.6f}\t{offset:.6f}\t{label}")
-    return ("\n".join(lines) + ("\n" if lines else "")).encode()
+    return lines_bytes(
+        f"{track.utt}\t{onset:.6f}\t{offset:.6f}\t{label}"
+        for track in tracks
+        for onset, offset, label in track.spans
+    )

@@ -79,6 +79,18 @@ class JsonConfig:
             raise UsageError(f"bad {name} config: {e}") from None
 
 
+def json_bytes(doc) -> bytes:
+    """The one JSON encoding of a written file: indented, keys sorted,
+    newline-terminated."""
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def lines_bytes(lines) -> bytes:
+    """The one line encoding of a written text file: each line ends in a
+    newline, so no lines give no bytes."""
+    return "".join(f"{line}\n" for line in lines).encode()
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -120,15 +132,7 @@ class RunManifest:
     tool_version: str = __version__
 
     def to_json_bytes(self) -> bytes:
-        doc = {
-            "command": self.command,
-            "config": self.config,
-            "inputs": self.inputs,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "wall_time_s": round(self.wall_time_s, 6),
-        }
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+        return json_bytes(dict(vars(self), wall_time_s=round(self.wall_time_s, 6)))
 
 
 def _make_dir(path: Path) -> None:

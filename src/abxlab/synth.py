@@ -14,7 +14,6 @@ lengths aligned across a noise sweep at constant seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +29,7 @@ from .corpus import (
     label_track_bytes,
 )
 from .errors import UsageError
-from .manifest import JsonConfig, write_outputs
+from .manifest import JsonConfig, json_bytes, write_outputs
 
 
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -176,11 +175,10 @@ def corpus_files(corpus: SynthCorpus) -> dict:
     }
     files["items.item"] = item_file_bytes(corpus.segments)
     files["labels.tsv"] = label_track_bytes(corpus.tracks)
-    sidecar = {
+    files["synth.json"] = json_bytes({
         "config": corpus.config.to_dict() if corpus.config else None,
         "generator": {"name": "PCG64", "numpy": np.__version__},
-    }
-    files["synth.json"] = (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode()
+    })
     return files
 
 

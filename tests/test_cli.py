@@ -327,6 +327,24 @@ def test_missing_feature_directory_exits_2(command, corpus_dir, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def test_feature_directory_with_both_formats_exits_3(corpus_dir, tmp_path, capsys):
+    feats = tmp_path / "features"
+    shutil.copytree(corpus_dir / "features", feats)
+    assert cli.main(["apc", "train", "--features", str(feats), "--n", "1", "--layers", "1",
+                     "--hidden-dim", "5", "--cell", "simple-rnn", "--epochs", "1",
+                     "--out", str(tmp_path / "apc")]) == 0
+    # 5-dim .ftxt files land beside the 4-dim .fbin ones
+    assert cli.main(["apc", "extract", "--model", str(tmp_path / "apc" / "apc.ckpt"),
+                     "--features", str(feats), "--format", "text", "--out", str(feats)]) == 0
+    rc = cli.main(["eval", "--features", str(feats), "--items",
+                   str(corpus_dir / "items.item"), "--mode", "within",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{feats}: 2 .fbin and 2 .ftxt files" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_fbin_directory_exits_2(corpus_dir, tmp_path, capsys):
     features = tmp_path / "features"
     shutil.copytree(corpus_dir / "features", features)
@@ -430,6 +448,23 @@ def test_analyze_non_finite_rate_exits_3(tmp_path, capsys, flag, name, text, whe
     assert f"{bad}{where}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ['{"a": 0.2, "b": true}', '{"xi": {"a": 0.2, "b": false}}',
+                                  '{"a": {"xi": 0.2}, "b": {"xi": true}}'])
+def test_analyze_boolean_rate_exits_3(tmp_path, capsys, text):
+    (tmp_path / "base.json").write_text(text)
+    (tmp_path / "imp.json").write_text(json.dumps({"a": "0.100000", "b": "0.100000"}))
+    argv = ["analyze", "reduce", "--baseline", str(tmp_path / "base.json"),
+            "--improved", str(tmp_path / "imp.json")]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert "value for 'b' is not numeric" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the numeric strings of phoneme.json stay rates
+    (tmp_path / "base.json").write_text(json.dumps({"xi": {"a": "0.200000", "b": "0.2"}}))
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "reduction.csv").read_text() == (
+        "category,reduction_percent\na,50.0\nb,50.0\n")
 
 
 def test_analyze_correlate_needs_two_points(tmp_path):
@@ -636,56 +671,141 @@ def test_apc_extract_bad_checkpoint_config_exits_3(corpus_dir, apc_dir, tmp_path
 # plumbing
 
 
-def _runner_argv(name, corpus_dir, eval_dir, apc_dir, tmp_path):
-    """argv of one output-writing subcommand, without --out."""
-    for stem, rates in (("base", {"a": 0.4, "b": 0.2}), ("imp", {"a": 0.2, "b": 0.15}),
-                        ("pco", {"a": 0.9, "b": 0.5})):
-        (tmp_path / f"{stem}.json").write_text(json.dumps(rates))
-    feats = str(corpus_dir / "features")
-    labels = str(corpus_dir / "labels.tsv")
-    rates = ["--baseline", str(tmp_path / "base.json"),
-             "--improved", str(tmp_path / "imp.json")]
+def _digest_keys(*paths):
+    """The manifest input keys of ``paths``: a directory stands for its files."""
+    keys = set()
+    for p in paths:
+        keys |= {str(f) for f in p.rglob("*") if f.is_file()} if p.is_dir() else {str(p)}
+    return keys
+
+
+def _json(doc):
+    return json.loads(json.dumps(doc))  # tuples become lists, as in the manifest
+
+
+def _runner_case(name, corpus_dir, vowel_dir, eval_dir, apc_dir, tmp_path):
+    """One output-writing command: (argv without --out, and the config,
+    digested paths and seed its manifest must record)."""
+    from abxlab.apc import ApcConfig
+    from abxlab.synth import SynthConfig
+
+    feats, items = corpus_dir / "features", corpus_dir / "items.item"
+    v_feats, v_items = vowel_dir / "features", vowel_dir / "items.item"
+    eval_argv = ["eval", "--features", str(feats), "--items", str(items)]
+    eval_config = {
+        "features": str(feats), "items": str(items), "mode": "within", "task": "phone",
+        "af_table": None, "max_speaker_pairs": None, "seed": 42,
+        "zero_vector_distance": 1.0, "jobs": cli._resolve_jobs(None), "per_cell": False,
+    }
+    vowel_config = dict(eval_config, features=str(v_feats), items=str(v_items), task="af")
+    vowel_argv = ["eval", "--features", str(v_feats), "--items", str(v_items),
+                  "--mode", "within", "--task", "af", "--af-table"]
+    table = tmp_path / "height.tsv"
+    table.write_text("AE\tOpen\nAA\tOpen\nAO\tMid\nEH\tMid\nIY\tClose\nUW\tClose\n")
+    rates = {}
+    for stem, doc in (("base", {"a": 0.4, "b": 0.2}), ("imp", {"a": 0.2, "b": 0.15}),
+                      ("pco", {"a": 0.9, "b": 0.5})):
+        rates[stem] = tmp_path / f"{stem}.json"
+        rates[stem].write_text(json.dumps(doc))
+    hyp = tmp_path / "hyp.tsv"
+    hyp.write_bytes((corpus_dir / "labels.tsv").read_bytes())
+    synth_cfg = tmp_path / "synth.json"
+    synth_cfg.write_text(json.dumps({"phones": ["a", "b"], "dim": 2, "seed": 4}))
+    apc_cfg = tmp_path / "apc.json"
+    apc_cfg.write_text(json.dumps({"n": 1, "L": 1, "hidden_dim": 2,
+                                   "cell_kind": "simple-rnn", "epochs": 1, "seed": 5}))
+    apc_argv = ["apc", "train", "--features", str(feats)]
+    ckpt = apc_dir / "apc.ckpt"
     return {
-        "eval": ["eval", "--features", feats, "--items", str(corpus_dir / "items.item"),
-                 "--mode", "within"],
-        "analyze phoneme": ["analyze", "phoneme", "--pairwise",
-                            str(eval_dir / "pairwise.csv")],
-        "analyze confusion": ["analyze", "confusion", "--truth", labels, "--hyp", labels,
-                              "--frame-period", "10000"],
-        "analyze reduce": ["analyze", "reduce"] + rates,
-        "analyze correlate": ["analyze", "correlate", "--pco", str(tmp_path / "pco.json")]
-                             + rates,
-        "synth": ["synth", "--phones", "a,b", "--dim", "2", "--seed", "1"],
-        "apc train": ["apc", "train", "--features", feats, "--n", "1", "--layers", "1",
-                      "--hidden-dim", "3", "--cell", "simple-rnn", "--epochs", "1"],
-        "apc extract": ["apc", "extract", "--model", str(apc_dir / "apc.ckpt"),
-                        "--features", feats],
+        "eval": (eval_argv + ["--mode", "within"], eval_config, [feats, items], 42),
+        "eval across, --jobs 2": (
+            eval_argv + ["--mode", "across", "--jobs", "2", "--seed", "3", "--per-cell",
+                         "--max-speaker-pairs", "1"],
+            dict(eval_config, mode="across", jobs=2, seed=3, per_cell=True,
+                 max_speaker_pairs=1),
+            [feats, items], 3),
+        "eval af, built-in table": (
+            vowel_argv + ["english-height"], dict(vowel_config, af_table="english-height"),
+            [v_feats, v_items], 42),
+        "eval af, TSV table": (
+            vowel_argv + [str(table)], dict(vowel_config, af_table=str(table)),
+            [v_feats, v_items, table], 42),
+        "analyze phoneme": (
+            ["analyze", "phoneme", "--pairwise", str(eval_dir / "pairwise.csv")],
+            {"pairwise": str(eval_dir / "pairwise.csv"), "condition": "within"},
+            [eval_dir / "pairwise.csv"], None),
+        "analyze confusion": (
+            ["analyze", "confusion", "--truth", str(corpus_dir / "labels.tsv"),
+             "--hyp", str(hyp), "--frame-period", "10000"],
+            {"truth": str(corpus_dir / "labels.tsv"), "hyp": str(hyp),
+             "frame_period": 10000, "strip_tones": False},
+            [corpus_dir / "labels.tsv", hyp], None),
+        "analyze reduce": (
+            ["analyze", "reduce", "--baseline", str(rates["base"]),
+             "--improved", str(rates["imp"])],
+            {"baseline": str(rates["base"]), "improved": str(rates["imp"])},
+            [rates["base"], rates["imp"]], None),
+        "analyze correlate": (
+            ["analyze", "correlate", "--baseline", str(rates["base"]),
+             "--improved", str(rates["imp"]), "--pco", str(rates["pco"]),
+             "--method", "spearman"],
+            {"baseline": str(rates["base"]), "improved": str(rates["imp"]),
+             "pco": str(rates["pco"]), "method": "spearman"},
+            [rates["base"], rates["imp"], rates["pco"]], None),
+        "synth": (
+            ["synth", "--phones", "a,b", "--dim", "2", "--seed", "1"],
+            _json(SynthConfig(phones=("a", "b"), dim=2, seed=1).to_dict()), [], 1),
+        "synth --config": (
+            ["synth", "--config", str(synth_cfg), "--dim", "3"],
+            _json(SynthConfig(phones=("a", "b"), dim=3, seed=4).to_dict()), [synth_cfg], 4),
+        "apc train": (
+            apc_argv + ["--n", "1", "--layers", "1", "--hidden-dim", "3",
+                        "--cell", "simple-rnn", "--epochs", "1"],
+            ApcConfig(n=1, L=1, hidden_dim=3, input_dim=4, cell_kind="simple-rnn",
+                      epochs=1).to_dict(),
+            [feats], 0),
+        "apc train --config": (
+            apc_argv + ["--config", str(apc_cfg), "--epochs", "2"],
+            ApcConfig(n=1, L=1, hidden_dim=2, input_dim=4, cell_kind="simple-rnn",
+                      epochs=2, seed=5).to_dict(),
+            [feats, apc_cfg], 5),
+        "apc extract": (
+            ["apc", "extract", "--model", str(ckpt), "--features", str(feats),
+             "--format", "text"],
+            {"model": str(ckpt), "features": str(feats), "format": "text"},
+            [ckpt, feats], None),
     }[name]
 
 
 @pytest.mark.parametrize("name", [
-    "eval", "analyze phoneme", "analyze confusion", "analyze reduce",
-    "analyze correlate", "synth", "apc train", "apc extract",
+    "eval", "eval across, --jobs 2", "eval af, built-in table", "eval af, TSV table",
+    "analyze phoneme", "analyze confusion", "analyze reduce", "analyze correlate",
+    "synth", "synth --config", "apc train", "apc train --config", "apc extract",
 ])
-def test_runner_writes_manifest(name, corpus_dir, eval_dir, apc_dir, tmp_path):
+def test_runner_writes_manifest(name, corpus_dir, vowel_dir, eval_dir, apc_dir, tmp_path):
+    argv, config, inputs, seed = _runner_case(
+        name, corpus_dir, vowel_dir, eval_dir, apc_dir, tmp_path)
     out = tmp_path / "out"
-    argv = _runner_argv(name, corpus_dir, eval_dir, apc_dir, tmp_path)
     assert cli.main(argv + ["--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {
         "command", "config", "inputs", "seed", "tool_version", "wall_time_s",
     }
     assert manifest["command"] == ["abxlab"] + argv + ["--out", str(out)]
+    assert manifest["config"] == config
+    assert set(manifest["inputs"]) == _digest_keys(*inputs)
+    assert verify_digests(manifest["inputs"]) == []
+    assert manifest["seed"] == seed
     assert list(out.rglob("*.tmp-*")) == []
 
 
 @pytest.mark.parametrize("name", ["synth", "apc extract"])
-def test_runner_failure_writes_nothing(name, corpus_dir, eval_dir, apc_dir, tmp_path,
-                                       monkeypatch):
+def test_runner_failure_writes_nothing(name, corpus_dir, vowel_dir, eval_dir, apc_dir,
+                                       tmp_path, monkeypatch):
     def fail(paths):
         raise DataError("cannot digest inputs")
 
-    argv = _runner_argv(name, corpus_dir, eval_dir, apc_dir, tmp_path)
+    argv = _runner_case(name, corpus_dir, vowel_dir, eval_dir, apc_dir, tmp_path)[0]
     monkeypatch.setattr(cli, "digest_inputs", fail)
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == 3
@@ -694,12 +814,12 @@ def test_runner_failure_writes_nothing(name, corpus_dir, eval_dir, apc_dir, tmp_
 
 @pytest.mark.parametrize("name", ["eval", "synth"])
 @pytest.mark.parametrize("below", [False, True])
-def test_out_through_a_regular_file_exits_2(name, below, corpus_dir, eval_dir, apc_dir,
-                                            tmp_path, capsys):
+def test_out_through_a_regular_file_exits_2(name, below, corpus_dir, vowel_dir, eval_dir,
+                                            apc_dir, tmp_path, capsys):
     blocker = tmp_path / "F"
     blocker.write_bytes(b"keep me\n")
     out = blocker / "x" if below else blocker
-    argv = _runner_argv(name, corpus_dir, eval_dir, apc_dir, tmp_path)
+    argv = _runner_case(name, corpus_dir, vowel_dir, eval_dir, apc_dir, tmp_path)[0]
     assert cli.main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("abxlab: error: ") and str(out) in err
@@ -708,11 +828,11 @@ def test_out_through_a_regular_file_exits_2(name, below, corpus_dir, eval_dir, a
     assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("F")) == ["F"]
 
 
-def test_output_name_taken_by_a_directory_exits_2(corpus_dir, eval_dir, apc_dir,
-                                                  tmp_path, capsys):
+def test_output_name_taken_by_a_directory_exits_2(corpus_dir, vowel_dir, eval_dir,
+                                                  apc_dir, tmp_path, capsys):
     out = tmp_path / "out"
     (out / "pairwise.csv").mkdir(parents=True)
-    argv = _runner_argv("eval", corpus_dir, eval_dir, apc_dir, tmp_path)
+    argv = _runner_case("eval", corpus_dir, vowel_dir, eval_dir, apc_dir, tmp_path)[0]
     assert cli.main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"abxlab: error: cannot write {out / 'pairwise.csv'}: it is a directory\n"

@@ -16,6 +16,7 @@ from abxlab.corpus import (
     load_feature_archive,
     load_item_file,
     load_label_track,
+    read_rows,
     segment_frames,
     time_to_frame,
     write_feature_archive,
@@ -29,7 +30,7 @@ from abxlab.errors import (
     UnmappedPhoneError,
     UsageError,
 )
-from abxlab.manifest import write_outputs
+from abxlab.manifest import json_bytes, lines_bytes, write_outputs
 from oracles import ftxt_rows_per_value
 
 
@@ -220,6 +221,56 @@ def test_archive_loader_empty_and_unknown_format(tmp_path):
         load_feature_archive(tmp_path / "feat")
     with pytest.raises(UsageError):
         load_feature_archive(tmp_path / "feat", format="npz")
+
+
+def test_archive_with_both_formats_is_inconsistent(tmp_path):
+    # a text extract written over a binary one must not be read as the binary
+    write_feature_archive(small_archive(), tmp_path / "feat")
+    stale = {utt: small_archive().frames(utt)[:, :3] for utt in ("u01", "u02")}
+    write_feature_archive(FeatureArchive(stale, 10000), tmp_path / "feat", format="text")
+    with pytest.raises(ConsistencyError, match="2 .fbin and 2 .ftxt"):
+        load_feature_archive(tmp_path / "feat")
+    assert load_feature_archive(tmp_path / "feat", format="binary").dim == 4
+    assert load_feature_archive(tmp_path / "feat", format="text").dim == 3
+
+
+# ---------------------------------------------------------------------------
+# text tables
+
+
+def test_read_rows_numbers_lines_past_header_and_blanks(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("  h,x \n\n a,1\n\n\n# c,1\nb,2,3\n")
+    rows = read_rows(p, "table", sep=",", n_fields=2, header="h,x", comment="#")
+    assert next(rows) == (3, [" a", "1"])
+    with pytest.raises(RowError) as e:
+        next(rows)
+    assert (e.value.line_no, e.value.message) == (7, "expected 2 fields, got 3")
+    p.write_text("\nh,x\n")
+    with pytest.raises(FormatError, match="first line must be 'h,x'"):
+        list(read_rows(p, "table", sep=",", header="h,x"))
+
+
+def test_read_rows_header_function_and_field_range(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("n=2\n1 2\n\n1 2 3\n")
+    rows = read_rows(p, "table", header=lambda fields: int(fields[0][2:]))
+    assert next(rows) == (2, ["1", "2"])
+    with pytest.raises(RowError, match=":4: expected 2 fields, got 3"):
+        next(rows)
+    p.write_text("a\tb\tc\n\na\n")
+    with pytest.raises(RowError, match=":3: expected at least 2 tab-separated fields, got 1"):
+        list(read_rows(p, "table", sep="\t", n_fields=range(2, 9)))
+    with pytest.raises(UsageError, match="table not found"):
+        list(read_rows(tmp_path / "missing.txt", "table"))
+
+
+def test_text_encoders():
+    assert lines_bytes([]) == b""
+    assert lines_bytes(iter(["a", "", "b"])) == b"a\n\nb\n"
+    assert json_bytes({"b": [1, 2], "a": "\u00e9"}) == (
+        b'{\n  "a": "\\u00e9",\n  "b": [\n    1,\n    2\n  ]\n}\n'
+    )
 
 
 # ---------------------------------------------------------------------------
