@@ -8,7 +8,8 @@ the cells out in those groups.  ``score_corpus`` is the one scoring
 entry: each group computes a dense segment x segment block of DTW
 dissimilarities, every unordered pair once through the batched kernel,
 and its cells are scored by lookups into that block.  Groups are pure
-functions of the archive, so they can be scored in parallel.
+functions of the archive, so they can be scored in parallel; a process
+pool starts only when the task's DP cells reach ``POOL_MIN_DP_CELLS``.
 
 Scoring counts strict wins and exact ties as integers and divides once
 at the end, so the comparison order inside a cell cannot perturb eta.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +37,13 @@ from .manifest import json_bytes, lines_bytes
 TASK_KINDS = ("phone", "af")
 MODES = ("within", "across")
 PAIRWISE_HEADER = "category_x,category_y,context_prev,context_next,condition,rate"
+
+# Below this many DP cells (the unpadded sum of m x n over every segment
+# pair the distance blocks compute) the groups are scored inline: a pool
+# costs its start-up and a copy of the archive per worker.  Timing fresh
+# ``abxlab eval`` processes at --jobs 1 and 2 on a shared 2-core machine,
+# the pool lost at 1.3M cells, broke even at 2.1M and won from 3.1M.
+POOL_MIN_DP_CELLS = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -104,6 +113,7 @@ class AbxReport:
     overall: float
     per_cell: list
     metadata: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)  # run facts for manifest.json, never written here
 
     def category_rates(self) -> dict:
         """Per-category mean of incident pairwise rates, full precision."""
@@ -263,26 +273,48 @@ def _indexed(sets):
     return segments, [np.array([pos[s] for s in members], dtype=np.intp) for members in sets]
 
 
-def _distance_block(segments, triples, archive, cfg) -> np.ndarray:
-    """Dense segment x segment DTW block over the pairs that ``triples`` read.
+class _GroupPlan(NamedTuple):
+    """What scoring a group needs before any DTW runs."""
 
-    ``triples`` holds (A, B, X) index arrays; every pair in A x X and
-    B x X is computed, each unordered pair once because DTW is
-    bit-symmetric.  The diagonal stays 0.0, which is what DTW of a
-    segment with itself gives (the equal-frame rule zeroes its diagonal
-    path); pairs that nothing reads also stay 0.0 and are never looked at.
+    cells: list
+    segments: list  # the distinct segments the cells read, sorted
+    xy: list  # per cell, the (A, B, X) index triple of eta(x->y)
+    yx: list  # and of eta(y->x)
+    i: np.ndarray  # the segment pairs the distance block computes, i < j
+    j: np.ndarray
+
+
+def _plan_group(cells) -> _GroupPlan:
+    """The index triples of a group's cells and the pairs they read.
+
+    Every pair in A x X and B x X of a triple is read, each unordered
+    pair is computed once because DTW is bit-symmetric.  The diagonal of
+    the block stays 0.0, which is what DTW of a segment with itself
+    gives (the equal-frame rule zeroes its diagonal path); pairs that
+    nothing reads also stay 0.0 and are never looked at.
     """
+    segments, idx = _indexed(
+        [s for c in cells for s in (c.set_x_ab, c.set_y_ab, c.set_x_x, c.set_y_x)]
+    )
+    xy = [(idx[k], idx[k + 1], idx[k + 2]) for k in range(0, len(idx), 4)]
+    yx = [(idx[k + 1], idx[k], idx[k + 3]) for k in range(0, len(idx), 4)]
     n = len(segments)
     read = np.zeros((n, n), dtype=bool)
-    for a, b, x in triples:
+    for a, b, x in xy + yx:
         read[np.ix_(a, x)] = True
         read[np.ix_(b, x)] = True
     i, j = np.nonzero(np.triu(read | read.T, 1))
-    block = np.zeros((n, n))
-    block[i, j] = block[j, i] = dtw_pairs(
-        [segment_frames(s, archive) for s in segments], i, j, cfg
-    )
-    return block
+    return _GroupPlan(cells, segments, xy, yx, i, j)
+
+
+def _dp_cells(plans, archive) -> int:
+    """The unpadded DP cells of the plans: the sum of m x n over every
+    pair ``dtw_pairs`` will receive."""
+    total = 0
+    for plan in plans:
+        lengths = np.array([segment_frames(s, archive).shape[0] for s in plan.segments])
+        total += int(np.dot(lengths[plan.i], lengths[plan.j]))
+    return total
 
 
 def _eta(block, a, b, x, within: bool) -> tuple[float, int]:
@@ -308,19 +340,18 @@ def _eta(block, a, b, x, within: bool) -> tuple[float, int]:
     return errors / (2 * total), total
 
 
-def _score_group(cells, archive: FeatureArchive, cfg: DtwConfig) -> list[CellScore]:
-    """Score cells that share segments from one distance block.
+def _score_group(plan: _GroupPlan, archive: FeatureArchive, cfg: DtwConfig) -> list[CellScore]:
+    """Score the cells of a group from one distance block.
 
     epsilon = (eta(x->y) + eta(y->x)) / 2 for each cell.
     """
-    segments, idx = _indexed(
-        [s for c in cells for s in (c.set_x_ab, c.set_y_ab, c.set_x_x, c.set_y_x)]
+    n = len(plan.segments)
+    block = np.zeros((n, n))
+    block[plan.i, plan.j] = block[plan.j, plan.i] = dtw_pairs(
+        [segment_frames(s, archive) for s in plan.segments], plan.i, plan.j, cfg
     )
-    xy = [(idx[k], idx[k + 1], idx[k + 2]) for k in range(0, len(idx), 4)]
-    yx = [(idx[k + 1], idx[k], idx[k + 3]) for k in range(0, len(idx), 4)]
-    block = _distance_block(segments, xy + yx, archive, cfg)
     scores = []
-    for cell, triple_xy, triple_yx in zip(cells, xy, yx):
+    for cell, triple_xy, triple_yx in zip(plan.cells, plan.xy, plan.yx):
         eta_xy, total_xy = _eta(block, *triple_xy, cell.within)
         eta_yx, total_yx = _eta(block, *triple_yx, cell.within)
         scores.append(CellScore(
@@ -377,8 +408,8 @@ def _worker_init(archive, cfg):
     _WORKER_STATE = (archive, cfg)
 
 
-def _worker_group(cells):
-    return _score_group(cells, *_WORKER_STATE)
+def _worker_group(plan):
+    return _score_group(plan, *_WORKER_STATE)
 
 
 def config_digest(doc: dict) -> str:
@@ -391,9 +422,15 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
     """Score an ABX task: the package's one scoring entry.
 
     Cell groups -> distance blocks (parallel over groups) -> aggregate.
-    The report is bit-identical for any jobs value: each group's cells
-    are scored from its own distance block, and the scores are folded in
-    sorted order.
+    ``jobs`` caps the worker processes: with ``jobs > 1`` and two groups
+    or more, the task's DP cells are counted first, and a pool of
+    ``min(jobs, groups)`` workers starts only when they reach
+    ``POOL_MIN_DP_CELLS``; otherwise every group is scored inline.  The
+    report is bit-identical for any jobs value: each group's cells are
+    scored from its own distance block, and the scores are folded in
+    sorted order.  ``report.stats`` holds ``workers`` (the pool's
+    processes, 1 inline) and ``dp_cells`` (the count, or None when no
+    decision needed it).
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
@@ -402,17 +439,22 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
         raise EmptyTaskError(
             f"no scoreable cells (undersized candidates: {stats['undersized']})"
         )
-    if jobs == 1 or len(groups) == 1:
-        scored = [_score_group(g, archive, cfg) for g in groups]
+    plans = [_plan_group(g) for g in groups]
+    workers, dp_cells = 1, None
+    if jobs > 1 and len(plans) > 1:
+        dp_cells = _dp_cells(plans, archive)
+        if dp_cells >= POOL_MIN_DP_CELLS:
+            workers = min(jobs, len(plans))
+    if workers == 1:
+        scored = [_score_group(p, archive, cfg) for p in plans]
     else:
         # imported here: the pool's modules cost start-up of every command
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(groups)), initializer=_worker_init,
-            initargs=(archive, cfg),
+            max_workers=workers, initializer=_worker_init, initargs=(archive, cfg),
         ) as pool:
-            scored = list(pool.map(_worker_group, groups))
+            scored = list(pool.map(_worker_group, plans))
     scores = [s for group in scored for s in group]
     metadata = {
         "task": kind,
@@ -434,4 +476,6 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
             }
         ),
     }
-    return aggregate(scores, kind, mode, metadata)
+    report = aggregate(scores, kind, mode, metadata)
+    report.stats = {"workers": workers, "dp_cells": dp_cells}
+    return report

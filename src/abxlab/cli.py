@@ -9,14 +9,17 @@ Subcommands:
 
 Every run that produces a report directory also writes ``manifest.json``
 recording the command line, the merged configuration, SHA-256 digests of
-the inputs, the seed, wall time, and the tool version.  Each such
-command returns only its files (as bytes) and a message; ``main`` builds
+the inputs, the seed, wall time, the tool version and the run's stats
+(``eval``: the worker processes that scored and the DP cells counted to
+decide on a pool; null for the other commands).  Each such command returns
+only its files (as bytes), a message and its stats; ``main`` builds
 the manifest from the parsed flags and writes it with the files in one
 atomic ``write_outputs`` call.  The config is every flag of the command
 (``synth`` and ``apc train`` return their merged config instead, and
 ``analyze phoneme`` adds the condition it derives), the seed is the
 config's ``seed``, and the inputs are the flags typed ``InputPath`` whose
-path exists: a built-in AF table name is not a file and is not digested.
+path exists: a feature directory stands for its archive files, and a
+built-in AF table name is not a file and is not digested.
 
 Exit codes: 0 success, 1 gradient check over its error bound, 2 usage
 error, 3 malformed or inconsistent data, 4 empty task (no scorable cells),
@@ -63,6 +66,7 @@ from .apc import (
 )
 from .corpus import (
     feature_archive_files,
+    feature_paths,
     load_feature_archive,
     load_item_file,
     load_label_track,
@@ -89,11 +93,13 @@ class Outputs(NamedTuple):
     files: dict  # {relative name: bytes}, written beside manifest.json
     message: str  # printed once everything is written
     config: dict | None = None  # None: the command's flags
+    stats: dict | None = None  # what the run did, for the manifest
 
 
 class InputPath(str):
-    """Argparse type of a flag that names an input file or directory; the
-    manifest digests each such value that exists on disk."""
+    """Argparse type of a flag that names an input file or feature
+    directory; the manifest digests each such value that exists on disk,
+    a directory as the archive files ``load_feature_archive`` reads."""
 
 
 # dests the parser sets for itself, not flags of the command
@@ -157,7 +163,7 @@ def _parse_rate(path, line_no: int, text: str) -> float:
 
 
 def cmd_eval(args) -> Outputs:
-    args.jobs = _resolve_jobs(args.jobs)  # the manifest records the resolved count
+    args.jobs = _resolve_jobs(args.jobs)  # the manifest records the resolved cap
     archive = load_feature_archive(args.features)
     segments = load_item_file(args.items)
     for seg in segments:
@@ -197,6 +203,7 @@ def cmd_eval(args) -> Outputs:
         f"{args.task} {args.mode} ABX error: {report.overall:.6f} "
         f"({report.metadata['cells']} cells, "
         f"{report.metadata['comparisons']} comparisons)",
+        stats=report.stats,
     )
 
 
@@ -535,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--max-speaker-pairs", type=int, default=None)
     p_eval.add_argument("--seed", type=int, default=42)
-    p_eval.add_argument("--jobs", type=int, default=None)
+    p_eval.add_argument("--jobs", type=int, default=None,
+                        help="cap on worker processes (default: the usable CPUs)")
     p_eval.add_argument("--zero-vector-distance", type=float, default=1.0)
     p_eval.add_argument(
         "--per-cell", action="store_true", help="include per-cell rates in report.json"
@@ -640,14 +648,16 @@ def main(argv=None) -> int:
             return run
         flags = {k: v for k, v in vars(args).items() if k not in _PARSER_DESTS}
         config = flags if run.config is None else run.config
-        inputs = [v for v in flags.values()
-                  if isinstance(v, InputPath) and Path(v).exists()]
+        inputs = [f for v in flags.values()
+                  if isinstance(v, InputPath) and Path(v).exists()
+                  for f in (feature_paths(v) if Path(v).is_dir() else [v])]
         manifest = RunManifest(
             command=["abxlab"] + argv,
             config=config,
             inputs=digest_inputs(inputs),
             seed=config.get("seed"),
             wall_time_s=time.perf_counter() - t0,
+            stats=run.stats,
         )
         write_outputs(args.out, {**run.files, "manifest.json": manifest.to_json_bytes()})
     except AbxlabError as e:

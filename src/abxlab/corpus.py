@@ -252,8 +252,10 @@ def _read_ftxt(path: Path) -> tuple[str, np.ndarray, int]:
     return path.stem, mat, dim_period[1]
 
 
-def load_feature_archive(path, format: str = "auto") -> FeatureArchive:
-    """Load all feature files under ``path`` into one validated archive."""
+def feature_paths(path, format: str = "auto") -> list[Path]:
+    """The files of the feature archive in directory ``path``, sorted: its
+    top-level ``*.fbin`` (binary) or ``*.ftxt`` (text) files.  ``auto``
+    takes whichever kind is there, and both kinds are inconsistent."""
     root = Path(path)
     if not root.is_dir():
         raise UsageError(f"feature directory not found: {root}")
@@ -267,10 +269,16 @@ def load_feature_archive(path, format: str = "auto") -> FeatureArchive:
     suffix = {"binary": "*.fbin", "text": "*.ftxt"}.get(format)
     if suffix is None:
         raise UsageError(f"unknown feature format {format!r}")
-    reader = _read_fbin if format == "binary" else _read_ftxt
     files = sorted(root.glob(suffix))
     if not files:
         raise EmptyArchiveError(f"no {suffix} files under {root}")
+    return files
+
+
+def load_feature_archive(path, format: str = "auto") -> FeatureArchive:
+    """Load the files ``feature_paths`` names into one validated archive."""
+    files = feature_paths(path, format)
+    reader = _read_fbin if files[0].suffix == ".fbin" else _read_ftxt
     utterances = {}
     periods = set()
     for f in files:

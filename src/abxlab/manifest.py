@@ -2,9 +2,9 @@
 
 Every CLI command leaves a manifest.json next to its outputs recording
 the exact command, the merged effective config, a sha256 per input
-file, the tool version, the seed and the wall time.  Reports are never
-written partially: all files land under temporary names first and are
-renamed only after every write succeeded.
+file, the tool version, the seed, the wall time and the run's stats.
+Reports are never written partially: all files land under temporary
+names first and are renamed only after every write succeeded.
 """
 
 from __future__ import annotations
@@ -100,17 +100,8 @@ def sha256_file(path) -> str:
 
 
 def digest_inputs(paths) -> dict:
-    """Per-file sha256 for every input; directories are walked sorted."""
-    digests = {}
-    for p in paths:
-        p = Path(p)
-        if p.is_dir():
-            for f in sorted(p.rglob("*")):
-                if f.is_file():
-                    digests[str(f)] = sha256_file(f)
-        else:
-            digests[str(p)] = sha256_file(p)
-    return digests
+    """{path: sha256} of every input file."""
+    return {str(p): sha256_file(p) for p in paths}
 
 
 def verify_digests(digests: dict) -> list:
@@ -130,6 +121,7 @@ class RunManifest:
     seed: int | None = None
     wall_time_s: float = 0.0
     tool_version: str = __version__
+    stats: dict | None = None  # what the run did; None for a command that reports nothing
 
     def to_json_bytes(self) -> bytes:
         return json_bytes(dict(vars(self), wall_time_s=round(self.wall_time_s, 6)))

@@ -8,7 +8,7 @@ ACCEPTANCE_CRITERIA = [
     ("test_criterion_03_scale_invariance",
      "03 scale invariance: features x 2.5 leave report.json byte-identical"),
     ("test_criterion_04_parallel_determinism",
-     "04 parallel determinism: --jobs 1 and --jobs 8 reports byte-identical"),
+     "04 parallel determinism: --jobs 1 and --jobs 8 reports byte-identical on both sides of the pool threshold"),
     ("test_criterion_05_dtw_oracle",
      "05 DTW oracle: DP result matches exhaustive path enumeration within 1e-12"),
     ("test_criterion_06_monotone_degradation",

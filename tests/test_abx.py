@@ -1,8 +1,10 @@
+import concurrent.futures
 import json
 
 import numpy as np
 import pytest
 
+from abxlab import abx
 from abxlab.abx import (
     AbxReport,
     CellLimits,
@@ -15,7 +17,7 @@ from abxlab.abx import (
 )
 from abxlab.af_tables import AfTable, load_af_table
 from abxlab.corpus import FeatureArchive, ItemSegment
-from abxlab.distance import DtwConfig
+from abxlab.distance import DtwConfig, dtw_pairs
 from abxlab.errors import DataError, EmptyTaskError, UnmappedPhoneError, UsageError
 from abxlab.synth import SynthConfig, generate_corpus
 
@@ -324,23 +326,78 @@ def test_csv_rates_reaggregate_exactly():
         assert sum(rates) / len(rates) == report.pairwise[pair]
 
 
-@pytest.mark.parametrize("mode", ["within", "across"])
-@pytest.mark.parametrize("kind", ["phone", "af"])
-def test_parallel_scoring_is_bit_identical(kind, mode):
+def _pool_corpus():
     # several groups (contexts, and speakers within), so the pool gets work
-    corpus = generate_corpus(
+    return generate_corpus(
         SynthConfig(
             phones=("AE", "EH", "IY", "UW"), n_speakers=3, dim=4,
             noise_scale=0.6, speaker_offset_scale=0.3, seed=8,
         )
     )
+
+
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+@pytest.mark.parametrize("mode", ["within", "across"])
+@pytest.mark.parametrize("kind", ["phone", "af"])
+def test_parallel_scoring_is_bit_identical(kind, mode, monkeypatch):
+    corpus = _pool_corpus()
     table = load_af_table("english-height") if kind == "af" else None
     r1 = score_corpus(corpus.archive, corpus.segments, mode, kind, af_table=table, jobs=1)
-    for jobs in (2, 4):
-        rj = score_corpus(corpus.archive, corpus.segments, mode, kind, af_table=table, jobs=jobs)
-        assert r1.to_json_bytes() == rj.to_json_bytes()
-        assert r1.to_csv_bytes() == rj.to_csv_bytes()
-        assert [c.epsilon for c in r1.per_cell] == [c.epsilon for c in rj.per_cell]
+    groups = len(_build_cells(corpus.segments, mode, kind, table, CellLimits())[0])
+    assert groups > 1
+    # the default threshold scores this corpus inline, threshold 0 in the pool
+    for threshold in (abx.POOL_MIN_DP_CELLS, 0):
+        monkeypatch.setattr(abx, "POOL_MIN_DP_CELLS", threshold)
+        for jobs in (2, 4):
+            rj = score_corpus(corpus.archive, corpus.segments, mode, kind, af_table=table,
+                              jobs=jobs)
+            assert rj.stats["workers"] == (min(jobs, groups) if threshold == 0 else 1)
+            assert r1.to_json_bytes() == rj.to_json_bytes()
+            assert r1.to_csv_bytes() == rj.to_csv_bytes()
+            assert [c.epsilon for c in r1.per_cell] == [c.epsilon for c in rj.per_cell]
+
+
+def test_below_pool_threshold_no_pool_starts(monkeypatch):
+    corpus = _pool_corpus()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    report = score_corpus(corpus.archive, corpus.segments, "across", "phone", jobs=2)
+    assert report.stats["workers"] == 1
+    assert 0 < report.stats["dp_cells"] < abx.POOL_MIN_DP_CELLS
+    monkeypatch.setattr(abx, "POOL_MIN_DP_CELLS", report.stats["dp_cells"])
+    with pytest.raises(AssertionError, match="process pool"):
+        score_corpus(corpus.archive, corpus.segments, "across", "phone", jobs=2)
+
+
+def test_single_job_counts_no_dp_cells(monkeypatch):
+    corpus = _pool_corpus()
+
+    def fail(plans, archive):
+        raise AssertionError("DP cells counted at jobs=1")
+
+    monkeypatch.setattr(abx, "_dp_cells", fail)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    report = score_corpus(corpus.archive, corpus.segments, "within", "phone", jobs=1)
+    assert report.stats == {"workers": 1, "dp_cells": None}
+
+
+@pytest.mark.parametrize("mode", ["within", "across"])
+def test_dp_cells_count_what_dtw_receives(mode, monkeypatch):
+    corpus = _pool_corpus()
+    received = []
+
+    def recording(frames, i, j, cfg):
+        received.append(sum(len(frames[a]) * len(frames[b]) for a, b in zip(i, j)))
+        return dtw_pairs(frames, i, j, cfg)
+
+    monkeypatch.setattr(abx, "dtw_pairs", recording)
+    report = score_corpus(corpus.archive, corpus.segments, mode, "phone", jobs=2)
+    assert report.stats["workers"] == 1  # inline, so every call is seen here
+    assert len(received) > 1
+    assert report.stats["dp_cells"] == sum(received)
 
 
 class UncheckedArchive:

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from abxlab import abx
 from abxlab.abx import score_corpus
 from abxlab.af_tables import BUILTIN_TABLES, load_af_table
 from abxlab.analysis import (
@@ -148,23 +149,28 @@ def test_criterion_03_scale_invariance():
             assert a.to_csv_bytes() == b.to_csv_bytes()
 
 
-def test_criterion_04_parallel_determinism(tmp_path):
+def test_criterion_04_parallel_determinism(tmp_path, monkeypatch):
     corpus = synth_cli(
         tmp_path, "corpus", "--phones", "AE,EH,IY", "--dim", "4",
         "--speakers", "2", "--segments-per-cell", "3",
         "--noise-scale", "0.4", "--seed", "5",
     )
     reports = []
-    for jobs in ("1", "8"):
-        out = tmp_path / f"jobs{jobs}"
-        rc = cli.main([
-            "eval", "--features", str(corpus / "features"),
-            "--items", str(corpus / "items.item"),
-            "--mode", "within", "--jobs", jobs, "--out", str(out),
-        ])
-        assert rc == 0
-        reports.append((out / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+    # the default threshold scores this corpus inline, threshold 0 in the pool
+    for threshold in (abx.POOL_MIN_DP_CELLS, 0):
+        monkeypatch.setattr(abx, "POOL_MIN_DP_CELLS", threshold)
+        for jobs in ("1", "8"):
+            out = tmp_path / f"t{threshold}jobs{jobs}"
+            rc = cli.main([
+                "eval", "--features", str(corpus / "features"),
+                "--items", str(corpus / "items.item"),
+                "--mode", "within", "--jobs", jobs, "--out", str(out),
+            ])
+            assert rc == 0
+            workers = json.loads((out / "manifest.json").read_text())["stats"]["workers"]
+            assert (workers > 1) == (threshold == 0 and jobs == "8")
+            reports.append((out / "report.json").read_bytes())
+    assert all(r == reports[0] for r in reports)
 
 
 def test_criterion_05_dtw_oracle():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from abxlab import cli
+from abxlab import abx, cli
 from abxlab.abx import score_corpus
 from abxlab.af_tables import load_af_table
 from abxlab.apc import load_checkpoint
@@ -86,18 +86,45 @@ def test_eval_manifest_digests(eval_dir, corpus_dir):
         victim.write_bytes(original)
 
 
-def test_eval_jobs_do_not_change_bytes(corpus_dir, tmp_path):
+def test_eval_jobs_do_not_change_bytes(corpus_dir, tmp_path, monkeypatch):
     outs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"j{jobs}"
-        rc = cli.main([
-            "eval", "--features", str(corpus_dir / "features"),
-            "--items", str(corpus_dir / "items.item"),
-            "--mode", "across", "--jobs", jobs, "--out", str(out),
-        ])
-        assert rc == 0
-        outs.append((out / "report.json").read_bytes())
-    assert outs[0] == outs[1]
+    # the default threshold scores this corpus inline, threshold 0 in the pool
+    for threshold in (abx.POOL_MIN_DP_CELLS, 0):
+        monkeypatch.setattr(abx, "POOL_MIN_DP_CELLS", threshold)
+        for jobs in ("1", "2"):
+            out = tmp_path / f"t{threshold}j{jobs}"
+            rc = cli.main([
+                "eval", "--features", str(corpus_dir / "features"),
+                "--items", str(corpus_dir / "items.item"),
+                "--mode", "across", "--jobs", jobs, "--out", str(out),
+            ])
+            assert rc == 0
+            stats = json.loads((out / "manifest.json").read_text())["stats"]
+            assert stats["workers"] == (2 if threshold == 0 and jobs == "2" else 1)
+            assert (stats["dp_cells"] is None) == (jobs == "1")
+            outs.append([(out / f).read_bytes() for f in ("report.json", "pairwise.csv")])
+    assert all(o == outs[0] for o in outs)
+
+
+def test_eval_digests_only_archive_files(corpus_dir, tmp_path):
+    """A feature directory's inputs are its archive files: a manifest an
+    earlier command left there, or a nested file, is not read or digested."""
+    feats = tmp_path / "features"
+    shutil.copytree(corpus_dir / "features", feats)
+    (feats / "nested").mkdir()
+    (feats / "nested" / "u99.fbin").write_bytes(b"not read")
+    inputs = []
+    for wall in (0.5, 0.7):
+        (feats / "manifest.json").write_text(json.dumps({"wall_time_s": wall}))
+        out = tmp_path / f"eval{wall}"
+        assert cli.main([
+            "eval", "--features", str(feats), "--items", str(corpus_dir / "items.item"),
+            "--mode", "within", "--jobs", "1", "--out", str(out),
+        ]) == 0
+        inputs.append(json.loads((out / "manifest.json").read_text())["inputs"])
+    assert inputs[0] == inputs[1]
+    assert set(inputs[0]) == {str(f) for f in feats.glob("*.fbin")} | {
+        str(corpus_dir / "items.item")}
 
 
 def test_eval_usage_errors(corpus_dir, tmp_path):
@@ -672,10 +699,12 @@ def test_apc_extract_bad_checkpoint_config_exits_3(corpus_dir, apc_dir, tmp_path
 
 
 def _digest_keys(*paths):
-    """The manifest input keys of ``paths``: a directory stands for its files."""
+    """The manifest input keys of ``paths``: a directory stands for its
+    archive files."""
     keys = set()
     for p in paths:
-        keys |= {str(f) for f in p.rglob("*") if f.is_file()} if p.is_dir() else {str(p)}
+        files = [*p.glob("*.fbin"), *p.glob("*.ftxt")] if p.is_dir() else [p]
+        keys |= {str(f) for f in files}
     return keys
 
 
@@ -789,8 +818,12 @@ def test_runner_writes_manifest(name, corpus_dir, vowel_dir, eval_dir, apc_dir, 
     assert cli.main(argv + ["--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {
-        "command", "config", "inputs", "seed", "tool_version", "wall_time_s",
+        "command", "config", "inputs", "seed", "stats", "tool_version", "wall_time_s",
     }
+    if argv[0] == "eval":  # these corpora score inline
+        assert manifest["stats"]["workers"] == 1
+    else:
+        assert manifest["stats"] is None
     assert manifest["command"] == ["abxlab"] + argv + ["--out", str(out)]
     assert manifest["config"] == config
     assert set(manifest["inputs"]) == _digest_keys(*inputs)
