@@ -41,8 +41,10 @@ PAIRWISE_HEADER = "category_x,category_y,context_prev,context_next,condition,rat
 # Below this many DP cells (the unpadded sum of m x n over every segment
 # pair the distance blocks compute) the groups are scored inline: a pool
 # costs its start-up and a copy of the archive per worker.  Timing fresh
-# ``abxlab eval`` processes at --jobs 1 and 2 on a shared 2-core machine,
-# the pool lost at 1.3M cells, broke even at 2.1M and won from 3.1M.
+# ``abxlab eval`` processes at --jobs 1 and 2 on a shared 2-core machine
+# (10-12 alternating pairs a series), the pool won at 3.1M cells in 10/10
+# and 6/10 pairs and lost in 12/12 and 9/10 in two other series; at 4.2M
+# it won in 10/12, 10/10 and 5/10, at 2.1M in 7/10 and at 1.3M in 1/10.
 POOL_MIN_DP_CELLS = 3_000_000
 
 

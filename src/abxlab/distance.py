@@ -6,7 +6,9 @@ a one-pair call into it.  All arithmetic runs in float64 regardless of
 storage dtype, and the inner products are computed with ``np.einsum``
 so that summation order is fixed by the implementation, not by the BLAS
 build.  This keeps results reproducible across machines and across
-worker processes.
+worker processes.  The DTW recurrence holds each cell as one complex128,
+path cost + 1j * path length, so numpy's complex minimum is its
+(cost, length) tie-break.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ DEFAULT_DTW = DtwConfig()
 
 
 # Pairs run through the kernel in shape-sorted chunks of this many; it
-# bounds the kernel's temporaries.
+# bounds the kernel's one complex (diags + 1, M + 1, P) DP array, at 16 B
+# per cell.
 DTW_CHUNK = 64
 
 
@@ -106,39 +109,27 @@ def _dtw_padded(a, x, m, n, cfg: DtwConfig) -> np.ndarray:
     p, rows, cols = a.shape[0], a.shape[1], x.shape[1]
     cost = _cost_matrices(a, x, m, n, cfg)
 
-    # The DP runs along anti-diagonals k = i + j, each of which depends
-    # only on the two before it.  A diagonal is a (rows + 1, P) array
-    # whose row 1 + i holds cell (i, k - i), so every step works on
-    # contiguous rows.  Row 0 and the cells off the grid are +inf, so
-    # they never win a minimum over the finite predecessor that every
-    # cell on the grid has.  Each pair's row m - 1 is kept per diagonal,
-    # and its result read on diagonal m + n - 2.
+    # A DP cell is one complex number, path cost + 1j * path length (an
+    # exact integer in float64), whose numpy ordering (real part, then
+    # imaginary part) is the tie-break toward fewer cells.  Cell (i, j)
+    # starts as its cost + 1j at dp[1 + i + j, 1 + i], and a step adds
+    # the best predecessor to a whole anti-diagonal, which depends only
+    # on the two before it, in contiguous rows.  dp[0], row 0 and the
+    # cells off the grid are +inf, so they never win a minimum over the
+    # finite predecessor that every cell on the grid has.
     diags = rows + cols - 1
-    skew = np.full((diags, rows, p), np.inf)
+    dp = np.full((diags + 1, rows + 1, p), complex(np.inf, 1.0))
     i, j = np.indices((rows, cols))
-    skew[i + j, i] = cost.transpose(1, 2, 0)
-    far_s = np.full((rows + 1, p), np.inf)  # diagonal k - 2
-    far_l = np.zeros((rows + 1, p), dtype=np.int64)
-    near_s, near_l = far_s.copy(), far_l.copy()  # diagonal k - 1
-    near_s[1], near_l[1] = skew[0, 0], 1
-    at_end = m, np.arange(p)
-    end_s = np.empty((diags, p))
-    end_l = np.empty((diags, p), dtype=np.int64)
-    end_s[0], end_l[0] = near_s[at_end], near_l[at_end]
-    for k in range(1, diags):
-        s, l = far_s[:-1], far_l[:-1]  # diagonal step
-        for s2, l2 in ((near_s[:-1], near_l[:-1]),  # vertical
-                       (near_s[1:], near_l[1:])):  # horizontal
-            take = (s2 < s) | ((s2 == s) & (l2 < l))
-            s = np.where(take, s2, s)
-            l = np.where(take, l2, l)
-        # s and l are fresh arrays now, so diagonal k can overwrite k - 2
-        np.add(s, skew[k], out=far_s[1:])
-        np.add(l, 1, out=far_l[1:])
-        far_s, far_l, near_s, near_l = near_s, near_l, far_s, far_l
-        end_s[k], end_l[k] = near_s[at_end], near_l[at_end]
-    last = m + n - 2, np.arange(p)
-    return end_s[last] / end_l[last]
+    dp.real[1 + i + j, 1 + i] = cost.transpose(1, 2, 0)
+    best = np.empty((rows, p), dtype=complex)
+    for k in range(2, diags + 1):
+        # on a full tie np.minimum keeps its first argument, so the order
+        # diagonal, vertical, horizontal is part of the result's bits
+        np.minimum(dp[k - 2, :-1], dp[k - 1, :-1], out=best)
+        np.minimum(best, dp[k - 1, 1:], out=best)
+        dp[k, 1:] += best
+    end = dp[m + n - 1, m, np.arange(p)]
+    return end.real / end.imag
 
 
 def _cost_matrices(a, x, m, n, cfg: DtwConfig) -> np.ndarray:

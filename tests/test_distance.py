@@ -213,7 +213,7 @@ def planted_pairs(rng, d, dtype, count=150):
         m, n = (int(v) for v in rng.integers(1, 17, size=2))
         A = (rng.standard_normal((m, d)) * 2).astype(dtype)
         X = (rng.standard_normal((n, d)) * 2).astype(dtype)
-        kind = k % 5
+        kind = k % 6
         if kind == 1:  # zero-norm frames, one of them on both sides
             A[rng.integers(m)] = 0.0
             X[rng.integers(n)] = 0.0
@@ -228,11 +228,19 @@ def planted_pairs(rng, d, dtype, count=150):
         elif kind == 4:  # orthogonal one-hot rows: every cell costs 1
             A = np.eye(m, d, dtype=dtype)
             X = np.eye(n, d, k=min(m, d), dtype=dtype) if d > m else np.zeros((n, d), dtype)
+        elif kind == 5:  # short {0, 1} rows, some segments all zero: at
+            # dim 1 with zero_vector_distance -0.0 every cost is a signed
+            # zero, so only the tie order of the DP decides the result's sign
+            A, X = (rng.integers(0, 2, size=(t % 5 + 1, d)).astype(dtype) for t in (m, n))
+            if k // 6 % 3 == 1:
+                A[:] = 0.0
+            elif k // 6 % 3 == 2:
+                X[:] = 0.0
         pairs.append((A, X))
     return pairs
 
 
-@pytest.mark.parametrize("zero_vector_distance", [0.0, 0.25, 2.0])
+@pytest.mark.parametrize("zero_vector_distance", [0.0, -0.0, 0.25, 1.0, 2.0])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("d", [1, 13, 100])
 def test_dtw_batch_is_bitwise_scalar(d, dtype, zero_vector_distance):
