@@ -290,10 +290,11 @@ def _plan_group(cells) -> _GroupPlan:
     """The index triples of a group's cells and the pairs they read.
 
     Every pair in A x X and B x X of a triple is read, each unordered
-    pair is computed once because DTW is bit-symmetric.  The diagonal of
-    the block stays 0.0, which is what DTW of a segment with itself
-    gives (the equal-frame rule zeroes its diagonal path); pairs that
-    nothing reads also stay 0.0 and are never looked at.
+    pair is computed once because DTW is bit-symmetric (but for the sign
+    of a zero result at ``zero_vector_distance=-0.0``, which no comparison
+    sees).  The diagonal of the block stays 0.0, which is what DTW of a
+    segment with itself gives (the equal-frame rule zeroes its diagonal
+    path); pairs that nothing reads also stay 0.0 and are never looked at.
     """
     segments, idx = _indexed(
         [s for c in cells for s in (c.set_x_ab, c.set_y_ab, c.set_x_x, c.set_y_x)]
@@ -303,8 +304,8 @@ def _plan_group(cells) -> _GroupPlan:
     n = len(segments)
     read = np.zeros((n, n), dtype=bool)
     for a, b, x in xy + yx:
-        read[np.ix_(a, x)] = True
-        read[np.ix_(b, x)] = True
+        read[a[:, None], x] = True
+        read[b[:, None], x] = True
     i, j = np.nonzero(np.triu(read | read.T, 1))
     return _GroupPlan(cells, segments, xy, yx, i, j)
 
@@ -327,8 +328,8 @@ def _eta(block, a, b, x, within: bool) -> tuple[float, int]:
     within mode (``x`` is ``a``) skips the A at X's own position.  The
     integer totals are divided once, so no comparison order is involved.
     """
-    dax = block[np.ix_(a, x)][:, None, :]
-    dbx = block[np.ix_(b, x)][None, :, :]
+    dax = block[a[:, None, None], x]
+    dbx = block[b[:, None], x]
     gt = dax > dbx
     eq = dax == dbx
     if within:

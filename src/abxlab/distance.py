@@ -6,9 +6,18 @@ a one-pair call into it.  All arithmetic runs in float64 regardless of
 storage dtype, and the inner products are computed with ``np.einsum``
 so that summation order is fixed by the implementation, not by the BLAS
 build.  This keeps results reproducible across machines and across
-worker processes.  The DTW recurrence holds each cell as one complex128,
-path cost + 1j * path length, so numpy's complex minimum is its
-(cost, length) tie-break.
+worker processes.  What belongs to one frame is computed once per
+frame: its squared norm, and an id shared by every frame equal to it
+component by component, so a cost matrix gathers norms and compares two
+integers where it once compared frames.  A frame whose squared norm is
+neither 0.0 nor inside [2^-511, 2^511] is a ``DataError``: a product of
+two such norms would overflow or round to zero.  Each pair runs with
+its shorter segment as the rows, which shortens every anti-diagonal
+step.  DTW is bit-symmetric as long as no cost is -0.0, so the
+orientation never shows; with ``zero_vector_distance=-0.0`` the sign of
+a zero result can depend on it, and pairs keep theirs.  The DTW
+recurrence holds each cell as one complex128, path cost + 1j * path
+length, so numpy's complex minimum is its (cost, length) tie-break.
 """
 
 from __future__ import annotations
@@ -70,44 +79,63 @@ def dtw_dissimilarity(A, X, cfg: DtwConfig = DEFAULT_DTW) -> float:
 def dtw_pairs(frames, i, j, cfg: DtwConfig = DEFAULT_DTW) -> np.ndarray:
     """``dtw_dissimilarity(frames[i[p]], frames[j[p]])`` for every p.
 
-    ``frames`` holds non-empty (t, d) matrices of one dim d.  The pairs
-    are sorted by shape and run in chunks of ``DTW_CHUNK``, each chunk
-    zero-padded to its longest pair; the results come back in input
-    order as float64.
+    ``frames`` holds non-empty (t, d) matrices of one dim d.  Each pair
+    runs with its shorter segment first (unless the zero-vector distance
+    is -0.0), the pairs are sorted by shape and run in chunks of
+    ``DTW_CHUNK``, each chunk padded to its longest pair; the results
+    come back in input order as float64.
     """
     i = np.asarray(i, dtype=np.intp)
     j = np.asarray(j, dtype=np.intp)
     lengths = np.array([f.shape[0] for f in frames])
     # all frames end to end in float64, then one zero row that padding indexes
     flat = np.concatenate(list(frames) + [np.zeros_like(frames[0][:1])], dtype=np.float64)
-    if not np.isfinite(flat).all():
-        raise DataError("non-finite value in frame matrix")
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    norms = np.einsum("ij,ij->i", flat, flat)
+    # |a|^2 |x|^2 must neither overflow nor round to zero, so a squared norm
+    # lies in [2^-511, 2^511], or is 0.0 on an all-zero frame; NaN fails too
+    bad = ~(norms <= 2.0**511)
+    tiny = np.flatnonzero(norms < 2.0**-511)
+    bad[tiny] = flat[tiny].any(axis=1)
+    if bad.any():
+        if not np.isfinite(flat[bad]).all():
+            raise DataError("non-finite value in frame matrix")
+        raise DataError("frame outside the cosine distance's range: its squared "
+                        "norm is neither 0 nor in [2^-511, 2^511]")
+    # equal frames share an id: + 0.0 turns -0.0 into 0.0, so equal bytes
+    # mean equal component by component
+    void = np.dtype((np.void, 8 * flat.shape[1]))
+    ids = np.unique((flat + 0.0).view(void)[:, 0], return_inverse=True)[1]
+    # row t of segment s in flat, or the zero row past its end
+    steps = np.arange(lengths.max())
+    table = np.where(steps < lengths[:, None],
+                     (np.cumsum(lengths) - lengths)[:, None] + steps, flat.shape[0] - 1)
 
-    def padded(idx):
-        steps = np.arange(lengths[idx].max())
-        rows = starts[idx, None] + steps
-        rows[steps >= lengths[idx, None]] = flat.shape[0] - 1
-        return flat[rows]
-
+    # a shorter first side shortens every step.  DTW is bit-symmetric while
+    # no cost is -0.0; a -0.0 cost lets the tie order between the vertical
+    # and horizontal steps, and so the orientation, pick the sign of a zero
+    # result, so then every pair runs as called
+    if not np.signbit(cfg.zero_vector_distance):
+        swap = lengths[i] > lengths[j]
+        i, j = np.where(swap, j, i), np.where(swap, i, j)
     order = np.lexsort((lengths[j], lengths[i]))
     out = np.empty(len(order))
     for lo in range(0, len(order), DTW_CHUNK):
         k = order[lo:lo + DTW_CHUNK]
-        out[k] = _dtw_padded(padded(i[k]), padded(j[k]), lengths[i[k]], lengths[j[k]], cfg)
+        m, n = lengths[i[k]], lengths[j[k]]
+        ra, rx = table[i[k], :m.max()], table[j[k], :n.max()]
+        out[k] = _dtw_padded(_cost_matrices(ra, rx, flat, norms, ids, cfg), m, n)
     return out
 
 
-def _dtw_padded(a, x, m, n, cfg: DtwConfig) -> np.ndarray:
-    """DTW of P zero-padded float64 pairs at once.
+def _dtw_padded(cost, m, n) -> np.ndarray:
+    """DTW of P padded pairs at once, from their (P, M, N) cost matrices.
 
-    ``a`` is (P, M, d) and ``x`` is (P, N, d); pair p occupies the first
-    ``m[p]`` rows of ``a[p]`` and the first ``n[p]`` rows of ``x[p]``.
-    Padding cannot leak in: DP cell (i, j) reads only cells at smaller
-    or equal i and j, and pair p's result is read at (m[p]-1, n[p]-1).
+    Pair p occupies the first ``m[p]`` rows and ``n[p]`` columns of
+    ``cost[p]``.  Padding cannot leak in: DP cell (i, j) reads only cells
+    at smaller or equal i and j, and pair p's result is read at
+    (m[p]-1, n[p]-1).
     """
-    p, rows, cols = a.shape[0], a.shape[1], x.shape[1]
-    cost = _cost_matrices(a, x, m, n, cfg)
+    p, rows, cols = cost.shape
 
     # A DP cell is one complex number, path cost + 1j * path length (an
     # exact integer in float64), whose numpy ordering (real part, then
@@ -119,8 +147,11 @@ def _dtw_padded(a, x, m, n, cfg: DtwConfig) -> np.ndarray:
     # finite predecessor that every cell on the grid has.
     diags = rows + cols - 1
     dp = np.full((diags + 1, rows + 1, p), complex(np.inf, 1.0))
-    i, j = np.indices((rows, cols))
-    dp.real[1 + i + j, 1 + i] = cost.transpose(1, 2, 0)
+    # the costs land through a strided (P, M, N) view of dp.real: a step in
+    # p moves one entry, in j one anti-diagonal, in i one of each and a row
+    s0, s1, s2 = dp.real.strides
+    np.lib.stride_tricks.as_strided(
+        dp.real[1, 1:], cost.shape, (s2, s0 + s1, s0))[...] = cost
     best = np.empty((rows, p), dtype=complex)
     for k in range(2, diags + 1):
         # on a full tie np.minimum keeps its first argument, so the order
@@ -132,28 +163,20 @@ def _dtw_padded(a, x, m, n, cfg: DtwConfig) -> np.ndarray:
     return end.real / end.imag
 
 
-def _cost_matrices(a, x, m, n, cfg: DtwConfig) -> np.ndarray:
-    """Cosine cost matrix of each pair of ``_dtw_padded``: 1 - cos in
-    [0, 2], exactly 0.0 for bitwise-equal frames (also all-zero ones),
-    else ``cfg.zero_vector_distance`` where a frame has zero norm.  The
-    padding cells hold arbitrary finite costs."""
-    sa = np.einsum("pij,pij->pi", a, a)
-    sx = np.einsum("pij,pij->pi", x, x)
-    cost = np.einsum("pik,pjk->pij", a, x)
+def _cost_matrices(ra, rx, flat, norms, ids, cfg: DtwConfig) -> np.ndarray:
+    """(P, M, N) cosine cost matrices between the rows ``ra`` (P, M) and
+    ``rx`` (P, N) of ``flat``, from their squared ``norms`` and equal-frame
+    ``ids``: 1 - cos in [0, 2], exactly 0.0 for equal frames (also all-zero
+    ones), else ``cfg.zero_vector_distance`` where a frame has zero norm."""
+    sa = norms[ra]
+    sx = norms[rx]
+    cost = np.einsum("pik,pjk->pij", flat[ra], flat[rx])
     denom = sa[:, :, None] * sx[:, None, :]
     np.sqrt(denom, out=denom)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(cost, denom, out=cost)
     np.subtract(1.0, cost, out=cost)
     cost[(sa == 0.0)[:, :, None] | (sx == 0.0)[:, None, :]] = cfg.zero_vector_distance
-    # equal frames have equal norms, so only equal-norm frame pairs need
-    # the elementwise comparison; the padding is left out of it
-    on_a = np.arange(a.shape[1]) < m[:, None]
-    on_x = np.arange(x.shape[1]) < n[:, None]
-    pp, ii, jj = np.nonzero(
-        (sa[:, :, None] == sx[:, None, :]) & on_a[:, :, None] & on_x[:, None, :]
-    )
-    same = (a[pp, ii] == x[pp, jj]).all(axis=1)
-    cost[pp[same], ii[same], jj[same]] = 0.0
+    cost[ids[ra][:, :, None] == ids[rx][:, None, :]] = 0.0
     np.clip(cost, 0.0, 2.0, out=cost)
     return cost

@@ -273,3 +273,79 @@ def test_dtw_batch_validation():
         broken[-1][0, 3] = bad
         with pytest.raises(DataError):
             dtw_pairs(broken, left, left + 1)
+
+
+@pytest.mark.parametrize("zero_vector_distance", [-0.0, 0.0, 1.0])
+@pytest.mark.parametrize("d", [1, 13])
+def test_dtw_batch_ignores_pair_order_and_orientation(d, zero_vector_distance):
+    # the engine regroups the pairs by shape and runs each with its shorter
+    # side first, so neither the caller's order nor (while no cost is
+    # -0.0) its orientation may reach a result bit; at -0.0 the planted
+    # {0, 1} pairs end in signed zeros
+    rng = np.random.default_rng(d)
+    cfg = DtwConfig(zero_vector_distance=zero_vector_distance)
+    frames = [f for pair in planted_pairs(rng, d, np.float64) for f in pair]
+    left = np.arange(0, len(frames), 2)
+    i = np.concatenate((left, rng.integers(len(frames), size=100)))
+    j = np.concatenate((left + 1, rng.integers(len(frames), size=100)))
+    base = dtw_pairs(frames, i, j, cfg).view(np.int64)
+    perm = rng.permutation(len(i))
+    assert dtw_pairs(frames, i[perm], j[perm], cfg).view(np.int64).tolist() == base[perm].tolist()
+    if np.signbit(zero_vector_distance):
+        assert (base == np.float64(-0.0).view(np.int64)).any()
+    else:
+        assert dtw_pairs(frames, j, i, cfg).view(np.int64).tolist() == base.tolist()
+
+
+def test_dtw_signed_zero_results_keep_their_orientation():
+    # with a -0.0 cost DTW is not bit-symmetric: here the vertical and the
+    # horizontal step tie on an all-zero path, one of whose sums is -0.0,
+    # and the tie order picks a different one in each orientation
+    A = np.array([[0.0], [1.0], [-1.0]])
+    X = np.array([[1.0], [-1.0], [-1.0], [0.0]])
+    got = dtw_pairs([A, X], [0, 1], [1, 0], DtwConfig(zero_vector_distance=-0.0))
+    want = np.array([dtw_scalar(A, X, -0.0), dtw_scalar(X, A, -0.0)])
+    assert np.signbit(want).tolist() == [True, False]
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_signed_zero_frames_are_equal():
+    # -0.0 == 0.0 component by component, so the equal-frame rule wins
+    # over the zero-norm charge and the cost is +0.0, not 0.5
+    got = dtw_dissimilarity([[-0.0, 0.0]], [[0.0, 0.0]], DtwConfig(zero_vector_distance=0.5))
+    assert got == 0.0 and not np.signbit(got)
+
+
+def test_equal_frames_in_overlapping_segments_cost_zero():
+    # two items of one utterance that share frames: the engine copies each
+    # segment, so only the equal-frame rule ties the copies together
+    rng = np.random.default_rng(8)
+    utt = rand_mat(rng, 8, 4)
+    utt[3] = 0.0
+    cfg = DtwConfig(zero_vector_distance=2.0)
+    frames = [utt[3:4], utt[3:4], utt[1:5], utt[3:7]]
+    got = dtw_pairs(frames, [0, 2], [1, 3], cfg)
+    assert got[0] == 0.0
+    assert got[1] == dtw_scalar(utt[1:5], utt[3:7], 2.0)
+
+
+@pytest.mark.parametrize("A, X", [
+    ([[1e200, 0.0]], [[1e200, 1.0]]),  # |a|^2 overflows to inf
+    ([[1e-160, 0.0]], [[1e-160, 1e-160]]),  # |a|^2 |x|^2 rounds to 0.0
+    ([[2.0**-600, 0.0]], [[2.0**-600, 2.0**-600]]),  # |a|^2 is 0.0, a is not
+])
+def test_float64_frames_outside_the_cosine_range(A, X):
+    for a, x in ((A, X), (X, A)):
+        with pytest.raises(DataError):
+            dtw_dissimilarity(np.array(a), np.array(x))
+
+
+def test_float32_extremes_stay_in_range():
+    # float32 squared norms lie in [2^-298, 2^256 d], well inside the range
+    tiny = 2.0**-149  # the smallest float32 subnormal
+    huge = np.finfo(np.float32).max
+    A = np.array([[tiny, 0.0]], dtype=np.float32)
+    X = np.array([[tiny, tiny]], dtype=np.float32)
+    assert dtw_dissimilarity(A, X) == pytest.approx(1 - 2**-0.5, abs=1e-15)
+    A = np.full((2, 13), huge, dtype=np.float32)
+    assert dtw_dissimilarity(A, -A[:1]) == 2.0
