@@ -4,12 +4,14 @@ A cell is the smallest scoring unit: one unordered category pair, one
 triphone context, one speaker (within) or one ordered speaker pair
 (across).  Cells that read the same segments (one context and speaker
 within, one context across) form a group, and the cell builder hands
-the cells out in those groups.  ``score_corpus`` is the one scoring
-entry: each group computes a dense segment x segment block of DTW
-dissimilarities, every unordered pair once through the batched kernel,
-and its cells are scored by lookups into that block.  Groups are pure
-functions of the archive, so they can be scored in parallel; a process
-pool starts only when the task's DP cells reach ``POOL_MIN_DP_CELLS``.
+the cells out in those groups.  The task's distinct segments are ranked
+once, and groups plan their distance blocks on integer ranks.
+``score_corpus`` is the one scoring entry: each group computes a dense
+segment x segment block of DTW dissimilarities, every unordered pair
+once through the batched kernel, and its cells are scored by lookups
+into that block.  Groups are pure functions of the archive, so they can
+be scored in parallel; a process pool starts only when the task's DP
+cells reach ``POOL_MIN_DP_CELLS``.
 
 Scoring counts strict wins and exact ties as integers and divides once
 at the end, so the comparison order inside a cell cannot perturb eta.
@@ -23,7 +25,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -178,11 +182,33 @@ def _categorize(segments, kind, af_table):
     return out
 
 
+class _Group(NamedTuple):
+    """The cells of one scoring group and the segment sets they read."""
+
+    cells: list  # TaskCells in key order
+    sets: list  # per cell its set_x_ab, set_y_ab, set_x_x, set_y_x as rank tuples
+
+
+def _rank(segments):
+    """The distinct segments in sorted order, and each segment's rank among
+    them.  Equal segments share a rank, so a segment listed twice keeps
+    both entries wherever it is listed.  The key is the field tuple the
+    dataclass orders and compares by; tuples of str and float sort and hash
+    in C, where the dataclass's ``__lt__`` and ``__hash__`` are Python."""
+    key = attrgetter(*(f.name for f in fields(ItemSegment)))
+    keys = list(map(key, segments))
+    by_key = dict(zip(keys, segments))
+    ordered = sorted(by_key)
+    rank = {k: i for i, k in enumerate(ordered)}
+    return [by_key[k] for k in ordered], [rank[k] for k in keys]
+
+
 def _build_cells(segments, mode, kind, af_table, limits):
     """Cells in scoring groups, the segments each group reads: one per
     (context, speaker) within, one per context across.  Groups come in
     sorted group order, cells in key order inside a group; empty groups
-    are dropped."""
+    are dropped.  Returns the groups, the ranked distinct segments their
+    rank tuples index, and the skip counts."""
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
     if kind not in TASK_KINDS:
@@ -190,35 +216,43 @@ def _build_cells(segments, mode, kind, af_table, limits):
     if (kind == "af") != (af_table is not None):
         raise UsageError("af_table is required for the af task and only for it")
 
+    categorized = _categorize(segments, kind, af_table)
+    ranked, ranks = _rank([seg for _, seg in categorized])
     by_ctx: dict[tuple, dict[str, dict[str, list]]] = {}
-    for cat, seg in _categorize(segments, kind, af_table):
+    for (cat, seg), r in zip(categorized, ranks):
         by_ctx.setdefault(seg.context, {}).setdefault(seg.speaker, {}).setdefault(
             cat, []
-        ).append(seg)
+        ).append(r)
+    seg_sets = {}  # each sorted rank tuple -> the segments it ranks
+    for speakers in by_ctx.values():
+        for cats in speakers.values():
+            for cat, members in cats.items():
+                cats[cat] = members = tuple(sorted(members))
+                seg_sets[members] = tuple(ranked[r] for r in members)
 
     groups = []
     stats = {"undersized": 0, "capped_speaker_pairs": 0}
-    rng = np.random.default_rng(limits.seed)
+    rng = None  # made on the first capped group: uncapped tasks never load numpy.random
+
+    def add(group, x, y, ctx, s_ab, s_x, sets):
+        group.cells.append(TaskCell(kind, x, y, ctx, s_ab, s_x, *(seg_sets[s] for s in sets)))
+        group.sets.extend(sets)
 
     for ctx in sorted(by_ctx):
         speakers = by_ctx[ctx]
         if mode == "within":
             for spk in sorted(speakers):
                 cats = speakers[spk]
-                cells = []
+                group = _Group([], [])
                 for x, y in _sorted_pairs(cats):
                     sx, sy = cats[x], cats[y]
                     if len(sx) < 2 or len(sy) < 2:
                         stats["undersized"] += 1
                         continue
-                    sx = tuple(sorted(sx))
-                    sy = tuple(sorted(sy))
-                    cells.append(
-                        TaskCell(kind, x, y, ctx, spk, spk, sx, sy, sx, sy)
-                    )
-                groups.append(cells)
+                    add(group, x, y, ctx, spk, spk, (sx, sy, sx, sy))
+                groups.append(group)
         else:
-            cells = []
+            group = _Group([], [])
             all_cats = sorted({c for spk in speakers.values() for c in spk})
             for x, y in _sorted_pairs({c: None for c in all_cats}):
                 valid = []
@@ -235,20 +269,15 @@ def _build_cells(segments, mode, kind, af_table, limits):
                 cap = limits.max_speaker_pairs_per_context
                 if cap is not None and len(valid) > cap:
                     stats["capped_speaker_pairs"] += len(valid) - cap
+                    if rng is None:
+                        rng = np.random.default_rng(limits.seed)
                     idx = rng.permutation(len(valid))[:cap]
                     valid = sorted(valid[i] for i in idx)
                 for s_ab, s_x in valid:
-                    cells.append(
-                        TaskCell(
-                            kind, x, y, ctx, s_ab, s_x,
-                            tuple(sorted(speakers[s_ab][x])),
-                            tuple(sorted(speakers[s_ab][y])),
-                            tuple(sorted(speakers[s_x][x])),
-                            tuple(sorted(speakers[s_x][y])),
-                        )
-                    )
-            groups.append(cells)
-    return [g for g in groups if g], stats
+                    ab, sx = speakers[s_ab], speakers[s_x]
+                    add(group, x, y, ctx, s_ab, s_x, (ab[x], ab[y], sx[x], sx[y]))
+            groups.append(group)
+    return [g for g in groups if g.cells], ranked, stats
 
 
 def _sorted_pairs(cats: dict):
@@ -260,20 +289,12 @@ def _sorted_pairs(cats: dict):
 
 def build_cells(segments, mode, kind, af_table: AfTable | None = None,
                 limits: CellLimits = CellLimits()) -> list[TaskCell]:
-    groups, _ = _build_cells(segments, mode, kind, af_table, limits)
-    return sorted((c for g in groups for c in g), key=TaskCell.key)
+    groups, _, _ = _build_cells(segments, mode, kind, af_table, limits)
+    return sorted((c for g in groups for c in g.cells), key=TaskCell.key)
 
 
 # ---------------------------------------------------------------------------
 # scoring
-
-def _indexed(sets):
-    """The distinct segments of ``sets`` in sorted order, and each set as
-    an index array into them (a segment listed twice keeps both entries)."""
-    segments = sorted({s for members in sets for s in members})
-    pos = {s: i for i, s in enumerate(segments)}
-    return segments, [np.array([pos[s] for s in members], dtype=np.intp) for members in sets]
-
 
 class _GroupPlan(NamedTuple):
     """What scoring a group needs before any DTW runs."""
@@ -286,7 +307,7 @@ class _GroupPlan(NamedTuple):
     j: np.ndarray
 
 
-def _plan_group(cells) -> _GroupPlan:
+def _plan_group(group: _Group, ranked) -> _GroupPlan:
     """The index triples of a group's cells and the pairs they read.
 
     Every pair in A x X and B x X of a triple is read, each unordered
@@ -296,18 +317,24 @@ def _plan_group(cells) -> _GroupPlan:
     segment with itself gives (the equal-frame rule zeroes its diagonal
     path); pairs that nothing reads also stay 0.0 and are never looked at.
     """
-    segments, idx = _indexed(
-        [s for c in cells for s in (c.set_x_ab, c.set_y_ab, c.set_x_x, c.set_y_x)]
-    )
+    flat = np.fromiter(chain.from_iterable(group.sets), dtype=np.intp)
+    present = np.zeros(len(ranked), dtype=bool)
+    present[flat] = True
+    used = np.flatnonzero(present)  # the group's ranks, ascending
+    inverse = (np.cumsum(present) - 1)[flat]  # each listed rank's index into used
+    bounds = [0, *np.cumsum([len(s) for s in group.sets]).tolist()]
+    idx = [inverse[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     xy = [(idx[k], idx[k + 1], idx[k + 2]) for k in range(0, len(idx), 4)]
     yx = [(idx[k + 1], idx[k], idx[k + 3]) for k in range(0, len(idx), 4)]
-    n = len(segments)
+    n = len(used)
     read = np.zeros((n, n), dtype=bool)
-    for a, b, x in xy + yx:
-        read[a[:, None], x] = True
-        read[b[:, None], x] = True
+    for k in range(0, len(idx), 4):
+        # both triples read sets k, k + 1 (x_ab, y_ab) against sets
+        # k + 2, k + 3 (x_x, y_x), each two consecutive runs of ``inverse``
+        lo, mid, hi = bounds[k], bounds[k + 2], bounds[k + 4]
+        read[inverse[lo:mid, None], inverse[mid:hi]] = True
     i, j = np.nonzero(np.triu(read | read.T, 1))
-    return _GroupPlan(cells, segments, xy, yx, i, j)
+    return _GroupPlan(group.cells, [ranked[r] for r in used.tolist()], xy, yx, i, j)
 
 
 def _dp_cells(plans, archive) -> int:
@@ -437,12 +464,12 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
-    groups, stats = _build_cells(segments, mode, kind, af_table, limits)
+    groups, ranked, stats = _build_cells(segments, mode, kind, af_table, limits)
     if not groups:
         raise EmptyTaskError(
             f"no scoreable cells (undersized candidates: {stats['undersized']})"
         )
-    plans = [_plan_group(g) for g in groups]
+    plans = [_plan_group(g, ranked) for g in groups]
     workers, dp_cells = 1, None
     if jobs > 1 and len(plans) > 1:
         dp_cells = _dp_cells(plans, archive)

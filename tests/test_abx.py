@@ -16,7 +16,7 @@ from abxlab.abx import (
     score_corpus,
 )
 from abxlab.af_tables import AfTable, load_af_table
-from abxlab.corpus import FeatureArchive, ItemSegment
+from abxlab.corpus import FeatureArchive, ItemSegment, item_file_bytes, load_item_file
 from abxlab.distance import DtwConfig, dtw_pairs
 from abxlab.errors import DataError, EmptyTaskError, UnmappedPhoneError, UsageError
 from abxlab.synth import SynthConfig, generate_corpus
@@ -170,7 +170,8 @@ def test_cell_groups_are_the_segments_cells_read(mode, cap):
     ))
     segments = [s for s in corpus.segments if s.speaker != "s02" or s.phone == "AE"]
     limits = CellLimits(max_speaker_pairs_per_context=cap)
-    groups, _ = _build_cells(segments, mode, "phone", None, limits)
+    groups, _, _ = _build_cells(segments, mode, "phone", None, limits)
+    groups = [g.cells for g in groups]
 
     def group_key(cell):
         return (cell.context, cell.speaker_ab) if mode == "within" else (cell.context,)
@@ -182,6 +183,9 @@ def test_cell_groups_are_the_segments_cells_read(mode, cap):
     for g in groups:
         assert {group_key(c) for c in g} == {group_key(g[0])}
         assert g == sorted(g, key=TaskCell.key)
+        for c in g:
+            for members in (c.set_x_ab, c.set_y_ab, c.set_x_x, c.set_y_x):
+                assert list(members) == sorted(members)
     flat = build_cells(segments, mode, "phone", limits=limits)
     assert flat == sorted((c for g in groups for c in g), key=TaskCell.key)
 
@@ -446,6 +450,31 @@ def dist_for(corpus, cfg=DtwConfig()):
         return cache[key]
 
     return d
+
+
+@pytest.mark.parametrize("mode", ["within", "across"])
+def test_item_listed_twice_keeps_both_entries(mode, tmp_path):
+    # equal segments share one rank, yet each listing is its own A, B or X
+    corpus = generate_corpus(SynthConfig(
+        phones=("AE", "EH"), n_speakers=2, dim=3, noise_scale=0.8,
+        segments_per_cell=2, frames_per_segment=(2, 4), seed=4,
+    ))
+    path = tmp_path / "items.item"
+    path.write_bytes(item_file_bytes(corpus.segments + [corpus.segments[1]]))
+    segments = load_item_file(path)
+    assert segments[-1] == segments[1] and segments[-1] is not segments[1]
+    report = score_corpus(corpus.archive, segments, mode, "phone")
+    per_cell, _, _, overall = abx_ref(segments, dist_for(corpus), mode)
+    assert len(report.per_cell) == len(per_cell)
+    for cs in report.per_cell:
+        assert cs.epsilon == per_cell[cs.key()], cs.key()
+    assert report.overall == pytest.approx(overall, abs=1e-12)
+    single = score_corpus(corpus.archive, segments[:-1], mode, "phone")
+    assert report.metadata["comparisons"] > single.metadata["comparisons"]
+    # one distinct segment, so the distance blocks compute the same pairs
+    dp_cells = [score_corpus(corpus.archive, s, mode, "phone", jobs=2).stats["dp_cells"]
+                for s in (segments, segments[:-1])]
+    assert dp_cells[0] == dp_cells[1] > 0
 
 
 @pytest.mark.parametrize("mode", ["within", "across"])

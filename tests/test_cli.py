@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -907,6 +908,26 @@ def test_cli_import_leaves_unused_modules_out():
     assert json.loads(proc.stdout) == []
 
 
+def test_uncapped_eval_leaves_numpy_random_out(corpus_dir, tmp_path):
+    # only a --max-speaker-pairs cap that drops pairs draws random numbers
+    base = ["eval", "--features", str(corpus_dir / "features"),
+            "--items", str(corpus_dir / "items.item")]
+    runs = [base + ["--mode", "within", "--out", str(tmp_path / "w")],
+            base + ["--mode", "across", "--out", str(tmp_path / "a")],
+            base + ["--mode", "across", "--max-speaker-pairs", "1", "--out", str(tmp_path / "c")]]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, abxlab.cli as c\n"
+         "for argv in json.loads(sys.argv[1]):\n"
+         "    print(json.dumps([c.main(argv), 'numpy.random' in sys.modules]))",
+         json.dumps(runs)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert results == [[0, False], [0, False], [0, True]]
+
+
 @pytest.mark.parametrize("module, given, expected", [
     ("abxlab.cli", None, "1"),
     ("abxlab.cli", "3", "3"),
@@ -970,6 +991,72 @@ def test_svg_escape_matches_saxutils(monkeypatch):
     assert [c.encode() for c in got] == [c.encode() for c in want]
     assert svgplot.escape(text) == saxutils.escape(text)
     assert "a&amp;b&lt;c&gt;d" in got[0]
+
+
+def test_command_entry_matches_in_process_main(corpus_dir, tmp_path, capsys):
+    # ``python -m abxlab.cli`` goes through ``run``, which freezes the GC heap
+    # after ``main``; the exit code, message and report bytes stay main's
+    argv = ["eval", "--features", str(corpus_dir / "features"),
+            "--items", str(corpus_dir / "items.item"), "--mode", "within"]
+    assert cli.main(argv + ["--out", str(tmp_path / "in")]) == 0
+    message = capsys.readouterr().out
+    proc = subprocess.run(
+        [sys.executable, "-m", "abxlab.cli", *argv, "--out", str(tmp_path / "cmd")],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == message
+    assert proc.stderr == ""
+    assert (tmp_path / "cmd" / "report.json").read_bytes() == \
+        (tmp_path / "in" / "report.json").read_bytes()
+
+    feats = tmp_path / "bad"
+    feats.mkdir()
+    (feats / "u.fbin").write_bytes(b"FEATgarbage")
+    proc = subprocess.run(
+        [sys.executable, "-m", "abxlab.cli", "eval", "--features", str(feats),
+         "--items", str(corpus_dir / "items.item"), "--mode", "within",
+         "--out", str(tmp_path / "bad-out")],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("abxlab: error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["eval"], 2)])
+def test_run_returns_main_then_freezes(monkeypatch, capsys, argv, code):
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    monkeypatch.setattr(sys, "argv", ["abxlab", *argv])
+    with pytest.raises(SystemExit) as e:  # argparse exits for both
+        cli.run()
+    assert e.value.code == code
+    assert frozen == [True]
+    monkeypatch.setattr(cli, "main", lambda: 5)
+    assert cli.run() == 5
+    assert frozen == [True, True]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_gc_state(corpus_dir, tmp_path, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert cli.main([
+            "eval", "--features", str(corpus_dir / "features"),
+            "--items", str(corpus_dir / "items.item"), "--mode", "across",
+            "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert cli.main(["eval", "--features", str(tmp_path / "missing"),
+                         "--items", str(corpus_dir / "items.item"), "--mode", "within",
+                         "--out", str(tmp_path / "out2")]) == 2
+        assert gc.get_freeze_count() == frozen
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_console_script_installed():
