@@ -185,7 +185,7 @@ def _categorize(segments, kind, af_table):
 class _Group(NamedTuple):
     """The cells of one scoring group and the segment sets they read."""
 
-    cells: list  # TaskCells in key order
+    heads: list  # per cell in key order, the fields of its TaskCell before the sets
     sets: list  # per cell its set_x_ab, set_y_ab, set_x_x, set_y_x as rank tuples
 
 
@@ -223,20 +223,14 @@ def _build_cells(segments, mode, kind, af_table, limits):
         by_ctx.setdefault(seg.context, {}).setdefault(seg.speaker, {}).setdefault(
             cat, []
         ).append(r)
-    seg_sets = {}  # each sorted rank tuple -> the segments it ranks
     for speakers in by_ctx.values():
         for cats in speakers.values():
             for cat, members in cats.items():
-                cats[cat] = members = tuple(sorted(members))
-                seg_sets[members] = tuple(ranked[r] for r in members)
+                cats[cat] = tuple(sorted(members))
 
     groups = []
     stats = {"undersized": 0, "capped_speaker_pairs": 0}
-    rng = None  # made on the first capped group: uncapped tasks never load numpy.random
-
-    def add(group, x, y, ctx, s_ab, s_x, sets):
-        group.cells.append(TaskCell(kind, x, y, ctx, s_ab, s_x, *(seg_sets[s] for s in sets)))
-        group.sets.extend(sets)
+    rng = None  # made on the first capped group: numpy 2 loads numpy.random on first use
 
     for ctx in sorted(by_ctx):
         speakers = by_ctx[ctx]
@@ -249,7 +243,8 @@ def _build_cells(segments, mode, kind, af_table, limits):
                     if len(sx) < 2 or len(sy) < 2:
                         stats["undersized"] += 1
                         continue
-                    add(group, x, y, ctx, spk, spk, (sx, sy, sx, sy))
+                    group.heads.append((kind, x, y, ctx, spk, spk))
+                    group.sets.extend((sx, sy, sx, sy))
                 groups.append(group)
         else:
             group = _Group([], [])
@@ -275,9 +270,10 @@ def _build_cells(segments, mode, kind, af_table, limits):
                     valid = sorted(valid[i] for i in idx)
                 for s_ab, s_x in valid:
                     ab, sx = speakers[s_ab], speakers[s_x]
-                    add(group, x, y, ctx, s_ab, s_x, (ab[x], ab[y], sx[x], sx[y]))
+                    group.heads.append((kind, x, y, ctx, s_ab, s_x))
+                    group.sets.extend((ab[x], ab[y], sx[x], sx[y]))
             groups.append(group)
-    return [g for g in groups if g.cells], ranked, stats
+    return [g for g in groups if g.heads], ranked, stats
 
 
 def _sorted_pairs(cats: dict):
@@ -289,8 +285,12 @@ def _sorted_pairs(cats: dict):
 
 def build_cells(segments, mode, kind, af_table: AfTable | None = None,
                 limits: CellLimits = CellLimits()) -> list[TaskCell]:
-    groups, _, _ = _build_cells(segments, mode, kind, af_table, limits)
-    return sorted((c for g in groups for c in g.cells), key=TaskCell.key)
+    groups, ranked, _ = _build_cells(segments, mode, kind, af_table, limits)
+    cells = [
+        TaskCell(*head, *(tuple(ranked[r] for r in s) for s in g.sets[4 * k:4 * k + 4]))
+        for g in groups for k, head in enumerate(g.heads)
+    ]
+    return sorted(cells, key=TaskCell.key)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
 class _GroupPlan(NamedTuple):
     """What scoring a group needs before any DTW runs."""
 
-    cells: list
+    heads: list  # per cell, its kind, categories, context and speakers
     segments: list  # the distinct segments the cells read, sorted
     xy: list  # per cell, the (A, B, X) index triple of eta(x->y)
     yx: list  # and of eta(y->x)
@@ -334,7 +334,7 @@ def _plan_group(group: _Group, ranked) -> _GroupPlan:
         lo, mid, hi = bounds[k], bounds[k + 2], bounds[k + 4]
         read[inverse[lo:mid, None], inverse[mid:hi]] = True
     i, j = np.nonzero(np.triu(read | read.T, 1))
-    return _GroupPlan(group.cells, [ranked[r] for r in used.tolist()], xy, yx, i, j)
+    return _GroupPlan(group.heads, [ranked[r] for r in used.tolist()], xy, yx, i, j)
 
 
 def _dp_cells(plans, archive) -> int:
@@ -381,13 +381,12 @@ def _score_group(plan: _GroupPlan, archive: FeatureArchive, cfg: DtwConfig) -> l
         [segment_frames(s, archive) for s in plan.segments], plan.i, plan.j, cfg
     )
     scores = []
-    for cell, triple_xy, triple_yx in zip(plan.cells, plan.xy, plan.yx):
-        eta_xy, total_xy = _eta(block, *triple_xy, cell.within)
-        eta_yx, total_yx = _eta(block, *triple_yx, cell.within)
+    for head, triple_xy, triple_yx in zip(plan.heads, plan.xy, plan.yx):
+        within = head[4] == head[5]  # speaker_ab == speaker_x
+        eta_xy, total_xy = _eta(block, *triple_xy, within)
+        eta_yx, total_yx = _eta(block, *triple_yx, within)
         scores.append(CellScore(
-            cell.kind, cell.category_x, cell.category_y, cell.context,
-            cell.speaker_ab, cell.speaker_x,
-            eta_xy, eta_yx, (eta_xy + eta_yx) / 2.0, total_xy + total_yx,
+            *head, eta_xy, eta_yx, (eta_xy + eta_yx) / 2.0, total_xy + total_yx,
         ))
     return scores
 

@@ -170,24 +170,33 @@ def test_cell_groups_are_the_segments_cells_read(mode, cap):
     ))
     segments = [s for s in corpus.segments if s.speaker != "s02" or s.phone == "AE"]
     limits = CellLimits(max_speaker_pairs_per_context=cap)
-    groups, _, _ = _build_cells(segments, mode, "phone", None, limits)
-    groups = [g.cells for g in groups]
+    groups, ranked, _ = _build_cells(segments, mode, "phone", None, limits)
+    assert ranked == sorted(set(ranked))
 
-    def group_key(cell):
-        return (cell.context, cell.speaker_ab) if mode == "within" else (cell.context,)
+    def group_key(head):  # head: kind, category_x, category_y, context, speaker_ab, speaker_x
+        return (head[3], head[4]) if mode == "within" else (head[3],)
 
-    keys = [group_key(g[0]) for g in groups]
-    assert all(groups) and keys == sorted(set(keys))
+    keys = [group_key(g.heads[0]) for g in groups]
+    assert all(g.heads for g in groups) and keys == sorted(set(keys))
     if mode == "within":
         assert [k[1] for k in keys] == ["s01", "s03", "s04"] * len(corpus.config.contexts)
     for g in groups:
-        assert {group_key(c) for c in g} == {group_key(g[0])}
-        assert g == sorted(g, key=TaskCell.key)
-        for c in g:
-            for members in (c.set_x_ab, c.set_y_ab, c.set_x_x, c.set_y_x):
-                assert list(members) == sorted(members)
+        assert {group_key(h) for h in g.heads} == {group_key(g.heads[0])}
+        assert g.heads == sorted(g.heads)
+        assert len(g.sets) == 4 * len(g.heads)
+        for members in g.sets:
+            assert list(members) == sorted(members)
     flat = build_cells(segments, mode, "phone", limits=limits)
-    assert flat == sorted((c for g in groups for c in g), key=TaskCell.key)
+    assert flat == sorted(
+        (TaskCell(*h, *(tuple(ranked[r] for r in s) for s in g.sets[4 * k:4 * k + 4]))
+         for g in groups for k, h in enumerate(g.heads)),
+        key=TaskCell.key,
+    )
+    for c in flat:
+        for members in (c.set_x_ab, c.set_y_ab, c.set_x_x, c.set_y_x):
+            assert list(members) == sorted(members)
+            assert {(s.context, s.phone) for s in members} <= {
+                (c.context, c.category_x), (c.context, c.category_y)}
 
 
 def test_means_sums_in_row_order_and_sorts_keys():

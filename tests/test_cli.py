@@ -908,8 +908,10 @@ def test_cli_import_leaves_unused_modules_out():
     assert json.loads(proc.stdout) == []
 
 
-def test_uncapped_eval_leaves_numpy_random_out(corpus_dir, tmp_path):
-    # only a --max-speaker-pairs cap that drops pairs draws random numbers
+def test_only_a_capped_eval_loads_numpy_random(corpus_dir, tmp_path):
+    # only a --max-speaker-pairs cap that drops pairs draws random numbers;
+    # numpy 1.x imports numpy.random with numpy, numpy 2 on first use, so
+    # uncapped evals must leave it as ``import abxlab.cli`` did
     base = ["eval", "--features", str(corpus_dir / "features"),
             "--items", str(corpus_dir / "items.item")]
     runs = [base + ["--mode", "within", "--out", str(tmp_path / "w")],
@@ -918,6 +920,7 @@ def test_uncapped_eval_leaves_numpy_random_out(corpus_dir, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c",
          "import json, sys, abxlab.cli as c\n"
+         "print(json.dumps(['import', 'numpy.random' in sys.modules]))\n"
          "for argv in json.loads(sys.argv[1]):\n"
          "    print(json.dumps([c.main(argv), 'numpy.random' in sys.modules]))",
          json.dumps(runs)],
@@ -925,7 +928,8 @@ def test_uncapped_eval_leaves_numpy_random_out(corpus_dir, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     results = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
-    assert results == [[0, False], [0, False], [0, True]]
+    loaded = results[0][1]
+    assert results == [["import", loaded], [0, loaded], [0, loaded], [0, True]]
 
 
 @pytest.mark.parametrize("module, given, expected", [
