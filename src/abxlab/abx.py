@@ -1,17 +1,20 @@
 """Within- and across-speaker ABX task construction, scoring, aggregation.
 
 A cell is the smallest scoring unit: one unordered category pair, one
-triphone context, one speaker (within) or one ordered speaker pair
-(across).  Cells that read the same segments (one context and speaker
-within, one context across) form a group, and the cell builder hands
-the cells out in those groups.  The task's distinct segments are ranked
-once, and groups plan their distance blocks on integer ranks.
-``score_corpus`` is the one scoring entry: each group computes a dense
-segment x segment block of DTW dissimilarities, every unordered pair
-once through the batched kernel, and its cells are scored by lookups
-into that block.  Groups are pure functions of the archive, so they can
-be scored in parallel; a process pool starts only when the task's DP
-cells reach ``POOL_MIN_DP_CELLS``.
+triphone context and one ordered speaker pair (s_ab, s_x), where s_x is
+s_ab within and another speaker across; one rule builds the cells of
+both conditions.  Cells that read the same segments (one context and
+speaker within, one context across) form a group, and the cell builder
+hands the cells out in those groups.  Every listed segment is ranked
+once, and ``score_corpus`` resolves each rank to its feature rows once,
+so a row the archive cannot serve fails before any scoring; groups plan
+their distance blocks on integer ranks.  ``score_corpus`` is the one
+scoring entry: each group computes a dense segment x segment block of
+DTW dissimilarities, every unordered pair once through the batched
+kernel, and its cells are scored by lookups into that block.  Groups
+are pure functions of the resolved frames, so they can be scored in
+parallel; a process pool starts only when the task's DP cells reach
+``POOL_MIN_DP_CELLS``.
 
 Scoring counts strict wins and exact ties as integers and divides once
 at the end, so the comparison order inside a cell cannot perturb eta.
@@ -170,16 +173,11 @@ class AbxReport:
 
 
 def _categorize(segments, kind, af_table):
-    """Pairs (category, segment); af-excluded segments are dropped."""
+    """Each segment's category; None for an af-excluded segment."""
     if kind == "phone":
-        return [(s.phone, s) for s in segments]
+        return [s.phone for s in segments]
     af_table.check_phones({s.phone for s in segments})
-    out = []
-    for s in segments:
-        cat = af_table.classify(s.phone)
-        if cat is not None:
-            out.append((cat, s))
-    return out
+    return [af_table.classify(s.phone) for s in segments]
 
 
 class _Group(NamedTuple):
@@ -205,10 +203,19 @@ def _rank(segments):
 
 def _build_cells(segments, mode, kind, af_table, limits):
     """Cells in scoring groups, the segments each group reads: one per
-    (context, speaker) within, one per context across.  Groups come in
-    sorted group order, cells in key order inside a group; empty groups
-    are dropped.  Returns the groups, the ranked distinct segments their
-    rank tuples index, and the skip counts."""
+    (context, speaker) within, one per context across.
+
+    One rule serves both modes.  A group loops over its sorted category
+    pairs, then over its candidate (s_ab, s_x) speaker pairs: within, s_x
+    is s_ab; across, any other speaker of the context.  A candidate is
+    skipped silently when s_ab lacks x or y, and counts as undersized
+    when s_x holds fewer than ``need`` segments of x or y: 2 within,
+    where X is never its own A, and 1 across.  The speaker-pair cap then
+    draws from the candidates left; within there is at most one, so it
+    never draws.  Groups come in sorted group order, cells in key order
+    inside a group; empty groups are dropped.  Returns the groups, every
+    listed segment ranked (af-excluded ones too, so each is resolved
+    once), and the skip counts."""
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
     if kind not in TASK_KINDS:
@@ -216,51 +223,43 @@ def _build_cells(segments, mode, kind, af_table, limits):
     if (kind == "af") != (af_table is not None):
         raise UsageError("af_table is required for the af task and only for it")
 
-    categorized = _categorize(segments, kind, af_table)
-    ranked, ranks = _rank([seg for _, seg in categorized])
+    categories = _categorize(segments, kind, af_table)
+    ranked, ranks = _rank(segments)
     by_ctx: dict[tuple, dict[str, dict[str, list]]] = {}
-    for (cat, seg), r in zip(categorized, ranks):
-        by_ctx.setdefault(seg.context, {}).setdefault(seg.speaker, {}).setdefault(
-            cat, []
-        ).append(r)
+    for cat, seg, r in zip(categories, segments, ranks):
+        if cat is not None:
+            by_ctx.setdefault(seg.context, {}).setdefault(seg.speaker, {}).setdefault(
+                cat, []
+            ).append(r)
     for speakers in by_ctx.values():
         for cats in speakers.values():
             for cat, members in cats.items():
                 cats[cat] = tuple(sorted(members))
 
+    need = 2 if mode == "within" else 1
     groups = []
     stats = {"undersized": 0, "capped_speaker_pairs": 0}
     rng = None  # made on the first capped group: numpy 2 loads numpy.random on first use
 
     for ctx in sorted(by_ctx):
         speakers = by_ctx[ctx]
+        order = sorted(speakers)
         if mode == "within":
-            for spk in sorted(speakers):
-                cats = speakers[spk]
-                group = _Group([], [])
-                for x, y in _sorted_pairs(cats):
-                    sx, sy = cats[x], cats[y]
-                    if len(sx) < 2 or len(sy) < 2:
-                        stats["undersized"] += 1
-                        continue
-                    group.heads.append((kind, x, y, ctx, spk, spk))
-                    group.sets.extend((sx, sy, sx, sy))
-                groups.append(group)
+            blocks = [[(s, s)] for s in order]
         else:
+            blocks = [[(a, b) for a in order for b in order if a != b]]
+        for candidates in blocks:
             group = _Group([], [])
-            all_cats = sorted({c for spk in speakers.values() for c in spk})
-            for x, y in _sorted_pairs({c: None for c in all_cats}):
+            for x, y in _sorted_pairs({c for s_ab, _ in candidates for c in speakers[s_ab]}):
                 valid = []
-                for s_ab in sorted(speakers):
+                for s_ab, s_x in candidates:
                     if x not in speakers[s_ab] or y not in speakers[s_ab]:
                         continue
-                    for s_x in sorted(speakers):
-                        if s_x == s_ab:
-                            continue
-                        if x not in speakers[s_x] or y not in speakers[s_x]:
-                            stats["undersized"] += 1
-                            continue
-                        valid.append((s_ab, s_x))
+                    sx = speakers[s_x]
+                    if len(sx.get(x, ())) < need or len(sx.get(y, ())) < need:
+                        stats["undersized"] += 1
+                        continue
+                    valid.append((s_ab, s_x))
                 cap = limits.max_speaker_pairs_per_context
                 if cap is not None and len(valid) > cap:
                     stats["capped_speaker_pairs"] += len(valid) - cap
@@ -276,7 +275,7 @@ def _build_cells(segments, mode, kind, af_table, limits):
     return [g for g in groups if g.heads], ranked, stats
 
 
-def _sorted_pairs(cats: dict):
+def _sorted_pairs(cats):
     keys = sorted(cats)
     for i, x in enumerate(keys):
         for y in keys[i + 1:]:
@@ -300,14 +299,14 @@ class _GroupPlan(NamedTuple):
     """What scoring a group needs before any DTW runs."""
 
     heads: list  # per cell, its kind, categories, context and speakers
-    segments: list  # the distinct segments the cells read, sorted
+    ranks: list  # the ranks of the distinct segments the cells read, ascending
     xy: list  # per cell, the (A, B, X) index triple of eta(x->y)
     yx: list  # and of eta(y->x)
     i: np.ndarray  # the segment pairs the distance block computes, i < j
     j: np.ndarray
 
 
-def _plan_group(group: _Group, ranked) -> _GroupPlan:
+def _plan_group(group: _Group, n_ranked: int) -> _GroupPlan:
     """The index triples of a group's cells and the pairs they read.
 
     Every pair in A x X and B x X of a triple is read, each unordered
@@ -318,7 +317,7 @@ def _plan_group(group: _Group, ranked) -> _GroupPlan:
     path); pairs that nothing reads also stay 0.0 and are never looked at.
     """
     flat = np.fromiter(chain.from_iterable(group.sets), dtype=np.intp)
-    present = np.zeros(len(ranked), dtype=bool)
+    present = np.zeros(n_ranked, dtype=bool)
     present[flat] = True
     used = np.flatnonzero(present)  # the group's ranks, ascending
     inverse = (np.cumsum(present) - 1)[flat]  # each listed rank's index into used
@@ -334,16 +333,17 @@ def _plan_group(group: _Group, ranked) -> _GroupPlan:
         lo, mid, hi = bounds[k], bounds[k + 2], bounds[k + 4]
         read[inverse[lo:mid, None], inverse[mid:hi]] = True
     i, j = np.nonzero(np.triu(read | read.T, 1))
-    return _GroupPlan(group.heads, [ranked[r] for r in used.tolist()], xy, yx, i, j)
+    return _GroupPlan(group.heads, used.tolist(), xy, yx, i, j)
 
 
-def _dp_cells(plans, archive) -> int:
+def _dp_cells(plans, frames) -> int:
     """The unpadded DP cells of the plans: the sum of m x n over every
     pair ``dtw_pairs`` will receive."""
+    lengths = np.array([len(f) for f in frames])
     total = 0
     for plan in plans:
-        lengths = np.array([segment_frames(s, archive).shape[0] for s in plan.segments])
-        total += int(np.dot(lengths[plan.i], lengths[plan.j]))
+        n = lengths[plan.ranks]
+        total += int(np.dot(n[plan.i], n[plan.j]))
     return total
 
 
@@ -370,15 +370,16 @@ def _eta(block, a, b, x, within: bool) -> tuple[float, int]:
     return errors / (2 * total), total
 
 
-def _score_group(plan: _GroupPlan, archive: FeatureArchive, cfg: DtwConfig) -> list[CellScore]:
-    """Score the cells of a group from one distance block.
+def _score_group(plan: _GroupPlan, frames, cfg: DtwConfig) -> list[CellScore]:
+    """Score the cells of a group from one distance block; ``frames``
+    holds each ranked segment's feature rows.
 
     epsilon = (eta(x->y) + eta(y->x)) / 2 for each cell.
     """
-    n = len(plan.segments)
+    n = len(plan.ranks)
     block = np.zeros((n, n))
     block[plan.i, plan.j] = block[plan.j, plan.i] = dtw_pairs(
-        [segment_frames(s, archive) for s in plan.segments], plan.i, plan.j, cfg
+        [frames[r] for r in plan.ranks], plan.i, plan.j, cfg
     )
     scores = []
     for head, triple_xy, triple_yx in zip(plan.heads, plan.xy, plan.yx):
@@ -432,9 +433,9 @@ def aggregate(per_cell, kind: str, condition: str, metadata: dict | None = None)
 _WORKER_STATE = None
 
 
-def _worker_init(archive, cfg):
+def _worker_init(frames, cfg):
     global _WORKER_STATE
-    _WORKER_STATE = (archive, cfg)
+    _WORKER_STATE = (frames, cfg)
 
 
 def _worker_group(plan):
@@ -451,12 +452,16 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
     """Score an ABX task: the package's one scoring entry.
 
     Cell groups -> distance blocks (parallel over groups) -> aggregate.
-    ``jobs`` caps the worker processes: with ``jobs > 1`` and two groups
-    or more, the task's DP cells are counted first, and a pool of
-    ``min(jobs, groups)`` workers starts only when they reach
-    ``POOL_MIN_DP_CELLS``; otherwise every group is scored inline.  The
-    report is bit-identical for any jobs value: each group's cells are
-    scored from its own distance block, and the scores are folded in
+    Every listed segment, af-excluded ones too, is resolved to its frames
+    first, so a row the archive cannot serve raises ``DataError`` (exit
+    3) before an empty task raises ``EmptyTaskError`` (exit 4).  ``jobs``
+    caps the worker processes: with ``jobs > 1`` and two groups or more,
+    the task's DP cells are counted first, and a pool of ``min(jobs,
+    groups)`` workers starts only when they reach ``POOL_MIN_DP_CELLS``;
+    otherwise every group is scored inline.  Workers get the resolved
+    frames once, through the pool initializer; plans carry only ranks.
+    The report is bit-identical for any jobs value: each group's cells
+    are scored from its own distance block, and the scores are folded in
     sorted order.  ``report.stats`` holds ``workers`` (the pool's
     processes, 1 inline) and ``dp_cells`` (the count, or None when no
     decision needed it).
@@ -464,24 +469,25 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
     groups, ranked, stats = _build_cells(segments, mode, kind, af_table, limits)
+    frames = [segment_frames(s, archive) for s in ranked]
     if not groups:
         raise EmptyTaskError(
             f"no scoreable cells (undersized candidates: {stats['undersized']})"
         )
-    plans = [_plan_group(g, ranked) for g in groups]
+    plans = [_plan_group(g, len(ranked)) for g in groups]
     workers, dp_cells = 1, None
     if jobs > 1 and len(plans) > 1:
-        dp_cells = _dp_cells(plans, archive)
+        dp_cells = _dp_cells(plans, frames)
         if dp_cells >= POOL_MIN_DP_CELLS:
             workers = min(jobs, len(plans))
     if workers == 1:
-        scored = [_score_group(p, archive, cfg) for p in plans]
+        scored = [_score_group(p, frames, cfg) for p in plans]
     else:
         # imported here: the pool's modules cost start-up of every command
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(archive, cfg),
+            max_workers=workers, initializer=_worker_init, initargs=(frames, cfg),
         ) as pool:
             scored = list(pool.map(_worker_group, plans))
     scores = [s for group in scored for s in group]

@@ -80,7 +80,6 @@ from .corpus import (
     load_label_track,
     read_rows,
     read_text_file,
-    segment_frames,
 )
 from .distance import DtwConfig
 from .errors import (
@@ -172,35 +171,15 @@ def _parse_rate(path, line_no: int, text: str) -> float:
 
 def cmd_eval(args) -> Outputs:
     args.jobs = _resolve_jobs(args.jobs)  # the manifest records the resolved cap
-    archive = load_feature_archive(args.features)
-    segments = load_item_file(args.items)
-    for seg in segments:
-        if seg.utt not in archive:
-            raise DataError(
-                f"{args.items}: segment references unknown utterance {seg.utt!r}"
-            )
-        segment_frames(seg, archive)
-
-    af_table = None
-    if args.task == "af":
-        if args.af_table is None:
-            raise UsageError("--af-table is required when --task af")
-        af_table = load_af_table(args.af_table)
-    elif args.af_table is not None:
-        raise UsageError("--af-table only applies to --task af")
-
-    cfg = DtwConfig(zero_vector_distance=args.zero_vector_distance)
-    limits = CellLimits(
-        max_speaker_pairs_per_context=args.max_speaker_pairs, seed=args.seed
-    )
     report = score_corpus(
-        archive,
-        segments,
+        load_feature_archive(args.features),
+        load_item_file(args.items),
         mode=args.mode,
         kind=args.task,
-        af_table=af_table,
-        cfg=cfg,
-        limits=limits,
+        af_table=None if args.af_table is None else load_af_table(args.af_table),
+        cfg=DtwConfig(zero_vector_distance=args.zero_vector_distance),
+        limits=CellLimits(max_speaker_pairs_per_context=args.max_speaker_pairs,
+                          seed=args.seed),
         jobs=args.jobs,
     )
     return Outputs(

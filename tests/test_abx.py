@@ -1,5 +1,10 @@
 import concurrent.futures
+import itertools
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -140,6 +145,61 @@ def test_across_requires_both_categories_on_both_speakers():
     assert build_cells(segments, "across", "phone") == []
     with pytest.raises(EmptyTaskError):
         score_corpus(archive, segments, "across", "phone")
+
+
+def _skip_counts(segments, mode, cap):
+    """(skipped_undersized, capped_speaker_pairs, cells) enumerated from
+    the rule: within, a (context, speaker, pair) with both categories
+    needs two segments of each; across, an ordered (s_ab, s_x) is a
+    candidate when s_ab has both categories, undersized when s_x lacks
+    either, and the cap keeps ``cap`` candidates per (pair, context)."""
+    counts = {}
+    for s in segments:
+        spk = counts.setdefault(s.context, {}).setdefault(s.speaker, {})
+        spk[s.phone] = spk.get(s.phone, 0) + 1
+    undersized = capped = cells = 0
+    for speakers in counts.values():
+        cats = sorted({c for spk in speakers.values() for c in spk})
+        for x, y in itertools.combinations(cats, 2):
+            if mode == "within":
+                for spk in speakers.values():
+                    if x in spk and y in spk:
+                        ok = spk[x] >= 2 and spk[y] >= 2
+                        cells += ok
+                        undersized += not ok
+                continue
+            valid = 0
+            for a, b in itertools.permutations(sorted(speakers), 2):
+                if x in speakers[a] and y in speakers[a]:
+                    if x in speakers[b] and y in speakers[b]:
+                        valid += 1
+                    else:
+                        undersized += 1
+            kept = valid if cap is None else min(valid, cap)
+            capped += valid - kept
+            cells += kept
+    return undersized, capped, cells
+
+
+@pytest.mark.parametrize("mode", ["within", "across"])
+@pytest.mark.parametrize("cap", [None, 2])
+def test_skip_counts_match_enumeration(mode, cap):
+    corpus = generate_corpus(SynthConfig(
+        phones=("AE", "EH", "IY"), n_speakers=4, dim=3, segments_per_cell=2,
+        frames_per_segment=(2, 3), seed=6,
+    ))
+    ctx = corpus.config.contexts[0]
+    one_ae = next(s for s in corpus.segments
+                  if s.context == ctx and s.speaker == "s01" and s.phone == "AE")
+    # within: s01 keeps one AE in ctx; across: s02 has no IY in ctx
+    segments = [s for s in corpus.segments if s is not one_ae and not (
+        s.context == ctx and s.speaker == "s02" and s.phone == "IY")]
+    expected = _skip_counts(segments, mode, cap)
+    assert expected[0] > 0 and (expected[1] > 0) == (mode == "across" and cap is not None)
+    report = score_corpus(corpus.archive, segments, mode, "phone",
+                          limits=CellLimits(max_speaker_pairs_per_context=cap))
+    md = report.metadata
+    assert (md["skipped_undersized"], md["capped_speaker_pairs"], md["cells"]) == expected
 
 
 def test_speaker_pair_cap_is_deterministic():
@@ -374,6 +434,54 @@ def test_parallel_scoring_is_bit_identical(kind, mode, monkeypatch):
             assert [c.epsilon for c in r1.per_cell] == [c.epsilon for c in rj.per_cell]
 
 
+_START_METHOD_SCRIPT = """
+import json, multiprocessing, sys
+from abxlab import abx
+from abxlab.af_tables import load_af_table
+from abxlab.synth import SynthConfig, generate_corpus
+
+if __name__ == "__main__":
+    corpus = generate_corpus(SynthConfig(
+        phones=("AE", "IY", "UW", "P"), n_speakers=3, dim=4, segments_per_cell=2,
+        frames_per_segment=(2, 4), noise_scale=0.6, seed=9,
+    ))
+    tasks = [("within", "phone", None), ("across", "af", load_af_table("english-height"))]
+    inline = [abx.score_corpus(corpus.archive, corpus.segments, mode, kind, af_table=t)
+              for mode, kind, t in tasks]
+    abx.POOL_MIN_DP_CELLS = 0
+    out = {}
+    for method in sys.argv[1:]:
+        multiprocessing.set_start_method(method, force=True)
+        for (mode, kind, t), want in zip(tasks, inline):
+            got = abx.score_corpus(corpus.archive, corpus.segments, mode, kind,
+                                   af_table=t, jobs=2)
+            out[f"{method} {mode}"] = [
+                got.stats["workers"],
+                got.to_json_bytes(include_per_cell=True)
+                == want.to_json_bytes(include_per_cell=True),
+                got.to_csv_bytes() == want.to_csv_bytes(),
+            ]
+    print(json.dumps(out))
+"""
+
+
+def test_pool_matches_inline_when_its_arguments_are_pickled(tmp_path):
+    # fork hands the workers the frames by inheritance; forkserver (the
+    # Linux default from Python 3.14) and spawn (macOS) pickle them
+    methods = [m for m in ("forkserver", "spawn")
+               if m in multiprocessing.get_all_start_methods()]
+    script = tmp_path / "pool_start_methods.py"
+    script.write_text(_START_METHOD_SCRIPT)
+    src = os.path.dirname(os.path.dirname(abx.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(script), *methods],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        f"{m} {mode}": [2, True, True] for m in methods for mode in ("within", "across")}
+
+
 def test_below_pool_threshold_no_pool_starts(monkeypatch):
     corpus = _pool_corpus()
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
@@ -388,7 +496,7 @@ def test_below_pool_threshold_no_pool_starts(monkeypatch):
 def test_single_job_counts_no_dp_cells(monkeypatch):
     corpus = _pool_corpus()
 
-    def fail(plans, archive):
+    def fail(plans, frames):
         raise AssertionError("DP cells counted at jobs=1")
 
     monkeypatch.setattr(abx, "_dp_cells", fail)

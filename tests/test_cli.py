@@ -14,12 +14,15 @@ from abxlab.af_tables import load_af_table
 from abxlab.apc import load_checkpoint
 from abxlab.corpus import (
     FrameLabelTrack,
+    ItemSegment,
+    item_file_bytes,
     label_track_bytes,
     load_feature_archive,
     load_item_file,
 )
-from abxlab.errors import DataError, InconclusiveGradCheck
+from abxlab.errors import DataError, EmptyTaskError, InconclusiveGradCheck
 from abxlab.manifest import verify_digests, write_outputs
+from abxlab.synth import SynthConfig, generate_corpus, write_corpus
 
 
 @pytest.fixture(scope="session")
@@ -173,6 +176,54 @@ def test_eval_empty_task_exits_4(tmp_path):
         "--mode", "within", "--out", str(tmp_path / "out"),
     ])
     assert rc == 4
+
+
+def _unservable_case(tmp_path, bad, task):
+    """A corpus and an item list with one row the archive cannot serve.
+
+    ``bad`` names the row: an unknown utterance or a span past its
+    utterance's end.  ``task`` "phone" lists it beside scoreable rows,
+    "af" gives it a phone that english-height excludes, and "empty"
+    lists it beside one segment, so no cell could be built."""
+    corpus = generate_corpus(SynthConfig(
+        phones=("AE", "IY", "P"), n_speakers=2, dim=3, segments_per_cell=2,
+        frames_per_segment=(2, 3), seed=3,
+    ))
+    good = corpus.segments[0]
+    utt, onset = ("u09", good.onset) if bad == "unknown utterance" else (good.utt, 1e3)
+    row = ItemSegment(utt, onset, onset + 0.03, "P" if task == "af" else good.phone,
+                      good.prev, good.next, good.speaker)
+    segments = ([good] if task == "empty" else corpus.segments) + [row]
+    paths = write_corpus(corpus, tmp_path / "corpus")
+    (tmp_path / "bad.item").write_bytes(item_file_bytes(segments))
+    table = "english-height" if task == "af" else None
+    return corpus.archive, segments, paths["features"], tmp_path / "bad.item", table
+
+
+@pytest.mark.parametrize("bad", ["unknown utterance", "past the end"])
+@pytest.mark.parametrize("task", ["phone", "af", "empty"])
+def test_eval_row_the_archive_cannot_serve_exits_3(bad, task, tmp_path, capsys):
+    _, _, features, items, table = _unservable_case(tmp_path, bad, task)
+    out = tmp_path / "out"
+    argv = ["eval", "--features", str(features), "--items", str(items),
+            "--mode", "within", "--out", str(out)]
+    if table:
+        argv += ["--task", "af", "--af-table", table]
+    assert cli.main(argv) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["unknown utterance", "past the end"])
+@pytest.mark.parametrize("task", ["phone", "af", "empty"])
+def test_score_corpus_rejects_a_row_the_archive_cannot_serve(bad, task, tmp_path):
+    archive, segments, _, _, table = _unservable_case(tmp_path, bad, task)
+    kind, af_table = ("af", load_af_table(table)) if table else ("phone", None)
+    with pytest.raises(DataError):
+        score_corpus(archive, segments, "within", kind, af_table=af_table)
+    if task == "empty":  # without the bad row the task is empty, exit 4
+        with pytest.raises(EmptyTaskError):
+            score_corpus(archive, segments[:-1], "within", kind, af_table=af_table)
 
 
 def test_eval_af_task(corpus_dir, tmp_path, monkeypatch):
