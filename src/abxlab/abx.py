@@ -313,8 +313,8 @@ def _plan_group(group: _Group, n_ranked: int) -> _GroupPlan:
     pair is computed once because DTW is bit-symmetric (but for the sign
     of a zero result at ``zero_vector_distance=-0.0``, which no comparison
     sees).  The diagonal of the block stays 0.0, which is what DTW of a
-    segment with itself gives (the equal-frame rule zeroes its diagonal
-    path); pairs that nothing reads also stay 0.0 and are never looked at.
+    segment with itself gives (each of its frames costs 0.0 against
+    itself); pairs that nothing reads also stay 0.0 and are never looked at.
     """
     flat = np.fromiter(chain.from_iterable(group.sets), dtype=np.intp)
     present = np.zeros(n_ranked, dtype=bool)

@@ -6,13 +6,14 @@ a one-pair call into it.  All arithmetic runs in float64 regardless of
 storage dtype, and the inner products are computed with ``np.einsum``
 so that summation order is fixed by the implementation, not by the BLAS
 build.  This keeps results reproducible across machines and across
-worker processes.  What belongs to one frame is computed once per
-frame: its squared norm, and an id shared by every frame equal to it
-component by component, so a cost matrix gathers norms and compares two
-integers where it once compared frames.  A frame whose squared norm is
-neither 0.0 nor inside [2^-511, 2^511] is a ``DataError``: a product of
-two such norms would overflow or round to zero.  Each pair runs with
-its shorter segment as the rows, which shortens every anti-diagonal
+worker processes.  Each frame's squared norm is computed once; a frame
+whose squared norm is neither 0.0 nor inside [2^-511, 2^511] is a
+``DataError``, since a product of two such norms would overflow or
+round to zero.  Inside that range two equal nonzero frames cost exactly
+0.0 by the arithmetic alone: einsum sums their dot product as it summed
+the squared norm s, and sqrt(s * s) == s.  So both special cases come
+from the norms, a zero norm marking an all-zero frame.  Each pair runs
+with its shorter segment as the rows, which shortens every anti-diagonal
 step.  DTW is bit-symmetric as long as no cost is -0.0, so the
 orientation never shows; with ``zero_vector_distance=-0.0`` the sign of
 a zero result can depend on it, and pairs keep theirs.  The DTW
@@ -82,14 +83,13 @@ def dtw_pairs(frames, i, j, cfg: DtwConfig = DEFAULT_DTW) -> np.ndarray:
     ``frames`` holds non-empty (t, d) matrices of one dim d.  Each pair
     runs with its shorter segment first (unless the zero-vector distance
     is -0.0), the pairs are sorted by shape and run in chunks of
-    ``DTW_CHUNK``, each chunk padded to its longest pair; the results
-    come back in input order as float64.
+    ``DTW_CHUNK``, each chunk padded to its longest pair by repeating each
+    segment's last frame; the results come back in input order as float64.
     """
     i = np.asarray(i, dtype=np.intp)
     j = np.asarray(j, dtype=np.intp)
     lengths = np.array([f.shape[0] for f in frames])
-    # all frames end to end in float64, then one zero row that padding indexes
-    flat = np.concatenate(list(frames) + [np.zeros_like(frames[0][:1])], dtype=np.float64)
+    flat = np.concatenate(frames, dtype=np.float64)
     norms = np.einsum("ij,ij->i", flat, flat)
     # |a|^2 |x|^2 must neither overflow nor round to zero, so a squared norm
     # lies in [2^-511, 2^511], or is 0.0 on an all-zero frame; NaN fails too
@@ -101,14 +101,9 @@ def dtw_pairs(frames, i, j, cfg: DtwConfig = DEFAULT_DTW) -> np.ndarray:
             raise DataError("non-finite value in frame matrix")
         raise DataError("frame outside the cosine distance's range: its squared "
                         "norm is neither 0 nor in [2^-511, 2^511]")
-    # equal frames share an id: + 0.0 turns -0.0 into 0.0, so equal bytes
-    # mean equal component by component
-    void = np.dtype((np.void, 8 * flat.shape[1]))
-    ids = np.unique((flat + 0.0).view(void)[:, 0], return_inverse=True)[1]
-    # row t of segment s in flat, or the zero row past its end
-    steps = np.arange(lengths.max())
-    table = np.where(steps < lengths[:, None],
-                     (np.cumsum(lengths) - lengths)[:, None] + steps, flat.shape[0] - 1)
+    # row t of segment s in flat, or its last row past its end
+    starts = np.cumsum(lengths) - lengths
+    table = starts[:, None] + np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
 
     # a shorter first side shortens every step.  DTW is bit-symmetric while
     # no cost is -0.0; a -0.0 cost lets the tie order between the vertical
@@ -123,7 +118,7 @@ def dtw_pairs(frames, i, j, cfg: DtwConfig = DEFAULT_DTW) -> np.ndarray:
         k = order[lo:lo + DTW_CHUNK]
         m, n = lengths[i[k]], lengths[j[k]]
         ra, rx = table[i[k], :m.max()], table[j[k], :n.max()]
-        out[k] = _dtw_padded(_cost_matrices(ra, rx, flat, norms, ids, cfg), m, n)
+        out[k] = _dtw_padded(_cost_matrices(ra, rx, flat, norms, cfg), m, n)
     return out
 
 
@@ -163,11 +158,11 @@ def _dtw_padded(cost, m, n) -> np.ndarray:
     return end.real / end.imag
 
 
-def _cost_matrices(ra, rx, flat, norms, ids, cfg: DtwConfig) -> np.ndarray:
+def _cost_matrices(ra, rx, flat, norms, cfg: DtwConfig) -> np.ndarray:
     """(P, M, N) cosine cost matrices between the rows ``ra`` (P, M) and
-    ``rx`` (P, N) of ``flat``, from their squared ``norms`` and equal-frame
-    ``ids``: 1 - cos in [0, 2], exactly 0.0 for equal frames (also all-zero
-    ones), else ``cfg.zero_vector_distance`` where a frame has zero norm."""
+    ``rx`` (P, N) of ``flat``, from their squared ``norms``: 1 - cos in
+    [0, 2], ``cfg.zero_vector_distance`` where one frame has zero norm, 0.0
+    where both do and, by the arithmetic alone, between equal frames."""
     sa = norms[ra]
     sx = norms[rx]
     cost = np.einsum("pik,pjk->pij", flat[ra], flat[rx])
@@ -176,7 +171,8 @@ def _cost_matrices(ra, rx, flat, norms, ids, cfg: DtwConfig) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(cost, denom, out=cost)
     np.subtract(1.0, cost, out=cost)
-    cost[(sa == 0.0)[:, :, None] | (sx == 0.0)[:, None, :]] = cfg.zero_vector_distance
-    cost[ids[ra][:, :, None] == ids[rx][:, None, :]] = 0.0
+    za, zx = (sa == 0.0)[:, :, None], (sx == 0.0)[:, None, :]
+    cost[za | zx] = cfg.zero_vector_distance
+    cost[za & zx] = 0.0
     np.clip(cost, 0.0, 2.0, out=cost)
     return cost

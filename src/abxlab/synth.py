@@ -76,6 +76,8 @@ class SynthConfig(JsonConfig):
             raise UsageError(f"bad frames_per_segment range {self.frames_per_segment}")
         if len(self.contexts) < 1:
             raise UsageError("need at least 1 context")
+        if len(set(self.contexts)) != len(self.contexts):
+            raise UsageError("duplicate contexts")
         if self.frame_period < 1:
             raise UsageError("frame_period must be >= 1 microsecond")
         if self.seed < 0:

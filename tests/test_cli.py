@@ -566,6 +566,13 @@ def test_synth_requires_seed(tmp_path):
     assert cli.main(["synth", "--out", str(tmp_path / "c")]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--phones", "a,b,a"), ("--contexts", "S:T,S:T")])
+def test_synth_rejects_repeated_labels(tmp_path, flag, value):
+    out = tmp_path / "c"
+    assert cli.main(["synth", flag, value, "--seed", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_synth_config_file_and_flag_precedence(tmp_path):
     cfg = {"phones": ["a", "b"], "dim": 3, "seed": 5, "segments_per_cell": 2}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))

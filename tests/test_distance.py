@@ -260,6 +260,65 @@ def test_dtw_batch_is_bitwise_scalar(d, dtype, zero_vector_distance):
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
+def edge_frames(rng, d, dtype, count=12):
+    """Frames at the ends of what ``dtype`` reaches of the norm range,
+    then their twins with every zero component's sign flipped.
+
+    float64 squared norms sit in [2^-511, 2^-509] or [2^509, 2^511], and
+    one frame per end holds a single component x with x * x as close to
+    the end as it gets; float32 frames are scaled to its subnormals or to
+    near its largest value.  Some components are zero, of either sign,
+    and one frame is all zeros.
+    """
+    base = [np.zeros(d)]
+    for k in range(count):
+        v = rng.standard_normal(d)
+        v[rng.random(d) < 0.3] = 0.0
+        v[rng.integers(d)] = rng.standard_normal() or 1.0
+        v *= rng.choice([-1.0, 1.0], size=d)  # zeros of either sign
+        low = k % 2 == 0
+        if dtype == np.float64:
+            log_s = np.log2(np.einsum("i,i->", v, v))
+            e = np.ceil((-511 - log_s) / 2) if low else np.floor((511 - log_s) / 2)
+            base.append(np.ldexp(v, int(e)))  # exact: no component leaves the normals
+        else:
+            scale = 2.0**-140 if low else np.finfo(np.float32).max / np.abs(v).max()
+            base.append((v * scale).astype(np.float32))
+    if dtype == np.float64:
+        for end, toward in ((2.0**-511, np.inf), (2.0**511, 0.0)):
+            x = np.sqrt(end)
+            while not 2.0**-511 <= x * x <= 2.0**511:
+                x = np.nextafter(x, toward)
+            base.append(np.eye(1, d)[0] * x)
+    twins = [np.where(f == 0, -f, f) for f in base]
+    return np.array(base + twins, dtype=dtype)
+
+
+@pytest.mark.parametrize("zero_vector_distance", [0.0, -0.0, 0.25, 1.0, 2.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [1, 13, 100])
+def test_equal_frames_at_the_range_edges_are_bitwise_scalar(d, dtype, zero_vector_distance):
+    # equal frames cost 0.0 by the arithmetic alone: a frame's squared norm
+    # and its dot product with an equal frame must get the same einsum bits,
+    # also where the norms are thinnest and where zeros differ in sign
+    rng = np.random.default_rng(d * 10 + (dtype == np.float64))
+    cfg = DtwConfig(zero_vector_distance=zero_vector_distance)
+    pool = edge_frames(rng, d, dtype)
+    norms = np.einsum("ij,ij->i", pool.astype(np.float64), pool.astype(np.float64))
+    assert ((2.0**-511 <= norms) & (norms <= 2.0**511) | (norms == 0.0)).all()
+    frames = [pool[rng.integers(len(pool), size=int(t))] for t in rng.integers(1, 9, size=80)]
+    left = np.arange(0, len(frames), 2)
+    for i, j in ((left, left + 1), (left + 1, left)):
+        got = dtw_pairs(frames, i, j, cfg)
+        want = np.array([dtw_scalar(frames[a], frames[b], zero_vector_distance)
+                         for a, b in zip(i, j)])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    # each frame against itself and against its twin costs +0.0
+    n = len(pool)
+    got = dtw_pairs(list(pool[:, None]), np.r_[:n, :n], np.r_[:n, n // 2:n, :n // 2], cfg)
+    assert got.view(np.int64).tolist() == [0] * 2 * n
+
+
 def test_dtw_batch_validation():
     # one finiteness check covers every frame, also one read only by a
     # pair in a later chunk

@@ -53,6 +53,8 @@ def test_config_validation():
         SynthConfig(n_speakers=0)
     with pytest.raises(UsageError):
         SynthConfig(contexts=())
+    with pytest.raises(UsageError):  # each cell gets segments_per_cell once
+        SynthConfig(contexts=(("S", "T"), ("K", "N"), ("S", "T")))
     with pytest.raises(UsageError):
         SynthConfig(means={"AE": [1.0, 0.0]}, dim=2, phones=("AE", "EH"))
     with pytest.raises(UsageError):
