@@ -4,16 +4,17 @@ A cell is the smallest scoring unit: one unordered category pair, one
 triphone context and one ordered speaker pair (s_ab, s_x), where s_x is
 s_ab within and another speaker across; one rule builds the cells of
 both conditions.  Cells that read the same segments (one context and
-speaker within, one context across) form a group, and the cell builder
-hands the cells out in those groups.  Every listed segment is ranked
-once, and ``score_corpus`` resolves each rank to its feature rows once,
-so a row the archive cannot serve fails before any scoring; groups plan
-their distance blocks on integer ranks.  ``score_corpus`` is the one
-scoring entry: each group computes a dense segment x segment block of
-DTW dissimilarities, every unordered pair once through the batched
-kernel, and its cells are scored by lookups into that block.  Groups
-are pure functions of the resolved frames, so they can be scored in
-parallel; a process pool starts only when the task's DP cells reach
+speaker within, one context across) form a group.  ``build_cells`` is
+the one cell builder: it ranks every listed segment once and hands each
+group out as its scoring plan, the cells' heads with (A, B, X) index
+triples and the segment pairs its distance block computes, all on
+integer ranks.  ``score_corpus`` is the one scoring entry.  It resolves
+each rank to its feature rows once, so a row the archive cannot serve
+fails before any scoring; then each plan computes a dense segment x
+segment block of DTW dissimilarities, every unordered pair once through
+the batched kernel, and its cells are scored by lookups into that block.
+Plans are pure functions of the resolved frames, so they can be scored
+in parallel; a process pool starts only when the task's DP cells reach
 ``POOL_MIN_DP_CELLS``.
 
 Scoring counts strict wins and exact ties as integers and divides once
@@ -73,27 +74,6 @@ class CellLimits:
             raise UsageError(f"max_speaker_pairs_per_context must be >= 1, got {cap}")
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class TaskCell:
-    kind: str
-    category_x: str
-    category_y: str
-    context: tuple[str, str]
-    speaker_ab: str
-    speaker_x: str
-    set_x_ab: tuple[ItemSegment, ...]
-    set_y_ab: tuple[ItemSegment, ...]
-    set_x_x: tuple[ItemSegment, ...]
-    set_y_x: tuple[ItemSegment, ...]
-
-    @property
-    def within(self) -> bool:
-        return self.speaker_ab == self.speaker_x
-
-    def key(self):
-        return (self.category_x, self.category_y, self.context, self.speaker_ab, self.speaker_x)
 
 
 @dataclass(frozen=True)
@@ -169,7 +149,7 @@ class AbxReport:
 
 
 # ---------------------------------------------------------------------------
-# cell construction
+# cells and their scoring plans
 
 
 def _categorize(segments, kind, af_table):
@@ -178,13 +158,6 @@ def _categorize(segments, kind, af_table):
         return [s.phone for s in segments]
     af_table.check_phones({s.phone for s in segments})
     return [af_table.classify(s.phone) for s in segments]
-
-
-class _Group(NamedTuple):
-    """The cells of one scoring group and the segment sets they read."""
-
-    heads: list  # per cell in key order, the fields of its TaskCell before the sets
-    sets: list  # per cell its set_x_ab, set_y_ab, set_x_x, set_y_x as rank tuples
 
 
 def _rank(segments):
@@ -201,9 +174,23 @@ def _rank(segments):
     return [by_key[k] for k in ordered], [rank[k] for k in keys]
 
 
-def _build_cells(segments, mode, kind, af_table, limits):
-    """Cells in scoring groups, the segments each group reads: one per
-    (context, speaker) within, one per context across.
+class GroupPlan(NamedTuple):
+    """What scoring a group needs before any DTW runs."""
+
+    heads: list  # per cell, its kind, categories, context and speakers
+    ranks: list  # the ranks of the distinct segments the cells read, ascending
+    xy: list  # per cell, the (A, B, X) index triple of eta(x->y)
+    yx: list  # and of eta(y->x)
+    i: np.ndarray  # the segment pairs the distance block computes, i < j
+    j: np.ndarray
+
+
+def build_cells(segments, mode, kind, af_table: AfTable | None = None,
+                limits: CellLimits = CellLimits()
+                ) -> tuple[list[GroupPlan], list[ItemSegment], dict]:
+    """The package's one cell builder: the task's cells, planned for
+    scoring in groups of the segments they read, one per (context,
+    speaker) within and one per context across.
 
     One rule serves both modes.  A group loops over its sorted category
     pairs, then over its candidate (s_ab, s_x) speaker pairs: within, s_x
@@ -211,11 +198,16 @@ def _build_cells(segments, mode, kind, af_table, limits):
     skipped silently when s_ab lacks x or y, and counts as undersized
     when s_x holds fewer than ``need`` segments of x or y: 2 within,
     where X is never its own A, and 1 across.  The speaker-pair cap then
-    draws from the candidates left; within there is at most one, so it
-    never draws.  Groups come in sorted group order, cells in key order
-    inside a group; empty groups are dropped.  Returns the groups, every
-    listed segment ranked (af-excluded ones too, so each is resolved
-    once), and the skip counts."""
+    draws from the candidates left, in their sorted label order, so a
+    rename that reorders labels can change the draw; within there is at
+    most one candidate, so it never draws.
+
+    Returns ``(plans, ranked, stats)``: one ``GroupPlan`` per non-empty
+    group, in sorted group order with cells in key order inside a group;
+    every listed segment in rank order (af-excluded ones too, so each is
+    resolved once); and the skip counts ``undersized`` and
+    ``capped_speaker_pairs``.
+    """
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
     if kind not in TASK_KINDS:
@@ -237,7 +229,7 @@ def _build_cells(segments, mode, kind, af_table, limits):
                 cats[cat] = tuple(sorted(members))
 
     need = 2 if mode == "within" else 1
-    groups = []
+    plans = []
     stats = {"undersized": 0, "capped_speaker_pairs": 0}
     rng = None  # made on the first capped group: numpy 2 loads numpy.random on first use
 
@@ -249,7 +241,7 @@ def _build_cells(segments, mode, kind, af_table, limits):
         else:
             blocks = [[(a, b) for a in order for b in order if a != b]]
         for candidates in blocks:
-            group = _Group([], [])
+            heads, sets = [], []  # sets: per cell its x_ab, y_ab, x_x and y_x ranks
             for x, y in _sorted_pairs({c for s_ab, _ in candidates for c in speakers[s_ab]}):
                 valid = []
                 for s_ab, s_x in candidates:
@@ -269,10 +261,11 @@ def _build_cells(segments, mode, kind, af_table, limits):
                     valid = sorted(valid[i] for i in idx)
                 for s_ab, s_x in valid:
                     ab, sx = speakers[s_ab], speakers[s_x]
-                    group.heads.append((kind, x, y, ctx, s_ab, s_x))
-                    group.sets.extend((ab[x], ab[y], sx[x], sx[y]))
-            groups.append(group)
-    return [g for g in groups if g.heads], ranked, stats
+                    heads.append((kind, x, y, ctx, s_ab, s_x))
+                    sets.extend((ab[x], ab[y], sx[x], sx[y]))
+            if heads:
+                plans.append(_plan_group(heads, sets, len(ranked)))
+    return plans, ranked, stats
 
 
 def _sorted_pairs(cats):
@@ -282,32 +275,9 @@ def _sorted_pairs(cats):
             yield x, y
 
 
-def build_cells(segments, mode, kind, af_table: AfTable | None = None,
-                limits: CellLimits = CellLimits()) -> list[TaskCell]:
-    groups, ranked, _ = _build_cells(segments, mode, kind, af_table, limits)
-    cells = [
-        TaskCell(*head, *(tuple(ranked[r] for r in s) for s in g.sets[4 * k:4 * k + 4]))
-        for g in groups for k, head in enumerate(g.heads)
-    ]
-    return sorted(cells, key=TaskCell.key)
-
-
-# ---------------------------------------------------------------------------
-# scoring
-
-class _GroupPlan(NamedTuple):
-    """What scoring a group needs before any DTW runs."""
-
-    heads: list  # per cell, its kind, categories, context and speakers
-    ranks: list  # the ranks of the distinct segments the cells read, ascending
-    xy: list  # per cell, the (A, B, X) index triple of eta(x->y)
-    yx: list  # and of eta(y->x)
-    i: np.ndarray  # the segment pairs the distance block computes, i < j
-    j: np.ndarray
-
-
-def _plan_group(group: _Group, n_ranked: int) -> _GroupPlan:
-    """The index triples of a group's cells and the pairs they read.
+def _plan_group(heads, sets, n_ranked: int) -> GroupPlan:
+    """The index triples of a group's cells and the pairs they read;
+    ``sets`` holds four rank tuples per cell (x_ab, y_ab, x_x, y_x).
 
     Every pair in A x X and B x X of a triple is read, each unordered
     pair is computed once because DTW is bit-symmetric (but for the sign
@@ -316,12 +286,12 @@ def _plan_group(group: _Group, n_ranked: int) -> _GroupPlan:
     segment with itself gives (each of its frames costs 0.0 against
     itself); pairs that nothing reads also stay 0.0 and are never looked at.
     """
-    flat = np.fromiter(chain.from_iterable(group.sets), dtype=np.intp)
+    flat = np.fromiter(chain.from_iterable(sets), dtype=np.intp)
     present = np.zeros(n_ranked, dtype=bool)
     present[flat] = True
     used = np.flatnonzero(present)  # the group's ranks, ascending
     inverse = (np.cumsum(present) - 1)[flat]  # each listed rank's index into used
-    bounds = [0, *np.cumsum([len(s) for s in group.sets]).tolist()]
+    bounds = [0, *np.cumsum([len(s) for s in sets]).tolist()]
     idx = [inverse[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     xy = [(idx[k], idx[k + 1], idx[k + 2]) for k in range(0, len(idx), 4)]
     yx = [(idx[k + 1], idx[k], idx[k + 3]) for k in range(0, len(idx), 4)]
@@ -333,7 +303,11 @@ def _plan_group(group: _Group, n_ranked: int) -> _GroupPlan:
         lo, mid, hi = bounds[k], bounds[k + 2], bounds[k + 4]
         read[inverse[lo:mid, None], inverse[mid:hi]] = True
     i, j = np.nonzero(np.triu(read | read.T, 1))
-    return _GroupPlan(group.heads, used.tolist(), xy, yx, i, j)
+    return GroupPlan(heads, used.tolist(), xy, yx, i, j)
+
+
+# ---------------------------------------------------------------------------
+# scoring
 
 
 def _dp_cells(plans, frames) -> int:
@@ -370,7 +344,7 @@ def _eta(block, a, b, x, within: bool) -> tuple[float, int]:
     return errors / (2 * total), total
 
 
-def _score_group(plan: _GroupPlan, frames, cfg: DtwConfig) -> list[CellScore]:
+def _score_group(plan: GroupPlan, frames, cfg: DtwConfig) -> list[CellScore]:
     """Score the cells of a group from one distance block; ``frames``
     holds each ranked segment's feature rows.
 
@@ -451,7 +425,7 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
                  limits: CellLimits = CellLimits(), jobs: int = 1) -> AbxReport:
     """Score an ABX task: the package's one scoring entry.
 
-    Cell groups -> distance blocks (parallel over groups) -> aggregate.
+    ``build_cells`` plans -> distance blocks (parallel over plans) -> aggregate.
     Every listed segment, af-excluded ones too, is resolved to its frames
     first, so a row the archive cannot serve raises ``DataError`` (exit
     3) before an empty task raises ``EmptyTaskError`` (exit 4).  ``jobs``
@@ -468,13 +442,12 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
-    groups, ranked, stats = _build_cells(segments, mode, kind, af_table, limits)
+    plans, ranked, stats = build_cells(segments, mode, kind, af_table, limits)
     frames = [segment_frames(s, archive) for s in ranked]
-    if not groups:
+    if not plans:
         raise EmptyTaskError(
             f"no scoreable cells (undersized candidates: {stats['undersized']})"
         )
-    plans = [_plan_group(g, len(ranked)) for g in groups]
     workers, dp_cells = 1, None
     if jobs > 1 and len(plans) > 1:
         dp_cells = _dp_cells(plans, frames)

@@ -27,7 +27,7 @@ from .errors import (
     FormatError,
     RowError,
 )
-from .manifest import lines_bytes, write_outputs
+from .manifest import lines_bytes
 
 FBIN_MAGIC = b"FEAT"
 FBIN_VERSION = 1
@@ -104,12 +104,6 @@ class FeatureArchive:
         self._utterances = frozen
         self.dim = dims.pop()
         self.frame_period = int(frame_period)
-
-    def __contains__(self, utt: str) -> bool:
-        return utt in self._utterances
-
-    def __len__(self) -> int:
-        return len(self._utterances)
 
     def utterance_ids(self) -> list[str]:
         return sorted(self._utterances)
@@ -310,10 +304,6 @@ def feature_archive_files(archive: FeatureArchive, format: str = "binary") -> di
                 + [" ".join(map(repr, row)) for row in mat.tolist()]
             )
     return files
-
-
-def write_feature_archive(archive: FeatureArchive, path, format: str = "binary") -> None:
-    write_outputs(path, feature_archive_files(archive, format))
 
 
 # ---------------------------------------------------------------------------

@@ -104,15 +104,6 @@ def digest_inputs(paths) -> dict:
     return {str(p): sha256_file(p) for p in paths}
 
 
-def verify_digests(digests: dict) -> list:
-    """Paths whose current content no longer matches the manifest."""
-    stale = []
-    for path, want in digests.items():
-        if not Path(path).is_file() or sha256_file(path) != want:
-            stale.append(path)
-    return stale
-
-
 @dataclass
 class RunManifest:
     command: list

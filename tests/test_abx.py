@@ -13,8 +13,6 @@ from abxlab import abx
 from abxlab.abx import (
     AbxReport,
     CellLimits,
-    TaskCell,
-    _build_cells,
     aggregate,
     build_cells,
     means,
@@ -106,10 +104,20 @@ def test_eta_counts_strict_win():
 # cell construction
 
 
+def planned_cells(plans):
+    """Each planned cell as (head, (x_ab, y_ab, x_x, y_x)), sets as ranks."""
+    cells = []
+    for plan in plans:
+        ranks = np.asarray(plan.ranks)
+        for head, (a, b, x), (_, _, y) in zip(plan.heads, plan.xy, plan.yx):
+            cells.append((head, tuple(tuple(ranks[s].tolist()) for s in (a, b, x, y))))
+    return cells
+
+
 def test_within_cells_need_two_of_each():
     archive, segments = one_hot_corpus()
-    cells = build_cells(segments[:3], "within", "phone")  # one EH only
-    assert cells == []
+    plans, _, _ = build_cells(segments[:3], "within", "phone")  # one EH only
+    assert plans == []
     report_error = None
     try:
         score_corpus(archive, segments[:3], "within", "phone")
@@ -122,13 +130,10 @@ def test_across_cells_are_ordered_speaker_pairs():
     corpus = generate_corpus(
         SynthConfig(phones=("AE", "EH"), n_speakers=3, dim=4, contexts=(("S", "T"),))
     )
-    cells = build_cells(corpus.segments, "across", "phone")
-    pairs = {(c.speaker_ab, c.speaker_x) for c in cells}
-    assert len(cells) == 6  # 3 speakers, ordered pairs, 1 pair x 1 context
-    assert ("s01", "s02") in pairs and ("s02", "s01") in pairs
-    for c in cells:
-        assert c.speaker_ab != c.speaker_x
-        assert not c.within
+    (plan,), _, _ = build_cells(corpus.segments, "across", "phone")  # one context
+    pairs = [(s_ab, s_x) for *_, s_ab, s_x in plan.heads]
+    # 3 speakers, ordered pairs, 1 pair x 1 context
+    assert pairs == list(itertools.permutations(["s01", "s02", "s03"], 2))
 
 
 def test_across_requires_both_categories_on_both_speakers():
@@ -142,7 +147,7 @@ def test_across_requires_both_categories_on_both_speakers():
         seg("u01", 0.02, "EH", speaker="s01"),
         seg("u02", 0.00, "AE", speaker="s02"),  # s02 has no EH
     ]
-    assert build_cells(segments, "across", "phone") == []
+    assert build_cells(segments, "across", "phone")[0] == []
     with pytest.raises(EmptyTaskError):
         score_corpus(archive, segments, "across", "phone")
 
@@ -207,18 +212,18 @@ def test_speaker_pair_cap_is_deterministic():
         SynthConfig(phones=("AE", "EH"), n_speakers=4, dim=4, noise_scale=0.2, seed=5)
     )
     limits = CellLimits(max_speaker_pairs_per_context=3, seed=42)
-    a = build_cells(corpus.segments, "across", "phone", limits=limits)
-    b = build_cells(corpus.segments, "across", "phone", limits=limits)
-    assert a == b
+
+    def cells(limits=CellLimits()):
+        return planned_cells(build_cells(corpus.segments, "across", "phone", limits=limits)[0])
+
+    a = cells(limits)
+    assert a == cells(limits)
     assert len(a) == 3 * len(corpus.config.contexts)
-    full = build_cells(corpus.segments, "across", "phone")
+    full = cells()
     assert len(full) == 12 * len(corpus.config.contexts)
     assert set(a) <= set(full)
-    different = build_cells(
-        corpus.segments, "across", "phone",
-        limits=CellLimits(max_speaker_pairs_per_context=3, seed=43),
-    )
-    assert len(different) == len(a)
+    different = cells(CellLimits(max_speaker_pairs_per_context=3, seed=43))
+    assert len(different) == len(a) and set(different) <= set(full)
 
 
 @pytest.mark.parametrize("mode", ["within", "across"])
@@ -230,33 +235,54 @@ def test_cell_groups_are_the_segments_cells_read(mode, cap):
     ))
     segments = [s for s in corpus.segments if s.speaker != "s02" or s.phone == "AE"]
     limits = CellLimits(max_speaker_pairs_per_context=cap)
-    groups, ranked, _ = _build_cells(segments, mode, "phone", None, limits)
+    plans, ranked, _ = build_cells(segments, mode, "phone", limits=limits)
     assert ranked == sorted(set(ranked))
 
     def group_key(head):  # head: kind, category_x, category_y, context, speaker_ab, speaker_x
         return (head[3], head[4]) if mode == "within" else (head[3],)
 
-    keys = [group_key(g.heads[0]) for g in groups]
-    assert all(g.heads for g in groups) and keys == sorted(set(keys))
+    keys = [group_key(p.heads[0]) for p in plans]
+    assert all(p.heads for p in plans) and keys == sorted(set(keys))
     if mode == "within":
         assert [k[1] for k in keys] == ["s01", "s03", "s04"] * len(corpus.config.contexts)
-    for g in groups:
-        assert {group_key(h) for h in g.heads} == {group_key(g.heads[0])}
-        assert g.heads == sorted(g.heads)
-        assert len(g.sets) == 4 * len(g.heads)
-        for members in g.sets:
-            assert list(members) == sorted(members)
-    flat = build_cells(segments, mode, "phone", limits=limits)
-    assert flat == sorted(
-        (TaskCell(*h, *(tuple(ranked[r] for r in s) for s in g.sets[4 * k:4 * k + 4]))
-         for g in groups for k, h in enumerate(g.heads)),
-        key=TaskCell.key,
-    )
-    for c in flat:
-        for members in (c.set_x_ab, c.set_y_ab, c.set_x_x, c.set_y_x):
-            assert list(members) == sorted(members)
-            assert {(s.context, s.phone) for s in members} <= {
-                (c.context, c.category_x), (c.context, c.category_y)}
+    for plan in plans:
+        assert {group_key(h) for h in plan.heads} == {group_key(plan.heads[0])}
+        assert plan.heads == sorted(plan.heads)
+        assert len(plan.xy) == len(plan.yx) == len(plan.heads)
+        cells = planned_cells([plan])
+        read = set()
+        for (_, x, y, ctx, s_ab, s_x), sets in cells:
+            for members, cat, speaker in zip(sets, (x, y, x, y), (s_ab, s_ab, s_x, s_x)):
+                assert members and list(members) == sorted(members)
+                segs = [ranked[r] for r in members]
+                assert {(s.context, s.phone, s.speaker) for s in segs} == {(ctx, cat, speaker)}
+            read |= {(min(p, q), max(p, q)) for p in sets[0] + sets[1]
+                     for q in sets[2] + sets[3] if p != q}
+        # the plan's ranks are what its cells read, and its pairs are every
+        # distinct unordered pair an A or B meets an X in
+        assert plan.ranks == sorted({r for _, sets in cells for m in sets for r in m})
+        assert {(plan.ranks[i], plan.ranks[j]) for i, j in zip(plan.i, plan.j)} == read
+        assert all(plan.i < plan.j)
+
+
+@pytest.mark.parametrize("mode", ["within", "across"])
+@pytest.mark.parametrize("kind", ["phone", "af"])
+def test_build_cells_plans_what_score_corpus_scores(mode, kind):
+    corpus = generate_corpus(SynthConfig(
+        phones=("AE", "EH", "IY", "UW"), n_speakers=3, dim=4, segments_per_cell=2,
+        frames_per_segment=(2, 4), seed=8,
+    ))
+    table = load_af_table("english-height") if kind == "af" else None
+    # positional, as the benchmark's traced run calls it
+    plans, ranked, stats = abx.build_cells(corpus.segments, mode, kind, table)
+    assert len(plans) > 1 and ranked == sorted(set(corpus.segments))
+    report = score_corpus(corpus.archive, corpus.segments, mode, kind, af_table=table)
+    # plans come in group order; the report's cells in key order
+    keys = [head[1:] for plan in plans for head in plan.heads]
+    assert sorted(keys) == [c.key() for c in report.per_cell]
+    assert len(set(keys)) == len(keys)
+    assert stats == {"undersized": report.metadata["skipped_undersized"],
+                     "capped_speaker_pairs": report.metadata["capped_speaker_pairs"]}
 
 
 def test_means_sums_in_row_order_and_sorts_keys():
@@ -297,9 +323,9 @@ def test_af_task_groups_by_attribute():
         SynthConfig(phones=("AE", "AA", "IY"), dim=4, n_speakers=1, seed=2)
     )
     table = load_af_table("english-height")  # AE,AA -> Open; IY -> Close
-    cells = build_cells(corpus.segments, "within", "af", af_table=table)
-    assert {(c.category_x, c.category_y) for c in cells} == {("Close", "Open")}
-    open_sizes = {len(c.set_y_ab) for c in cells}
+    cells = planned_cells(build_cells(corpus.segments, "within", "af", af_table=table)[0])
+    assert {head[1:3] for head, _ in cells} == {("Close", "Open")}
+    open_sizes = {len(y_ab) for _, (_, y_ab, _, _) in cells}
     assert open_sizes == {2 * corpus.config.segments_per_cell}
 
 
@@ -308,10 +334,10 @@ def test_af_task_drops_excluded_segments():
         SynthConfig(phones=("AE", "EH", "IY"), dim=4, n_speakers=1, seed=2)
     )
     table = AfTable("toy", {"AE": "A", "EH": "B"}, excluded=("IY",))
-    cells = build_cells(corpus.segments, "within", "af", af_table=table)
-    assert {(c.category_x, c.category_y) for c in cells} == {("A", "B")}
-    phones = {s.phone for c in cells for s in c.set_x_ab + c.set_y_ab}
-    assert "IY" not in phones
+    plans, ranked, _ = build_cells(corpus.segments, "within", "af", af_table=table)
+    assert {head[1:3] for p in plans for head in p.heads} == {("A", "B")}
+    assert {ranked[r].phone for p in plans for r in p.ranks} == {"AE", "EH"}
+    assert "IY" in {s.phone for s in ranked}  # ranked, so resolved, but read by no cell
 
 
 def test_af_task_unmapped_phone_fails_fast():
@@ -420,7 +446,7 @@ def test_parallel_scoring_is_bit_identical(kind, mode, monkeypatch):
     corpus = _pool_corpus()
     table = load_af_table("english-height") if kind == "af" else None
     r1 = score_corpus(corpus.archive, corpus.segments, mode, kind, af_table=table, jobs=1)
-    groups = len(_build_cells(corpus.segments, mode, kind, table, CellLimits())[0])
+    groups = len(build_cells(corpus.segments, mode, kind, table)[0])
     assert groups > 1
     # the default threshold scores this corpus inline, threshold 0 in the pool
     for threshold in (abx.POOL_MIN_DP_CELLS, 0):

@@ -33,10 +33,10 @@ from abxlab.corpus import (
     ITEM_HEADER,
     FeatureArchive,
     FrameLabelTrack,
+    feature_archive_files,
     load_feature_archive,
     load_item_file,
     load_label_track,
-    write_feature_archive,
 )
 from abxlab.distance import DtwConfig, dtw_dissimilarity
 from abxlab.errors import DataError, FormatError, RowError
@@ -437,9 +437,9 @@ def test_criterion_12_format_round_trips(tmp_path):
          for i in range(3)},
         6250,
     )
-    write_feature_archive(archive, tmp_path / "one")
+    write_outputs(tmp_path / "one", feature_archive_files(archive))
     loaded = load_feature_archive(tmp_path / "one")
-    write_feature_archive(loaded, tmp_path / "two")
+    write_outputs(tmp_path / "two", feature_archive_files(loaded))
     for i in range(3):
         a = (tmp_path / "one" / f"u{i}.fbin").read_bytes()
         b = (tmp_path / "two" / f"u{i}.fbin").read_bytes()

@@ -21,7 +21,7 @@ from abxlab.corpus import (
     load_item_file,
 )
 from abxlab.errors import DataError, EmptyTaskError, InconclusiveGradCheck
-from abxlab.manifest import verify_digests, write_outputs
+from abxlab.manifest import digest_inputs, write_outputs
 from abxlab.synth import SynthConfig, generate_corpus, write_corpus
 
 
@@ -80,12 +80,13 @@ def test_eval_manifest_digests(eval_dir, corpus_dir):
     assert manifest["command"][0] == "abxlab"
     assert manifest["config"]["mode"] == "within"
     assert manifest["config"]["jobs"] >= 1
-    assert verify_digests(manifest["inputs"]) == []
+    assert digest_inputs(list(manifest["inputs"])) == manifest["inputs"]
     victim = corpus_dir / "items.item"
     original = victim.read_bytes()
     try:
         victim.write_bytes(original + b"# extra\n")
-        assert str(victim) in verify_digests(manifest["inputs"])
+        for path, digest in manifest["inputs"].items():
+            assert (digest_inputs([path])[path] != digest) == (path == str(victim)), path
     finally:
         victim.write_bytes(original)
 
@@ -886,7 +887,7 @@ def test_runner_writes_manifest(name, corpus_dir, vowel_dir, eval_dir, apc_dir, 
     assert manifest["command"] == ["abxlab"] + argv + ["--out", str(out)]
     assert manifest["config"] == config
     assert set(manifest["inputs"]) == _digest_keys(*inputs)
-    assert verify_digests(manifest["inputs"]) == []
+    assert digest_inputs(list(manifest["inputs"])) == manifest["inputs"]
     assert manifest["seed"] == seed
     assert list(out.rglob("*.tmp-*")) == []
 

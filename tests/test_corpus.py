@@ -19,7 +19,6 @@ from abxlab.corpus import (
     read_rows,
     segment_frames,
     time_to_frame,
-    write_feature_archive,
 )
 from abxlab.errors import (
     ConsistencyError,
@@ -133,20 +132,20 @@ def test_archive_is_immutable():
 
 def test_fbin_round_trip_is_byte_exact(tmp_path):
     arch = small_archive(period=6250)
-    write_feature_archive(arch, tmp_path / "feat")
+    write_outputs(tmp_path / "feat", feature_archive_files(arch))
     first = {p.name: p.read_bytes() for p in sorted((tmp_path / "feat").glob("*.fbin"))}
     back = load_feature_archive(tmp_path / "feat")
     assert back.frame_period == 6250
     for utt in arch.utterance_ids():
         assert np.array_equal(back.frames(utt), arch.frames(utt))
-    write_feature_archive(back, tmp_path / "again")
+    write_outputs(tmp_path / "again", feature_archive_files(back))
     second = {p.name: p.read_bytes() for p in sorted((tmp_path / "again").glob("*.fbin"))}
     assert first == second
 
 
 def test_ftxt_round_trip_is_exact(tmp_path):
     arch = small_archive()
-    write_feature_archive(arch, tmp_path / "feat", format="text")
+    write_outputs(tmp_path / "feat", feature_archive_files(arch, "text"))
     back = load_feature_archive(tmp_path / "feat", format="text")
     for utt in arch.utterance_ids():
         assert np.array_equal(back.frames(utt), arch.frames(utt))
@@ -179,13 +178,13 @@ def test_fbin_round_trip_property(tmp_path_factory, t, d, seed):
     mat = (rng.standard_normal((t, d)) * 10).astype(np.float32)
     arch = FeatureArchive({"u": mat}, 10000)
     out = tmp_path_factory.mktemp("rt")
-    write_feature_archive(arch, out)
+    write_outputs(out, feature_archive_files(arch))
     assert np.array_equal(load_feature_archive(out).frames("u"), mat)
 
 
 def test_fbin_malformations(tmp_path):
     arch = small_archive()
-    write_feature_archive(arch, tmp_path / "feat")
+    write_outputs(tmp_path / "feat", feature_archive_files(arch))
     target = tmp_path / "feat" / "u01.fbin"
     raw = target.read_bytes()
 
@@ -207,10 +206,9 @@ def test_fbin_malformations(tmp_path):
 
 
 def test_archive_loader_consistency(tmp_path):
-    write_feature_archive(small_archive(10000), tmp_path / "feat")
-    write_feature_archive(
-        FeatureArchive({"u99": np.ones((3, 4), np.float32)}, 20000), tmp_path / "feat"
-    )
+    write_outputs(tmp_path / "feat", feature_archive_files(small_archive(10000)))
+    write_outputs(tmp_path / "feat", feature_archive_files(
+        FeatureArchive({"u99": np.ones((3, 4), np.float32)}, 20000)))
     with pytest.raises(ConsistencyError):
         load_feature_archive(tmp_path / "feat")
 
@@ -225,9 +223,10 @@ def test_archive_loader_empty_and_unknown_format(tmp_path):
 
 def test_archive_with_both_formats_is_inconsistent(tmp_path):
     # a text extract written over a binary one must not be read as the binary
-    write_feature_archive(small_archive(), tmp_path / "feat")
+    write_outputs(tmp_path / "feat", feature_archive_files(small_archive()))
     stale = {utt: small_archive().frames(utt)[:, :3] for utt in ("u01", "u02")}
-    write_feature_archive(FeatureArchive(stale, 10000), tmp_path / "feat", format="text")
+    write_outputs(tmp_path / "feat",
+                  feature_archive_files(FeatureArchive(stale, 10000), "text"))
     with pytest.raises(ConsistencyError, match="2 .fbin and 2 .ftxt"):
         load_feature_archive(tmp_path / "feat")
     assert load_feature_archive(tmp_path / "feat", format="binary").dim == 4
