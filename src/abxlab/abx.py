@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, combinations
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -242,7 +242,8 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
             blocks = [[(a, b) for a in order for b in order if a != b]]
         for candidates in blocks:
             heads, sets = [], []  # sets: per cell its x_ab, y_ab, x_x and y_x ranks
-            for x, y in _sorted_pairs({c for s_ab, _ in candidates for c in speakers[s_ab]}):
+            labels = sorted({c for s_ab, _ in candidates for c in speakers[s_ab]})
+            for x, y in combinations(labels, 2):
                 valid = []
                 for s_ab, s_x in candidates:
                     if x not in speakers[s_ab] or y not in speakers[s_ab]:
@@ -268,23 +269,15 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
     return plans, ranked, stats
 
 
-def _sorted_pairs(cats):
-    keys = sorted(cats)
-    for i, x in enumerate(keys):
-        for y in keys[i + 1:]:
-            yield x, y
-
-
 def _plan_group(heads, sets, n_ranked: int) -> GroupPlan:
     """The index triples of a group's cells and the pairs they read;
     ``sets`` holds four rank tuples per cell (x_ab, y_ab, x_x, y_x).
 
     Every pair in A x X and B x X of a triple is read, each unordered
-    pair is computed once because DTW is bit-symmetric (but for the sign
-    of a zero result at ``zero_vector_distance=-0.0``, which no comparison
-    sees).  The diagonal of the block stays 0.0, which is what DTW of a
-    segment with itself gives (each of its frames costs 0.0 against
-    itself); pairs that nothing reads also stay 0.0 and are never looked at.
+    pair is computed once because DTW is bit-symmetric.  The diagonal of
+    the block stays 0.0, which is what DTW of a segment with itself gives
+    (each of its frames costs 0.0 against itself); pairs that nothing
+    reads also stay 0.0 and are never looked at.
     """
     flat = np.fromiter(chain.from_iterable(sets), dtype=np.intp)
     present = np.zeros(n_ranked, dtype=bool)

@@ -14,9 +14,8 @@ round to zero.  Inside that range two equal nonzero frames cost exactly
 the squared norm s, and sqrt(s * s) == s.  So both special cases come
 from the norms, a zero norm marking an all-zero frame.  Each pair runs
 with its shorter segment as the rows, which shortens every anti-diagonal
-step.  DTW is bit-symmetric as long as no cost is -0.0, so the
-orientation never shows; with ``zero_vector_distance=-0.0`` the sign of
-a zero result can depend on it, and pairs keep theirs.  The DTW
+step.  No cost is -0.0 (a -0.0 zero-vector distance is charged as 0.0),
+so DTW is bit-symmetric and the orientation never shows.  The DTW
 recurrence holds each cell as one complex128, path cost + 1j * path
 length, so numpy's complex minimum is its (cost, length) tie-break.
 """
@@ -66,28 +65,33 @@ def dtw_dissimilarity(A, X, cfg: DtwConfig = DEFAULT_DTW) -> float:
     One pair through ``dtw_pairs``, so a 1 x 1 call returns the cosine
     distance of its two frames exactly.
     """
-    A = np.asarray(A)
-    X = np.asarray(X)
-    if A.ndim != 2 or X.ndim != 2 or A.shape[1] != X.shape[1]:
-        raise UsageError(
-            f"frame matrices must be 2-D with equal dim, got {A.shape} and {X.shape}"
-        )
-    if A.shape[0] == 0 or X.shape[0] == 0:
-        raise UsageError("frame matrices must be non-empty")
     return float(dtw_pairs([A, X], [0], [1], cfg)[0])
 
 
 def dtw_pairs(frames, i, j, cfg: DtwConfig = DEFAULT_DTW) -> np.ndarray:
     """``dtw_dissimilarity(frames[i[p]], frames[j[p]])`` for every p.
 
-    ``frames`` holds non-empty (t, d) matrices of one dim d.  Each pair
-    runs with its shorter segment first (unless the zero-vector distance
-    is -0.0), the pairs are sorted by shape and run in chunks of
+    ``frames`` must hold non-empty (t, d) matrices of one dim d, and ``i``
+    and ``j`` must be 1-D index arrays of one length into ``frames``;
+    anything else is a ``UsageError``.  Each pair runs with its shorter
+    segment first, the pairs are sorted by shape and run in chunks of
     ``DTW_CHUNK``, each chunk padded to its longest pair by repeating each
     segment's last frame; the results come back in input order as float64.
     """
-    i = np.asarray(i, dtype=np.intp)
-    j = np.asarray(j, dtype=np.intp)
+    frames = [np.asarray(f) for f in frames]
+    for f in frames:
+        if f.ndim != 2 or len(f) == 0 or f.shape[1] != frames[0].shape[1]:
+            raise UsageError("frame matrices must be non-empty and 2-D with one dim, "
+                             f"got {f.shape} beside {frames[0].shape}")
+    i, j = np.asarray(i), np.asarray(j)
+    if i.ndim != 1 or i.shape != j.shape or i.size and not (
+            i.dtype.kind in "iu" and j.dtype.kind in "iu"
+            and min(i.min(), j.min()) >= 0 and max(i.max(), j.max()) < len(frames)):
+        raise UsageError("pair indices must be two 1-D integer arrays of one length "
+                         f"with values in [0, {len(frames)})")
+    i, j = i.astype(np.intp), j.astype(np.intp)
+    if not frames:
+        return np.empty(0)
     lengths = np.array([f.shape[0] for f in frames])
     flat = np.concatenate(frames, dtype=np.float64)
     norms = np.einsum("ij,ij->i", flat, flat)
@@ -105,13 +109,9 @@ def dtw_pairs(frames, i, j, cfg: DtwConfig = DEFAULT_DTW) -> np.ndarray:
     starts = np.cumsum(lengths) - lengths
     table = starts[:, None] + np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
 
-    # a shorter first side shortens every step.  DTW is bit-symmetric while
-    # no cost is -0.0; a -0.0 cost lets the tie order between the vertical
-    # and horizontal steps, and so the orientation, pick the sign of a zero
-    # result, so then every pair runs as called
-    if not np.signbit(cfg.zero_vector_distance):
-        swap = lengths[i] > lengths[j]
-        i, j = np.where(swap, j, i), np.where(swap, i, j)
+    # a shorter first side shortens every step; DTW is bit-symmetric
+    swap = lengths[i] > lengths[j]
+    i, j = np.where(swap, j, i), np.where(swap, i, j)
     order = np.lexsort((lengths[j], lengths[i]))
     out = np.empty(len(order))
     for lo in range(0, len(order), DTW_CHUNK):
@@ -172,7 +172,9 @@ def _cost_matrices(ra, rx, flat, norms, cfg: DtwConfig) -> np.ndarray:
         np.divide(cost, denom, out=cost)
     np.subtract(1.0, cost, out=cost)
     za, zx = (sa == 0.0)[:, :, None], (sx == 0.0)[:, None, :]
-    cost[za | zx] = cfg.zero_vector_distance
+    # + 0.0 charges a -0.0 setting as 0.0: a -0.0 cost would let the tie
+    # order of the DP, and so the pair's orientation, pick a zero's sign
+    cost[za | zx] = cfg.zero_vector_distance + 0.0
     cost[za & zx] = 0.0
     np.clip(cost, 0.0, 2.0, out=cost)
     return cost

@@ -229,8 +229,9 @@ def planted_pairs(rng, d, dtype, count=150):
             A = np.eye(m, d, dtype=dtype)
             X = np.eye(n, d, k=min(m, d), dtype=dtype) if d > m else np.zeros((n, d), dtype)
         elif kind == 5:  # short {0, 1} rows, some segments all zero: at
-            # dim 1 with zero_vector_distance -0.0 every cost is a signed
-            # zero, so only the tie order of the DP decides the result's sign
+            # dim 1 with zero_vector_distance 0.0 or -0.0 every cost is zero,
+            # so every path ties and a -0.0 cost would let the DP's tie
+            # order pick the sign of the result
             A, X = (rng.integers(0, 2, size=(t % 5 + 1, d)).astype(dtype) for t in (m, n))
             if k // 6 % 3 == 1:
                 A[:] = 0.0
@@ -254,7 +255,7 @@ def test_dtw_batch_is_bitwise_scalar(d, dtype, zero_vector_distance):
     left = np.arange(0, len(frames), 2)
     for i, j in ((left, left + 1), (left + 1, left)):  # and the transpose
         got = dtw_pairs(frames, i, j, cfg)
-        want = np.array([dtw_scalar(frames[a], frames[b], zero_vector_distance)
+        want = np.array([dtw_scalar(frames[a], frames[b], zero_vector_distance + 0.0)
                          for a, b in zip(i, j)])
         assert got.dtype == np.float64
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
@@ -310,7 +311,7 @@ def test_equal_frames_at_the_range_edges_are_bitwise_scalar(d, dtype, zero_vecto
     left = np.arange(0, len(frames), 2)
     for i, j in ((left, left + 1), (left + 1, left)):
         got = dtw_pairs(frames, i, j, cfg)
-        want = np.array([dtw_scalar(frames[a], frames[b], zero_vector_distance)
+        want = np.array([dtw_scalar(frames[a], frames[b], zero_vector_distance + 0.0)
                          for a, b in zip(i, j)])
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
     # each frame against itself and against its twin costs +0.0
@@ -332,15 +333,24 @@ def test_dtw_batch_validation():
         broken[-1][0, 3] = bad
         with pytest.raises(DataError):
             dtw_pairs(broken, left, left + 1)
+    for pool in (frames, []):
+        got = dtw_pairs(pool, [], [])
+        assert got.dtype == np.float64 and got.shape == (0,)
+    a, b = frames[:2]
+    for bad in ([a, np.zeros((0, 4))], [a, b[:, :3]], [a, b[0]], [b[0], a], [a, b[None]]):
+        with pytest.raises(UsageError):  # empty, mixed-dim, 1-D and 3-D frames
+            dtw_pairs(bad, [0], [1])
+    for i, j in (([-1], [0]), ([0], [2]), ([0, 1], [1]), ([[0]], [[1]]), ([0.0], [1.0])):
+        with pytest.raises(UsageError):  # negative, out of range, mismatched, 2-D, float
+            dtw_pairs([a, b], i, j)
 
 
-@pytest.mark.parametrize("zero_vector_distance", [-0.0, 0.0, 1.0])
+@pytest.mark.parametrize("zero_vector_distance", [-0.0, 0.0, 0.25, 1.0, 2.0])
 @pytest.mark.parametrize("d", [1, 13])
 def test_dtw_batch_ignores_pair_order_and_orientation(d, zero_vector_distance):
     # the engine regroups the pairs by shape and runs each with its shorter
-    # side first, so neither the caller's order nor (while no cost is
-    # -0.0) its orientation may reach a result bit; at -0.0 the planted
-    # {0, 1} pairs end in signed zeros
+    # side first, so neither the caller's order nor its orientation may
+    # reach a result bit; -0.0 is charged as 0.0, bit for bit
     rng = np.random.default_rng(d)
     cfg = DtwConfig(zero_vector_distance=zero_vector_distance)
     frames = [f for pair in planted_pairs(rng, d, np.float64) for f in pair]
@@ -350,22 +360,22 @@ def test_dtw_batch_ignores_pair_order_and_orientation(d, zero_vector_distance):
     base = dtw_pairs(frames, i, j, cfg).view(np.int64)
     perm = rng.permutation(len(i))
     assert dtw_pairs(frames, i[perm], j[perm], cfg).view(np.int64).tolist() == base[perm].tolist()
+    assert dtw_pairs(frames, j, i, cfg).view(np.int64).tolist() == base.tolist()
     if np.signbit(zero_vector_distance):
-        assert (base == np.float64(-0.0).view(np.int64)).any()
-    else:
-        assert dtw_pairs(frames, j, i, cfg).view(np.int64).tolist() == base.tolist()
+        plus = dtw_pairs(frames, i, j, DtwConfig(zero_vector_distance=0.0))
+        assert plus.view(np.int64).tolist() == base.tolist()
 
 
-def test_dtw_signed_zero_results_keep_their_orientation():
-    # with a -0.0 cost DTW is not bit-symmetric: here the vertical and the
+def test_dtw_minus_zero_setting_gives_plus_zero_both_ways():
+    # a -0.0 cost would break bit symmetry: here the vertical and the
     # horizontal step tie on an all-zero path, one of whose sums is -0.0,
-    # and the tie order picks a different one in each orientation
+    # and the tie order picks a different one in each orientation.  The
+    # engine charges the setting as 0.0, so both orientations give +0.0
     A = np.array([[0.0], [1.0], [-1.0]])
     X = np.array([[1.0], [-1.0], [-1.0], [0.0]])
+    assert np.signbit([dtw_scalar(A, X, -0.0), dtw_scalar(X, A, -0.0)]).tolist() == [True, False]
     got = dtw_pairs([A, X], [0, 1], [1, 0], DtwConfig(zero_vector_distance=-0.0))
-    want = np.array([dtw_scalar(A, X, -0.0), dtw_scalar(X, A, -0.0)])
-    assert np.signbit(want).tolist() == [True, False]
-    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert got.view(np.int64).tolist() == [0, 0]
 
 
 def test_signed_zero_frames_are_equal():

@@ -2,14 +2,17 @@
 inputs that leave ``report.json`` (with ``--per-cell``) and ``pairwise.csv``
 byte-identical."""
 
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
 
 from abxlab import cli
-from abxlab.corpus import FeatureArchive, feature_archive_files, item_file_bytes
+from abxlab.corpus import (FeatureArchive, feature_archive_files, item_file_bytes,
+                           time_to_frame)
 from abxlab.manifest import write_outputs
 from abxlab.synth import SynthConfig, generate_corpus
 
@@ -81,3 +84,60 @@ def test_utterance_names_in_reverse_sort_order_keep_every_byte(corpus, baseline,
     segments = [dataclasses.replace(s, utt=renamed[s.utt]) for s in corpus.segments]
     inputs = write_inputs(tmp_path / "inputs", archive, segments)
     assert eval_bytes(inputs, tmp_path / "eval", mode, cap) == baseline[(mode, cap)]
+
+
+@pytest.mark.parametrize("mode,cap", CASES)
+def test_split_utterances_keep_every_byte(corpus, baseline, tmp_path, mode, cap):
+    # each utterance splits at the onset frame k of its middle item row:
+    # frames [:k] become <utt>a, frames [k:] become <utt>b, and the rows
+    # of the second half move back by k frames
+    archive, period = corpus.archive, corpus.archive.frame_period
+    utterances, segments = {}, []
+    for utt in archive.utterance_ids():
+        rows = sorted((s for s in corpus.segments if s.utt == utt), key=lambda s: s.onset)
+        k = time_to_frame(rows[len(rows) // 2].onset, period)
+        assert 0 < k < len(archive.frames(utt))
+        utterances[f"{utt}a"] = archive.frames(utt)[:k]
+        utterances[f"{utt}b"] = archive.frames(utt)[k:]
+        shift = k * period / 1e6
+        for s in rows:
+            if time_to_frame(s.onset, period) < k:
+                assert time_to_frame(s.offset, period) <= k
+                segments.append(dataclasses.replace(s, utt=f"{utt}a"))
+            else:
+                segments.append(dataclasses.replace(s, utt=f"{utt}b", onset=s.onset - shift,
+                                                    offset=s.offset - shift))
+    inputs = write_inputs(tmp_path / "inputs", FeatureArchive(utterances, period), segments)
+    assert eval_bytes(inputs, tmp_path / "eval", mode, cap) == baseline[(mode, cap)]
+
+
+def rates(outputs, back=lambda label: label):
+    """Each per-cell epsilon and each full-precision ``pairwise.csv`` rate,
+    keyed with its labels mapped through ``back`` and its category pair
+    unordered: epsilon, unlike eta_xy and eta_yx, does not depend on the
+    pair's order."""
+    cells = json.loads(outputs["report.json"])["per_cell"]
+    rows = list(csv.DictReader(io.StringIO(outputs["pairwise.csv"].decode())))
+    by_cell = {(frozenset(map(back, (c["category_x"], c["category_y"]))),
+                tuple(map(back, c["context"])), c["speaker_ab"], c["speaker_x"]): c["epsilon"]
+               for c in cells}
+    by_row = {(frozenset(map(back, (r["category_x"], r["category_y"]))),
+               back(r["context_prev"]), back(r["context_next"]), r["condition"]): r["rate"]
+              for r in rows}
+    assert len(by_cell) == len(cells) > 0 and len(by_row) == len(rows) > 0
+    return by_cell, by_row
+
+
+@pytest.mark.parametrize("mode", ["within", "across"])
+def test_a_phone_rename_that_reverses_sort_order_keeps_every_rate(corpus, baseline, tmp_path,
+                                                                  mode):
+    # uncapped only: under the cap the draw follows sorted label order
+    rename = {"AE": "ZZ", "EH": "AA", "IY": "MM"}
+    assert sorted(rename, key=rename.get) != sorted(rename)
+    segments = [dataclasses.replace(s, **{f: rename.get(getattr(s, f), getattr(s, f))
+                                          for f in ("phone", "prev", "next")})
+                for s in corpus.segments]
+    inputs = write_inputs(tmp_path / "inputs", corpus.archive, segments)
+    back = {v: k for k, v in rename.items()}
+    got = rates(eval_bytes(inputs, tmp_path / "eval", mode, None), lambda p: back.get(p, p))
+    assert got == rates(baseline[(mode, None)])
