@@ -5,17 +5,17 @@ triphone context and one ordered speaker pair (s_ab, s_x), where s_x is
 s_ab within and another speaker across; one rule builds the cells of
 both conditions.  Cells that read the same segments (one context and
 speaker within, one context across) form a group.  ``build_cells`` is
-the one cell builder: it ranks every listed segment once and hands each
-group out as its scoring plan, the cells' heads with (A, B, X) index
-triples and the segment pairs its distance block computes, all on
-integer ranks.  ``score_corpus`` is the one scoring entry.  It resolves
-each rank to its feature rows once, so a row the archive cannot serve
-fails before any scoring; then each plan computes a dense segment x
-segment block of DTW dissimilarities, every unordered pair once through
-the batched kernel, and its cells are scored by lookups into that block.
-Plans are pure functions of the resolved frames, so they can be scored
-in parallel; a process pool starts only when the task's DP cells reach
-``POOL_MIN_DP_CELLS``.
+the one cell builder: it ranks every listed segment once and plans each
+group from its own cells' ranks, with no pass over the corpus: the
+cells' heads, their (x_ab, y_ab, x_x, y_x) member indices and the
+segment pairs its distance block computes.  ``score_corpus`` is the one
+scoring entry.  It resolves each rank to its feature rows once, so a row
+the archive cannot serve fails before any scoring; then each plan
+computes a dense segment x segment block of DTW dissimilarities, every
+unordered pair once through the batched kernel, and its cells are
+scored by lookups into that block.  Plans are pure functions of the
+resolved frames, so they can be scored in parallel; a process pool
+starts only when the task's DP cells reach ``POOL_MIN_DP_CELLS``.
 
 Scoring counts strict wins and exact ties as integers and divides once
 at the end, so the comparison order inside a cell cannot perturb eta.
@@ -179,8 +179,7 @@ class GroupPlan(NamedTuple):
 
     heads: list  # per cell, its kind, categories, context and speakers
     ranks: list  # the ranks of the distinct segments the cells read, ascending
-    xy: list  # per cell, the (A, B, X) index triple of eta(x->y)
-    yx: list  # and of eta(y->x)
+    members: list  # per cell, its (x_ab, y_ab, x_x, y_x) index arrays into ranks
     i: np.ndarray  # the segment pairs the distance block computes, i < j
     j: np.ndarray
 
@@ -265,29 +264,27 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
                     heads.append((kind, x, y, ctx, s_ab, s_x))
                     sets.extend((ab[x], ab[y], sx[x], sx[y]))
             if heads:
-                plans.append(_plan_group(heads, sets, len(ranked)))
+                plans.append(_plan_group(heads, sets))
     return plans, ranked, stats
 
 
-def _plan_group(heads, sets, n_ranked: int) -> GroupPlan:
-    """The index triples of a group's cells and the pairs they read;
-    ``sets`` holds four rank tuples per cell (x_ab, y_ab, x_x, y_x).
+def _plan_group(heads, sets) -> GroupPlan:
+    """The member indices of a group's cells and the pairs they read,
+    from its own ``sets`` (four rank tuples per cell: x_ab, y_ab, x_x,
+    y_x) with no pass over the corpus.
 
-    Every pair in A x X and B x X of a triple is read, each unordered
-    pair is computed once because DTW is bit-symmetric.  The diagonal of
-    the block stays 0.0, which is what DTW of a segment with itself gives
-    (each of its frames costs 0.0 against itself); pairs that nothing
-    reads also stay 0.0 and are never looked at.
+    Every pair in A x X and B x X of a cell's two (A, B, X) triples is
+    read, each unordered pair computed once: DTW is bit-symmetric.  The
+    block's diagonal stays 0.0, which is what DTW of a segment with
+    itself gives (each of its frames costs 0.0 against itself); pairs
+    that nothing reads also stay 0.0 and are never looked at.
     """
     flat = np.fromiter(chain.from_iterable(sets), dtype=np.intp)
-    present = np.zeros(n_ranked, dtype=bool)
-    present[flat] = True
-    used = np.flatnonzero(present)  # the group's ranks, ascending
-    inverse = (np.cumsum(present) - 1)[flat]  # each listed rank's index into used
+    # the group's ranks, ascending, and each listed rank's index into them
+    used, inverse = np.unique(flat, return_inverse=True)
     bounds = [0, *np.cumsum([len(s) for s in sets]).tolist()]
     idx = [inverse[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    xy = [(idx[k], idx[k + 1], idx[k + 2]) for k in range(0, len(idx), 4)]
-    yx = [(idx[k + 1], idx[k], idx[k + 3]) for k in range(0, len(idx), 4)]
+    members = [tuple(idx[k:k + 4]) for k in range(0, len(idx), 4)]
     n = len(used)
     read = np.zeros((n, n), dtype=bool)
     for k in range(0, len(idx), 4):
@@ -296,7 +293,7 @@ def _plan_group(heads, sets, n_ranked: int) -> GroupPlan:
         lo, mid, hi = bounds[k], bounds[k + 2], bounds[k + 4]
         read[inverse[lo:mid, None], inverse[mid:hi]] = True
     i, j = np.nonzero(np.triu(read | read.T, 1))
-    return GroupPlan(heads, used.tolist(), xy, yx, i, j)
+    return GroupPlan(heads, used.tolist(), members, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +346,10 @@ def _score_group(plan: GroupPlan, frames, cfg: DtwConfig) -> list[CellScore]:
         [frames[r] for r in plan.ranks], plan.i, plan.j, cfg
     )
     scores = []
-    for head, triple_xy, triple_yx in zip(plan.heads, plan.xy, plan.yx):
+    for head, (x_ab, y_ab, x_x, y_x) in zip(plan.heads, plan.members):
         within = head[4] == head[5]  # speaker_ab == speaker_x
-        eta_xy, total_xy = _eta(block, *triple_xy, within)
-        eta_yx, total_yx = _eta(block, *triple_yx, within)
+        eta_xy, total_xy = _eta(block, x_ab, y_ab, x_x, within)
+        eta_yx, total_yx = _eta(block, y_ab, x_ab, y_x, within)
         scores.append(CellScore(
             *head, eta_xy, eta_yx, (eta_xy + eta_yx) / 2.0, total_xy + total_yx,
         ))

@@ -10,6 +10,7 @@ or Spearman correlation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +65,7 @@ def phoneme_level_rates(pairwise, inventory=None, condition: str = "") -> Phonem
         for w in (a, b) if w in wanted
     ]
     xi = means(incident)
-    denom = {w: sum(1 for v, _ in incident if v == w) for w in xi}
+    denom = dict(sorted(Counter(w for w, _ in incident).items()))
     missing = [w for w in sorted(inventory) if w not in xi]
     tags = {w: phone_category(w) for w in sorted(inventory)}
     return PhonemeReport(condition, xi, denom, tags, missing)
@@ -231,6 +232,4 @@ def _ranks(values: np.ndarray) -> np.ndarray:
 def spearman_correlation(xs, ys) -> float:
     x = _as_float_array(xs, "xs")
     y = _as_float_array(ys, "ys")
-    if x.shape != y.shape or x.size < 2:
-        raise UsageError("series must have equal length >= 2")
     return pearson_correlation(_ranks(x), _ranks(y))

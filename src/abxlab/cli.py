@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--task", default="phone", choices=["phone", "af"])
     p_eval.add_argument(
         "--af-table",
-        type=InputPath,
+        type=lambda v: v if v in BUILTIN_TABLES else InputPath(v),
         default=None,
         help=f"builtin table name ({', '.join(sorted(BUILTIN_TABLES))}) or TSV path",
     )

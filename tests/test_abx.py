@@ -109,8 +109,8 @@ def planned_cells(plans):
     cells = []
     for plan in plans:
         ranks = np.asarray(plan.ranks)
-        for head, (a, b, x), (_, _, y) in zip(plan.heads, plan.xy, plan.yx):
-            cells.append((head, tuple(tuple(ranks[s].tolist()) for s in (a, b, x, y))))
+        for head, members in zip(plan.heads, plan.members):
+            cells.append((head, tuple(tuple(ranks[s].tolist()) for s in members)))
     return cells
 
 
@@ -248,7 +248,7 @@ def test_cell_groups_are_the_segments_cells_read(mode, cap):
     for plan in plans:
         assert {group_key(h) for h in plan.heads} == {group_key(plan.heads[0])}
         assert plan.heads == sorted(plan.heads)
-        assert len(plan.xy) == len(plan.yx) == len(plan.heads)
+        assert len(plan.members) == len(plan.heads)
         cells = planned_cells([plan])
         read = set()
         for (_, x, y, ctx, s_ab, s_x), sets in cells:
@@ -263,6 +263,36 @@ def test_cell_groups_are_the_segments_cells_read(mode, cap):
         assert plan.ranks == sorted({r for _, sets in cells for m in sets for r in m})
         assert {(plan.ranks[i], plan.ranks[j]) for i, j in zip(plan.i, plan.j)} == read
         assert all(plan.i < plan.j)
+
+
+@pytest.mark.parametrize("mode", ["within", "across"])
+def test_a_plan_depends_only_on_its_group(mode):
+    # the extra contexts hold two more speakers, and their segments sit in
+    # the same utterances, so the corpus-wide ranks of every group move
+    config = SynthConfig(phones=("AE", "EH", "IY"), n_speakers=2, dim=4,
+                         segments_per_cell=2, seed=3)
+    small = generate_corpus(config).segments
+    extra = generate_corpus(SynthConfig(
+        phones=("AE", "EH", "IY"), n_speakers=4, dim=4, segments_per_cell=2, seed=4,
+        contexts=(("B", "D"), ("G", "P")),
+    )).segments
+    key = (lambda h: h[3:5]) if mode == "within" else (lambda h: h[3])
+    runs = []
+    for segments in (small, small + extra):
+        plans, ranked, _ = build_cells(segments, mode, "phone")
+        runs.append(({key(p.heads[0]): p for p in plans}, ranked))
+    (plans_a, ranked_a), (plans_b, ranked_b) = runs
+    assert len(plans_b) > len(plans_a) and plans_a.keys() <= plans_b.keys()
+    moved = 0
+    for k, a in plans_a.items():
+        b = plans_b[k]
+        assert a.heads == b.heads
+        assert np.array_equal(a.i, b.i) and np.array_equal(a.j, b.j)
+        assert [ranked_a[r] for r in a.ranks] == [ranked_b[r] for r in b.ranks]
+        for ma, mb in zip(a.members, b.members, strict=True):
+            assert all(np.array_equal(p, q) for p, q in zip(ma, mb, strict=True))
+        moved += a.ranks != b.ranks
+    assert moved == len(plans_a)  # every group's ranks interleave with the extras
 
 
 @pytest.mark.parametrize("mode", ["within", "across"])

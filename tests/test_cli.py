@@ -246,6 +246,12 @@ def test_jobs_env_fallback(monkeypatch):
     assert cli._resolve_jobs(1) == 1  # the flag
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert cli._resolve_jobs(None) == 1  # the CPUs this process may use
+    # without sched_getaffinity, the machine's count, and 1 when it is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._resolve_jobs(None) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._resolve_jobs(None) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +310,19 @@ def test_analyze_phoneme_matches_report(vowel_dir, tmp_path, mode, task):
     assert rates == library
 
 
-def test_analyze_phoneme_bad_csv_exits_3(tmp_path):
+@pytest.mark.parametrize("text, where", [
+    ("nope,nope\n", "pairwise.csv: first line"),
+    (f"{abx.PAIRWISE_HEADER}\na,b,S,T,within,1.5\n", "pairwise.csv:2:"),
+    (f"{abx.PAIRWISE_HEADER}\na,b,S,T,within,abc\n", "pairwise.csv:2:"),
+], ids=["header", "rate 1.5", "rate abc"])
+def test_analyze_phoneme_bad_csv_exits_3(tmp_path, capsys, text, where):
     bad = tmp_path / "pairwise.csv"
-    bad.write_text("nope,nope\n")
+    bad.write_text(text)
     assert cli.main(
         ["analyze", "phoneme", "--pairwise", str(bad), "--out", str(tmp_path / "o")]
     ) == 3
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_analyze_confusion_identity(tmp_path):
@@ -574,6 +587,18 @@ def test_synth_rejects_repeated_labels(tmp_path, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--phones", ","), ("--contexts", "ST"), ("--frames", "3"), ("--frames", "a:b"),
+])
+def test_synth_rejects_malformed_flag(tmp_path, capsys, flag, value):
+    out = tmp_path / "c"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synth", flag, value, "--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_config_file_and_flag_precedence(tmp_path):
     cfg = {"phones": ["a", "b"], "dim": 3, "seed": 5, "segments_per_cell": 2}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -705,6 +730,7 @@ _BAD_INPUTS = {
                                            "means": {"a": [math.nan]}}),
     "eval within seed -1": (["eval", "--mode", "within", "--seed", "-1"], None),
     "eval across seed -1": (["eval", "--mode", "across", "--seed", "-1"], None),
+    "eval jobs 0": (["eval", "--mode", "within", "--jobs", "0"], None),
     "apc train seed -1": (["apc", "train", "--seed", "-1"], None),
     "apc train config n": (["apc", "train"], {"n": 1.5}),
     "apc train config hidden_dim": (["apc", "train"], {"hidden_dim": 2.5}),
@@ -890,6 +916,25 @@ def test_runner_writes_manifest(name, corpus_dir, vowel_dir, eval_dir, apc_dir, 
     assert digest_inputs(list(manifest["inputs"])) == manifest["inputs"]
     assert manifest["seed"] == seed
     assert list(out.rglob("*.tmp-*")) == []
+
+
+def test_builtin_af_table_name_digests_no_file(vowel_dir, tmp_path, monkeypatch):
+    # a file named like a built-in table is not what eval reads, so the
+    # manifest lists no digest of it; a TSV path is read and digested
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "english-height").write_text("AE\tOpen\n")
+    (tmp_path / "height.tsv").write_text(
+        "AE\tOpen\nAA\tOpen\nAO\tMid\nEH\tMid\nIY\tClose\nUW\tClose\n")
+    feats, items = vowel_dir / "features", vowel_dir / "items.item"
+    for table, out in (("english-height", "a"), ("height.tsv", "b")):
+        assert cli.main([
+            "eval", "--features", str(feats), "--items", str(items), "--mode", "within",
+            "--task", "af", "--af-table", table, "--jobs", "1", "--out", out,
+        ]) == 0
+    inputs = [set(json.loads((tmp_path / out / "manifest.json").read_text())["inputs"])
+              for out in ("a", "b")]
+    assert inputs[0] == _digest_keys(feats, items)
+    assert inputs[1] == inputs[0] | {"height.tsv"}
 
 
 @pytest.mark.parametrize("name", ["synth", "apc extract"])
