@@ -245,30 +245,30 @@ def _lstm_forward(layer, x, spans=None, keep=True):
     return h, {"x": x, "i": i, "f": f, "g": g, "o": o, "c": c, "h": h}
 
 
-def _weight_grads(layer, x, h, dz):
-    """Gradients of a layer from its pre-activation gradients dz (B, T, G).
+def _weight_grads(layer, x, h, dz, out):
+    """dx of a layer from its pre-activation gradients dz (B, T, G).
 
-    Nothing here is recurrent, so each is one matrix product or sum over
-    all steps; h[:, t - 1] feeds step t, and step 0 saw h = 0.
+    The Wx, Wh and b gradients are written into ``out``, the layer's
+    views into a gradient vector.  Nothing here is recurrent, so each is
+    one matrix product or sum over all steps; h[:, t - 1] feeds step t,
+    and step 0 saw h = 0.
     """
     B, T, G = dz.shape
     dz2 = dz.reshape(B * T, G)
-    dWh = np.zeros_like(layer["Wh"])
+    dWh = out["Wh"]
+    dWh[...] = 0.0
     # one product per sequence: the shifted (B, T - 1) views of a batch
     # would be copied to flatten them
     for h_b, dz_b in zip(h[:, :-1], dz[:, 1:]):
         dWh += h_b.T @ dz_b
-    grads = {
-        "Wx": x.reshape(B * T, -1).T @ dz2,
-        "Wh": dWh,
-        "b": dz2.sum(axis=0),
-    }
-    dx = (dz2 @ layer["Wx"].T).reshape(x.shape)
-    return dx, grads
+    np.matmul(x.reshape(B * T, -1).T, dz2, out=out["Wx"])
+    np.sum(dz2, axis=0, out=out["b"])
+    return (dz2 @ layer["Wx"].T).reshape(x.shape)
 
 
-def _lstm_backward(layer, cache, dh_out):
-    """BPTT; the time loop carries only dh and dc back one step.
+def _lstm_backward(layer, cache, dh_out, out):
+    """BPTT into the layer's gradient views ``out``, returning dx; the
+    time loop carries only dh and dc back one step.
 
     Every factor that does not depend on dh or dc is computed for all
     steps before the loop, into one (B, T, 10, H) array.  The i, f and g
@@ -318,7 +318,7 @@ def _lstm_backward(layer, cache, dh_out):
         if t > 0:
             np.matmul(dz_t, Wh_T, out=dh_next)
             np.multiply(dc, f_t, out=dc_next)
-    return _weight_grads(layer, x, h, dz)
+    return _weight_grads(layer, x, h, dz, out)
 
 
 def _rnn_forward(layer, x, spans=None, keep=True):
@@ -342,7 +342,8 @@ def _rnn_forward(layer, x, spans=None, keep=True):
     return h, ({"x": x, "h": h} if keep else None)
 
 
-def _rnn_backward(layer, cache, dh_out):
+def _rnn_backward(layer, cache, dh_out, out):
+    """BPTT into the layer's gradient views ``out``, returning dx."""
     x, h = cache["x"], cache["h"]
     B, T, H = h.shape
     Wh_T = layer["Wh"].T
@@ -353,7 +354,7 @@ def _rnn_backward(layer, cache, dh_out):
         dz[:, t] = (dh_out[:, t] + dh_next) * dtanh[:, t]
         if t > 0:
             dh_next = dz[:, t] @ Wh_T
-    return _weight_grads(layer, x, h, dz)
+    return _weight_grads(layer, x, h, dz, out)
 
 
 def _stack(model: ApcModel, x: np.ndarray, spans, keep: bool):
@@ -440,30 +441,29 @@ def _seq_losses(xhat, x, n: int):
     return np.abs(diff).sum(axis=(1, 2)), diff
 
 
-def _batch_loss_grads(model: ApcModel, x: np.ndarray, scale: float):
+def _batch_loss_grads(model: ApcModel, x: np.ndarray, scale: float, grad: np.ndarray):
     """Mean-per-sequence loss and gradients, scaled by ``scale`` per item.
 
     x is (B, T, d); the L1 subgradient at zero is taken as 0 (np.sign).
-    The gradient is one vector laid out like ``model.theta``.
+    The gradient goes into ``grad``, a vector laid out like ``model.theta``:
+    W and each layer's backward overwrite their own views of it, so no
+    element keeps an old value and no other parameter-sized array is
+    made.  Returns (seq_losses, grad).
     """
     xhat, h_top, caches = _forward_batch(model, x)
     seq_losses, diff = _seq_losses(xhat, x, model.config.n)
     dxhat = np.zeros_like(xhat)
     dxhat[:, :diff.shape[1]] = np.sign(diff) * scale
     step_back = _lstm_backward if model.config.cell_kind == "lstm" else _rnn_backward
-    grads = ApcModel(model.config, np.empty_like(model.theta))
+    grads = ApcModel(model.config, grad)
     grads.W[...] = np.einsum("bti,btj->ij", h_top, dxhat)
     dh = dxhat @ model.W.T
     for layer, layer_grads, (cache, residual) in zip(
         reversed(model.layers), reversed(grads.layers), reversed(caches)
     ):
-        dx, step_grads = step_back(layer, cache, dh)
-        if residual:
-            dx = dx + dh
-        for k, g in step_grads.items():
-            layer_grads[k][...] = g
-        dh = dx
-    return seq_losses, grads.theta
+        dx = step_back(layer, cache, dh, layer_grads)
+        dh = dx + dh if residual else dx
+    return seq_losses, grad
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +554,11 @@ def train(cfg: ApcConfig, archive: FeatureArchive):
     initial = {k: float(_seq_losses(h_top @ model.W, batches[k], cfg.n)[0].sum())
                for k, h_top in _forward_only(model, batches)}
     losses = [sum(initial[k] for k in range(len(batches))) / n_seqs]
+    grad = np.empty_like(model.theta)
     for epoch in range(1, cfg.epochs + 1):
         total = 0.0
         for batch in batches:
-            seq_losses, grad = _batch_loss_grads(model, batch, 1.0 / batch.shape[0])
+            seq_losses, _ = _batch_loss_grads(model, batch, 1.0 / batch.shape[0], grad)
             total += float(seq_losses.sum())
             opt.step(model.theta, grad)
         mean_loss = total / n_seqs
@@ -598,7 +599,7 @@ def gradient_check(model: ApcModel, x, n: int, epsilon: float = 1e-5) -> float:
         raise UsageError(
             "gradient_check wants a small instance: L <= 2, hidden_dim <= 8, T <= 20"
         )
-    _, analytic = _batch_loss_grads(model, x[None], 1.0)
+    _, analytic = _batch_loss_grads(model, x[None], 1.0, np.empty_like(model.theta))
     theta = model.theta
     numeric = np.empty_like(analytic)
     for k in range(theta.size):

@@ -41,11 +41,15 @@ def time_to_frame(seconds: float, period_us: int) -> int:
 
     The time is first snapped to integer microseconds (again half up) so
     that decimal coordinates like 0.145 s land on exact frame boundaries
-    instead of drifting through binary float representation.
+    instead of drifting through binary float representation.  A time
+    whose microsecond count is not finite is a DataError.
     """
     if period_us <= 0:
         raise AbxlabError(f"frame period must be positive, got {period_us}")
-    us = math.floor(seconds * 1e6 + 0.5)
+    us = seconds * 1e6 + 0.5
+    if not math.isfinite(us):
+        raise DataError(f"time {seconds!r} s has no finite microsecond count")
+    us = math.floor(us)
     return (2 * us + period_us) // (2 * period_us)
 
 
@@ -311,8 +315,8 @@ def feature_archive_files(archive: FeatureArchive, format: str = "binary") -> di
 
 
 def _parse_span(path, line_no: int, onset_s: str, offset_s: str) -> tuple[float, float]:
-    """A row's (onset, offset) in seconds: finite, onset >= 0 and
-    offset > onset, or a RowError naming the line."""
+    """A row's (onset, offset) in seconds: finite, onset >= 0, offset >
+    onset and a finite count of microseconds, or a RowError naming the line."""
     try:
         onset, offset = float(onset_s), float(offset_s)
     except ValueError:
@@ -321,6 +325,8 @@ def _parse_span(path, line_no: int, onset_s: str, offset_s: str) -> tuple[float,
         raise RowError(path, line_no, "times must be finite and onset >= 0")
     if offset <= onset:
         raise RowError(path, line_no, f"offset {offset} <= onset {onset}")
+    if not math.isfinite(offset * 1e6):
+        raise RowError(path, line_no, f"time {offset_s!r} s overflows a microsecond count")
     return onset, offset
 
 

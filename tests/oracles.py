@@ -8,7 +8,8 @@ that the batched engine must match bit for bit; the brute-force ABX
 tests take their distances from it because a one-pair call is cheaper
 here than through the engine.  ``lstm_backward_steps`` and
 ``rnn_backward_steps`` are BPTT with every weight gradient accumulated
-step by step inside the time loop, and ``sigmoid_masked`` is the logistic
+step by step inside the time loop, then copied into the gradient views
+the package's backward writes; ``sigmoid_masked`` is the logistic
 function split by sign; the APC backward and sigmoid must match them.
 ``lstm_forward_alloc``, ``lstm_backward_alloc``, ``rnn_forward_alloc`` and
 ``rnn_backward_alloc`` are the APC time loops written with a fresh array
@@ -227,7 +228,7 @@ def sigmoid_masked(z):
     return out
 
 
-def lstm_backward_steps(layer, cache, dh_out):
+def lstm_backward_steps(layer, cache, dh_out, out):
     """LSTM BPTT with per-step gradient accumulation; same interface as apc's."""
     x, i, f, g, o, c, h = (cache[k] for k in ("x", "i", "f", "g", "o", "c", "h"))
     B, T, H = h.shape
@@ -259,10 +260,12 @@ def lstm_backward_steps(layer, cache, dh_out):
             dh_next = dz @ layer["Wh"].T
         dx[:, t] = dz @ layer["Wx"].T
         dc_next = dc * f[:, t]
-    return dx, {"Wx": dWx, "Wh": dWh, "b": db}
+    for k, g in (("Wx", dWx), ("Wh", dWh), ("b", db)):
+        out[k][...] = g
+    return dx
 
 
-def rnn_backward_steps(layer, cache, dh_out):
+def rnn_backward_steps(layer, cache, dh_out, out):
     """Simple-RNN BPTT with per-step gradient accumulation."""
     x, h = cache["x"], cache["h"]
     B, T, H = h.shape
@@ -281,7 +284,9 @@ def rnn_backward_steps(layer, cache, dh_out):
         else:
             dh_next = np.zeros((B, H))
         dx[:, t] = dz @ layer["Wx"].T
-    return dx, {"Wx": dWx, "Wh": dWh, "b": db}
+    for k, g in (("Wx", dWx), ("Wh", dWh), ("b", db)):
+        out[k][...] = g
+    return dx
 
 
 def sigmoid_where(z):
@@ -326,7 +331,7 @@ def rnn_forward_alloc(layer, x):
     return h, {"x": x, "h": h}
 
 
-def lstm_backward_alloc(layer, cache, dh_out):
+def lstm_backward_alloc(layer, cache, dh_out, out):
     """BPTT; the time loop carries only dh and dc back one step."""
     x, i, f, g, o, c, h = (cache[k] for k in ("x", "i", "f", "g", "o", "c", "h"))
     B, T, H = h.shape
@@ -346,10 +351,10 @@ def lstm_backward_alloc(layer, cache, dh_out):
         if t > 0:
             dh_next = dz[:, t] @ Wh_T
             dc_next = dc * f[:, t]
-    return _weight_grads(layer, x, h, dz)
+    return _weight_grads(layer, x, h, dz, out)
 
 
-def rnn_backward_alloc(layer, cache, dh_out):
+def rnn_backward_alloc(layer, cache, dh_out, out):
     x, h = cache["x"], cache["h"]
     B, T, H = h.shape
     Wh_T = layer["Wh"].T
@@ -359,7 +364,7 @@ def rnn_backward_alloc(layer, cache, dh_out):
         dz[:, t] = (dh_out[:, t] + dh_next) * (1.0 - h[:, t] ** 2)
         if t > 0:
             dh_next = dz[:, t] @ Wh_T
-    return _weight_grads(layer, x, h, dz)
+    return _weight_grads(layer, x, h, dz, out)
 
 
 def _grad_items(model, grad):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from abxlab import apc
 from abxlab.apc import (
     ApcConfig,
+    ApcModel,
     apc_loss,
     checkpoint_bytes,
     extract_features,
@@ -46,6 +48,16 @@ def toy_archive(seed=0, n_utts=4, t=12, dim=3, period=10000):
         drift = rng.standard_normal((t, dim)) * 0.1
         utts[f"u{i:02d}"] = (base + np.cumsum(drift, axis=0)).astype(np.float32)
     return FeatureArchive(utts, period)
+
+
+def grad_vector(model):
+    """A gradient vector laid out like model.theta, NaN until written."""
+    return np.full_like(model.theta, np.nan)
+
+
+def grad_layers(model):
+    """Per-layer Wx, Wh and b views into a fresh gradient vector."""
+    return ApcModel(model.config, grad_vector(model)).layers
 
 
 def zeroed(model):
@@ -231,10 +243,12 @@ def test_bptt_matches_step_oracle(cell, B, T):
         layer["b"][...] = rng.standard_normal(layer["b"].shape)
     _, _, caches = apc._forward_batch(model, rng.standard_normal((B, T, 3)))
     backward = apc._lstm_backward if cell == "lstm" else apc._rnn_backward
-    for layer, (cache, _) in zip(model.layers, caches):
+    for layer, grads, grads_ref, (cache, _) in zip(
+        model.layers, grad_layers(model), grad_layers(model), caches
+    ):
         dh_out = rng.standard_normal(cache["h"].shape)
-        dx, grads = backward(layer, cache, dh_out)
-        dx_ref, grads_ref = STEP_ORACLES[cell](layer, cache, dh_out)
+        dx = backward(layer, cache, dh_out, grads)
+        dx_ref = STEP_ORACLES[cell](layer, cache, dh_out, grads_ref)
         assert_close(dx, dx_ref)
         for k in ("Wx", "Wh", "b"):
             assert_close(grads[k], grads_ref[k])
@@ -246,10 +260,10 @@ def test_batch_gradients_match_step_oracle_through_residuals(cell, monkeypatch):
     model = init_model(ApcConfig(n=2, L=2, hidden_dim=4, input_dim=4, cell_kind=cell))
     x = rng.standard_normal((2, 7, 4))
     assert [res for _, res in apc._forward_batch(model, x)[2]] == [True, True]
-    losses, grads = _batch_loss_grads(model, x, 0.5)
+    losses, grads = _batch_loss_grads(model, x, 0.5, grad_vector(model))
     monkeypatch.setattr(apc, "_lstm_backward", lstm_backward_steps)
     monkeypatch.setattr(apc, "_rnn_backward", rnn_backward_steps)
-    losses_ref, grads_ref = _batch_loss_grads(model, x, 0.5)
+    losses_ref, grads_ref = _batch_loss_grads(model, x, 0.5, grad_vector(model))
     assert np.array_equal(losses, losses_ref)
     assert grads.shape == model.theta.shape
     assert_close(grads, grads_ref)
@@ -303,7 +317,7 @@ def test_step_loops_bit_equal_allocating_oracle(cell, B, T, saturate):
         x[..., 0] = rng.choice([700.0, -700.0, 1e308, -1e308], size=(B, T))
     forward, backward, forward_ref, backward_ref = ALLOC_ORACLES[cell]
     inp = x
-    for layer in model.layers:
+    for layer, grads, grads_ref in zip(model.layers, grad_layers(model), grad_layers(model)):
         h, cache = forward(layer, inp)
         h_ref, cache_ref = forward_ref(layer, inp)
         assert_bits(h, h_ref)
@@ -311,8 +325,8 @@ def test_step_loops_bit_equal_allocating_oracle(cell, B, T, saturate):
         for k in cache:
             assert_bits(cache[k], cache_ref[k])
         dh_out = rng.standard_normal(h.shape)
-        dx, grads = backward(layer, cache, dh_out)
-        dx_ref, grads_ref = backward_ref(layer, cache_ref, dh_out)
+        dx = backward(layer, cache, dh_out, grads)
+        dx_ref = backward_ref(layer, cache_ref, dh_out, grads_ref)
         assert_bits(dx, dx_ref)
         assert grads.keys() == grads_ref.keys()
         for k in grads:
@@ -331,7 +345,8 @@ def test_initial_loss_is_forward_only(monkeypatch):
     model = init_model(replace(cfg, input_dim=archive.dim))
     batches = _make_batches(archive, cfg.n, cfg.batch_size)
     bptt_initial = sum(
-        float(_batch_loss_grads(model, b, 0.0)[0].sum()) for b in batches
+        float(_batch_loss_grads(model, b, 0.0, grad_vector(model))[0].sum())
+        for b in batches
     ) / len(archive.utterance_ids())
     calls = []
     step_back = apc._lstm_backward
@@ -447,7 +462,8 @@ def test_training_bit_equal_per_name_optimizer_oracle(cell, optimizer, oracle):
     assert len(batches) == 2
     for _ in range(cfg.epochs):
         for batch in batches:
-            opt.step(ref, _batch_loss_grads(ref, batch, 1.0 / batch.shape[0])[1])
+            grad = _batch_loss_grads(ref, batch, 1.0 / batch.shape[0], grad_vector(ref))[1]
+            opt.step(ref, grad)
     assert not np.array_equal(ref.theta, init_model(model.config).theta)
     assert_bits(model.theta, ref.theta)
 
@@ -465,6 +481,37 @@ def test_adam_updates_moments_in_place():
     assert opt.m is m and opt.v is v
     assert_bits(model.theta, ref.theta)
 
+
+def test_train_writes_every_batch_into_one_gradient_vector(monkeypatch):
+    seen = []
+    inner = apc._batch_loss_grads
+
+    def keep(*args):
+        losses, grad = inner(*args)
+        seen.append(grad)
+        return losses, grad
+
+    monkeypatch.setattr(apc, "_batch_loss_grads", keep)
+    cfg = ApcConfig(n=1, L=2, hidden_dim=4, epochs=2, batch_size=2, seed=1)
+    model, _ = train(cfg, toy_archive(seed=5, n_utts=3))
+    assert len(seen) == cfg.epochs * 2
+    assert all(np.shares_memory(g, seen[0]) for g in seen)
+    assert not np.shares_memory(seen[0], model.theta)
+
+
+def test_batch_gradients_allocate_no_parameter_sized_array():
+    model = init_model(ApcConfig(n=1, L=4, hidden_dim=32, input_dim=8, seed=0))
+    x = np.random.default_rng(0).standard_normal((1, 3, 8))
+    grad = np.empty_like(model.theta)
+    _batch_loss_grads(model, x, 1.0, grad)  # warm-up
+    tracemalloc.start()
+    try:
+        _batch_loss_grads(model, x, 1.0, grad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one copy of the gradient would take theta.nbytes
+    assert peak < model.theta.nbytes // 2
 
 def test_training_with_sgd_and_rnn():
     archive = toy_archive(seed=3)

@@ -13,6 +13,7 @@ from abxlab.abx import score_corpus
 from abxlab.af_tables import load_af_table
 from abxlab.apc import load_checkpoint
 from abxlab.corpus import (
+    ITEM_HEADER,
     FrameLabelTrack,
     ItemSegment,
     item_file_bytes,
@@ -227,6 +228,20 @@ def test_score_corpus_rejects_a_row_the_archive_cannot_serve(bad, task, tmp_path
             score_corpus(archive, segments[:-1], "within", kind, af_table=af_table)
 
 
+def test_eval_overflowing_item_time_exits_3(corpus_dir, tmp_path, capsys):
+    items = tmp_path / "items.item"
+    items.write_text(f"{ITEM_HEADER}\nu01 1e303 1e304 AA S T s01\n")
+    out = tmp_path / "out"
+    rc = cli.main(["eval", "--features", str(corpus_dir / "features"), "--items", str(items),
+                   "--mode", "within", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("abxlab: error: ")
+    assert f"{items}:2:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_eval_af_task(corpus_dir, tmp_path, monkeypatch):
     table = tmp_path / "af.tsv"
     table.write_text("a\tLow\nb\tHigh\n")
@@ -344,7 +359,8 @@ def test_analyze_confusion_identity(tmp_path):
     assert pco_lines[0] == "phone,p_co,label"
 
 
-@pytest.mark.parametrize("onset,offset", [("nan", "0.1"), ("-0.5", "0.1"), ("0.0", "inf")])
+@pytest.mark.parametrize("onset,offset", [("nan", "0.1"), ("-0.5", "0.1"), ("0.0", "inf"),
+                                          ("1e303", "1e304")])
 def test_analyze_confusion_bad_times_exit_3(tmp_path, capsys, onset, offset):
     good = tmp_path / "good.tsv"
     good.write_text("u1\t0.0\t0.1\ta\n")

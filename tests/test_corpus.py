@@ -75,6 +75,15 @@ def test_time_to_frame_monotone(us_a, us_b, period):
         assert time_to_frame(ta, period) <= time_to_frame(tb, period)
 
 
+@pytest.mark.parametrize("seconds", [1.8e302, 1e303, float("inf"), float("nan")])
+def test_time_without_a_finite_microsecond_count_is_data_error(seconds):
+    with pytest.raises(DataError, match="microsecond"):
+        time_to_frame(seconds, 10000)
+    seg = ItemSegment("u01", 0.0, seconds, "AE", "S", "T", "s01")
+    with pytest.raises(DataError, match="microsecond"):
+        segment_frames(seg, small_archive())
+
+
 def test_segment_frames_basic():
     arch = small_archive()
     seg = ItemSegment("u01", 0.10, 0.145, "AE", "S", "T", "s01")
@@ -302,6 +311,8 @@ def test_item_file_row_errors(tmp_path):
         "u01 zero 1.0 AE S T s01",  # bad number
         "u01 0.5 0.5 AE S T s01",  # empty span
         "u01 -0.5 1.0 AE S T s01",  # negative onset
+        "u01 1e303 1e304 AE S T s01",  # microsecond count overflows
+        "u01 0.0 1.8e302 AE S T s01",
     ]
     for row in cases:
         p.write_text(ITEM_HEADER + "\n" + row + "\n")
@@ -356,6 +367,10 @@ def test_label_track_row_errors(tmp_path):
     p.write_text("u01\t0.0\tten\tA\n")
     with pytest.raises(RowError):
         load_label_track(p)
+    p.write_text("u01\t0.0\t0.1\tA\nu01\t1e303\t1e304\tB\n")
+    with pytest.raises(RowError, match="microsecond") as e:
+        load_label_track(p)
+    assert e.value.line_no == 2
 
 
 def test_row_error_pickles():

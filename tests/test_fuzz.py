@@ -1,4 +1,4 @@
-"""The input contract of every loader, fuzzed.
+"""The input contract of every loader, and of ``eval`` end to end, fuzzed.
 
 Whatever text or bytes a user hands abxlab, a loader either parses them
 or raises an AbxlabError whose exit code is 2 (usage) or 3 (data).  Any
@@ -8,6 +8,9 @@ RuntimeWarning into an error), is a fault in the loader.
 
 import json
 import struct
+import tempfile
+
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -19,6 +22,7 @@ from abxlab.af_tables import load_af_table
 from abxlab.apc import load_checkpoint
 from abxlab.corpus import ITEM_HEADER, load_feature_archive, load_item_file, load_label_track
 from abxlab.errors import AbxlabError
+from abxlab.synth import SynthConfig, generate_corpus, write_corpus
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -71,6 +75,7 @@ def test_ftxt(tmp_path, data):
 @FUZZ
 @given(data=st.one_of(_TEXT, st.binary(max_size=64), _TEXT.map(f"{ITEM_HEADER}\n".__add__)))
 @example(data=f"{ITEM_HEADER}\nu 0 1e999 a b c s\n")
+@example(data=f"{ITEM_HEADER}\nu01 1e303 1e304 AA S T s01\n")
 def test_item_file(tmp_path, data):
     _loads_or_fails_cleanly(load_item_file, tmp_path / "x.item", data)
 
@@ -78,6 +83,7 @@ def test_item_file(tmp_path, data):
 @FUZZ
 @given(data=st.one_of(_TEXT, st.binary(max_size=64)))
 @example(data="u\t0\t1\ta\nu\t0.5\t2\tb\n")
+@example(data="u\t0\t0.1\ta\nu\t1e303\t1e304\tb\n")
 def test_label_track(tmp_path, data):
     _loads_or_fails_cleanly(load_label_track, tmp_path / "x.tsv", data)
 
@@ -139,3 +145,70 @@ def _ckpt(block, payload):
 @example(data=_ckpt(b'{"L": 1, "hidden_dim": 1' + b"0" * 30 + b', "input_dim": 1}', b""))
 def test_checkpoint(tmp_path, data):
     _loads_or_fails_cleanly(load_checkpoint, tmp_path / "apc.ckpt", data)
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus():
+    return generate_corpus(SynthConfig(phones=("a", "b"), n_speakers=2, dim=3,
+                                       segments_per_cell=3, frames_per_segment=(2, 4),
+                                       seed=7))
+
+
+def _mutate(kind, corpus, paths, pick, cut, value):
+    """Apply one mutation to ``corpus`` as written to ``paths``; ``pick``
+    and ``cut`` choose the file, row or byte modulo what there is."""
+    utts = corpus.archive.utterance_ids()
+    utt = utts[pick % len(utts)]
+    fbin = paths["features"] / f"{utt}.fbin"
+    raw = fbin.read_bytes()
+    items = paths["items"].read_text().splitlines()
+    row = 1 + pick % (len(items) - 1)
+    if kind == "truncated fbin":
+        fbin.write_bytes(raw[:cut % len(raw)])
+    elif kind == "non-finite frame":
+        head = struct.calcsize("<4sIIII")
+        at = head + 4 * (cut % ((len(raw) - head) // 4))
+        fbin.write_bytes(raw[:at] + struct.pack("<f", value) + raw[at + 4:])
+    elif kind == "span past the end":
+        fields = items[row].split()
+        end = corpus.archive.n_frames(fields[0]) * corpus.archive.frame_period / 1e6
+        onset = end + (cut % 5) * corpus.archive.frame_period / 1e6
+        items[row] = " ".join([fields[0], f"{onset:.6f}", f"{onset + 0.03:.6f}"] + fields[3:])
+    elif kind == "overflowing time":
+        fields = items[row].split()
+        items[row] = " ".join([fields[0], "1e303", "1e304"] + fields[3:])
+    else:  # no item header
+        items = items[1:]
+    paths["items"].write_text("\n".join(items) + "\n")
+
+
+_EVAL_MUTATIONS = ("truncated fbin", "non-finite frame", "span past the end",
+                   "overflowing time", "no item header")
+
+
+@pytest.mark.parametrize("kind", _EVAL_MUTATIONS)
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mode=st.sampled_from(["within", "across"]), pick=st.integers(0, 2**16),
+       cut=st.integers(0, 2**16),
+       value=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+def test_mutated_eval_inputs_exit_cleanly(tmp_path, capsys, tiny_corpus, kind, mode, pick,
+                                          cut, value):
+    """Each mutation of a tiny synth corpus makes ``eval`` exit 2, 3 or 4
+    with one ``abxlab: error:`` line and no traceback, and write nothing.
+
+    No mutation pushes a frame outside the cosine distance's norm range: a
+    float32 frame's squared norm, taken in float64, is 0 or lies inside
+    [2^-511, 2^511], so that check cannot fire from an archive."""
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        paths = write_corpus(tiny_corpus, f"{work}/corpus")
+        _mutate(kind, tiny_corpus, paths, pick, cut, value)
+        out = Path(work) / "out"
+        capsys.readouterr()
+        rc = cli.main(["eval", "--features", str(paths["features"]),
+                       "--items", str(paths["items"]), "--mode", mode, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc in (2, 3, 4), err
+        assert err.startswith("abxlab: error:")
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())

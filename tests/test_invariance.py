@@ -1,6 +1,7 @@
 """Metamorphic invariants of ``eval``: relabellings and reorderings of the
 inputs that leave ``report.json`` (with ``--per-cell``) and ``pairwise.csv``
-byte-identical."""
+byte-identical, or that change no rate but through the sorted label order
+a fold runs in."""
 
 import csv
 import dataclasses
@@ -10,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from abxlab import cli
+from abxlab import abx, cli
 from abxlab.corpus import (FeatureArchive, feature_archive_files, item_file_bytes,
                            time_to_frame)
 from abxlab.manifest import write_outputs
@@ -141,3 +142,44 @@ def test_a_phone_rename_that_reverses_sort_order_keeps_every_rate(corpus, baseli
     back = {v: k for k, v in rename.items()}
     got = rates(eval_bytes(inputs, tmp_path / "eval", mode, None), lambda p: back.get(p, p))
     assert got == rates(baseline[(mode, None)])
+
+
+# the shape of the benchmark's within-phone corpus
+SPEAKER_CORPUS = SynthConfig(
+    phones=("AA", "AE", "EH", "IY", "UW", "OW"), n_speakers=4, dim=13, segments_per_cell=6,
+    frames_per_segment=(6, 14), noise_scale=0.5, speaker_offset_scale=0.3,
+    contexts=(("S", "T"), ("K", "N"), ("P", "D")), seed=1,
+)
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("mode", ["within", "across"])
+def test_a_speaker_rename_changes_only_the_fold_order(mode):
+    # uncapped only: under the cap the draw follows sorted label order
+    corpus = generate_corpus(SPEAKER_CORPUS)
+    speakers = sorted({s.speaker for s in corpus.segments})
+    rename = {s: f"t{len(speakers) - i:02d}" for i, s in enumerate(speakers)}
+    assert sorted(speakers, key=rename.get) == speakers[::-1]
+    segments = [dataclasses.replace(s, speaker=rename[s.speaker]) for s in corpus.segments]
+    base = abx.score_corpus(corpus.archive, corpus.segments, mode, "phone")
+    got = abx.score_corpus(corpus.archive, segments, mode, "phone")
+    back = {v: k for k, v in rename.items()}
+
+    def cells(report, label=lambda s: s):
+        return {(c.category_x, c.category_y, c.context, label(c.speaker_ab),
+                 label(c.speaker_x)): bits((c.eta_xy, c.eta_yx, c.epsilon))
+                for c in report.per_cell}
+
+    assert cells(got, back.get) == cells(base)
+    # each context folds the same epsilons, now in the renamed speakers' order
+    renamed_order = sorted(base.per_cell,
+                           key=lambda c: (rename[c.speaker_ab], rename[c.speaker_x]))
+    folded = abx.means(((c.category_x, c.category_y, c.context), c.epsilon)
+                       for c in renamed_order)
+    assert folded.keys() == got.context_rates.keys()
+    assert bits(folded.values()) == bits(got.context_rates.values())
+    # the fold order is the whole change, and here it moves some rates
+    assert bits(base.context_rates.values()) != bits(got.context_rates.values())
