@@ -120,6 +120,8 @@ def _parse_af_tsv(path: Path) -> AfTable:
         phone, attribute = parts[0].strip(), parts[1].strip()
         if not phone or not attribute:
             raise RowError(path, i, "empty phone or attribute")
+        if "," in attribute:  # pairwise.csv and phoneme.csv hold it
+            raise RowError(path, i, f"attribute {attribute!r} holds a comma")
         if attribute == EXCLUDED_TOKEN:
             if phone in entries:
                 raise RowError(path, i, f"{phone} both mapped and excluded")

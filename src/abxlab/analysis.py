@@ -96,58 +96,56 @@ def strip_tone(label: str) -> str:
     return stripped if stripped else label
 
 
-def _frame_labels(track, frame_period):
-    """Label per frame index for one track; unlabeled frames are None."""
-    out: dict[int, str] = {}
-    for onset, offset, label in track.spans:
-        start = time_to_frame(onset, frame_period)
-        end = time_to_frame(offset, frame_period)
-        for t in range(start, end):
-            out[t] = label
-    return out
+def _frame_ranges(track, frame_period):
+    """Each span's frames ``[start, end)`` with its label, empty ones dropped;
+    sorted and disjoint, as the spans are and ``time_to_frame`` is monotone."""
+    ranges = ((time_to_frame(onset, frame_period), time_to_frame(offset, frame_period), label)
+              for onset, offset, label in track.spans)
+    return [r for r in ranges if r[0] < r[1]]
 
 
 def confusion_matrix(truth_tracks, hyp_tracks, frame_period: int,
                      strip_tones: bool = False) -> ConfusionMatrix:
     """Row-normalized truth-vs-hypothesis frame co-occurrence, e_ij.
 
-    Only frames labeled in both tracks count; rows are ground-truth
-    symbols, columns hypothesis symbols.  Truth symbols that never
-    co-occur with a hypothesis label are flagged in empty_rows.
+    Only frames labeled in both tracks count, as the overlaps of the two
+    tracks' frame ranges: the work grows with the spans, not their length.
+    Rows are ground-truth symbols, columns hypothesis symbols.  Truth
+    symbols that never co-occur with a hypothesis label are flagged in
+    empty_rows.
     """
     truth_by_utt = {t.utt: t for t in truth_tracks}
     hyp_by_utt = {t.utt: t for t in hyp_tracks}
     common = sorted(set(truth_by_utt) & set(hyp_by_utt))
     if not common:
         raise DataError("truth and hypothesis tracks share no utterances")
-    counts: dict[tuple[str, str], int] = {}
+    counts = Counter()
     seen_truth: set[str] = set()
     for utt in common:
-        g = _frame_labels(truth_by_utt[utt], frame_period)
-        l = _frame_labels(hyp_by_utt[utt], frame_period)
-        seen_truth.update(g.values())
-        for t, gt in g.items():
-            hyp = l.get(t)
-            if hyp is None:
-                continue
-            if strip_tones:
-                hyp = strip_tone(hyp)
-            counts[(gt, hyp)] = counts.get((gt, hyp), 0) + 1
+        truth = _frame_ranges(truth_by_utt[utt], frame_period)
+        hyp = _frame_ranges(hyp_by_utt[utt], frame_period)
+        seen_truth.update(g for _, _, g in truth)
+        i = j = 0
+        while i < len(truth) and j < len(hyp):
+            (g_start, g_end, g), (h_start, h_end, h) = truth[i], hyp[j]
+            overlap = min(g_end, h_end) - max(g_start, h_start)
+            if overlap > 0:
+                counts[g, strip_tone(h) if strip_tones else h] += overlap
+            if g_end <= h_end:
+                i += 1
+            else:
+                j += 1
     if not counts:
         raise DataError("no co-labeled frames between truth and hypothesis tracks")
+    if sum(counts.values()) >= 2**53:  # below it every count and row sum is exact
+        raise DataError("2**53 or more co-labeled frames: too many to count in float64")
     row_symbols = sorted({g for g, _ in counts})
     col_symbols = sorted({h for _, h in counts})
     empty_rows = sorted(seen_truth - set(row_symbols))
-    values = np.zeros((len(row_symbols), len(col_symbols)))
-    totals = []
-    for i, g in enumerate(row_symbols):
-        row_counts = np.array(
-            [counts.get((g, h), 0) for h in col_symbols], dtype=np.float64
-        )
-        total = int(row_counts.sum())
-        totals.append(total)
-        values[i] = row_counts / total
-    return ConfusionMatrix(row_symbols, col_symbols, values, totals, empty_rows)
+    table = np.array([[counts[g, h] for h in col_symbols] for g in row_symbols], dtype=float)
+    totals = table.sum(axis=1)
+    return ConfusionMatrix(row_symbols, col_symbols, table / totals[:, None],
+                           [int(n) for n in totals], empty_rows)
 
 
 def co_occurrence(cm: ConfusionMatrix) -> dict:

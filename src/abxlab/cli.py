@@ -272,9 +272,7 @@ def cmd_analyze_confusion(args) -> Outputs:
     doc = {
         "rows": list(cm.row_symbols),
         "cols": list(cm.col_symbols),
-        "frame_counts": {
-            s: int(n) for s, n in zip(cm.row_symbols, cm.frame_counts)
-        },
+        "frame_counts": dict(zip(cm.row_symbols, cm.frame_counts)),
         "empty_rows": list(cm.empty_rows),
         "p_co": {
             phone: {"p_co": f"{p:.6f}", "label": label}

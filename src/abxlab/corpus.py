@@ -335,6 +335,8 @@ def load_item_file(path) -> list[ItemSegment]:
     for i, parts in read_rows(path, "item file", n_fields=7, header=ITEM_HEADER):
         utt, onset_s, offset_s, phone, prev, nxt, speaker = parts
         onset, offset = _parse_span(path, i, onset_s, offset_s)
+        if "," in phone or "," in prev or "," in nxt:  # pairwise.csv holds them
+            raise RowError(path, i, "a phone or context label holds a comma")
         segments.append(ItemSegment(utt, onset, offset, phone, prev, nxt, speaker))
     return segments
 
@@ -351,6 +353,8 @@ def load_label_track(path) -> list[FrameLabelTrack]:
     for i, parts in read_rows(path, "label file", sep="\t", n_fields=4):
         utt, onset_s, offset_s, label = parts
         onset, offset = _parse_span(path, i, onset_s, offset_s)
+        if not label or "," in label:  # the confusion CSVs hold it
+            raise RowError(path, i, f"label {label!r} is empty or holds a comma")
         per_utt.setdefault(utt, []).append((onset, offset, label))
     tracks = []
     for utt in sorted(per_utt):

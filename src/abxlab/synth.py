@@ -76,6 +76,12 @@ class SynthConfig(JsonConfig):
             raise UsageError(f"bad frames_per_segment range {self.frames_per_segment}")
         if len(self.contexts) < 1:
             raise UsageError("need at least 1 context")
+        for label in self.phones + sum(self.contexts, ()):
+            # items.item splits its rows on whitespace, pairwise.csv on commas
+            if label.split() != [label] or "," in label:
+                raise UsageError(
+                    f"label {label!r} must be non-empty, without whitespace or commas"
+                )
         if len(set(self.contexts)) != len(self.contexts):
             raise UsageError("duplicate contexts")
         if self.frame_period < 1:

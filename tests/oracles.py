@@ -23,14 +23,20 @@ packed forward-only pass must match them bit for bit.
 array at a time, with Adam's moments in dicts keyed by parameter name;
 the optimizers in ``abxlab.apc``, which update the whole parameter
 vector at once, must match them bit for bit.  ``ftxt_rows_per_value``
-formats text archive rows one element at a time.
+formats text archive rows one element at a time.  ``confusion_per_frame``
+labels every frame of every span in a dict and counts the frames both
+tracks label one at a time, then fills the matrix row by row; the span
+overlap merge in ``abxlab.analysis.confusion_matrix`` must match it bit
+for bit.
 """
 
 import math
 
 import numpy as np
 
+from abxlab.analysis import ConfusionMatrix, strip_tone
 from abxlab.apc import ApcModel, _forward_batch, _seq_losses, _weight_grads
+from abxlab.corpus import time_to_frame
 
 
 def cosine_ref(a, b, zero_vector_distance=1.0):
@@ -418,3 +424,36 @@ def initial_loss_per_batch(model, batches, n):
 def ftxt_rows_per_value(mat):
     """Text archive rows: repr of each element widened to a Python float."""
     return [" ".join(repr(float(v)) for v in row) for row in mat]
+
+
+def frame_labels(track, frame_period):
+    """Label per frame index for one track; a later span overwrites."""
+    out = {}
+    for onset, offset, label in track.spans:
+        for t in range(time_to_frame(onset, frame_period), time_to_frame(offset, frame_period)):
+            out[t] = label
+    return out
+
+
+def confusion_per_frame(truth_tracks, hyp_tracks, frame_period, strip_tones=False):
+    """The confusion matrix from per-frame label dicts, one row at a time."""
+    truth_by_utt = {t.utt: t for t in truth_tracks}
+    hyp_by_utt = {t.utt: t for t in hyp_tracks}
+    counts, seen_truth = {}, set()
+    for utt in sorted(set(truth_by_utt) & set(hyp_by_utt)):
+        g = frame_labels(truth_by_utt[utt], frame_period)
+        h = frame_labels(hyp_by_utt[utt], frame_period)
+        seen_truth.update(g.values())
+        for t, gt in g.items():
+            if t in h:
+                hyp = strip_tone(h[t]) if strip_tones else h[t]
+                counts[gt, hyp] = counts.get((gt, hyp), 0) + 1
+    rows = sorted({g for g, _ in counts})
+    cols = sorted({h for _, h in counts})
+    values = np.zeros((len(rows), len(cols)))
+    totals = []
+    for i, g in enumerate(rows):
+        row = np.array([counts.get((g, h), 0) for h in cols], dtype=np.float64)
+        totals.append(int(row.sum()))
+        values[i] = row / totals[-1]
+    return ConfusionMatrix(rows, cols, values, totals, sorted(seen_truth - set(rows)))

@@ -148,3 +148,8 @@ def test_load_af_table_tsv_errors(tmp_path):
     p.write_text("\tVoiceless\n")  # empty phone field
     with pytest.raises(RowError):
         load_af_table(p)
+
+    p.write_text("P\tVoiceless\nAA\tA,B\n")  # a comma would split a pairwise.csv row
+    with pytest.raises(RowError) as e:
+        load_af_table(p)
+    assert e.value.line_no == 2

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abxlab.af_tables import CMU_PHONES
 from abxlab.analysis import (
@@ -14,6 +18,7 @@ from abxlab.analysis import (
 )
 from abxlab.corpus import FrameLabelTrack
 from abxlab.errors import DataError, UsageError
+from oracles import confusion_per_frame
 
 PERIOD = 10000  # 10 ms
 
@@ -232,6 +237,15 @@ def test_confusion_requires_overlap():
         confusion_matrix(truth, [track("u01", (2.0, 3.0, "x"))], PERIOD)
 
 
+def test_confusion_counts_exactly_or_rejects():
+    # 1 us frames: 9e15 frames is below 2**53, 1e16 is not
+    near = [track("u1", (0.0, 9e9, "a"))]
+    assert confusion_matrix(near, near, 1).frame_counts == [9 * 10**15]
+    far = [track("u1", (0.0, 1e10, "a"))]
+    with pytest.raises(DataError, match="2\\*\\*53"):
+        confusion_matrix(far, far, 1)
+
+
 def test_strip_tone():
     assert strip_tone("AH1") == "AH"
     assert strip_tone("IY0") == "IY"
@@ -248,6 +262,63 @@ def test_confusion_strip_tones_applies_to_hypothesis():
     assert co_occurrence(cm)["AH"] == (1.0, "AH")
     untouched = confusion_matrix(truth, hyp, PERIOD)
     assert untouched.col_symbols == ["AH1", "AH2"]
+
+
+@st.composite
+def confusion_inputs(draw):
+    """Truth and hypothesis tracks over 1-3 utterances, with span edges on
+    a quarter-frame grid: spans of no frames, adjacent and gapped spans,
+    and tracks that run past each other's end."""
+    period = draw(st.sampled_from([1, 7, 625, 10000, 25000]))
+    labels = st.sampled_from(["a", "b", "AH", "AH1", "AH2", "7"])
+
+    def tracks():
+        out = []
+        for utt in draw(st.lists(st.sampled_from(["u1", "u2", "u3"]),
+                                 min_size=1, max_size=3, unique=True)):
+            cursor, spans = 0, []
+            for gap, length, label in draw(st.lists(
+                    st.tuples(st.integers(0, 6), st.integers(1, 9), labels),
+                    min_size=1, max_size=8)):
+                onset, cursor = cursor + gap, cursor + gap + length
+                spans.append((onset * period / 4e6, cursor * period / 4e6, label))
+            out.append(track(utt, *spans))
+        return out
+
+    return tracks(), tracks(), period
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=confusion_inputs(), strip_tones=st.booleans())
+def test_confusion_matches_per_frame_oracle(inputs, strip_tones):
+    truth, hyp, period = inputs
+    want = confusion_per_frame(truth, hyp, period, strip_tones)
+    if not want.row_symbols:  # no co-labeled frame
+        with pytest.raises(DataError):
+            confusion_matrix(truth, hyp, period, strip_tones)
+        return
+    got = confusion_matrix(truth, hyp, period, strip_tones)
+    assert got.row_symbols == want.row_symbols
+    assert got.col_symbols == want.col_symbols
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.frame_counts == want.frame_counts
+    assert all(type(n) is int for n in got.frame_counts)
+    assert got.empty_rows == want.empty_rows
+    assert got.to_csv_bytes() == want.to_csv_bytes()
+
+
+def test_confusion_memory_grows_with_spans_not_duration():
+    truth = [track("u1", (0.0, 50000.0, "a"))]  # 5M frames
+    hyp = [track("u1", (0.0, 0.1, "x"))]
+    tracemalloc.start()
+    try:
+        cm = confusion_matrix(truth, hyp, PERIOD)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cm.frame_counts == [10]
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

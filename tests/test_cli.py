@@ -242,6 +242,31 @@ def test_eval_overflowing_item_time_exits_3(corpus_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("loader", ["items", "labels", "af-table"])
+def test_comma_in_a_label_exits_3(corpus_dir, tmp_path, capsys, loader):
+    bad = tmp_path / "bad"
+    if loader == "items":
+        bad.write_text(f"{ITEM_HEADER}\nu01 0.0 0.1 a,x S T s01\n")
+        argv = ["eval", "--features", str(corpus_dir / "features"), "--items", str(bad),
+                "--mode", "within"]
+    elif loader == "labels":
+        bad.write_text("u1\t0.0\t0.1\ta\nu1\t0.1\t0.2\ta,b\n")
+        argv = ["analyze", "confusion", "--truth", str(bad), "--hyp", str(bad),
+                "--frame-period", "10000"]
+    else:
+        bad.write_text("a\tLow\nb\tHigh,Front\n")
+        argv = ["eval", "--features", str(corpus_dir / "features"),
+                "--items", str(corpus_dir / "items.item"), "--mode", "within",
+                "--task", "af", "--af-table", str(bad)]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("abxlab: error: ")
+    assert f"{bad}:2:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_eval_af_task(corpus_dir, tmp_path, monkeypatch):
     table = tmp_path / "af.tsv"
     table.write_text("a\tLow\nb\tHigh\n")
@@ -374,6 +399,21 @@ def test_analyze_confusion_bad_times_exit_3(tmp_path, capsys, onset, offset):
     err = capsys.readouterr().err
     assert f"{bad}:2:" in err
     assert "Traceback" not in err
+
+
+def test_analyze_confusion_uncountable_frames_exit_3(tmp_path, capsys):
+    # two spans of 1e302 s at 1 us frames: more co-labeled frames than a float holds
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("u1\t0.0\t1e302\ta\nu2\t0.0\t1e302\ta\n")
+    rc = cli.main([
+        "analyze", "confusion", "--truth", str(labels), "--hyp", str(labels),
+        "--frame-period", "1", "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("abxlab: error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("period", ["0", "-5"])
@@ -612,6 +652,22 @@ def test_synth_rejects_malformed_flag(tmp_path, capsys, flag, value):
         cli.main(["synth", flag, value, "--seed", "1", "--out", str(out)])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["--phones", "a b,c"], "'a b'"),
+    (["--contexts", "S:T U"], "'T U'"),
+    (["--config", "cfg.json"], "'a,b'"),
+], ids=["phones", "contexts", "config"])
+def test_synth_rejects_labels_its_files_cannot_hold(tmp_path, capsys, argv, label):
+    # the flags parse; the config rejects the label before anything is written
+    (tmp_path / "cfg.json").write_text(json.dumps({"phones": ["a,b", "c"]}))
+    argv = [str(tmp_path / a) if a == "cfg.json" else a for a in argv]
+    out = tmp_path / "c"
+    assert cli.main(["synth", *argv, "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("abxlab: error: ") and label in err
     assert not out.exists()
 
 

@@ -115,6 +115,15 @@ def test_synth_config_document_is_config_or_usage_error(doc):
     (SynthConfig, {"contexts": [["S", 1]]}),
     (SynthConfig, {"phones": ["a"], "dim": 1, "means": {"a": ["1"]}}),
     (SynthConfig, {"phones": ["a"], "dim": 1, "means": [1.0]}),
+    # labels that items.item (split on whitespace) or pairwise.csv (on commas)
+    # cannot carry
+    (SynthConfig, {"phones": [""]}),
+    (SynthConfig, {"phones": ["a b"]}),
+    (SynthConfig, {"phones": ["a\t"]}),
+    (SynthConfig, {"phones": ["a,b"]}),
+    (SynthConfig, {"contexts": [["S", ""]]}),
+    (SynthConfig, {"contexts": [[" S", "T"]]}),
+    (SynthConfig, {"contexts": [["S", "T,U"]]}),
 ])
 def test_mistyped_values_are_rejected(cls, doc):
     with pytest.raises(UsageError):

@@ -313,6 +313,9 @@ def test_item_file_row_errors(tmp_path):
         "u01 -0.5 1.0 AE S T s01",  # negative onset
         "u01 1e303 1e304 AE S T s01",  # microsecond count overflows
         "u01 0.0 1.8e302 AE S T s01",
+        "u01 0.0 1.0 A,E S T s01",  # a comma would split a pairwise.csv row
+        "u01 0.0 1.0 AE S,X T s01",
+        "u01 0.0 1.0 AE S X,T s01",
     ]
     for row in cases:
         p.write_text(ITEM_HEADER + "\n" + row + "\n")
@@ -371,6 +374,11 @@ def test_label_track_row_errors(tmp_path):
     with pytest.raises(RowError, match="microsecond") as e:
         load_label_track(p)
     assert e.value.line_no == 2
+    for label in ("", "a,b"):  # no CSV key, or one that splits its row
+        p.write_text(f"u01\t0.0\t0.1\tA\nu01\t0.1\t0.2\t{label}\n")
+        with pytest.raises(RowError, match="empty or holds a comma") as e:
+            load_label_track(p)
+        assert e.value.line_no == 2
 
 
 def test_row_error_pickles():
