@@ -96,27 +96,37 @@ def _param_shapes(config: ApcConfig) -> dict:
     return shapes
 
 
+def _views(vec, shapes: dict) -> dict:
+    """{name: view} of vec's leading entries, the shapes laid out in order."""
+    views, pos = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = vec[pos:pos + size].reshape(shape)
+        pos += size
+    return views
+
+
 class ApcModel:
     """All parameters in one float64 vector ``theta``, in checkpoint order.
 
     ``layers[i]`` holds the Wx, Wh and b of layer i + 1, and W projects h_L
-    to x; each is a view into theta.  A given ``theta`` is used as is,
-    which is how a gradient vector gets the same layout.
+    to x; each is a view into theta.  ``blocks`` holds the slice of theta
+    that each layer's Wx, Wh and b, and then W, fill.  A given ``theta``
+    is used as is.
     """
 
     def __init__(self, config: ApcConfig, theta: np.ndarray | None = None):
         self.config = config
         shapes = _param_shapes(config)
-        sizes = {name: math.prod(shape) for name, shape in shapes.items()}
-        self.theta = np.zeros(sum(sizes.values())) if theta is None else theta
-        self._params = {}
-        pos = 0
-        for name, shape in shapes.items():
-            self._params[name] = self.theta[pos:pos + sizes[name]].reshape(shape)
-            pos += sizes[name]
+        size = sum(map(math.prod, shapes.values()))
+        self.theta = np.zeros(size) if theta is None else theta
+        self._params = _views(self.theta, shapes)
         self.layers = [{k: self._params[f"layer{i}.{k}"] for k in ("Wx", "Wh", "b")}
                        for i in range(1, config.L + 1)]
         self.W = self._params["W"]
+        ends = np.cumsum([sum(p.size for p in layer.values()) for layer in self.layers]
+                         + [self.W.size]).tolist()
+        self.blocks = [slice(a, b) for a, b in zip([0] + ends, ends)]
 
     def param_items(self):
         """(name, array) pairs in the fixed checkpoint order."""
@@ -249,7 +259,7 @@ def _weight_grads(layer, x, h, dz, out):
     """dx of a layer from its pre-activation gradients dz (B, T, G).
 
     The Wx, Wh and b gradients are written into ``out``, the layer's
-    views into a gradient vector.  Nothing here is recurrent, so each is
+    views into a gradient buffer.  Nothing here is recurrent, so each is
     one matrix product or sum over all steps; h[:, t - 1] feeds step t,
     and step 0 saw h = 0.
     """
@@ -266,14 +276,28 @@ def _weight_grads(layer, x, h, dz, out):
     return (dz2 @ layer["Wx"].T).reshape(x.shape)
 
 
+# Steps per block of BPTT factors; a layer's backward keeps the factors of
+# one block, not of all T steps.  Measured on one LSTM layer, 32 is about
+# as fast as the best of 8 to 128 at both B=32, T=1000 and B=1, T=200, and
+# the factors of all steps at once were slower at both.
+BPTT_BLOCK = 32
+
+
+def _time_blocks(T):
+    """(t0, t1) blocks of at most BPTT_BLOCK steps, the last steps first."""
+    for t1 in range(T, 0, -BPTT_BLOCK):
+        yield max(t1 - BPTT_BLOCK, 0), t1
+
+
 def _lstm_backward(layer, cache, dh_out, out):
     """BPTT into the layer's gradient views ``out``, returning dx; the
     time loop carries only dh and dc back one step.
 
-    Every factor that does not depend on dh or dc is computed for all
-    steps before the loop, into one (B, T, 10, H) array.  The i, f and g
-    gates all start from dc and keep the association ((dc * u) * v) * w
-    of their formulas, so they run as in-place multiplies on one stacked
+    Every factor that does not depend on dh or dc is computed for a block
+    of steps before the loop runs over them, into one (B, block, 10, H)
+    array that the blocks reuse, walking backward.  The i, f and g gates
+    all start from dc and keep the association ((dc * u) * v) * w of
+    their formulas, so they run as in-place multiplies on one stacked
     view: u = (g, c_prev, i), v = (i, f, 1-g^2), w = (1-i, 1-f) (g has no
     third factor).  u and v share the slot of i.
     """
@@ -281,17 +305,7 @@ def _lstm_backward(layer, cache, dh_out, out):
     B, T, H = h.shape
     Wh_T = layer["Wh"].T
     # slots: g, c_prev, i, f, 1-g^2, 1-i, 1-f, tanh(c), 1-tanh(c)^2, 1-o
-    fac = np.empty((B, T, 10, H))
-    fac[:, :, 0] = g
-    fac[:, 0, 1] = 0.0
-    fac[:, 1:, 1] = c[:, :-1]
-    fac[:, :, 2] = i
-    fac[:, :, 3] = f
-    np.subtract(1.0, g ** 2, out=fac[:, :, 4])
-    np.subtract(1.0, fac[:, :, 2:4], out=fac[:, :, 5:7])
-    np.tanh(c, out=fac[:, :, 7])
-    np.subtract(1.0, fac[:, :, 7] ** 2, out=fac[:, :, 8])
-    np.subtract(1.0, o, out=fac[:, :, 9])
+    fac_buf = np.empty((B, min(T, BPTT_BLOCK), 10, H))
     dz = np.empty((B, T, 4 * H))
     dz4 = dz.reshape(B, T, 4, H)
     dh = np.empty((B, H))
@@ -299,25 +313,38 @@ def _lstm_backward(layer, cache, dh_out, out):
     dc = dc3[:, 0]
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
-    steps = zip(range(T - 1, -1, -1), *(a.swapaxes(0, 1)[::-1] for a in (
-        dh_out, o, f, fac[:, :, 0:3], fac[:, :, 2:5], fac[:, :, 5:7],
-        fac[:, :, 7], fac[:, :, 8], fac[:, :, 9], dz, dz4[:, :, :3],
-        dz4[:, :, :2], dz4[:, :, 3])))
-    for (t, dh_out_t, o_t, f_t, u_t, v_t, w_t, tanh_c_t, dtanh_c_t,
-         one_minus_o_t, dz_t, dz_ifg, dz_if, dz_o) in steps:
-        np.add(dh_out_t, dh_next, out=dh)
-        np.multiply(dh, o_t, out=dc)
-        np.multiply(dc, dtanh_c_t, out=dc)
-        np.add(dc, dc_next, out=dc)
-        np.multiply(dc3, u_t, out=dz_ifg)
-        np.multiply(dz_ifg, v_t, out=dz_ifg)
-        np.multiply(dz_if, w_t, out=dz_if)
-        np.multiply(dh, tanh_c_t, out=dz_o)
-        np.multiply(dz_o, o_t, out=dz_o)
-        np.multiply(dz_o, one_minus_o_t, out=dz_o)
-        if t > 0:
-            np.matmul(dz_t, Wh_T, out=dh_next)
-            np.multiply(dc, f_t, out=dc_next)
+    for t0, t1 in _time_blocks(T):
+        fac = fac_buf[:, :t1 - t0]
+        s = max(t0, 1)  # step 0 saw c = 0
+        fac[:, :, 0] = g[:, t0:t1]
+        fac[:, :s - t0, 1] = 0.0
+        fac[:, s - t0:, 1] = c[:, s - 1:t1 - 1]
+        fac[:, :, 2] = i[:, t0:t1]
+        fac[:, :, 3] = f[:, t0:t1]
+        np.subtract(1.0, g[:, t0:t1] ** 2, out=fac[:, :, 4])
+        np.subtract(1.0, fac[:, :, 2:4], out=fac[:, :, 5:7])
+        np.tanh(c[:, t0:t1], out=fac[:, :, 7])
+        np.subtract(1.0, fac[:, :, 7] ** 2, out=fac[:, :, 8])
+        np.subtract(1.0, o[:, t0:t1], out=fac[:, :, 9])
+        steps = zip(range(t1 - 1, t0 - 1, -1), *(a.swapaxes(0, 1)[::-1] for a in (
+            dh_out[:, t0:t1], o[:, t0:t1], f[:, t0:t1], fac[:, :, 0:3], fac[:, :, 2:5],
+            fac[:, :, 5:7], fac[:, :, 7], fac[:, :, 8], fac[:, :, 9], dz[:, t0:t1],
+            dz4[:, t0:t1, :3], dz4[:, t0:t1, :2], dz4[:, t0:t1, 3])))
+        for (t, dh_out_t, o_t, f_t, u_t, v_t, w_t, tanh_c_t, dtanh_c_t,
+             one_minus_o_t, dz_t, dz_ifg, dz_if, dz_o) in steps:
+            np.add(dh_out_t, dh_next, out=dh)
+            np.multiply(dh, o_t, out=dc)
+            np.multiply(dc, dtanh_c_t, out=dc)
+            np.add(dc, dc_next, out=dc)
+            np.multiply(dc3, u_t, out=dz_ifg)
+            np.multiply(dz_ifg, v_t, out=dz_ifg)
+            np.multiply(dz_if, w_t, out=dz_if)
+            np.multiply(dh, tanh_c_t, out=dz_o)
+            np.multiply(dz_o, o_t, out=dz_o)
+            np.multiply(dz_o, one_minus_o_t, out=dz_o)
+            if t > 0:
+                np.matmul(dz_t, Wh_T, out=dh_next)
+                np.multiply(dc, f_t, out=dc_next)
     return _weight_grads(layer, x, h, dz, out)
 
 
@@ -343,17 +370,20 @@ def _rnn_forward(layer, x, spans=None, keep=True):
 
 
 def _rnn_backward(layer, cache, dh_out, out):
-    """BPTT into the layer's gradient views ``out``, returning dx."""
+    """BPTT into the layer's gradient views ``out``, returning dx; 1 - h^2
+    is taken for one block of steps at a time, as the LSTM's factors."""
     x, h = cache["x"], cache["h"]
     B, T, H = h.shape
     Wh_T = layer["Wh"].T
-    dtanh = 1.0 - h ** 2
+    dtanh_buf = np.empty((B, min(T, BPTT_BLOCK), H))
     dz = np.empty((B, T, H))
     dh_next = np.zeros((B, H))
-    for t in range(T - 1, -1, -1):
-        dz[:, t] = (dh_out[:, t] + dh_next) * dtanh[:, t]
-        if t > 0:
-            dh_next = dz[:, t] @ Wh_T
+    for t0, t1 in _time_blocks(T):
+        dtanh = np.subtract(1.0, h[:, t0:t1] ** 2, out=dtanh_buf[:, :t1 - t0])
+        for t in range(t1 - 1, t0 - 1, -1):
+            dz[:, t] = (dh_out[:, t] + dh_next) * dtanh[:, t - t0]
+            if t > 0:
+                dh_next = dz[:, t] @ Wh_T
     return _weight_grads(layer, x, h, dz, out)
 
 
@@ -441,29 +471,40 @@ def _seq_losses(xhat, x, n: int):
     return np.abs(diff).sum(axis=(1, 2)), diff
 
 
-def _batch_loss_grads(model: ApcModel, x: np.ndarray, scale: float, grad: np.ndarray):
+def _grad_buffer(model: ApcModel) -> np.ndarray:
+    """A gradient buffer the size of the model's largest parameter block."""
+    return np.empty(max(block.stop - block.start for block in model.blocks))
+
+
+def _batch_loss_grads(model: ApcModel, x: np.ndarray, scale: float, buf, sink):
     """Mean-per-sequence loss and gradients, scaled by ``scale`` per item.
 
     x is (B, T, d); the L1 subgradient at zero is taken as 0 (np.sign).
-    The gradient goes into ``grad``, a vector laid out like ``model.theta``:
-    W and each layer's backward overwrite their own views of it, so no
-    element keeps an old value and no other parameter-sized array is
-    made.  Returns (seq_losses, grad).
+    Each parameter block's gradient is written into the leading entries
+    of ``buf`` (see ``_grad_buffer``), and ``sink(block, grad)`` gets that
+    view at once, with ``block`` its slice of ``model.theta``: W first,
+    then layer L down to layer 1.  The backward reads no block's weights
+    after its sink call, so the sink may step them.  Returns the
+    per-sequence losses.
     """
     xhat, h_top, caches = _forward_batch(model, x)
     seq_losses, diff = _seq_losses(xhat, x, model.config.n)
     dxhat = np.zeros_like(xhat)
     dxhat[:, :diff.shape[1]] = np.sign(diff) * scale
     step_back = _lstm_backward if model.config.cell_kind == "lstm" else _rnn_backward
-    grads = ApcModel(model.config, grad)
-    grads.W[...] = np.einsum("bti,btj->ij", h_top, dxhat)
+    *layer_blocks, w_block = model.blocks
+    grad = buf[:model.W.size]
+    grad.reshape(model.W.shape)[...] = np.einsum("bti,btj->ij", h_top, dxhat)
     dh = dxhat @ model.W.T
-    for layer, layer_grads, (cache, residual) in zip(
-        reversed(model.layers), reversed(grads.layers), reversed(caches)
+    sink(w_block, grad)
+    for layer, block, (cache, residual) in zip(
+        reversed(model.layers), reversed(layer_blocks), reversed(caches)
     ):
-        dx = step_back(layer, cache, dh, layer_grads)
+        grad = buf[:block.stop - block.start]
+        dx = step_back(layer, cache, dh, _views(grad, {k: p.shape for k, p in layer.items()}))
         dh = dx + dh if residual else dx
-    return seq_losses, grad
+        sink(block, grad)
+    return seq_losses
 
 
 # ---------------------------------------------------------------------------
@@ -471,27 +512,33 @@ def _batch_loss_grads(model: ApcModel, x: np.ndarray, scale: float, grad: np.nda
 
 
 class _Adam:
-    def __init__(self, n_params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, theta, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.theta = theta
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = np.zeros(n_params)
-        self.v = np.zeros(n_params)
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
 
-    def step(self, theta, grad):
-        """In place, with each element's operations in the order of
-        m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-        theta -= lr*mhat / (sqrt(vhat) + eps)."""
+    def next_batch(self):
+        """Count one more batch; returns the sink that steps its blocks."""
         self.t += 1
+        return self.step
+
+    def step(self, block, grad):
+        """theta[block] in place, with each element's operations in the
+        order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        theta -= lr*mhat / (sqrt(vhat) + eps)."""
+        theta, m, v = self.theta[block], self.m[block], self.v[block]
         a = (1 - self.b1) * grad
-        self.m *= self.b1
-        self.m += a
+        m *= self.b1
+        m += a
         np.multiply(grad, 1 - self.b2, out=a)
         a *= grad
-        self.v *= self.b2
-        self.v += a
-        np.divide(self.m, 1 - self.b1 ** self.t, out=a)
+        v *= self.b2
+        v += a
+        np.divide(m, 1 - self.b1 ** self.t, out=a)
         a *= self.lr
-        d = self.v / (1 - self.b2 ** self.t)
+        d = v / (1 - self.b2 ** self.t)
         np.sqrt(d, out=d)
         d += self.eps
         a /= d
@@ -499,11 +546,15 @@ class _Adam:
 
 
 class _Sgd:
-    def __init__(self, n_params, lr):
+    def __init__(self, theta, lr):
+        self.theta = theta
         self.lr = lr
 
-    def step(self, theta, grad):
-        theta -= self.lr * grad
+    def next_batch(self):
+        return self.step
+
+    def step(self, block, grad):
+        self.theta[block] -= self.lr * grad
 
 
 def _make_batches(archive: FeatureArchive, n: int, batch_size: int):
@@ -548,19 +599,17 @@ def train(cfg: ApcConfig, archive: FeatureArchive):
     batches = _make_batches(archive, cfg.n, cfg.batch_size)
     n_seqs = sum(b.shape[0] for b in batches)
     model = init_model(cfg)
-    opt = (_Adam if cfg.optimizer == "adam" else _Sgd)(
-        model.n_params(), cfg.learning_rate
-    )
+    opt = (_Adam if cfg.optimizer == "adam" else _Sgd)(model.theta, cfg.learning_rate)
     initial = {k: float(_seq_losses(h_top @ model.W, batches[k], cfg.n)[0].sum())
                for k, h_top in _forward_only(model, batches)}
     losses = [sum(initial[k] for k in range(len(batches))) / n_seqs]
-    grad = np.empty_like(model.theta)
+    buf = _grad_buffer(model)
     for epoch in range(1, cfg.epochs + 1):
         total = 0.0
         for batch in batches:
-            seq_losses, _ = _batch_loss_grads(model, batch, 1.0 / batch.shape[0], grad)
+            seq_losses = _batch_loss_grads(model, batch, 1.0 / batch.shape[0], buf,
+                                           opt.next_batch())
             total += float(seq_losses.sum())
-            opt.step(model.theta, grad)
         mean_loss = total / n_seqs
         if not np.isfinite(mean_loss):
             raise TrainingError(f"loss diverged at epoch {epoch}")
@@ -599,7 +648,12 @@ def gradient_check(model: ApcModel, x, n: int, epsilon: float = 1e-5) -> float:
         raise UsageError(
             "gradient_check wants a small instance: L <= 2, hidden_dim <= 8, T <= 20"
         )
-    _, analytic = _batch_loss_grads(model, x[None], 1.0, np.empty_like(model.theta))
+    analytic = np.empty_like(model.theta)
+
+    def fill(block, grad):
+        analytic[block] = grad
+
+    _batch_loss_grads(model, x[None], 1.0, _grad_buffer(model), fill)
     theta = model.theta
     numeric = np.empty_like(analytic)
     for k in range(theta.size):

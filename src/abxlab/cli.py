@@ -73,6 +73,7 @@ from .apc import (
     train,
 )
 from .corpus import (
+    check_archive_outputs,
     feature_archive_files,
     feature_paths,
     load_feature_archive,
@@ -644,6 +645,7 @@ def main(argv=None) -> int:
             wall_time_s=time.perf_counter() - t0,
             stats=run.stats,
         )
+        check_archive_outputs(args.out, run.files)
         write_outputs(args.out, {**run.files, "manifest.json": manifest.to_json_bytes()})
     except AbxlabError as e:
         print(f"abxlab: error: {e}", file=sys.stderr)

@@ -273,6 +273,27 @@ def feature_paths(path, format: str = "auto") -> list[Path]:
     return files
 
 
+def check_archive_outputs(out_dir, names) -> None:
+    """Refuse to add feature files to a directory holding other ones.
+
+    ``names`` are the files a run will write under ``out_dir``.  A reader
+    takes every feature file in a directory, so one that gets feature
+    files and already holds a ``.fbin`` or ``.ftxt`` file not among them
+    is a usage error: the earlier file would be read with the new ones.
+    """
+    out = Path(out_dir)
+    finals = {out / name for name in names}
+    suffixes = (".fbin", ".ftxt")
+    for d in sorted({p.parent for p in finals if p.suffix in suffixes}):
+        stale = sorted(p.name for p in (d.iterdir() if d.is_dir() else ())
+                       if p.suffix in suffixes and p not in finals)
+        if stale:
+            raise UsageError(
+                f"{d} holds {len(stale)} feature file(s) this run does not write "
+                f"(first {stale[0]}); a feature archive is read as a whole directory"
+            )
+
+
 def load_feature_archive(path, format: str = "auto") -> FeatureArchive:
     """Load the files ``feature_paths`` names into one validated archive."""
     files = feature_paths(path, format)

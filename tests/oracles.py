@@ -20,9 +20,10 @@ They share ``_weight_grads``, the loop-free part, with the package.
 ``_forward_batch`` on one utterance or one training batch at a time; the
 packed forward-only pass must match them bit for bit.
 ``AdamByName`` and ``SgdByName`` update the model one named parameter
-array at a time, with Adam's moments in dicts keyed by parameter name;
-the optimizers in ``abxlab.apc``, which update the whole parameter
-vector at once, must match them bit for bit.  ``ftxt_rows_per_value``
+array at a time, from one whole gradient vector, with Adam's moments in
+dicts keyed by parameter name; the optimizers in ``abxlab.apc``, which
+update one parameter block at a time as the backward hands it over,
+must match them bit for bit.  ``ftxt_rows_per_value``
 formats text archive rows one element at a time.  ``confusion_per_frame``
 labels every frame of every span in a dict and counts the frames both
 tracks label one at a time, then fills the matrix row by row; the span

@@ -7,6 +7,7 @@ import pytest
 
 from abxlab import apc
 from abxlab.apc import (
+    OPTIMIZERS,
     ApcConfig,
     ApcModel,
     apc_loss,
@@ -53,6 +54,21 @@ def toy_archive(seed=0, n_utts=4, t=12, dim=3, period=10000):
 def grad_vector(model):
     """A gradient vector laid out like model.theta, NaN until written."""
     return np.full_like(model.theta, np.nan)
+
+
+def full_grads(model, x, scale):
+    """(losses, gradient vector) of one backward, through a sink that fills
+    a NaN vector laid out like model.theta and sees each block once."""
+    grad = grad_vector(model)
+    seen = []
+
+    def fill(block, g):
+        seen.append(block)
+        grad[block] = g
+
+    losses = _batch_loss_grads(model, x, scale, apc._grad_buffer(model), fill)
+    assert seen == model.blocks[::-1]
+    return losses, grad
 
 
 def grad_layers(model):
@@ -229,14 +245,26 @@ def test_gradient_check_detects_disagreement():
 
 STEP_ORACLES = {"lstm": lstm_backward_steps, "simple-rnn": rnn_backward_steps}
 
+# BPTT takes its factors one block of steps at a time; with a block of 4,
+# T = 1, block - 1, block, block + 1 and 2 * block + 1 cover one partial
+# block, one full block and a partial block behind full ones
+SMALL_BLOCK = 4
+BLOCK_CASES = [(B, T) for B in (1, 3) for T in (1, 3, 4, 5, 9)]
+
+
+@pytest.fixture
+def small_block(monkeypatch):
+    monkeypatch.setattr(apc, "BPTT_BLOCK", SMALL_BLOCK)
+
 
 def assert_close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("cell", ["lstm", "simple-rnn"])
-@pytest.mark.parametrize("B,T", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 9)])
-def test_bptt_matches_step_oracle(cell, B, T):
+@pytest.mark.parametrize("B,T", sorted({(1, 1), (1, 2), (2, 1), (2, 2), (3, 9),
+                                        *BLOCK_CASES}))
+def test_bptt_matches_step_oracle(cell, B, T, small_block):
     rng = np.random.default_rng(10 * B + T)
     model = init_model(ApcConfig(n=1, L=2, hidden_dim=4, input_dim=3, cell_kind=cell))
     for layer in model.layers:
@@ -260,10 +288,10 @@ def test_batch_gradients_match_step_oracle_through_residuals(cell, monkeypatch):
     model = init_model(ApcConfig(n=2, L=2, hidden_dim=4, input_dim=4, cell_kind=cell))
     x = rng.standard_normal((2, 7, 4))
     assert [res for _, res in apc._forward_batch(model, x)[2]] == [True, True]
-    losses, grads = _batch_loss_grads(model, x, 0.5, grad_vector(model))
+    losses, grads = full_grads(model, x, 0.5)
     monkeypatch.setattr(apc, "_lstm_backward", lstm_backward_steps)
     monkeypatch.setattr(apc, "_rnn_backward", rnn_backward_steps)
-    losses_ref, grads_ref = _batch_loss_grads(model, x, 0.5, grad_vector(model))
+    losses_ref, grads_ref = full_grads(model, x, 0.5)
     assert np.array_equal(losses, losses_ref)
     assert grads.shape == model.theta.shape
     assert_close(grads, grads_ref)
@@ -303,9 +331,9 @@ ALLOC_ORACLES = {
 
 
 @pytest.mark.parametrize("cell", ["lstm", "simple-rnn"])
-@pytest.mark.parametrize("B,T", [(1, 1), (1, 2), (2, 1), (3, 9)])
+@pytest.mark.parametrize("B,T", sorted({(1, 1), (1, 2), (2, 1), (3, 9), *BLOCK_CASES}))
 @pytest.mark.parametrize("saturate", [False, True])
-def test_step_loops_bit_equal_allocating_oracle(cell, B, T, saturate):
+def test_step_loops_bit_equal_allocating_oracle(cell, B, T, saturate, small_block):
     rng = np.random.default_rng(100 * B + T)
     model = init_model(ApcConfig(n=1, L=2, hidden_dim=4, input_dim=3, cell_kind=cell))
     for layer in model.layers:
@@ -345,7 +373,7 @@ def test_initial_loss_is_forward_only(monkeypatch):
     model = init_model(replace(cfg, input_dim=archive.dim))
     batches = _make_batches(archive, cfg.n, cfg.batch_size)
     bptt_initial = sum(
-        float(_batch_loss_grads(model, b, 0.0, grad_vector(model))[0].sum())
+        float(full_grads(model, b, 0.0)[0].sum())
         for b in batches
     ) / len(archive.utterance_ids())
     calls = []
@@ -448,70 +476,125 @@ def test_training_reduces_loss_and_is_deterministic():
     assert model_a.config.input_dim == archive.dim
 
 
-@pytest.mark.parametrize("cell,optimizer,oracle", [
-    ("lstm", "adam", AdamByName), ("simple-rnn", "sgd", SgdByName),
+@pytest.mark.parametrize("cell,optimizer,oracle,L,hidden_dim,batch_size", [
+    pytest.param("lstm", "adam", AdamByName, 2, 3, 2, id="lstm-adam-AdamByName"),
+    pytest.param("simple-rnn", "sgd", SgdByName, 2, 3, 2, id="simple-rnn-sgd-SgdByName"),
+    # hidden_dim 3 = the input dim: every layer is residual
+    pytest.param("lstm", "adam", AdamByName, 3, 3, 1, id="lstm-adam-L3-residual-batch1"),
+    pytest.param("simple-rnn", "sgd", SgdByName, 3, 3, 2, id="simple-rnn-sgd-L3-residual"),
+    pytest.param("lstm", "sgd", SgdByName, 2, 4, 1, id="lstm-sgd-batch1"),
+    pytest.param("simple-rnn", "adam", AdamByName, 3, 4, 2, id="simple-rnn-adam-L3"),
 ])
-def test_training_bit_equal_per_name_optimizer_oracle(cell, optimizer, oracle):
+def test_training_bit_equal_per_name_optimizer_oracle(cell, optimizer, oracle, L, hidden_dim,
+                                                      batch_size):
     archive = toy_archive(seed=4)
-    cfg = ApcConfig(n=1, L=2, hidden_dim=3, cell_kind=cell, optimizer=optimizer,
-                    learning_rate=0.01, epochs=3, batch_size=2, seed=6)
+    cfg = ApcConfig(n=1, L=L, hidden_dim=hidden_dim, cell_kind=cell, optimizer=optimizer,
+                    learning_rate=0.01, epochs=3, batch_size=batch_size, seed=6)
     model, _ = train(cfg, archive)
     ref = init_model(model.config)
     opt = oracle(ref, cfg.learning_rate)
     batches = _make_batches(archive, cfg.n, cfg.batch_size)
-    assert len(batches) == 2
+    assert len(batches) == 4 // batch_size
     for _ in range(cfg.epochs):
         for batch in batches:
-            grad = _batch_loss_grads(ref, batch, 1.0 / batch.shape[0], grad_vector(ref))[1]
+            grad = full_grads(ref, batch, 1.0 / batch.shape[0])[1]
             opt.step(ref, grad)
     assert not np.array_equal(ref.theta, init_model(model.config).theta)
     assert_bits(model.theta, ref.theta)
 
 
 def test_adam_updates_moments_in_place():
-    model = init_model(ApcConfig(n=1, L=1, hidden_dim=3, input_dim=2, seed=1))
+    model = init_model(ApcConfig(n=1, L=2, hidden_dim=3, input_dim=2, seed=1))
     ref = init_model(model.config)
-    opt, opt_ref = apc._Adam(model.n_params(), 0.01), AdamByName(ref, 0.01)
+    opt, opt_ref = apc._Adam(model.theta, 0.01), AdamByName(ref, 0.01)
     m, v = opt.m, opt.v
     rng = np.random.default_rng(0)
     for _ in range(3):
         grad = rng.standard_normal(model.n_params())
-        opt.step(model.theta, grad)
+        step = opt.next_batch()
+        for block in model.blocks[::-1]:
+            step(block, grad[block].copy())
         opt_ref.step(ref, grad)
-    assert opt.m is m and opt.v is v
+    assert opt.m is m and opt.v is v and opt.t == 3
     assert_bits(model.theta, ref.theta)
 
 
-def test_train_writes_every_batch_into_one_gradient_vector(monkeypatch):
-    seen = []
+def test_train_steps_each_block_once_through_one_buffer(monkeypatch):
+    calls = []  # per batch: [(block, grad view)] in sink order
     inner = apc._batch_loss_grads
 
-    def keep(*args):
-        losses, grad = inner(*args)
-        seen.append(grad)
-        return losses, grad
+    def keep(model, x, scale, buf, sink):
+        calls.append([])
+
+        def seen(block, grad):
+            assert grad.shape == (block.stop - block.start,)
+            calls[-1].append((block, grad))
+            sink(block, grad)
+
+        return inner(model, x, scale, buf, seen)
 
     monkeypatch.setattr(apc, "_batch_loss_grads", keep)
-    cfg = ApcConfig(n=1, L=2, hidden_dim=4, epochs=2, batch_size=2, seed=1)
+    cfg = ApcConfig(n=1, L=3, hidden_dim=4, epochs=2, batch_size=2, seed=1)
     model, _ = train(cfg, toy_archive(seed=5, n_utts=3))
-    assert len(seen) == cfg.epochs * 2
-    assert all(np.shares_memory(g, seen[0]) for g in seen)
-    assert not np.shares_memory(seen[0], model.theta)
+    assert len(calls) == cfg.epochs * 2
+    # W, then layer 3, 2 and 1, each once per batch
+    assert len(model.blocks) == cfg.L + 1
+    grads = [grad for batch in calls for _, grad in batch]
+    biggest = max(grads, key=len)
+    assert len(biggest) == max(b.stop - b.start for b in model.blocks) < model.n_params()
+    for batch in calls:
+        assert [block for block, _ in batch] == model.blocks[::-1]
+    assert all(np.shares_memory(g, biggest) for g in grads)
+    assert not any(np.shares_memory(g, model.theta) for g in grads)
+
+
+def traced_peak(fn):
+    fn()  # warm-up
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_batch_gradients_allocate_no_parameter_sized_array():
     model = init_model(ApcConfig(n=1, L=4, hidden_dim=32, input_dim=8, seed=0))
     x = np.random.default_rng(0).standard_normal((1, 3, 8))
-    grad = np.empty_like(model.theta)
-    _batch_loss_grads(model, x, 1.0, grad)  # warm-up
-    tracemalloc.start()
-    try:
-        _batch_loss_grads(model, x, 1.0, grad)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    buf = apc._grad_buffer(model)
+    peak = traced_peak(lambda: _batch_loss_grads(model, x, 1.0, buf, lambda block, grad: None))
     # one copy of the gradient would take theta.nbytes
     assert peak < model.theta.nbytes // 2
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_training_batch_allocates_no_parameter_sized_array(optimizer):
+    # the largest block (a hidden layer) is an eighth of theta
+    cfg = ApcConfig(n=1, L=8, hidden_dim=32, input_dim=8, optimizer=optimizer, seed=0)
+    model = init_model(cfg)
+    opt = (apc._Adam if optimizer == "adam" else apc._Sgd)(model.theta, 0.01)
+    x = np.random.default_rng(0).standard_normal((1, 3, 8))
+    buf = apc._grad_buffer(model)
+    peak = traced_peak(lambda: _batch_loss_grads(model, x, 1.0, buf, opt.next_batch()))
+    # the old Adam step over the whole vector made two theta-sized temporaries
+    assert peak < model.theta.nbytes // 2
+
+
+def test_lstm_backward_memory_does_not_grow_with_factors():
+    H, d = 32, 4
+    model = init_model(ApcConfig(n=1, L=1, hidden_dim=H, input_dim=d, seed=0))
+    [layer] = model.layers
+    rng = np.random.default_rng(0)
+    peaks = {}
+    for T in (64, 512):
+        _, cache = apc._lstm_forward(layer, rng.standard_normal((1, T, d)))
+        dh_out = rng.standard_normal((1, T, H))
+        grads = grad_layers(model)[0]
+        peaks[T] = traced_peak(lambda: apc._lstm_backward(layer, cache, dh_out, grads))
+    per_step = (peaks[512] - peaks[64]) / (512 - 64)
+    # dz (4H) and dx (d) grow with T; factors kept for all steps added 10H
+    assert per_step < 0.6 * 10 * H * 8, per_step
+
 
 def test_training_with_sgd_and_rnn():
     archive = toy_archive(seed=3)

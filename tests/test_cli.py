@@ -482,9 +482,13 @@ def test_feature_directory_with_both_formats_exits_3(corpus_dir, tmp_path, capsy
     assert cli.main(["apc", "train", "--features", str(feats), "--n", "1", "--layers", "1",
                      "--hidden-dim", "5", "--cell", "simple-rnn", "--epochs", "1",
                      "--out", str(tmp_path / "apc")]) == 0
-    # 5-dim .ftxt files land beside the 4-dim .fbin ones
+    # 5-dim .ftxt files land beside the 4-dim .fbin ones (``apc extract``
+    # refuses to write them there)
     assert cli.main(["apc", "extract", "--model", str(tmp_path / "apc" / "apc.ckpt"),
-                     "--features", str(feats), "--format", "text", "--out", str(feats)]) == 0
+                     "--features", str(feats), "--format", "text",
+                     "--out", str(tmp_path / "text")]) == 0
+    for f in (tmp_path / "text").glob("*.ftxt"):
+        shutil.copy(f, feats)
     rc = cli.main(["eval", "--features", str(feats), "--items",
                    str(corpus_dir / "items.item"), "--mode", "within",
                    "--out", str(tmp_path / "out")])
@@ -492,6 +496,51 @@ def test_feature_directory_with_both_formats_exits_3(corpus_dir, tmp_path, capsy
     err = capsys.readouterr().err
     assert f"{feats}: 2 .fbin and 2 .ftxt files" in err
     assert not (tmp_path / "out").exists()
+
+
+def _tree(root):
+    """{relative path: bytes} of every file below root."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _extract(apc_dir, features, out, fmt="binary"):
+    return cli.main(["apc", "extract", "--model", str(apc_dir / "apc.ckpt"),
+                     "--features", str(features), "--format", fmt, "--out", str(out)])
+
+
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+def test_extract_into_an_archive_it_does_not_fill_exits_2(fmt, corpus_dir, apc_dir,
+                                                          tmp_path, capsys):
+    out = tmp_path / "extracted"
+    assert _extract(apc_dir, corpus_dir / "features", out) == 0
+    before = _tree(out)
+    # one utterance fewer (binary), or the same ones as text: either run
+    # would leave a file of the earlier archive beside its own
+    fewer = tmp_path / "fewer"
+    shutil.copytree(corpus_dir / "features", fewer)
+    if fmt == "binary":
+        sorted(fewer.glob("*.fbin"))[-1].unlink()
+    assert _extract(apc_dir, fewer, out, fmt) == 2
+    err = capsys.readouterr().err
+    stale = sorted(f for f in before if f.endswith(".fbin"))[-1 if fmt == "binary" else 0]
+    assert err.startswith(f"abxlab: error: {out} holds ") and f"(first {stale})" in err
+    assert _tree(out) == before
+    # a re-run that writes the same names succeeds
+    assert _extract(apc_dir, corpus_dir / "features", out) == 0
+    assert sorted(_tree(out)) == sorted(before)
+
+
+def test_synth_into_a_larger_corpus_exits_2(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    argv = ["synth", "--phones", "a,b", "--dim", "4", "--segments-per-cell", "3",
+            "--frames", "4:6", "--seed", "7", "--out", str(out)]
+    assert cli.main(argv + ["--speakers", "3"]) == 0
+    before = _tree(out)
+    assert cli.main(argv + ["--speakers", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'features'} holds 1 feature file(s)" in err and "(first u03.fbin)" in err
+    assert _tree(out) == before
+    assert cli.main(argv + ["--speakers", "3"]) == 0
 
 
 def test_fbin_directory_exits_2(corpus_dir, tmp_path, capsys):

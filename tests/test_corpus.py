@@ -10,6 +10,7 @@ from abxlab.corpus import (
     FrameLabelTrack,
     ItemSegment,
     ITEM_HEADER,
+    check_archive_outputs,
     feature_archive_files,
     item_file_bytes,
     label_track_bytes,
@@ -240,6 +241,18 @@ def test_archive_with_both_formats_is_inconsistent(tmp_path):
         load_feature_archive(tmp_path / "feat")
     assert load_feature_archive(tmp_path / "feat", format="binary").dim == 4
     assert load_feature_archive(tmp_path / "feat", format="text").dim == 3
+
+
+def test_archive_check_reads_only_directories_that_get_feature_files(tmp_path):
+    out = tmp_path / "out"
+    (out / "feats").mkdir(parents=True)
+    (out / "old.fbin").write_bytes(b"")
+    (out / "feats" / "note.txt").write_bytes(b"")
+    # no feature file goes to out itself, and feats holds no other one
+    check_archive_outputs(out, ["report.txt", "feats/a.ftxt"])
+    check_archive_outputs(tmp_path / "missing", ["a.fbin"])
+    with pytest.raises(UsageError, match=r"holds 1 feature file\(s\) .*\(first old.fbin\)"):
+        check_archive_outputs(out, ["a.fbin", "old.ftxt"])
 
 
 # ---------------------------------------------------------------------------
