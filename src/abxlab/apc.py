@@ -165,12 +165,14 @@ def _sigmoid(z, out, e, nonneg):
 # forward / backward
 
 
-def _input_products(layer, x, spans):
+def _input_products(layer, x, spans, zx=None):
     """zx = x @ Wx + b for each group of rows over its own steps: (N, T, G).
 
-    Entries past a sequence's end are left unset; no step reads them.
+    ``zx`` is the buffer to write (default: a fresh one).  Entries past a
+    sequence's end are left as they were; no step reads them.
     """
-    zx = np.empty(x.shape[:2] + layer["b"].shape)
+    if zx is None:
+        zx = np.empty(x.shape[:2] + layer["b"].shape)
     for r0, r1, T in spans:
         zx_k = zx[r0:r1, :T]
         np.matmul(x[r0:r1, :T], layer["Wx"], out=zx_k)
@@ -203,14 +205,16 @@ def _step_rows(shape):
     return np.lib.stride_tricks.as_strided(buf, shape, (buf.strides[0], 0, buf.strides[1]))
 
 
-def _lstm_forward(layer, x, spans=None, keep=True):
+def _lstm_forward(layer, x, spans=None, keep=True, zx=None):
     """x: (N, T, in) -> h: (N, T, H) plus the cache for BPTT.
 
     Each step writes into preallocated buffers with ``out=``, keeping the
     element arithmetic of ``z = zx + h_prev @ Wh``, ``c = f*c_prev + i*g``
-    and ``h = o*tanh(c)``.  The sigmoid goes straight into the step's row
-    of one (N, T, 4H) gate array, and tanh of the g pre-activations over
-    its g part; the cache's i, f, g and o are views into that array.
+    and ``h = o*tanh(c)``.  The input products zx go into ``zx`` (see
+    ``_input_products``).  With ``keep``, the cache's (N, T, 4H) gate
+    array is zx itself: a step reads its row of zx into z before the
+    sigmoid of z goes into that row and tanh of the g pre-activations
+    over its g part.
 
     ``spans`` (default: all rows, one group) packs sequences as for
     ``_segments``; every elementwise call covers all running rows, and
@@ -222,10 +226,9 @@ def _lstm_forward(layer, x, spans=None, keep=True):
     Wh = layer["Wh"]
     H = Wh.shape[0]
     spans = spans or [(0, N, T)]
-    zx = _input_products(layer, x, spans)
-    history = np.empty if keep else _step_rows
-    gates = history((N, T, 4 * H))
-    c = history((N, T, H))
+    zx = _input_products(layer, x, spans, zx)
+    gates = zx if keep else _step_rows((N, T, 4 * H))
+    c = (np.empty if keep else _step_rows)((N, T, H))
     h = np.zeros((N, T, H))
     i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
     z = np.empty((N, 4 * H)); e = np.empty((N, 4 * H))
@@ -250,9 +253,7 @@ def _lstm_forward(layer, x, spans=None, keep=True):
             np.tanh(c_t, out=h_t)
             np.multiply(o_t, h_t, out=h_t)
             h_prev, c_prev = h_t, c_t
-    if not keep:
-        return h, None
-    return h, {"x": x, "i": i, "f": f, "g": g, "o": o, "c": c, "h": h}
+    return h, ({"x": x, "gates": gates, "c": c, "h": h} if keep else None)
 
 
 def _weight_grads(layer, x, h, dz, out):
@@ -294,19 +295,24 @@ def _lstm_backward(layer, cache, dh_out, out):
     time loop carries only dh and dc back one step.
 
     Every factor that does not depend on dh or dc is computed for a block
-    of steps before the loop runs over them, into one (B, block, 10, H)
+    of steps before the loop runs over them, into one (B, block, 11, H)
     array that the blocks reuse, walking backward.  The i, f and g gates
     all start from dc and keep the association ((dc * u) * v) * w of
     their formulas, so they run as in-place multiplies on one stacked
     view: u = (g, c_prev, i), v = (i, f, 1-g^2), w = (1-i, 1-f) (g has no
     third factor).  u and v share the slot of i.
+
+    The pre-activation gradients dz are written over the cache's gate
+    array, step t over gate row t: the block's factors, o and f among
+    them, are copied out before its steps run.  The cache is spent.
     """
-    x, i, f, g, o, c, h = (cache[k] for k in ("x", "i", "f", "g", "o", "c", "h"))
+    x, gates, c, h = (cache[k] for k in ("x", "gates", "c", "h"))
     B, T, H = h.shape
+    i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
     Wh_T = layer["Wh"].T
-    # slots: g, c_prev, i, f, 1-g^2, 1-i, 1-f, tanh(c), 1-tanh(c)^2, 1-o
-    fac_buf = np.empty((B, min(T, BPTT_BLOCK), 10, H))
-    dz = np.empty((B, T, 4 * H))
+    # slots: g, c_prev, i, f, 1-g^2, 1-i, 1-f, tanh(c), 1-tanh(c)^2, 1-o, o
+    fac_buf = np.empty((B, min(T, BPTT_BLOCK), 11, H))
+    dz = gates
     dz4 = dz.reshape(B, T, 4, H)
     dh = np.empty((B, H))
     dc3 = np.empty((B, 1, H))
@@ -325,9 +331,10 @@ def _lstm_backward(layer, cache, dh_out, out):
         np.subtract(1.0, fac[:, :, 2:4], out=fac[:, :, 5:7])
         np.tanh(c[:, t0:t1], out=fac[:, :, 7])
         np.subtract(1.0, fac[:, :, 7] ** 2, out=fac[:, :, 8])
-        np.subtract(1.0, o[:, t0:t1], out=fac[:, :, 9])
+        fac[:, :, 10] = o[:, t0:t1]
+        np.subtract(1.0, fac[:, :, 10], out=fac[:, :, 9])
         steps = zip(range(t1 - 1, t0 - 1, -1), *(a.swapaxes(0, 1)[::-1] for a in (
-            dh_out[:, t0:t1], o[:, t0:t1], f[:, t0:t1], fac[:, :, 0:3], fac[:, :, 2:5],
+            dh_out[:, t0:t1], fac[:, :, 10], fac[:, :, 3], fac[:, :, 0:3], fac[:, :, 2:5],
             fac[:, :, 5:7], fac[:, :, 7], fac[:, :, 8], fac[:, :, 9], dz[:, t0:t1],
             dz4[:, t0:t1, :3], dz4[:, t0:t1, :2], dz4[:, t0:t1, 3])))
         for (t, dh_out_t, o_t, f_t, u_t, v_t, w_t, tanh_c_t, dtanh_c_t,
@@ -348,12 +355,13 @@ def _lstm_backward(layer, cache, dh_out, out):
     return _weight_grads(layer, x, h, dz, out)
 
 
-def _rnn_forward(layer, x, spans=None, keep=True):
-    """h_t = tanh(zx_t + h_prev @ Wh); packs and ``keep`` as for the LSTM."""
+def _rnn_forward(layer, x, spans=None, keep=True, zx=None):
+    """h_t = tanh(zx_t + h_prev @ Wh); packs, ``keep`` and ``zx`` as for
+    the LSTM, but the cache holds no zx."""
     N, T, _ = x.shape
     Wh = layer["Wh"]
     spans = spans or [(0, N, T)]
-    zx = _input_products(layer, x, spans)
+    zx = _input_products(layer, x, spans, zx)
     h = np.zeros((N, T, Wh.shape[0]))
     z = np.empty((N, Wh.shape[0]))
     h_prev = np.zeros((N, Wh.shape[0]))
@@ -388,22 +396,30 @@ def _rnn_backward(layer, cache, dh_out, out):
 
 
 def _stack(model: ApcModel, x: np.ndarray, spans, keep: bool):
-    """Every layer over the pack x (N, T, d) -> (h_L, [(cache, residual)])."""
+    """Every layer over the pack x (N, T, d) -> (h_L, [(cache, residual)]).
+
+    Without ``keep``, every layer writes its input products into one
+    (N, T, G) buffer and adds its residual into its own fresh output, so
+    a pack holds one zx, x and two layers' outputs at a time.
+    """
     step = _lstm_forward if model.config.cell_kind == "lstm" else _rnn_forward
+    zx = None if keep else np.empty(x.shape[:2] + model.layers[0]["b"].shape)
     inp = x
     caches = []
     for layer in model.layers:
-        out, cache = step(layer, inp, spans, keep)
+        out, cache = step(layer, inp, spans, keep, zx)
         residual = inp.shape[-1] == out.shape[-1]
-        if residual:
-            out = out + inp
+        if residual:  # a cache keeps the layer's own h
+            out = np.add(out, inp, out=None if keep else out)
         caches.append((cache, residual))
         inp = out
     return inp, caches
 
 
 def _forward_batch(model: ApcModel, x: np.ndarray):
-    """x: (B, T, d) -> (xhat, h_L, caches)."""
+    """x: (B, T, d) -> (xhat, h_L, caches); a float32 x is taken as float64
+    first, and the first layer's cache holds that copy."""
+    x = x.astype(np.float64, copy=False)
     h_top, caches = _stack(model, x, [(0, x.shape[0], x.shape[1])], keep=True)
     return h_top @ model.W, h_top, caches
 
@@ -427,7 +443,9 @@ def _forward_only(model: ApcModel, groups):
     The groups run in packs of at most ``batch_size`` sequences, zero
     padded to the pack's longest; each group's h_L (B, T, H) is a view
     into its pack and bit-identical to ``_forward_batch`` on the group
-    alone.
+    alone.  Groups may be float32: the pack is a float64 copy, and all
+    of its layers share one input-product buffer (see ``_stack``).  One
+    pack's arrays are live at a time.
     """
     for pack in _packs(groups, model.config.batch_size):
         first = groups[pack[0]]
@@ -442,6 +460,7 @@ def _forward_only(model: ApcModel, groups):
         h_top, _ = _stack(model, x, spans, keep=False)
         for k, (r0, r1, T) in zip(pack, spans):
             yield k, h_top[r0:r1, :T]
+        del x, h_top  # before the next pack's are made
 
 
 def forward(model: ApcModel, x) -> tuple[np.ndarray, np.ndarray]:
@@ -479,13 +498,15 @@ def _grad_buffer(model: ApcModel) -> np.ndarray:
 def _batch_loss_grads(model: ApcModel, x: np.ndarray, scale: float, buf, sink):
     """Mean-per-sequence loss and gradients, scaled by ``scale`` per item.
 
-    x is (B, T, d); the L1 subgradient at zero is taken as 0 (np.sign).
+    x is (B, T, d), float32 or float64 (see ``_forward_batch``); the L1
+    subgradient at zero is taken as 0 (np.sign).
     Each parameter block's gradient is written into the leading entries
     of ``buf`` (see ``_grad_buffer``), and ``sink(block, grad)`` gets that
     view at once, with ``block`` its slice of ``model.theta``: W first,
     then layer L down to layer 1.  The backward reads no block's weights
-    after its sink call, so the sink may step them.  Returns the
-    per-sequence losses.
+    after its sink call, so the sink may step them.  Each layer's cache,
+    which its backward spends, is dropped as soon as that backward
+    returns.  Returns the per-sequence losses.
     """
     xhat, h_top, caches = _forward_batch(model, x)
     seq_losses, diff = _seq_losses(xhat, x, model.config.n)
@@ -497,11 +518,11 @@ def _batch_loss_grads(model: ApcModel, x: np.ndarray, scale: float, buf, sink):
     grad.reshape(model.W.shape)[...] = np.einsum("bti,btj->ij", h_top, dxhat)
     dh = dxhat @ model.W.T
     sink(w_block, grad)
-    for layer, block, (cache, residual) in zip(
-        reversed(model.layers), reversed(layer_blocks), reversed(caches)
-    ):
+    for layer, block in zip(reversed(model.layers), reversed(layer_blocks)):
+        cache, residual = caches.pop()
         grad = buf[:block.stop - block.start]
         dx = step_back(layer, cache, dh, _views(grad, {k: p.shape for k, p in layer.items()}))
+        del cache
         dh = dx + dh if residual else dx
         sink(block, grad)
     return seq_losses
@@ -512,12 +533,18 @@ def _batch_loss_grads(model: ApcModel, x: np.ndarray, scale: float, buf, sink):
 
 
 class _Adam:
+    """Adam over ``theta`` in place, one parameter block per ``step``.
+
+    The moments ``m`` and ``v`` come from ``np.zeros``, which leaves a
+    large array's pages unwritten until the first step writes them.
+    """
+
     def __init__(self, theta, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.theta = theta
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = np.zeros_like(theta)
-        self.v = np.zeros_like(theta)
+        self.m = np.zeros(theta.shape)
+        self.v = np.zeros(theta.shape)
 
     def next_batch(self):
         """Count one more batch; returns the sink that steps its blocks."""
@@ -558,7 +585,12 @@ class _Sgd:
 
 
 def _make_batches(archive: FeatureArchive, n: int, batch_size: int):
-    """Equal-length buckets in sorted order, split to batch_size."""
+    """Equal-length buckets in sorted order, split to batch_size.
+
+    A bucket stays float32, as the archive holds it: a (1, T, d) view of
+    the archive's matrix for one utterance, a stack where lengths tie.
+    Training takes one bucket at a time as float64 (``_forward_batch``).
+    """
     seqs = []
     for utt in archive.utterance_ids():
         T = archive.n_frames(utt)
@@ -574,10 +606,8 @@ def _make_batches(archive: FeatureArchive, n: int, batch_size: int):
         j = i
         while j < len(seqs) and seqs[j][0] == seqs[i][0] and j - i < batch_size:
             j += 1
-        utts = [u for _, u in seqs[i:j]]
-        batches.append(np.stack([
-            archive.frames(u).astype(np.float64) for u in utts
-        ]))
+        frames = [archive.frames(u) for _, u in seqs[i:j]]
+        batches.append(frames[0][None] if len(frames) == 1 else np.stack(frames))
         i = j
     return batches
 

@@ -10,8 +10,9 @@ Subcommands:
 Every run that produces a report directory also writes ``manifest.json``
 recording the command line, the merged configuration, SHA-256 digests of
 the inputs, the seed, wall time, the tool version and the run's stats
-(``eval``: the worker processes that scored and the DP cells counted to
-decide on a pool; null for the other commands).  Each such command returns
+(every command: the peak resident set of the process and of the children
+it waited for; ``eval`` adds the worker processes that scored and the DP
+cells counted to decide on a pool).  Each such command returns
 only its files (as bytes), a message and its stats; ``main`` builds
 the manifest from the parsed flags and writes it with the files in one
 atomic ``write_outputs`` call.  The config is every flag of the command
@@ -624,6 +625,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _peak_rss_mb() -> float | None:
+    """The largest resident set so far, in MB, of this process or of a
+    child it waited for (``eval``'s pool workers); None without
+    ``resource`` (Windows).  On Linux a process's high-water mark starts
+    at the RSS its parent held when it forked."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 2)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
@@ -643,7 +658,7 @@ def main(argv=None) -> int:
             inputs=digest_inputs(inputs),
             seed=config.get("seed"),
             wall_time_s=time.perf_counter() - t0,
-            stats=run.stats,
+            stats=dict(run.stats or {}, peak_rss_mb=_peak_rss_mb()),
         )
         check_archive_outputs(args.out, run.files)
         write_outputs(args.out, {**run.files, "manifest.json": manifest.to_json_bytes()})

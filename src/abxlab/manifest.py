@@ -112,7 +112,7 @@ class RunManifest:
     seed: int | None = None
     wall_time_s: float = 0.0
     tool_version: str = __version__
-    stats: dict | None = None  # what the run did; None for a command that reports nothing
+    stats: dict | None = None  # what the run did
 
     def to_json_bytes(self) -> bytes:
         return json_bytes(dict(vars(self), wall_time_s=round(self.wall_time_s, 6)))

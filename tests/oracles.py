@@ -235,9 +235,15 @@ def sigmoid_masked(z):
     return out
 
 
+def gate_views(cache):
+    """The i, f, g and o parts of an LSTM cache's (B, T, 4H) gate array."""
+    return np.split(cache["gates"], 4, axis=-1)
+
+
 def lstm_backward_steps(layer, cache, dh_out, out):
     """LSTM BPTT with per-step gradient accumulation; same interface as apc's."""
-    x, i, f, g, o, c, h = (cache[k] for k in ("x", "i", "f", "g", "o", "c", "h"))
+    x, c, h = cache["x"], cache["c"], cache["h"]
+    i, f, g, o = gate_views(cache)
     B, T, H = h.shape
     tanh_c = np.tanh(c)
     dWx = np.zeros_like(layer["Wx"])
@@ -323,7 +329,7 @@ def lstm_forward_alloc(layer, x):
         h[:, t] = o[:, t] * np.tanh(c[:, t])
         h_prev = h[:, t]
         c_prev = c[:, t]
-    return h, {"x": x, "i": i, "f": f, "g": g, "o": o, "c": c, "h": h}
+    return h, {"x": x, "gates": np.concatenate([i, f, g, o], axis=-1), "c": c, "h": h}
 
 
 def rnn_forward_alloc(layer, x):
@@ -340,7 +346,8 @@ def rnn_forward_alloc(layer, x):
 
 def lstm_backward_alloc(layer, cache, dh_out, out):
     """BPTT; the time loop carries only dh and dc back one step."""
-    x, i, f, g, o, c, h = (cache[k] for k in ("x", "i", "f", "g", "o", "c", "h"))
+    x, c, h = cache["x"], cache["c"], cache["h"]
+    i, f, g, o = gate_views(cache)
     B, T, H = h.shape
     Wh_T = layer["Wh"].T
     tanh_c = np.tanh(c)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,8 +276,10 @@ def test_bptt_matches_step_oracle(cell, B, T, small_block):
         model.layers, grad_layers(model), grad_layers(model), caches
     ):
         dh_out = rng.standard_normal(cache["h"].shape)
+        # the backward spends its cache: the oracle reads a copy
+        cache_ref = {k: a.copy() for k, a in cache.items()}
         dx = backward(layer, cache, dh_out, grads)
-        dx_ref = STEP_ORACLES[cell](layer, cache, dh_out, grads_ref)
+        dx_ref = STEP_ORACLES[cell](layer, cache_ref, dh_out, grads_ref)
         assert_close(dx, dx_ref)
         for k in ("Wx", "Wh", "b"):
             assert_close(grads[k], grads_ref[k])
@@ -587,13 +590,80 @@ def test_lstm_backward_memory_does_not_grow_with_factors():
     rng = np.random.default_rng(0)
     peaks = {}
     for T in (64, 512):
-        _, cache = apc._lstm_forward(layer, rng.standard_normal((1, T, d)))
+        x = rng.standard_normal((1, T, d))
+        # the backward spends its cache: one for the warm-up, one measured
+        caches = [apc._lstm_forward(layer, x)[1] for _ in range(2)]
         dh_out = rng.standard_normal((1, T, H))
         grads = grad_layers(model)[0]
-        peaks[T] = traced_peak(lambda: apc._lstm_backward(layer, cache, dh_out, grads))
+        peaks[T] = traced_peak(lambda: apc._lstm_backward(layer, caches.pop(), dh_out, grads))
     per_step = (peaks[512] - peaks[64]) / (512 - 64)
-    # dz (4H) and dx (d) grow with T; factors kept for all steps added 10H
-    assert per_step < 0.6 * 10 * H * 8, per_step
+    # only dx (d) grows with T; factors kept for all steps added 10H, and
+    # a dz of its own, not written over the gates, 4H
+    assert per_step < 4 * H * 8 / 2, per_step
+
+
+@pytest.mark.parametrize("cell", ["lstm", "simple-rnn"])
+def test_forward_only_layers_share_one_input_product_buffer(cell, monkeypatch):
+    # input_dim = hidden_dim: both layers are residual
+    N, T, H = 4, 300, 32
+    model = init_model(ApcConfig(n=1, L=2, hidden_dim=H, input_dim=H, cell_kind=cell,
+                                 batch_size=N))
+    rng = np.random.default_rng(0)
+    groups = [rng.standard_normal((B, t, H)) for B, t in ((3, T), (1, 9), (2, 5))]
+    buffers = []
+    inner = apc._input_products
+
+    def spy(layer, x, spans, zx=None):
+        buffers.append(inner(layer, x, spans, zx))
+        return buffers[-1]
+
+    monkeypatch.setattr(apc, "_input_products", spy)
+    packs = apc._packs(groups, N)
+    assert len(dict(apc._forward_only(model, groups))) == len(groups)
+    assert len(buffers) == len(packs) * model.config.L == 4
+    for first, second in zip(buffers[::2], buffers[1::2]):
+        assert np.shares_memory(first, second)
+    assert not np.shares_memory(buffers[0], buffers[2])
+    monkeypatch.undo()
+    # the pack x, the buffer and two layers' outputs, each the size of x;
+    # a residual sum in a fresh array, beside the buffer, would add a third
+    x = groups[0]
+    G = model.layers[0]["b"].size
+    peak = traced_peak(lambda: list(apc._forward_only(model, [x])))
+    assert peak < (1 + G // H + 2 + 0.25) * x.nbytes, peak / x.nbytes
+
+
+def test_training_memory_does_not_grow_with_utterances():
+    rng = np.random.default_rng(0)
+    d = 64
+
+    def archive(lengths):
+        return FeatureArchive({f"u{T:03d}": rng.standard_normal((T, d)).astype(np.float32)
+                               for T in lengths}, 10000)
+
+    base, added = range(40, 50), range(10, 40)
+    cfg = ApcConfig(n=1, L=1, hidden_dim=4, epochs=1, batch_size=8, seed=0)
+    peaks = [traced_peak(lambda: train(cfg, a))
+             for a in (archive(base), archive([*base, *added]))]
+    added_bytes = sum(added) * d * 4
+    # a float64 copy of every utterance would add twice their float32 size
+    assert peaks[1] - peaks[0] < added_bytes / 4, (peaks, added_bytes)
+
+
+def vm_rss():
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) * 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_adam_moments_start_untouched():
+    theta = np.empty(8 << 20)  # 64 MB, never written
+    before = vm_rss()
+    opt = apc._Adam(theta, 0.01)
+    # zeros written into m and v would make 128 MB resident
+    assert vm_rss() - before < 16 << 20
+    assert opt.m.shape == opt.v.shape == theta.shape
 
 
 def test_training_with_sgd_and_rnn():

@@ -1027,10 +1027,12 @@ def test_runner_writes_manifest(name, corpus_dir, vowel_dir, eval_dir, apc_dir, 
     assert set(manifest) == {
         "command", "config", "inputs", "seed", "stats", "tool_version", "wall_time_s",
     }
+    stats = manifest["stats"]
+    assert stats["peak_rss_mb"] > 0
     if argv[0] == "eval":  # these corpora score inline
-        assert manifest["stats"]["workers"] == 1
+        assert stats["workers"] == 1
     else:
-        assert manifest["stats"] is None
+        assert set(stats) == {"peak_rss_mb"}
     assert manifest["command"] == ["abxlab"] + argv + ["--out", str(out)]
     assert manifest["config"] == config
     assert set(manifest["inputs"]) == _digest_keys(*inputs)
