@@ -78,7 +78,6 @@ class CellLimits:
 
 @dataclass(frozen=True)
 class CellScore:
-    kind: str
     category_x: str
     category_y: str
     context: tuple[str, str]
@@ -177,7 +176,7 @@ def _rank(segments):
 class GroupPlan(NamedTuple):
     """What scoring a group needs before any DTW runs."""
 
-    heads: list  # per cell, its kind, categories, context and speakers
+    heads: list  # per cell, its categories, context and speakers
     ranks: list  # the ranks of the distinct segments the cells read, ascending
     members: list  # per cell, its (x_ab, y_ab, x_x, y_x) index arrays into ranks
     i: np.ndarray  # the segment pairs the distance block computes, i < j
@@ -261,7 +260,7 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
                     valid = sorted(valid[i] for i in idx)
                 for s_ab, s_x in valid:
                     ab, sx = speakers[s_ab], speakers[s_x]
-                    heads.append((kind, x, y, ctx, s_ab, s_x))
+                    heads.append((x, y, ctx, s_ab, s_x))
                     sets.extend((ab[x], ab[y], sx[x], sx[y]))
             if heads:
                 plans.append(_plan_group(heads, sets))
@@ -347,7 +346,7 @@ def _score_group(plan: GroupPlan, frames, cfg: DtwConfig) -> list[CellScore]:
     )
     scores = []
     for head, (x_ab, y_ab, x_x, y_x) in zip(plan.heads, plan.members):
-        within = head[4] == head[5]  # speaker_ab == speaker_x
+        within = head[3] == head[4]  # speaker_ab == speaker_x
         eta_xy, total_xy = _eta(block, x_ab, y_ab, x_x, within)
         eta_yx, total_yx = _eta(block, y_ab, x_ab, y_x, within)
         scores.append(CellScore(
@@ -419,16 +418,15 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
     Every listed segment, af-excluded ones too, is resolved to its frames
     first, so a row the archive cannot serve raises ``DataError`` (exit
     3) before an empty task raises ``EmptyTaskError`` (exit 4).  ``jobs``
-    caps the worker processes: with ``jobs > 1`` and two groups or more,
-    the task's DP cells are counted first, and a pool of ``min(jobs,
-    groups)`` workers starts only when they reach ``POOL_MIN_DP_CELLS``;
-    otherwise every group is scored inline.  Workers get the resolved
-    frames once, through the pool initializer; plans carry only ranks.
+    caps the worker processes: the task's DP cells are counted first, and
+    when they reach ``POOL_MIN_DP_CELLS`` a pool of ``min(jobs, groups)``
+    workers scores the groups if that is more than one; otherwise every
+    group is scored inline.  Workers get the resolved frames once,
+    through the pool initializer; plans carry only ranks.
     The report is bit-identical for any jobs value: each group's cells
     are scored from its own distance block, and the scores are folded in
     sorted order.  ``report.stats`` holds ``workers`` (the pool's
-    processes, 1 inline) and ``dp_cells`` (the count, or None when no
-    decision needed it).
+    processes, 1 inline) and ``dp_cells`` (the count).
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
@@ -438,11 +436,8 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
         raise EmptyTaskError(
             f"no scoreable cells (undersized candidates: {stats['undersized']})"
         )
-    workers, dp_cells = 1, None
-    if jobs > 1 and len(plans) > 1:
-        dp_cells = _dp_cells(plans, frames)
-        if dp_cells >= POOL_MIN_DP_CELLS:
-            workers = min(jobs, len(plans))
+    dp_cells = _dp_cells(plans, frames)
+    workers = min(jobs, len(plans)) if dp_cells >= POOL_MIN_DP_CELLS else 1
     if workers == 1:
         scored = [_score_group(p, frames, cfg) for p in plans]
     else:

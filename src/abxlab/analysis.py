@@ -39,20 +39,21 @@ def _norm_pair(key) -> tuple[str, str]:
 
 @dataclass
 class PhonemeReport:
-    condition: str
     xi: dict
     denominators: dict
     tags: dict
     missing: list = field(default_factory=list)
 
 
-def phoneme_level_rates(pairwise, inventory=None, condition: str = "") -> PhonemeReport:
+def phoneme_level_rates(pairwise, inventory=None) -> PhonemeReport:
     """xi(w) = mean of pairwise rates over present pairs containing w.
 
     The categories w are phones, or AF attributes for the pairwise map
     of an AF task (which then get the tag "other").  ``inventory``
     defaults to every category appearing in the pairwise map;
     categories with no scorable pair land in ``missing`` instead of ``xi``.
+    The report holds no condition; ``analyze phoneme`` writes the one its
+    ``pairwise.csv`` rows carry.
     """
     if not pairwise:
         raise DataError("empty pairwise rate map")
@@ -68,7 +69,7 @@ def phoneme_level_rates(pairwise, inventory=None, condition: str = "") -> Phonem
     denom = dict(sorted(Counter(w for w, _ in incident).items()))
     missing = [w for w in sorted(inventory) if w not in xi]
     tags = {w: phone_category(w) for w in sorted(inventory)}
-    return PhonemeReport(condition, xi, denom, tags, missing)
+    return PhonemeReport(xi, denom, tags, missing)
 
 
 # ---------------------------------------------------------------------------

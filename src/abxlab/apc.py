@@ -132,9 +132,6 @@ class ApcModel:
         """(name, array) pairs in the fixed checkpoint order."""
         return iter(self._params.items())
 
-    def n_params(self) -> int:
-        return self.theta.size
-
 
 def init_model(cfg: ApcConfig) -> ApcModel:
     """Weights ~ N(0, 1/fan_in), drawn in checkpoint order; biases 0."""
@@ -504,9 +501,10 @@ def _batch_loss_grads(model: ApcModel, x: np.ndarray, scale: float, buf, sink):
     of ``buf`` (see ``_grad_buffer``), and ``sink(block, grad)`` gets that
     view at once, with ``block`` its slice of ``model.theta``: W first,
     then layer L down to layer 1.  The backward reads no block's weights
-    after its sink call, so the sink may step them.  Each layer's cache,
-    which its backward spends, is dropped as soon as that backward
-    returns.  Returns the per-sequence losses.
+    after its sink call, so the sink may step them.  The prediction, its
+    error and their gradient are dropped once the top layer's dh exists,
+    and each layer's cache, which its backward spends, as soon as that
+    backward returns.  Returns the per-sequence losses.
     """
     xhat, h_top, caches = _forward_batch(model, x)
     seq_losses, diff = _seq_losses(xhat, x, model.config.n)
@@ -517,13 +515,14 @@ def _batch_loss_grads(model: ApcModel, x: np.ndarray, scale: float, buf, sink):
     grad = buf[:model.W.size]
     grad.reshape(model.W.shape)[...] = np.einsum("bti,btj->ij", h_top, dxhat)
     dh = dxhat @ model.W.T
+    del xhat, h_top, diff, dxhat  # nothing reads them again
     sink(w_block, grad)
     for layer, block in zip(reversed(model.layers), reversed(layer_blocks)):
         cache, residual = caches.pop()
         grad = buf[:block.stop - block.start]
         dx = step_back(layer, cache, dh, _views(grad, {k: p.shape for k, p in layer.items()}))
         del cache
-        dh = dx + dh if residual else dx
+        dh = np.add(dx, dh, out=dx) if residual else dx
         sink(block, grad)
     return seq_losses
 
@@ -539,9 +538,11 @@ class _Adam:
     large array's pages unwritten until the first step writes them.
     """
 
-    def __init__(self, theta, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, theta, lr):
         self.theta = theta
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = np.zeros(theta.shape)
         self.v = np.zeros(theta.shape)
@@ -699,16 +700,17 @@ def gradient_check(model: ApcModel, x, n: int, epsilon: float = 1e-5) -> float:
 
 
 KINK_MARGIN = 1e-4
+GRADCHECK_T = 8  # frames of the random instance
+GRADCHECK_MAX_RESAMPLES = 10
 
 
 def run_gradient_check(cfg: ApcConfig | None = None, seed: int = 0,
-                       T: int = 8, epsilon: float = 1e-5,
-                       max_resamples: int = 10):
+                       epsilon: float = 1e-5):
     """Build a small random instance away from L1 kinks and check it.
 
     Inputs are resampled while any |xhat_t - x_(t+n)| component is
     within KINK_MARGIN of zero, where the loss is not differentiable;
-    more than ``max_resamples`` draws raises InconclusiveGradCheck.
+    more than ``GRADCHECK_MAX_RESAMPLES`` draws raises InconclusiveGradCheck.
     Returns (max_relative_error, resamples_used).
 
     Parameters whose true gradient sits near the 1e-8 denominator floor
@@ -722,14 +724,14 @@ def run_gradient_check(cfg: ApcConfig | None = None, seed: int = 0,
     cfg = replace(cfg, input_dim=cfg.input_dim or 2, seed=seed)
     model = init_model(cfg)
     rng = np.random.default_rng(seed)
-    for attempt in range(max_resamples + 1):
-        x = rng.standard_normal((T, cfg.input_dim))
+    for attempt in range(GRADCHECK_MAX_RESAMPLES + 1):
+        x = rng.standard_normal((GRADCHECK_T, cfg.input_dim))
         xhat, _ = forward(model, x)
-        gap = np.abs(xhat[:T - cfg.n] - x[cfg.n:]).min()
+        gap = np.abs(xhat[:GRADCHECK_T - cfg.n] - x[cfg.n:]).min()
         if gap >= KINK_MARGIN:
             return gradient_check(model, x, cfg.n, epsilon), attempt
     raise InconclusiveGradCheck(
-        f"could not find a kink-free evaluation point in {max_resamples} resamples"
+        f"could not find a kink-free evaluation point in {GRADCHECK_MAX_RESAMPLES} resamples"
     )
 
 

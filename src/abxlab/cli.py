@@ -12,15 +12,16 @@ recording the command line, the merged configuration, SHA-256 digests of
 the inputs, the seed, wall time, the tool version and the run's stats
 (every command: the peak resident set of the process and of the children
 it waited for; ``eval`` adds the worker processes that scored and the DP
-cells counted to decide on a pool).  Each such command returns
-only its files (as bytes), a message and its stats; ``main`` builds
-the manifest from the parsed flags and writes it with the files in one
-atomic ``write_outputs`` call.  The config is every flag of the command
-(``synth`` and ``apc train`` return their merged config instead, and
-``analyze phoneme`` adds the condition it derives), the seed is the
-config's ``seed``, and the inputs are the flags typed ``InputPath`` whose
-path exists: a feature directory stands for its archive files, and a
-built-in AF table name is not a file and is not digested.
+cells, counted on every run to decide on a pool).  Each such command
+returns only its files (as bytes), a message and its stats; ``main``
+builds the manifest dict from the parsed flags and writes it with the
+files in one atomic ``write_outputs`` call.  The config is every flag of
+the command (``synth`` and ``apc train`` return their merged config
+instead, and ``analyze phoneme`` adds the condition it derives), the seed
+is the config's ``seed``, and the inputs are the flags typed
+``InputPath`` whose path exists: a feature directory stands for its
+archive files, and a built-in AF table name is not a file and is not
+digested.
 
 Exit codes: 0 success, 1 gradient check over its error bound, 2 usage
 error, 3 malformed or inconsistent data, 4 empty task (no scorable cells),
@@ -91,7 +92,7 @@ from .errors import (
     RowError,
     UsageError,
 )
-from .manifest import RunManifest, digest_inputs, json_bytes, lines_bytes, write_outputs
+from .manifest import digest_inputs, json_bytes, lines_bytes, write_outputs
 
 GRADCHECK_BOUND = 1e-4
 
@@ -225,10 +226,10 @@ def cmd_analyze_phoneme(args) -> Outputs:
     # (context, rate) order as the report's own fold does
     rows.sort(key=lambda row: (row[0], row[1], row[2], row[4]))
     pairwise = means(((x, y), rate) for x, y, _, _, rate in rows)
-    report = phoneme_level_rates(pairwise, condition=condition)
+    report = phoneme_level_rates(pairwise)
 
     doc = {
-        "condition": report.condition,
+        "condition": condition,
         "xi": {p: f"{v:.6f}" for p, v in report.xi.items()},
         "n_pairs": report.denominators,
         "tags": report.tags,
@@ -652,16 +653,17 @@ def main(argv=None) -> int:
         inputs = [f for v in flags.values()
                   if isinstance(v, InputPath) and Path(v).exists()
                   for f in (feature_paths(v) if Path(v).is_dir() else [v])]
-        manifest = RunManifest(
-            command=["abxlab"] + argv,
-            config=config,
-            inputs=digest_inputs(inputs),
-            seed=config.get("seed"),
-            wall_time_s=time.perf_counter() - t0,
-            stats=dict(run.stats or {}, peak_rss_mb=_peak_rss_mb()),
-        )
+        manifest = {
+            "command": ["abxlab"] + argv,
+            "config": config,
+            "inputs": digest_inputs(inputs),
+            "seed": config.get("seed"),
+            "wall_time_s": round(time.perf_counter() - t0, 6),
+            "tool_version": __version__,
+            "stats": dict(run.stats or {}, peak_rss_mb=_peak_rss_mb()),
+        }
         check_archive_outputs(args.out, run.files)
-        write_outputs(args.out, {**run.files, "manifest.json": manifest.to_json_bytes()})
+        write_outputs(args.out, {**run.files, "manifest.json": json_bytes(manifest)})
     except AbxlabError as e:
         print(f"abxlab: error: {e}", file=sys.stderr)
         return e.exit_code

@@ -2,7 +2,8 @@
 
 Every CLI command leaves a manifest.json next to its outputs recording
 the exact command, the merged effective config, a sha256 per input
-file, the tool version, the seed, the wall time and the run's stats.
+file, the tool version, the seed, the wall time and the run's stats;
+``cli.main`` builds it as a plain dict and encodes it with ``json_bytes``.
 Reports are never written partially: all files land under temporary
 names first and are renamed only after every write succeeded.
 """
@@ -12,12 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from . import __version__
 from .errors import UsageError
 
 
@@ -102,20 +102,6 @@ def sha256_file(path) -> str:
 def digest_inputs(paths) -> dict:
     """{path: sha256} of every input file."""
     return {str(p): sha256_file(p) for p in paths}
-
-
-@dataclass
-class RunManifest:
-    command: list
-    config: dict
-    inputs: dict
-    seed: int | None = None
-    wall_time_s: float = 0.0
-    tool_version: str = __version__
-    stats: dict | None = None  # what the run did
-
-    def to_json_bytes(self) -> bytes:
-        return json_bytes(dict(vars(self), wall_time_s=round(self.wall_time_s, 6)))
 
 
 def _make_dir(path: Path) -> None:

@@ -7,6 +7,7 @@ surface, so the markup is generated directly with no plotting library.
 from __future__ import annotations
 
 _FONT = 'font-family="sans-serif"'
+_TICK_STEPS = 5  # an axis is cut into this many equal steps
 
 
 def escape(text: str) -> str:
@@ -18,11 +19,11 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / n
-    return [lo + i * step for i in range(n + 1)]
+    step = (hi - lo) / _TICK_STEPS
+    return [lo + i * step for i in range(_TICK_STEPS + 1)]
 
 
 def bar_chart(items, title: str = "", ylabel: str = "") -> str:

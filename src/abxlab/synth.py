@@ -109,7 +109,7 @@ class SynthCorpus:
     archive: FeatureArchive
     segments: list
     tracks: list
-    config: SynthConfig = field(repr=False, default=None)
+    config: SynthConfig = field(repr=False)
 
 
 def _phone_means(cfg: SynthConfig) -> dict:
@@ -184,7 +184,7 @@ def corpus_files(corpus: SynthCorpus) -> dict:
     files["items.item"] = item_file_bytes(corpus.segments)
     files["labels.tsv"] = label_track_bytes(corpus.tracks)
     files["synth.json"] = json_bytes({
-        "config": corpus.config.to_dict() if corpus.config else None,
+        "config": corpus.config.to_dict(),
         "generator": {"name": "PCG64", "numpy": np.__version__},
     })
     return files

@@ -238,8 +238,8 @@ def test_cell_groups_are_the_segments_cells_read(mode, cap):
     plans, ranked, _ = build_cells(segments, mode, "phone", limits=limits)
     assert ranked == sorted(set(ranked))
 
-    def group_key(head):  # head: kind, category_x, category_y, context, speaker_ab, speaker_x
-        return (head[3], head[4]) if mode == "within" else (head[3],)
+    def group_key(head):  # head: category_x, category_y, context, speaker_ab, speaker_x
+        return (head[2], head[3]) if mode == "within" else (head[2],)
 
     keys = [group_key(p.heads[0]) for p in plans]
     assert all(p.heads for p in plans) and keys == sorted(set(keys))
@@ -251,7 +251,7 @@ def test_cell_groups_are_the_segments_cells_read(mode, cap):
         assert len(plan.members) == len(plan.heads)
         cells = planned_cells([plan])
         read = set()
-        for (_, x, y, ctx, s_ab, s_x), sets in cells:
+        for (x, y, ctx, s_ab, s_x), sets in cells:
             for members, cat, speaker in zip(sets, (x, y, x, y), (s_ab, s_ab, s_x, s_x)):
                 assert members and list(members) == sorted(members)
                 segs = [ranked[r] for r in members]
@@ -276,7 +276,7 @@ def test_a_plan_depends_only_on_its_group(mode):
         phones=("AE", "EH", "IY"), n_speakers=4, dim=4, segments_per_cell=2, seed=4,
         contexts=(("B", "D"), ("G", "P")),
     )).segments
-    key = (lambda h: h[3:5]) if mode == "within" else (lambda h: h[3])
+    key = (lambda h: h[2:4]) if mode == "within" else (lambda h: h[2])
     runs = []
     for segments in (small, small + extra):
         plans, ranked, _ = build_cells(segments, mode, "phone")
@@ -308,7 +308,7 @@ def test_build_cells_plans_what_score_corpus_scores(mode, kind):
     assert len(plans) > 1 and ranked == sorted(set(corpus.segments))
     report = score_corpus(corpus.archive, corpus.segments, mode, kind, af_table=table)
     # plans come in group order; the report's cells in key order
-    keys = [head[1:] for plan in plans for head in plan.heads]
+    keys = [head for plan in plans for head in plan.heads]
     assert sorted(keys) == [c.key() for c in report.per_cell]
     assert len(set(keys)) == len(keys)
     assert stats == {"undersized": report.metadata["skipped_undersized"],
@@ -354,7 +354,7 @@ def test_af_task_groups_by_attribute():
     )
     table = load_af_table("english-height")  # AE,AA -> Open; IY -> Close
     cells = planned_cells(build_cells(corpus.segments, "within", "af", af_table=table)[0])
-    assert {head[1:3] for head, _ in cells} == {("Close", "Open")}
+    assert {head[:2] for head, _ in cells} == {("Close", "Open")}
     open_sizes = {len(y_ab) for _, (_, y_ab, _, _) in cells}
     assert open_sizes == {2 * corpus.config.segments_per_cell}
 
@@ -365,7 +365,7 @@ def test_af_task_drops_excluded_segments():
     )
     table = AfTable("toy", {"AE": "A", "EH": "B"}, excluded=("IY",))
     plans, ranked, _ = build_cells(corpus.segments, "within", "af", af_table=table)
-    assert {head[1:3] for p in plans for head in p.heads} == {("A", "B")}
+    assert {head[:2] for p in plans for head in p.heads} == {("A", "B")}
     assert {ranked[r].phone for p in plans for r in p.ranks} == {"AE", "EH"}
     assert "IY" in {s.phone for s in ranked}  # ranked, so resolved, but read by no cell
 
@@ -549,16 +549,19 @@ def test_below_pool_threshold_no_pool_starts(monkeypatch):
         score_corpus(corpus.archive, corpus.segments, "across", "phone", jobs=2)
 
 
-def test_single_job_counts_no_dp_cells(monkeypatch):
+def test_single_job_counts_dp_cells_without_a_pool(monkeypatch):
     corpus = _pool_corpus()
+    received = []
 
-    def fail(plans, frames):
-        raise AssertionError("DP cells counted at jobs=1")
+    def recording(frames, i, j, cfg):
+        received.append(sum(len(frames[a]) * len(frames[b]) for a, b in zip(i, j)))
+        return dtw_pairs(frames, i, j, cfg)
 
-    monkeypatch.setattr(abx, "_dp_cells", fail)
+    monkeypatch.setattr(abx, "dtw_pairs", recording)
+    monkeypatch.setattr(abx, "POOL_MIN_DP_CELLS", 0)  # a pool would be due at jobs > 1
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     report = score_corpus(corpus.archive, corpus.segments, "within", "phone", jobs=1)
-    assert report.stats == {"workers": 1, "dp_cells": None}
+    assert report.stats == {"workers": 1, "dp_cells": sum(received)}
 
 
 @pytest.mark.parametrize("mode", ["within", "across"])

@@ -32,12 +32,11 @@ def track(utt, *spans):
 
 
 def test_xi_basic_arithmetic():
-    report = phoneme_level_rates({("a", "b"): 0.1, ("a", "c"): 0.3}, condition="within")
+    report = phoneme_level_rates({("a", "b"): 0.1, ("a", "c"): 0.3})
     assert report.xi["a"] == 0.2
     assert report.xi["b"] == 0.1
     assert report.xi["c"] == 0.3
     assert report.denominators == {"a": 2, "b": 1, "c": 1}
-    assert report.condition == "within"
     assert report.missing == []
 
 

@@ -513,7 +513,7 @@ def test_adam_updates_moments_in_place():
     m, v = opt.m, opt.v
     rng = np.random.default_rng(0)
     for _ in range(3):
-        grad = rng.standard_normal(model.n_params())
+        grad = rng.standard_normal(model.theta.size)
         step = opt.next_batch()
         for block in model.blocks[::-1]:
             step(block, grad[block].copy())
@@ -544,7 +544,7 @@ def test_train_steps_each_block_once_through_one_buffer(monkeypatch):
     assert len(model.blocks) == cfg.L + 1
     grads = [grad for batch in calls for _, grad in batch]
     biggest = max(grads, key=len)
-    assert len(biggest) == max(b.stop - b.start for b in model.blocks) < model.n_params()
+    assert len(biggest) == max(b.stop - b.start for b in model.blocks) < model.theta.size
     for batch in calls:
         assert [block for block, _ in batch] == model.blocks[::-1]
     assert all(np.shares_memory(g, biggest) for g in grads)
@@ -568,6 +568,35 @@ def test_batch_gradients_allocate_no_parameter_sized_array():
     peak = traced_peak(lambda: _batch_loss_grads(model, x, 1.0, buf, lambda block, grad: None))
     # one copy of the gradient would take theta.nbytes
     assert peak < model.theta.nbytes // 2
+
+
+@pytest.mark.parametrize("cell", ["lstm", "simple-rnn"])
+def test_layer_backwards_hold_no_prediction_sized_array(cell, monkeypatch):
+    # a wide input under a narrow model: the (B, T, d) prediction, its error
+    # and their gradient each outweigh every layer's cache together
+    B, T, d, H = 2, 64, 256, 4
+    model = init_model(ApcConfig(n=1, L=3, hidden_dim=H, input_dim=d, cell_kind=cell,
+                                 seed=0))
+    x = np.random.default_rng(0).standard_normal((B, T, d))
+    buf = apc._grad_buffer(model)
+    name = "_lstm_backward" if cell == "lstm" else "_rnn_backward"
+    inner = getattr(apc, name)
+    live = []
+
+    def spy(layer, cache, dh_out, out):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return inner(layer, cache, dh_out, out)
+
+    monkeypatch.setattr(apc, name, spy)
+    tracemalloc.start()
+    try:
+        _batch_loss_grads(model, x, 1.0, buf, lambda block, grad: None)
+    finally:
+        tracemalloc.stop()
+    assert len(live) == model.config.L
+    # what is live as each backward starts: the caches and dh, under 25H
+    # floats a frame; any one of the three output-side arrays adds d
+    assert max(live) < x.nbytes / 2, [m / x.nbytes for m in live]
 
 
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
@@ -767,7 +796,7 @@ def test_parameters_are_views_into_theta(cell):
     assert all(a is p for a, (_, p) in zip(arrays, items))
     for a in arrays:
         assert a.base is not None and np.shares_memory(a, model.theta)
-    assert sum(a.size for a in arrays) == model.theta.size == model.n_params()
+    assert sum(a.size for a in arrays) == model.theta.size
     flat = np.concatenate([a.ravel() for a in arrays])
     assert np.array_equal(flat.view(np.int64), model.theta.view(np.int64))
     model.theta[...] = 0.5

@@ -93,7 +93,7 @@ def test_eval_manifest_digests(eval_dir, corpus_dir):
 
 
 def test_eval_jobs_do_not_change_bytes(corpus_dir, tmp_path, monkeypatch):
-    outs = []
+    outs, dp_cells = [], set()
     # the default threshold scores this corpus inline, threshold 0 in the pool
     for threshold in (abx.POOL_MIN_DP_CELLS, 0):
         monkeypatch.setattr(abx, "POOL_MIN_DP_CELLS", threshold)
@@ -107,9 +107,11 @@ def test_eval_jobs_do_not_change_bytes(corpus_dir, tmp_path, monkeypatch):
             assert rc == 0
             stats = json.loads((out / "manifest.json").read_text())["stats"]
             assert stats["workers"] == (2 if threshold == 0 and jobs == "2" else 1)
-            assert (stats["dp_cells"] is None) == (jobs == "1")
+            dp_cells.add(stats["dp_cells"])
             outs.append([(out / f).read_bytes() for f in ("report.json", "pairwise.csv")])
     assert all(o == outs[0] for o in outs)
+    (count,) = dp_cells
+    assert type(count) is int and count > 0
 
 
 def test_eval_digests_only_archive_files(corpus_dir, tmp_path):
@@ -332,6 +334,7 @@ def test_analyze_phoneme_matches_report(vowel_dir, tmp_path, mode, task):
     phoneme = json.loads((tmp_path / "ph" / "phoneme.json").read_text())
     report = json.loads((tmp_path / "eval" / "report.json").read_text())
     assert phoneme["xi"] == report["categories"]
+    assert phoneme["condition"] == mode
     assert (tmp_path / "ph" / "bars.svg").read_text().startswith("<svg")
     csv_lines = (tmp_path / "ph" / "phoneme.csv").read_text().splitlines()
     assert csv_lines[0] == "category,rate,n_pairs,tag"
@@ -665,6 +668,39 @@ def test_analyze_boolean_rate_exits_3(tmp_path, capsys, text):
         "category,reduction_percent\na,50.0\nb,50.0\n")
 
 
+def test_analyze_reads_csv_rate_maps(tmp_path):
+    """phoneme.csv and pco.csv rows are read at full repr precision, a
+    header row skipped: the outputs are those of JSON maps of the same
+    floats."""
+    from abxlab.analysis import relative_reduction
+
+    maps = {"base": {"a": 1 / 7, "b": 0.2, "c": 1 / 3},
+            "imp": {"a": 0.1, "b": 0.15, "c": 0.2},
+            "pco": {"a": 0.75, "b": 2 / 3, "c": 0.5}}
+    for stem, rates in maps.items():
+        (tmp_path / f"{stem}.json").write_text(json.dumps(rates))
+    (tmp_path / "base.csv").write_text("category,rate,n_pairs,tag\n" + "".join(
+        f"{k},{v!r},2,other\n" for k, v in maps["base"].items()))
+    (tmp_path / "imp.csv").write_text("".join(  # no header: the first row is data
+        f"{k},{v!r},2,other\n" for k, v in maps["imp"].items()))
+    (tmp_path / "pco.csv").write_text("phone,p_co,label\n" + "".join(
+        f"{k},{v!r},{k}\n" for k, v in maps["pco"].items()))
+    outputs = {}
+    for ext in ("json", "csv"):
+        base, imp, pco = (str(tmp_path / f"{stem}.{ext}") for stem in maps)
+        for argv in (["reduce"], ["correlate", "--pco", pco]):
+            out = tmp_path / f"{argv[0]}-{ext}"
+            assert cli.main(["analyze", *argv, "--baseline", base, "--improved", imp,
+                             "--out", str(out)]) == 0
+            outputs[ext, argv[0]] = {p.name: p.read_bytes() for p in out.iterdir()
+                                     if p.name != "manifest.json"}
+    for cmd in ("reduce", "correlate"):
+        assert outputs["csv", cmd] == outputs["json", cmd]
+    reduction = relative_reduction(maps["base"], maps["imp"])[0]["a"]
+    assert reduction != relative_reduction({"a": round(1 / 7, 6)}, {"a": 0.1})[0]["a"]
+    assert f"a,{reduction!r}\n".encode() in outputs["csv", "reduce"]["reduction.csv"]
+
+
 def test_analyze_correlate_needs_two_points(tmp_path):
     (tmp_path / "base.json").write_text(json.dumps({"a": 0.4}))
     (tmp_path / "imp.json").write_text(json.dumps({"a": 0.2}))
@@ -693,7 +729,8 @@ def test_synth_rejects_repeated_labels(tmp_path, flag, value):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--phones", ","), ("--contexts", "ST"), ("--frames", "3"), ("--frames", "a:b"),
+    ("--phones", ","), ("--contexts", "ST"), ("--contexts", ","), ("--frames", "3"),
+    ("--frames", "a:b"),
 ])
 def test_synth_rejects_malformed_flag(tmp_path, capsys, flag, value):
     out = tmp_path / "c"
@@ -737,15 +774,18 @@ def test_synth_config_file_and_flag_precedence(tmp_path):
 
 
 def test_synth_same_seed_same_bytes(tmp_path):
-    args = ["synth", "--phones", "a,b", "--dim", "3", "--seed", "9"]
-    for name in ("one", "two"):
-        assert cli.main(args + ["--out", str(tmp_path / name)]) == 0
+    args = ["synth", "--phones", "a,b", "--dim", "3", "--seed", "9", "--contexts"]
+    # an empty --contexts entry is skipped
+    runs = {"one": "S:T,K:N", "two": "S:T,K:N", "three": "S:T,,K:N"}
+    for name, contexts in runs.items():
+        assert cli.main(args + [contexts, "--out", str(tmp_path / name)]) == 0
     a = sorted((tmp_path / "one").rglob("*"))
-    b = sorted((tmp_path / "two").rglob("*"))
-    assert [p.name for p in a] == [p.name for p in b]
-    for pa, pb in zip(a, b):
-        if pa.is_file() and pa.name != "manifest.json":
-            assert pa.read_bytes() == pb.read_bytes(), pa.name
+    for other in ("two", "three"):
+        b = sorted((tmp_path / other).rglob("*"))
+        assert [p.name for p in a] == [p.name for p in b]
+        for pa, pb in zip(a, b):
+            if pa.is_file() and pa.name != "manifest.json":
+                assert pa.read_bytes() == pb.read_bytes(), (other, pa.name)
 
 
 # ---------------------------------------------------------------------------
