@@ -19,10 +19,10 @@ starts only when the task's DP cells reach ``POOL_MIN_DP_CELLS``.
 
 Scoring counts strict wins and exact ties as integers and divides once
 at the end, so the comparison order inside a cell cannot perturb eta.
-Every rate mean after that (context, pair, overall and category rates,
-and the re-aggregation of ``pairwise.csv`` in ``cli`` and ``analysis``)
-is one fold, ``means``, over rows in sorted key order, which makes
-reports bit-identical regardless of worker count.
+Every rate mean after that is one fold, ``means``, over rows in sorted
+key order, which makes reports bit-identical regardless of worker count.
+``fold_pairs`` and ``fold_categories`` are the pair and category rate
+folds of every caller, the re-aggregation of ``pairwise.csv`` included.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class AbxReport:
 
     def category_rates(self) -> dict:
         """Per-category mean of incident pairwise rates, full precision."""
-        return means((c, r) for (x, y), r in sorted(self.pairwise.items()) for c in (x, y))
+        return fold_categories(self.pairwise)
 
     def to_json_dict(self, include_per_cell: bool = False) -> dict:
         nested: dict[str, dict[str, str]] = {}
@@ -372,6 +372,19 @@ def means(rows) -> dict:
     return {key: sum(groups[key]) / len(groups[key]) for key in sorted(groups)}
 
 
+def fold_pairs(rows) -> dict:
+    """{(x, y): mean rate, x <= y} over context-level ``((x, y, context),
+    rate)`` rows, summed in sorted order.  A pair is unordered: a row
+    written (y, x) counts for (x, y)."""
+    ordered = sorted(((min(x, y), max(x, y), ctx), r) for (x, y, ctx), r in rows)
+    return means(((x, y), r) for (x, y, _), r in ordered)
+
+
+def fold_categories(pairwise) -> dict:
+    """{category: mean rate of its pairs} over the pairs x != y, sorted."""
+    return means((c, r) for (x, y), r in sorted(pairwise.items()) if x != y for c in (x, y))
+
+
 def aggregate(per_cell, kind: str, condition: str, metadata: dict | None = None) -> AbxReport:
     """Three-level unweighted mean: speakers, then contexts, then pairs.
 
@@ -384,7 +397,7 @@ def aggregate(per_cell, kind: str, condition: str, metadata: dict | None = None)
     context_rates = means(
         ((cs.category_x, cs.category_y, cs.context), cs.epsilon) for cs in per_cell
     )
-    pairwise = means(((x, y), r) for (x, y, _), r in context_rates.items())
+    pairwise = fold_pairs(context_rates.items())
     overall = means(("overall", r) for r in pairwise.values())["overall"]
     return AbxReport(kind, condition, pairwise, context_rates, overall,
                      per_cell, metadata or {})

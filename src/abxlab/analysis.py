@@ -5,7 +5,7 @@ produce the derived quantities used in the reports: per-phoneme error
 xi (per-attribute error when the categories are AF attributes), the
 row-normalized confusion matrix with its
 co-occurrence probabilities, relative error-rate reduction, and Pearson
-or Spearman correlation.
+or Spearman correlation.  xi runs on the ABX report's own rate folds.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abx import means
+from .abx import fold_categories, fold_pairs
 from .af_tables import CONSONANTS, DIPHTHONGS, MONOPHTHONGS
 from .corpus import time_to_frame
 from .errors import DataError, UsageError
@@ -32,11 +32,6 @@ def phone_category(phone: str) -> str:
     return "other"
 
 
-def _norm_pair(key) -> tuple[str, str]:
-    a, b = key
-    return (a, b) if a <= b else (b, a)
-
-
 @dataclass
 class PhonemeReport:
     xi: dict
@@ -45,30 +40,20 @@ class PhonemeReport:
     missing: list = field(default_factory=list)
 
 
-def phoneme_level_rates(pairwise, inventory=None) -> PhonemeReport:
-    """xi(w) = mean of pairwise rates over present pairs containing w.
-
-    The categories w are phones, or AF attributes for the pairwise map
-    of an AF task (which then get the tag "other").  ``inventory``
-    defaults to every category appearing in the pairwise map;
-    categories with no scorable pair land in ``missing`` instead of ``xi``.
-    The report holds no condition; ``analyze phoneme`` writes the one its
-    ``pairwise.csv`` rows carry.
+def phoneme_level_rates(pairwise) -> PhonemeReport:
+    """xi(w) = mean rate of the pairs (w, v), v != w, by ``abx.fold_pairs``
+    (rates given for (a, b) and (b, a) count as one mean) and
+    ``abx.fold_categories``.  The categories are phones, or AF attributes
+    (tagged "other"); one whose only pair is with itself is ``missing``.
     """
     if not pairwise:
         raise DataError("empty pairwise rate map")
-    rates = {_norm_pair(k): float(v) for k, v in pairwise.items()}
-    if inventory is None:
-        inventory = sorted({p for pair in rates for p in pair})
-    wanted = set(inventory)
-    incident = [
-        (w, r) for (a, b), r in sorted(rates.items()) if a != b
-        for w in (a, b) if w in wanted
-    ]
-    xi = means(incident)
-    denom = dict(sorted(Counter(w for w, _ in incident).items()))
-    missing = [w for w in sorted(inventory) if w not in xi]
-    tags = {w: phone_category(w) for w in sorted(inventory)}
+    pairs = fold_pairs(((a, b, ()), float(r)) for (a, b), r in pairwise.items())
+    xi = fold_categories(pairs)
+    denom = dict(sorted(Counter(w for a, b in pairs if a != b for w in (a, b)).items()))
+    categories = sorted({w for pair in pairs for w in pair})
+    missing = [w for w in categories if w not in xi]
+    tags = {w: phone_category(w) for w in categories}
     return PhonemeReport(xi, denom, tags, missing)
 
 

@@ -74,13 +74,6 @@ class ApcConfig(JsonConfig):
             raise UsageError(f"seed must be >= 0, got {self.seed}")
 
 
-def paper_preset(input_dim: int) -> ApcConfig:
-    """The full-scale configuration: 5 layers of 100, n=5, 100 epochs."""
-    return ApcConfig(n=5, L=5, hidden_dim=100, input_dim=input_dim,
-                     cell_kind="lstm", learning_rate=1e-4, epochs=100,
-                     batch_size=32, optimizer="adam")
-
-
 def _param_shapes(config: ApcConfig) -> dict:
     """{name: shape} of every parameter, in checkpoint order."""
     if config.input_dim is None:
@@ -472,13 +465,13 @@ def forward(model: ApcModel, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apc_loss(xhat, x, n: int) -> float:
-    """Sum over t of |xhat_t - x_(t+n)|, elementwise over dims."""
+    """Sum over t and dims of |xhat_t - x_(t+n)|: ``_seq_losses`` of a batch of one."""
     xhat = np.asarray(xhat, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     T = x.shape[0]
     if T <= n:
         raise DataError(f"sequence length {T} must exceed prediction step n={n}")
-    return float(np.abs(xhat[:T - n] - x[n:]).sum())
+    return float(_seq_losses(xhat[None], x[None], n)[0][0])
 
 
 def _seq_losses(xhat, x, n: int):
@@ -727,7 +720,7 @@ def run_gradient_check(cfg: ApcConfig | None = None, seed: int = 0,
     for attempt in range(GRADCHECK_MAX_RESAMPLES + 1):
         x = rng.standard_normal((GRADCHECK_T, cfg.input_dim))
         xhat, _ = forward(model, x)
-        gap = np.abs(xhat[:GRADCHECK_T - cfg.n] - x[cfg.n:]).min()
+        gap = np.abs(_seq_losses(xhat[None], x[None], cfg.n)[1]).min()
         if gap >= KINK_MARGIN:
             return gradient_check(model, x, cfg.n, epsilon), attempt
     raise InconclusiveGradCheck(

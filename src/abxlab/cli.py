@@ -64,7 +64,7 @@ from typing import NamedTuple
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads: see above
 
 from . import __version__
-from .abx import PAIRWISE_HEADER, CellLimits, means, score_corpus
+from .abx import PAIRWISE_HEADER, CellLimits, fold_pairs, score_corpus
 from .af_tables import BUILTIN_TABLES, load_af_table
 from .apc import (
     ApcConfig,
@@ -121,9 +121,16 @@ _PARSER_DESTS = ("command", "analysis", "apc_command", "func", "out")
 
 
 def _read_json(path, what: str, error):
-    """The JSON document in ``path``; invalid JSON raises ``error``."""
+    """The JSON document in ``path``; invalid JSON or a repeated key raises ``error``."""
+    def unique_keys(pairs):  # else the last value would win unseen
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise error(f"{path}: invalid JSON: repeated key {key!r}")
+            seen.add(key)
+        return dict(pairs)
     try:
-        return json.loads(read_text_file(path, what))
+        return json.loads(read_text_file(path, what), object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested
         raise error(f"{path}: invalid JSON: {e}") from None
 
@@ -222,10 +229,7 @@ def cmd_analyze_phoneme(args) -> Outputs:
     rows = _read_pairwise_csv(args.pairwise)
     conditions = sorted({cond for _, _, _, cond, _ in rows})
     condition = conditions[0] if len(conditions) == 1 else "mixed"
-    # context-level rows -> unweighted per-pair means, summed in
-    # (context, rate) order as the report's own fold does
-    rows.sort(key=lambda row: (row[0], row[1], row[2], row[4]))
-    pairwise = means(((x, y), rate) for x, y, _, _, rate in rows)
+    pairwise = fold_pairs(((x, y, ctx), rate) for x, y, ctx, _, rate in rows)
     report = phoneme_level_rates(pairwise)
 
     doc = {
@@ -235,11 +239,9 @@ def cmd_analyze_phoneme(args) -> Outputs:
         "tags": report.tags,
         "missing": report.missing,
     }
-    csv_lines = ["category,rate,n_pairs,tag"]
-    for p in sorted(report.xi):
-        csv_lines.append(
-            f"{p},{report.xi[p]!r},{report.denominators[p]},{report.tags[p]}"
-        )
+    csv_lines = ["category,rate,n_pairs,tag"] + [
+        f"{p},{r!r},{report.denominators[p]},{report.tags[p]}" for p, r in report.xi.items()
+    ]
     svg = bar_chart(
         sorted(report.xi.items()),
         title=f"per-category ABX error ({condition})",
@@ -330,6 +332,8 @@ def _load_rate_map(path, key: str) -> dict:
                 float(parts[1])
             except ValueError:
                 continue  # header row
+        if parts[0] in out:
+            raise RowError(path, line_no, f"category {parts[0]!r} listed twice")
         out[parts[0]] = _parse_rate(path, line_no, parts[1])
     if not out:
         raise DataError(f"{path}: no data rows")

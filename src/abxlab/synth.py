@@ -24,6 +24,7 @@ from .corpus import (
     FeatureArchive,
     FrameLabelTrack,
     ItemSegment,
+    check_archive_outputs,
     feature_archive_files,
     item_file_bytes,
     label_track_bytes,
@@ -191,9 +192,12 @@ def corpus_files(corpus: SynthCorpus) -> dict:
 
 
 def write_corpus(corpus: SynthCorpus, out_dir) -> dict:
-    """Write features/, items.item, labels.tsv and the synth.json sidecar."""
+    """Write features/, items.item, labels.tsv and the synth.json sidecar;
+    as ``abxlab synth``, refuse a features/ that holds other feature files."""
     out = Path(out_dir)
-    write_outputs(out, corpus_files(corpus))
+    files = corpus_files(corpus)
+    check_archive_outputs(out, files)
+    write_outputs(out, files)
     return {
         "features": out / "features",
         "items": out / "items.item",

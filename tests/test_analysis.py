@@ -54,7 +54,7 @@ def test_xi_is_order_independent():
 
 
 def test_xi_missing_inventory_entries():
-    report = phoneme_level_rates({("AE", "EH"): 0.1}, inventory=("AE", "EH", "IY"))
+    report = phoneme_level_rates({("AE", "EH"): 0.1, ("IY", "IY"): 0.0})
     assert report.missing == ["IY"]
     assert "IY" not in report.xi
     assert report.tags == {"AE": "monophthong", "EH": "monophthong", "IY": "monophthong"}
@@ -62,11 +62,20 @@ def test_xi_missing_inventory_entries():
 
 def test_tags_partition_cmu_inventory():
     rates = {("AA", p): 0.1 for p in CMU_PHONES if p != "AA"}
-    report = phoneme_level_rates(rates, inventory=CMU_PHONES)
+    report = phoneme_level_rates(rates)
     counts = {}
     for tag in report.tags.values():
         counts[tag] = counts.get(tag, 0) + 1
     assert counts == {"monophthong": 10, "diphthong": 5, "consonant": 24}
+
+
+def test_xi_folds_a_pair_listed_both_ways():
+    report = phoneme_level_rates({("a", "b"): 0.1, ("b", "a"): 0.5, ("a", "c"): 0.2})
+    assert report.xi == {"a": (0.3 + 0.2) / 2, "b": 0.3, "c": 0.2}
+    assert report.denominators == {"a": 2, "b": 1, "c": 1}
+    # the mean of the two listings, whichever order they come in
+    swapped = phoneme_level_rates({("b", "a"): 0.5, ("a", "b"): 0.1, ("c", "a"): 0.2})
+    assert swapped.xi == report.xi
 
 
 def test_xi_rejects_empty():
@@ -102,7 +111,7 @@ def test_af_attribute_rates_five_attribute_table():
     for i, a in enumerate(attrs):
         for b in attrs[i + 1:]:
             pairwise[(a, b)] = float(rng.uniform(0, 1))
-    report = phoneme_level_rates(pairwise, inventory=attrs)
+    report = phoneme_level_rates(pairwise)
     assert report.missing == []
     for a in attrs:
         incident = sorted(
@@ -115,7 +124,7 @@ def test_af_attribute_rates_five_attribute_table():
 
 
 def test_af_attribute_rates_missing_attribute():
-    report = phoneme_level_rates({("St", "Fr"): 0.1}, inventory=("St", "Fr", "Na"))
+    report = phoneme_level_rates({("St", "Fr"): 0.1, ("Na", "Na"): 0.0})
     assert report.missing == ["Na"]
     assert "Na" not in report.xi
 

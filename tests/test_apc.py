@@ -18,7 +18,6 @@ from abxlab.apc import (
     gradient_check,
     init_model,
     load_checkpoint,
-    paper_preset,
     run_gradient_check,
     train,
     _batch_loss_grads,
@@ -105,13 +104,9 @@ def test_config_validation():
         ApcConfig.from_dict({"layers": 3})
 
 
-def test_config_round_trip_and_paper_preset():
+def test_config_round_trip():
     cfg = ApcConfig(n=2, L=1, hidden_dim=4, input_dim=3, cell_kind="simple-rnn")
     assert ApcConfig.from_dict(cfg.to_dict()) == cfg
-    full = paper_preset(39)
-    assert (full.n, full.L, full.hidden_dim) == (5, 5, 100)
-    assert (full.learning_rate, full.epochs, full.batch_size) == (1e-4, 100, 32)
-    assert full.cell_kind == "lstm" and full.input_dim == 39
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,21 @@ def test_analyze_phoneme_bad_csv_exits_3(tmp_path, capsys, text, where):
     assert not (tmp_path / "o").exists()
 
 
+def test_analyze_phoneme_folds_a_pair_listed_both_ways(tmp_path):
+    """A pair is unordered: a row written (EH, AE) folds into (AE, EH)."""
+    pairwise = tmp_path / "pairwise.csv"
+    pairwise.write_text(f"{abx.PAIRWISE_HEADER}\nAE,EH,S,T,within,0.1\n"
+                        "EH,AE,K,N,within,0.5\nAE,IY,S,T,within,0.2\n")
+    assert cli.main(["analyze", "phoneme", "--pairwise", str(pairwise),
+                     "--out", str(tmp_path / "ph")]) == 0
+    doc = json.loads((tmp_path / "ph" / "phoneme.json").read_text())
+    assert doc["xi"] == {"AE": "0.250000", "EH": "0.300000", "IY": "0.200000"}
+    assert doc["n_pairs"] == {"AE": 2, "EH": 1, "IY": 1}
+    assert (tmp_path / "ph" / "phoneme.csv").read_text() == (
+        "category,rate,n_pairs,tag\nAE,0.25,2,monophthong\nEH,0.3,1,monophthong\n"
+        "IY,0.2,1,monophthong\n")
+
+
 def test_analyze_confusion_identity(tmp_path):
     tracks = [
         FrameLabelTrack("u1", [(0.0, 0.05, "a"), (0.05, 0.10, "b")]),
@@ -668,6 +683,27 @@ def test_analyze_boolean_rate_exits_3(tmp_path, capsys, text):
         "category,reduction_percent\na,50.0\nb,50.0\n")
 
 
+@pytest.mark.parametrize("name,text,where", [
+    ("rates.csv", "category,rate\nAA,0.5\nAA,0.1\n", ":3: category 'AA' listed twice"),
+    ("rates.csv", "AA,0.5\nIY,0.2\nAA,0.1\n", ":3: category 'AA' listed twice"),
+    ("rates.json", '{"AA": 0.5, "IY": 0.2, "AA": 0.1}', ": invalid JSON: repeated key 'AA'"),
+    ("rates.json", '{"xi": {"AA": "0.5", "AA": "0.1"}}', ": invalid JSON: repeated key 'AA'"),
+    ("rates.json", '{"xi": {"AA": 0.5}, "xi": {"AA": 0.1}}', ": invalid JSON: repeated key 'xi'"),
+])
+def test_analyze_rate_map_listing_a_category_twice_exits_3(tmp_path, capsys, name, text,
+                                                          where):
+    bad = tmp_path / name
+    bad.write_text(text)
+    (tmp_path / "imp.json").write_text(json.dumps({"AA": 0.2, "IY": 0.1}))
+    argv = ["analyze", "reduce", "--baseline", str(bad),
+            "--improved", str(tmp_path / "imp.json"), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}{where}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_reads_csv_rate_maps(tmp_path):
     """phoneme.csv and pco.csv rows are read at full repr precision, a
     header row skipped: the outputs are those of JSON maps of the same
@@ -771,6 +807,15 @@ def test_synth_config_file_and_flag_precedence(tmp_path):
     assert sidecar["config"]["seed"] == 5  # file supplies the seed
     archive = load_feature_archive(out / "features")
     assert archive.dim == 6
+
+
+def test_config_file_repeating_a_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"phones": ["a", "b"], "dim": 3, "seed": 5, "seed": 6}')
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: invalid JSON: repeated key 'seed'" in err
+    assert not (tmp_path / "c").exists()
 
 
 def test_synth_same_seed_same_bytes(tmp_path):

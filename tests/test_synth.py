@@ -171,6 +171,17 @@ def test_write_corpus_round_trips(tmp_path):
     assert direct.to_json_bytes() == reloaded.to_json_bytes()
 
 
+def test_write_corpus_refuses_stale_feature_files(tmp_path):
+    write_corpus(generate_corpus(SynthConfig(n_speakers=3, seed=7)), tmp_path)
+    before = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    with pytest.raises(UsageError, match=r"holds 1 feature file\(s\).*\(first u03\.fbin\)"):
+        write_corpus(generate_corpus(SynthConfig(n_speakers=2, seed=7)), tmp_path)
+    assert {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before
+    # the same names again are written over
+    write_corpus(generate_corpus(SynthConfig(n_speakers=3, seed=8)), tmp_path)
+    assert len(load_feature_archive(tmp_path / "features").utterance_ids()) == 3
+
+
 # ---------------------------------------------------------------------------
 # analytic oracle behavior
 
