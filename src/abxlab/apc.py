@@ -30,7 +30,7 @@ from .errors import (
     TrainingError,
     UsageError,
 )
-from .manifest import JsonConfig
+from .manifest import JsonConfig, read_json
 
 CKPT_MAGIC = b"APC1"
 
@@ -693,13 +693,14 @@ def gradient_check(model: ApcModel, x, n: int, epsilon: float = 1e-5) -> float:
 
 
 KINK_MARGIN = 1e-4
+GRADCHECK_CONFIG = ApcConfig(n=1, L=2, hidden_dim=3, input_dim=2)  # `apc gradcheck`'s default
 GRADCHECK_T = 8  # frames of the random instance
 GRADCHECK_MAX_RESAMPLES = 10
 
 
-def run_gradient_check(cfg: ApcConfig | None = None, seed: int = 0,
-                       epsilon: float = 1e-5):
-    """Build a small random instance away from L1 kinks and check it.
+def run_gradient_check(cfg: ApcConfig, epsilon: float = 1e-5):
+    """Build a small random instance of ``cfg`` (``input_dim`` 2 if it has
+    none), drawn from ``cfg.seed``, away from L1 kinks and check it.
 
     Inputs are resampled while any |xhat_t - x_(t+n)| component is
     within KINK_MARGIN of zero, where the loss is not differentiable;
@@ -709,14 +710,12 @@ def run_gradient_check(cfg: ApcConfig | None = None, seed: int = 0,
     Parameters whose true gradient sits near the 1e-8 denominator floor
     are dominated by float cancellation noise of order u*loss/epsilon in
     the central difference, so the reported maximum is a property of the
-    instance as much as of the code; the default instance shape keeps a
-    wide margin below 1e-4.
+    instance as much as of the code; ``GRADCHECK_CONFIG`` keeps a wide
+    margin below 1e-4.
     """
-    if cfg is None:
-        cfg = ApcConfig(n=1, L=2, hidden_dim=3, input_dim=2)
-    cfg = replace(cfg, input_dim=cfg.input_dim or 2, seed=seed)
+    cfg = replace(cfg, input_dim=cfg.input_dim or 2)
     model = init_model(cfg)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     for attempt in range(GRADCHECK_MAX_RESAMPLES + 1):
         x = rng.standard_normal((GRADCHECK_T, cfg.input_dim))
         xhat, _ = forward(model, x)
@@ -752,17 +751,21 @@ def load_checkpoint(path) -> ApcModel:
         raise FormatError(f"{path}: truncated config block")
     payload = raw[8 + cfg_len:]
     try:
-        cfg = ApcConfig.from_dict(json.loads(raw[8:8 + cfg_len].decode()))
+        cfg = ApcConfig.from_dict(read_json(raw[8:8 + cfg_len].decode(),
+                                            f"{path}: bad config block", FormatError))
         # every layer holds parameters: this bounds the layer count by the file
         if cfg.L > len(payload) // 8:
             raise FormatError(f"{path}: {cfg.L} layers do not fit {len(payload)} "
                               "payload bytes")
         n_params = sum(map(math.prod, _param_shapes(cfg).values()))
-    except (UsageError, ValueError, RecursionError) as e:  # JSON nested too deep
+    except (UsageError, UnicodeDecodeError) as e:
         raise FormatError(f"{path}: bad config block: {e}") from None
     if len(payload) != 8 * n_params:
         raise FormatError(
             f"{path}: parameter payload has {len(payload)} bytes, "
             f"config implies {8 * n_params}"
         )
-    return ApcModel(cfg, np.frombuffer(payload, dtype="<f8").astype(np.float64))
+    theta = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(theta).all():
+        raise DataError(f"{path}: non-finite parameter value")
+    return ApcModel(cfg, theta)

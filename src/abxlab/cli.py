@@ -21,7 +21,8 @@ instead, and ``analyze phoneme`` adds the condition it derives), the seed
 is the config's ``seed``, and the inputs are the flags typed
 ``InputPath`` whose path exists: a feature directory stands for its
 archive files, and a built-in AF table name is not a file and is not
-digested.
+digested.  Flags given lie over the ``--config`` file, a flag left out
+leaves its value, and ``manifest.read_json`` decodes every JSON input.
 
 Exit codes: 0 success, 1 gradient check over its error bound, 2 usage
 error, 3 malformed or inconsistent data, 4 empty task (no scorable cells),
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import sys
@@ -67,6 +67,7 @@ from . import __version__
 from .abx import PAIRWISE_HEADER, CellLimits, fold_pairs, score_corpus
 from .af_tables import BUILTIN_TABLES, load_af_table
 from .apc import (
+    GRADCHECK_CONFIG,
     ApcConfig,
     checkpoint_bytes,
     extract_features,
@@ -92,7 +93,7 @@ from .errors import (
     RowError,
     UsageError,
 )
-from .manifest import digest_inputs, json_bytes, lines_bytes, write_outputs
+from .manifest import digest_inputs, json_bytes, lines_bytes, read_json, write_outputs
 
 GRADCHECK_BOUND = 1e-4
 
@@ -120,37 +121,16 @@ _PARSER_DESTS = ("command", "analysis", "apc_command", "func", "out")
 # shared helpers
 
 
-def _read_json(path, what: str, error):
-    """The JSON document in ``path``; invalid JSON or a repeated key raises ``error``."""
-    def unique_keys(pairs):  # else the last value would win unseen
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise error(f"{path}: invalid JSON: repeated key {key!r}")
-            seen.add(key)
-        return dict(pairs)
-    try:
-        return json.loads(read_text_file(path, what), object_pairs_hook=unique_keys)
-    except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested
-        raise error(f"{path}: invalid JSON: {e}") from None
-
-
-def _load_config_file(path) -> dict:
-    doc = _read_json(path, "config file", UsageError)
-    if not isinstance(doc, dict):
-        raise UsageError(f"{path}: config must be a JSON object")
-    return doc
-
-
-def _config_doc(cls, args) -> dict:
-    """The --config document with the given flags on top; a flag's
-    destination is the name of the ``cls`` field it sets."""
-    doc = _load_config_file(args.config) if args.config else {}
-    for f in fields(cls):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            doc[f.name] = value
-    return doc
+def _config_doc(cls, args, default=None) -> dict:
+    """The --config document, else ``default``, with the given flags on
+    top; a flag's destination is the name of the ``cls`` field it sets."""
+    doc = default or {}
+    if args.config:
+        doc = read_json(read_text_file(args.config, "config file"), args.config, UsageError)
+        if not isinstance(doc, dict):
+            raise UsageError(f"{args.config}: config must be a JSON object")
+    flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    return doc | {k: v for k, v in flags.items() if v is not None}
 
 
 def _resolve_jobs(value) -> int:
@@ -303,7 +283,7 @@ def _load_rate_map(path, key: str) -> dict:
     value that is itself an object is read at ``key`` too.
     """
     if Path(path).suffix == ".json":
-        doc = _read_json(path, "rate file", FormatError)
+        doc = read_json(read_text_file(path, "rate file"), path, FormatError)
         if isinstance(doc, dict) and isinstance(doc.get(key), dict):
             doc = doc[key]
         if not isinstance(doc, dict) or not doc:
@@ -493,10 +473,8 @@ def cmd_apc_extract(args) -> Outputs:
 
 
 def cmd_apc_gradcheck(args) -> int:
-    cfg = ApcConfig.from_dict(_load_config_file(args.config)) if args.config else None
-    err, resamples = run_gradient_check(
-        cfg, seed=args.seed, epsilon=args.epsilon
-    )
+    cfg = ApcConfig.from_dict(_config_doc(ApcConfig, args, GRADCHECK_CONFIG.to_dict()))
+    err, resamples = run_gradient_check(cfg, epsilon=args.epsilon)
     status = "ok" if err < GRADCHECK_BOUND else "FAIL"
     print(
         f"gradcheck {status}: max relative error {err:.6e} "
@@ -623,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gc = apc_sub.add_parser("gradcheck", help="finite-difference gradient check")
     p_gc.add_argument("--config", type=InputPath, default=None, help="JSON config file")
-    p_gc.add_argument("--seed", type=int, default=0)
+    p_gc.add_argument("--seed", type=int, default=None)
     p_gc.add_argument("--epsilon", type=float, default=1e-5)
     p_gc.set_defaults(func=cmd_apc_gradcheck)
 

@@ -79,6 +79,23 @@ class JsonConfig:
             raise UsageError(f"bad {name} config: {e}") from None
 
 
+def read_json(text: str, where, error):
+    """The JSON document in ``text`` (from ``where``), the one decoder of
+    JSON from outside the program; invalid or too deeply nested JSON, or a
+    key repeated in any object, raises ``error``."""
+    def unique_keys(pairs):  # else the last value would win unseen
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise error(f"{where}: invalid JSON: repeated key {key!r}")
+            seen.add(key)
+        return dict(pairs)
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
+        raise error(f"{where}: invalid JSON: {e}") from None
+
+
 def json_bytes(doc) -> bytes:
     """The one JSON encoding of a written file: indented, keys sorted,
     newline-terminated."""

@@ -363,7 +363,7 @@ def test_criterion_10_apc():
         kind = "lstm" if seed % 2 == 0 else "simple-rnn"
         cfg = ApcConfig(n=1, L=2, hidden_dim=3, input_dim=2,
                         cell_kind=kind, seed=seed)
-        err, _ = run_gradient_check(cfg, seed=seed)
+        err, _ = run_gradient_check(cfg)
         assert err < 1e-4, (seed, kind, err)
 
     rng = np.random.default_rng(0)

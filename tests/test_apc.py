@@ -8,6 +8,7 @@ import pytest
 
 from abxlab import apc
 from abxlab.apc import (
+    GRADCHECK_CONFIG,
     OPTIMIZERS,
     ApcConfig,
     ApcModel,
@@ -202,9 +203,15 @@ def test_run_gradient_check_passes(cell):
         cfg = ApcConfig(
             n=1, L=2, hidden_dim=3, input_dim=2, cell_kind=cell, seed=seed
         )
-        err, resamples = run_gradient_check(cfg, seed=seed)
+        err, resamples = run_gradient_check(cfg)
         assert err < 1e-4, (cell, seed, err)
         assert 0 <= resamples <= 10
+
+
+def test_run_gradient_check_draws_from_the_config_seed():
+    seed7 = replace(GRADCHECK_CONFIG, seed=7)
+    assert run_gradient_check(seed7) == run_gradient_check(seed7)
+    assert run_gradient_check(seed7) != run_gradient_check(GRADCHECK_CONFIG)
 
 
 def test_gradient_check_rejects_large_instances():
@@ -838,6 +845,18 @@ def test_checkpoint_malformations(tmp_path):
     p.write_bytes(raw[:8] + b"x" * cfg_len + raw[8 + cfg_len:])
     with pytest.raises(FormatError):
         load_checkpoint(p)
+
+    p.write_bytes(raw[:8] + b"\xff" * cfg_len + raw[8 + cfg_len:])  # not UTF-8
+    with pytest.raises(FormatError, match="bad config block"):
+        load_checkpoint(p)
+
+    for bad in (np.nan, np.inf, -np.inf):
+        theta = model.theta.copy()
+        theta[-1] = bad
+        p.write_bytes(raw[:8 + cfg_len] + theta.astype("<f8").tobytes())
+        with pytest.raises(DataError) as info:
+            load_checkpoint(p)
+        assert str(info.value) == f"{p}: non-finite parameter value"
 
 
 def test_extracted_features_are_stable_across_reload(tmp_path):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -883,6 +884,19 @@ def test_apc_gradcheck_failure_paths(monkeypatch, capsys):
     assert "kinks everywhere" in capsys.readouterr().err
 
 
+def test_apc_gradcheck_flags_left_out_leave_the_config_seed(tmp_path, capsys):
+    cfg = tmp_path / "seed7.json"
+    cfg.write_text(json.dumps({"n": 1, "L": 2, "hidden_dim": 3, "input_dim": 2, "seed": 7}))
+
+    def line(*argv):
+        assert cli.main(["apc", "gradcheck", *argv]) == 0
+        return capsys.readouterr().out
+
+    assert line("--config", str(cfg)) == line("--seed", "7")
+    assert line("--seed", "0", "--config", str(cfg)) == line()
+    assert line() != line("--seed", "7")
+
+
 @pytest.mark.parametrize("epsilon", ["0", "-1e-5", "nan", "inf"])
 def test_apc_gradcheck_bad_epsilon_exits_2(capsys, epsilon):
     assert cli.main(["apc", "gradcheck", f"--epsilon={epsilon}"]) == 2
@@ -984,6 +998,38 @@ def test_apc_extract_bad_checkpoint_config_exits_3(corpus_dir, apc_dir, tmp_path
     assert "bad config block" in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "o").exists()
+
+
+def _extract_exit_code(corpus_dir, ckpt, out, capsys):
+    rc = cli.main(["apc", "extract", "--model", str(ckpt),
+                   "--features", str(corpus_dir / "features"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+    return rc, captured.err
+
+
+def test_apc_extract_checkpoint_config_repeating_a_key_exits_3(corpus_dir, apc_dir, tmp_path,
+                                                               capsys):
+    raw = (apc_dir / "apc.ckpt").read_bytes()
+    cfg_len = int.from_bytes(raw[4:8], "little")
+    block = raw[8:8 + cfg_len]
+    assert block.endswith(b'"seed": 0}')
+    block = block[:-1] + b', "seed": 9}'
+    write_outputs(tmp_path, {"bad.ckpt": raw[:4] + len(block).to_bytes(4, "little")
+                             + block + raw[8 + cfg_len:]})
+    rc, err = _extract_exit_code(corpus_dir, tmp_path / "bad.ckpt", tmp_path / "o", capsys)
+    assert rc == 3
+    assert f"{tmp_path / 'bad.ckpt'}: bad config block: invalid JSON: repeated key 'seed'" in err
+
+
+def test_apc_extract_non_finite_parameter_exits_3(corpus_dir, apc_dir, tmp_path, capsys):
+    raw = bytearray((apc_dir / "apc.ckpt").read_bytes())
+    raw[-8:] = struct.pack("<d", math.nan)
+    write_outputs(tmp_path, {"nan.ckpt": bytes(raw)})
+    rc, err = _extract_exit_code(corpus_dir, tmp_path / "nan.ckpt", tmp_path / "o", capsys)
+    assert rc == 3
+    assert f"{tmp_path / 'nan.ckpt'}: non-finite parameter value" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Config documents from outside the program: ``from_dict`` of ApcConfig and
-SynthConfig, and the config block of an APC checkpoint."""
+"""Config documents from outside the program: ``read_json``, ``from_dict`` of
+ApcConfig and SynthConfig, and the config block of an APC checkpoint."""
 
 import json
 import math
 import struct
+import sys
 from dataclasses import fields
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -13,8 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abxlab import apc
-from abxlab.apc import ApcConfig, load_checkpoint
-from abxlab.errors import FormatError, UsageError
+from abxlab.apc import ApcConfig, init_model, load_checkpoint
+from abxlab.errors import DataError, FormatError, UsageError
+from abxlab.manifest import read_json
 from abxlab.synth import SynthConfig
 
 JSON = st.recursive(
@@ -173,3 +175,45 @@ def test_checkpoint_config_block_is_model_or_format_error(tmp_path_factory, doc,
         return
     assert model.theta.size == n_values
     assert model.config == ApcConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("error", [UsageError, FormatError, DataError])
+@pytest.mark.parametrize("text, key", [
+    ('{"seed": 0, "seed": 9}', "seed"),
+    ('{"means": {"a": [1], "b": [2], "a": [3]}, "seed": 1}', "a"),
+    ('[{"n": 1}, {"L": 1, "L": 2}]', "L"),
+])
+def test_read_json_refuses_a_repeated_key(text, key, error):
+    with pytest.raises(error, match=f"^cfg.json: invalid JSON: repeated key '{key}'$"):
+        read_json(text, "cfg.json", error)
+
+
+@pytest.mark.parametrize("error", [UsageError, FormatError])
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,  # past the parser's recursion limit
+    '{"seed": 1,}',
+    pytest.param('{"seed": ' + "1" * 5000 + "}", marks=pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")),
+])
+def test_read_json_maps_bad_documents_to_the_callers_error(text, error):
+    with pytest.raises(error, match="^cfg.json: invalid JSON: ") as info:
+        read_json(text, "cfg.json", error)
+    assert type(info.value) is error
+
+
+def test_read_json_reads_unique_keys():
+    assert read_json('{"a": {"b": [1, {"b": 2}]}, "b": 3}', "x", UsageError) == {
+        "a": {"b": [1, {"b": 2}]}, "b": 3,
+    }
+
+
+def test_checkpoint_config_block_repeating_a_key_is_format_error(tmp_path):
+    model = init_model(ApcConfig(n=1, L=1, hidden_dim=2, input_dim=1))
+    block = json.dumps(model.config.to_dict(), sort_keys=True)
+    assert block.endswith('"seed": 0}')
+    block = block[:-1] + ', "seed": 9}'
+    path = tmp_path / "repeat.ckpt"
+    path.write_bytes(b"APC1" + struct.pack("<I", len(block)) + block.encode()
+                     + model.theta.astype("<f8").tobytes())
+    with pytest.raises(FormatError, match="bad config block: invalid JSON: repeated key 'seed'"):
+        load_checkpoint(path)
