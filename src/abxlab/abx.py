@@ -5,15 +5,16 @@ triphone context and one ordered speaker pair (s_ab, s_x), where s_x is
 s_ab within and another speaker across; one rule builds the cells of
 both conditions.  Cells that read the same segments (one context and
 speaker within, one context across) form a group.  ``build_cells`` is
-the one cell builder: it ranks every listed segment once and plans each
-group from its own cells' ranks, with no pass over the corpus: the
-cells' heads, their (x_ab, y_ab, x_x, y_x) member indices and the
-segment pairs its distance block computes.  ``score_corpus`` is the one
-scoring entry.  It resolves each rank to its feature rows once, so a row
-the archive cannot serve fails before any scoring; then each plan
-computes a dense segment x segment block of DTW dissimilarities, every
-unordered pair once through the batched kernel, and its cells are
-scored by lookups into that block.  Plans are pure functions of the
+the one cell builder: it names each segment by its position in the
+segment list and plans each group from its own cells' positions, with
+no pass over the corpus: the cells' heads, their (x_ab, y_ab, x_x, y_x)
+member indices and the segment pairs its distance block computes.
+``score_corpus`` is the one scoring entry.  It resolves each listed row
+to its feature rows in list order, so a row the archive cannot serve
+fails before any scoring; then each plan computes a dense segment x
+segment block of DTW dissimilarities, every unordered pair once through
+the batched kernel, and its cells are scored by lookups into that
+block.  Plans are pure functions of the
 resolved frames, so they can be scored in parallel; a process pool
 starts only when the task's DP cells reach ``POOL_MIN_DP_CELLS``.
 
@@ -29,15 +30,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain, combinations
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .af_tables import AfTable
-from .corpus import FeatureArchive, ItemSegment, segment_frames
+from .corpus import FeatureArchive, segment_frames
 from .distance import DEFAULT_DTW, DtwConfig, dtw_pairs
 from .errors import EmptyTaskError, UsageError
 from .manifest import json_bytes, lines_bytes
@@ -159,33 +159,19 @@ def _categorize(segments, kind, af_table):
     return [af_table.classify(s.phone) for s in segments]
 
 
-def _rank(segments):
-    """The distinct segments in sorted order, and each segment's rank among
-    them.  Equal segments share a rank, so a segment listed twice keeps
-    both entries wherever it is listed.  The key is the field tuple the
-    dataclass orders and compares by; tuples of str and float sort and hash
-    in C, where the dataclass's ``__lt__`` and ``__hash__`` are Python."""
-    key = attrgetter(*(f.name for f in fields(ItemSegment)))
-    keys = list(map(key, segments))
-    by_key = dict(zip(keys, segments))
-    ordered = sorted(by_key)
-    rank = {k: i for i, k in enumerate(ordered)}
-    return [by_key[k] for k in ordered], [rank[k] for k in keys]
-
-
 class GroupPlan(NamedTuple):
     """What scoring a group needs before any DTW runs."""
 
     heads: list  # per cell, its categories, context and speakers
-    ranks: list  # the ranks of the distinct segments the cells read, ascending
-    members: list  # per cell, its (x_ab, y_ab, x_x, y_x) index arrays into ranks
+    positions: list  # the segment-list positions the cells read, ascending
+    members: list  # per cell, its (x_ab, y_ab, x_x, y_x) index arrays into positions
     i: np.ndarray  # the segment pairs the distance block computes, i < j
     j: np.ndarray
 
 
 def build_cells(segments, mode, kind, af_table: AfTable | None = None,
                 limits: CellLimits = CellLimits()
-                ) -> tuple[list[GroupPlan], list[ItemSegment], dict]:
+                ) -> tuple[list[GroupPlan], dict]:
     """The package's one cell builder: the task's cells, planned for
     scoring in groups of the segments they read, one per (context,
     speaker) within and one per context across.
@@ -200,10 +186,10 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
     rename that reorders labels can change the draw; within there is at
     most one candidate, so it never draws.
 
-    Returns ``(plans, ranked, stats)``: one ``GroupPlan`` per non-empty
-    group, in sorted group order with cells in key order inside a group;
-    every listed segment in rank order (af-excluded ones too, so each is
-    resolved once); and the skip counts ``undersized`` and
+    A segment is named by its position in ``segments``, so a segment
+    listed twice is two segments.  Returns ``(plans, stats)``: one
+    ``GroupPlan`` per non-empty group, in sorted group order with cells
+    in key order inside a group, and the skip counts ``undersized`` and
     ``capped_speaker_pairs``.
     """
     if mode not in MODES:
@@ -214,17 +200,12 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
         raise UsageError("af_table is required for the af task and only for it")
 
     categories = _categorize(segments, kind, af_table)
-    ranked, ranks = _rank(segments)
     by_ctx: dict[tuple, dict[str, dict[str, list]]] = {}
-    for cat, seg, r in zip(categories, segments, ranks):
+    for pos, (cat, seg) in enumerate(zip(categories, segments)):
         if cat is not None:
             by_ctx.setdefault(seg.context, {}).setdefault(seg.speaker, {}).setdefault(
                 cat, []
-            ).append(r)
-    for speakers in by_ctx.values():
-        for cats in speakers.values():
-            for cat, members in cats.items():
-                cats[cat] = tuple(sorted(members))
+            ).append(pos)
 
     need = 2 if mode == "within" else 1
     plans = []
@@ -239,7 +220,7 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
         else:
             blocks = [[(a, b) for a in order for b in order if a != b]]
         for candidates in blocks:
-            heads, sets = [], []  # sets: per cell its x_ab, y_ab, x_x and y_x ranks
+            heads, sets = [], []  # sets: per cell its x_ab, y_ab, x_x and y_x positions
             labels = sorted({c for s_ab, _ in candidates for c in speakers[s_ab]})
             for x, y in combinations(labels, 2):
                 valid = []
@@ -264,13 +245,13 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
                     sets.extend((ab[x], ab[y], sx[x], sx[y]))
             if heads:
                 plans.append(_plan_group(heads, sets))
-    return plans, ranked, stats
+    return plans, stats
 
 
 def _plan_group(heads, sets) -> GroupPlan:
     """The member indices of a group's cells and the pairs they read,
-    from its own ``sets`` (four rank tuples per cell: x_ab, y_ab, x_x,
-    y_x) with no pass over the corpus.
+    from its own ``sets`` (four ascending position lists per cell: x_ab,
+    y_ab, x_x, y_x) with no pass over the corpus.
 
     Every pair in A x X and B x X of a cell's two (A, B, X) triples is
     read, each unordered pair computed once: DTW is bit-symmetric.  The
@@ -279,7 +260,7 @@ def _plan_group(heads, sets) -> GroupPlan:
     that nothing reads also stay 0.0 and are never looked at.
     """
     flat = np.fromiter(chain.from_iterable(sets), dtype=np.intp)
-    # the group's ranks, ascending, and each listed rank's index into them
+    # the group's positions, ascending, and each listed position's index into them
     used, inverse = np.unique(flat, return_inverse=True)
     bounds = [0, *np.cumsum([len(s) for s in sets]).tolist()]
     idx = [inverse[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
@@ -305,7 +286,7 @@ def _dp_cells(plans, frames) -> int:
     lengths = np.array([len(f) for f in frames])
     total = 0
     for plan in plans:
-        n = lengths[plan.ranks]
+        n = lengths[plan.positions]
         total += int(np.dot(n[plan.i], n[plan.j]))
     return total
 
@@ -335,14 +316,14 @@ def _eta(block, a, b, x, within: bool) -> tuple[float, int]:
 
 def _score_group(plan: GroupPlan, frames, cfg: DtwConfig) -> list[CellScore]:
     """Score the cells of a group from one distance block; ``frames``
-    holds each ranked segment's feature rows.
+    holds the feature rows of each segment-list position.
 
     epsilon = (eta(x->y) + eta(y->x)) / 2 for each cell.
     """
-    n = len(plan.ranks)
+    n = len(plan.positions)
     block = np.zeros((n, n))
     block[plan.i, plan.j] = block[plan.j, plan.i] = dtw_pairs(
-        [frames[r] for r in plan.ranks], plan.i, plan.j, cfg
+        [frames[p] for p in plan.positions], plan.i, plan.j, cfg
     )
     scores = []
     for head, (x_ab, y_ab, x_x, y_x) in zip(plan.heads, plan.members):
@@ -428,23 +409,24 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
     """Score an ABX task: the package's one scoring entry.
 
     ``build_cells`` plans -> distance blocks (parallel over plans) -> aggregate.
-    Every listed segment, af-excluded ones too, is resolved to its frames
-    first, so a row the archive cannot serve raises ``DataError`` (exit
-    3) before an empty task raises ``EmptyTaskError`` (exit 4).  ``jobs``
-    caps the worker processes: the task's DP cells are counted first, and
-    when they reach ``POOL_MIN_DP_CELLS`` a pool of ``min(jobs, groups)``
-    workers scores the groups if that is more than one; otherwise every
-    group is scored inline.  Workers get the resolved frames once,
-    through the pool initializer; plans carry only ranks.
-    The report is bit-identical for any jobs value: each group's cells
-    are scored from its own distance block, and the scores are folded in
-    sorted order.  ``report.stats`` holds ``workers`` (the pool's
-    processes, 1 inline) and ``dp_cells`` (the count).
+    Every listed row, af-excluded ones too, is resolved to its frames
+    first, in list order, so a row the archive cannot serve raises
+    ``DataError`` (exit 3), naming the first such row, before an empty
+    task raises ``EmptyTaskError`` (exit 4).  ``jobs`` caps the worker
+    processes: the task's DP cells are counted first, and when they
+    reach ``POOL_MIN_DP_CELLS`` a pool of ``min(jobs, groups)`` workers
+    scores the groups if that is more than one; otherwise every group is
+    scored inline.  Workers get the resolved frames once, through the
+    pool initializer; plans carry only positions.  The report is
+    bit-identical for any jobs value: each group's cells are scored from
+    its own distance block, and the scores are folded in sorted order.
+    ``report.stats`` holds ``workers`` (the pool's processes, 1 inline)
+    and ``dp_cells`` (the count).
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
-    plans, ranked, stats = build_cells(segments, mode, kind, af_table, limits)
-    frames = [segment_frames(s, archive) for s in ranked]
+    plans, stats = build_cells(segments, mode, kind, af_table, limits)
+    frames = [segment_frames(s, archive) for s in segments]
     if not plans:
         raise EmptyTaskError(
             f"no scoreable cells (undersized candidates: {stats['undersized']})"

@@ -22,7 +22,8 @@ is the config's ``seed``, and the inputs are the flags typed
 ``InputPath`` whose path exists: a feature directory stands for its
 archive files, and a built-in AF table name is not a file and is not
 digested.  Flags given lie over the ``--config`` file, a flag left out
-leaves its value, and ``manifest.read_json`` decodes every JSON input.
+leaves its value, the file lies over ``apc gradcheck``'s default
+instance, and ``manifest.read_json`` decodes every JSON input.
 
 Exit codes: 0 success, 1 gradient check over its error bound, 2 usage
 error, 3 malformed or inconsistent data, 4 empty task (no scorable cells),
@@ -122,13 +123,14 @@ _PARSER_DESTS = ("command", "analysis", "apc_command", "func", "out")
 
 
 def _config_doc(cls, args, default=None) -> dict:
-    """The --config document, else ``default``, with the given flags on
-    top; a flag's destination is the name of the ``cls`` field it sets."""
-    doc = default or {}
+    """``default`` with the --config document laid over it and the given
+    flags on top; a flag's destination is the name of the ``cls`` field it sets."""
+    doc = dict(default or {})
     if args.config:
-        doc = read_json(read_text_file(args.config, "config file"), args.config, UsageError)
-        if not isinstance(doc, dict):
+        given = read_json(read_text_file(args.config, "config file"), args.config, UsageError)
+        if not isinstance(given, dict):
             raise UsageError(f"{args.config}: config must be a JSON object")
+        doc |= given
     flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
     return doc | {k: v for k, v in flags.items() if v is not None}
 
@@ -211,6 +213,8 @@ def cmd_analyze_phoneme(args) -> Outputs:
     condition = conditions[0] if len(conditions) == 1 else "mixed"
     pairwise = fold_pairs(((x, y, ctx), rate) for x, y, ctx, _, rate in rows)
     report = phoneme_level_rates(pairwise)
+    if not report.xi:
+        raise DataError(f"{args.pairwise}: no pair of two different categories")
 
     doc = {
         "condition": condition,
@@ -290,6 +294,8 @@ def _load_rate_map(path, key: str) -> dict:
             raise DataError(f"{path}: expected a non-empty JSON object of rates")
         out = {}
         for name, value in doc.items():
+            if "," in name:  # the CSVs written from the map would split on it
+                raise DataError(f"{path}: category {name!r} holds a comma")
             if isinstance(value, dict):
                 value = value.get(key)
             try:

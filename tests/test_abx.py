@@ -105,18 +105,19 @@ def test_eta_counts_strict_win():
 
 
 def planned_cells(plans):
-    """Each planned cell as (head, (x_ab, y_ab, x_x, y_x)), sets as ranks."""
+    """Each planned cell as (head, (x_ab, y_ab, x_x, y_x)), sets as
+    segment-list positions."""
     cells = []
     for plan in plans:
-        ranks = np.asarray(plan.ranks)
+        positions = np.asarray(plan.positions)
         for head, members in zip(plan.heads, plan.members):
-            cells.append((head, tuple(tuple(ranks[s].tolist()) for s in members)))
+            cells.append((head, tuple(tuple(positions[s].tolist()) for s in members)))
     return cells
 
 
 def test_within_cells_need_two_of_each():
     archive, segments = one_hot_corpus()
-    plans, _, _ = build_cells(segments[:3], "within", "phone")  # one EH only
+    plans, _ = build_cells(segments[:3], "within", "phone")  # one EH only
     assert plans == []
     report_error = None
     try:
@@ -130,7 +131,7 @@ def test_across_cells_are_ordered_speaker_pairs():
     corpus = generate_corpus(
         SynthConfig(phones=("AE", "EH"), n_speakers=3, dim=4, contexts=(("S", "T"),))
     )
-    (plan,), _, _ = build_cells(corpus.segments, "across", "phone")  # one context
+    (plan,), _ = build_cells(corpus.segments, "across", "phone")  # one context
     pairs = [(s_ab, s_x) for *_, s_ab, s_x in plan.heads]
     # 3 speakers, ordered pairs, 1 pair x 1 context
     assert pairs == list(itertools.permutations(["s01", "s02", "s03"], 2))
@@ -235,8 +236,7 @@ def test_cell_groups_are_the_segments_cells_read(mode, cap):
     ))
     segments = [s for s in corpus.segments if s.speaker != "s02" or s.phone == "AE"]
     limits = CellLimits(max_speaker_pairs_per_context=cap)
-    plans, ranked, _ = build_cells(segments, mode, "phone", limits=limits)
-    assert ranked == sorted(set(ranked))
+    plans, _ = build_cells(segments, mode, "phone", limits=limits)
 
     def group_key(head):  # head: category_x, category_y, context, speaker_ab, speaker_x
         return (head[2], head[3]) if mode == "within" else (head[2],)
@@ -254,21 +254,22 @@ def test_cell_groups_are_the_segments_cells_read(mode, cap):
         for (x, y, ctx, s_ab, s_x), sets in cells:
             for members, cat, speaker in zip(sets, (x, y, x, y), (s_ab, s_ab, s_x, s_x)):
                 assert members and list(members) == sorted(members)
-                segs = [ranked[r] for r in members]
+                segs = [segments[p] for p in members]
                 assert {(s.context, s.phone, s.speaker) for s in segs} == {(ctx, cat, speaker)}
             read |= {(min(p, q), max(p, q)) for p in sets[0] + sets[1]
                      for q in sets[2] + sets[3] if p != q}
-        # the plan's ranks are what its cells read, and its pairs are every
-        # distinct unordered pair an A or B meets an X in
-        assert plan.ranks == sorted({r for _, sets in cells for m in sets for r in m})
-        assert {(plan.ranks[i], plan.ranks[j]) for i, j in zip(plan.i, plan.j)} == read
+        # the plan's positions are what its cells read, and its pairs are
+        # every distinct unordered pair an A or B meets an X in
+        assert plan.positions == sorted({p for _, sets in cells for m in sets for p in m})
+        assert {(plan.positions[i], plan.positions[j])
+                for i, j in zip(plan.i, plan.j)} == read
         assert all(plan.i < plan.j)
 
 
 @pytest.mark.parametrize("mode", ["within", "across"])
 def test_a_plan_depends_only_on_its_group(mode):
-    # the extra contexts hold two more speakers, and their segments sit in
-    # the same utterances, so the corpus-wide ranks of every group move
+    # the extra contexts hold two more speakers and are listed first, so
+    # the segment-list positions of every group move
     config = SynthConfig(phones=("AE", "EH", "IY"), n_speakers=2, dim=4,
                          segments_per_cell=2, seed=3)
     small = generate_corpus(config).segments
@@ -278,21 +279,21 @@ def test_a_plan_depends_only_on_its_group(mode):
     )).segments
     key = (lambda h: h[2:4]) if mode == "within" else (lambda h: h[2])
     runs = []
-    for segments in (small, small + extra):
-        plans, ranked, _ = build_cells(segments, mode, "phone")
-        runs.append(({key(p.heads[0]): p for p in plans}, ranked))
-    (plans_a, ranked_a), (plans_b, ranked_b) = runs
+    for segments in (small, extra + small):
+        plans, _ = build_cells(segments, mode, "phone")
+        runs.append(({key(p.heads[0]): p for p in plans}, segments))
+    (plans_a, segments_a), (plans_b, segments_b) = runs
     assert len(plans_b) > len(plans_a) and plans_a.keys() <= plans_b.keys()
     moved = 0
     for k, a in plans_a.items():
         b = plans_b[k]
         assert a.heads == b.heads
         assert np.array_equal(a.i, b.i) and np.array_equal(a.j, b.j)
-        assert [ranked_a[r] for r in a.ranks] == [ranked_b[r] for r in b.ranks]
+        assert [segments_a[p] for p in a.positions] == [segments_b[p] for p in b.positions]
         for ma, mb in zip(a.members, b.members, strict=True):
             assert all(np.array_equal(p, q) for p, q in zip(ma, mb, strict=True))
-        moved += a.ranks != b.ranks
-    assert moved == len(plans_a)  # every group's ranks interleave with the extras
+        moved += a.positions != b.positions
+    assert moved == len(plans_a)  # every group's positions shift past the extras
 
 
 @pytest.mark.parametrize("mode", ["within", "across"])
@@ -304,8 +305,8 @@ def test_build_cells_plans_what_score_corpus_scores(mode, kind):
     ))
     table = load_af_table("english-height") if kind == "af" else None
     # positional, as the benchmark's traced run calls it
-    plans, ranked, stats = abx.build_cells(corpus.segments, mode, kind, table)
-    assert len(plans) > 1 and ranked == sorted(set(corpus.segments))
+    plans, stats = abx.build_cells(corpus.segments, mode, kind, table)
+    assert len(plans) > 1
     report = score_corpus(corpus.archive, corpus.segments, mode, kind, af_table=table)
     # plans come in group order; the report's cells in key order
     keys = [head for plan in plans for head in plan.heads]
@@ -364,10 +365,10 @@ def test_af_task_drops_excluded_segments():
         SynthConfig(phones=("AE", "EH", "IY"), dim=4, n_speakers=1, seed=2)
     )
     table = AfTable("toy", {"AE": "A", "EH": "B"}, excluded=("IY",))
-    plans, ranked, _ = build_cells(corpus.segments, "within", "af", af_table=table)
+    plans, _ = build_cells(corpus.segments, "within", "af", af_table=table)
     assert {head[:2] for p in plans for head in p.heads} == {("A", "B")}
-    assert {ranked[r].phone for p in plans for r in p.ranks} == {"AE", "EH"}
-    assert "IY" in {s.phone for s in ranked}  # ranked, so resolved, but read by no cell
+    assert {corpus.segments[q].phone for p in plans for q in p.positions} == {"AE", "EH"}
+    assert "IY" in {s.phone for s in corpus.segments}  # listed, but read by no cell
 
 
 def test_af_task_unmapped_phone_fails_fast():
@@ -630,7 +631,7 @@ def dist_for(corpus, cfg=DtwConfig()):
 
 @pytest.mark.parametrize("mode", ["within", "across"])
 def test_item_listed_twice_keeps_both_entries(mode, tmp_path):
-    # equal segments share one rank, yet each listing is its own A, B or X
+    # each listing is its own segment: its own A, B or X and its own block row
     corpus = generate_corpus(SynthConfig(
         phones=("AE", "EH"), n_speakers=2, dim=3, noise_scale=0.8,
         segments_per_cell=2, frames_per_segment=(2, 4), seed=4,
@@ -647,10 +648,10 @@ def test_item_listed_twice_keeps_both_entries(mode, tmp_path):
     assert report.overall == pytest.approx(overall, abs=1e-12)
     single = score_corpus(corpus.archive, segments[:-1], mode, "phone")
     assert report.metadata["comparisons"] > single.metadata["comparisons"]
-    # one distinct segment, so the distance blocks compute the same pairs
+    # the repeated row adds pairs to its distance block
     dp_cells = [score_corpus(corpus.archive, s, mode, "phone", jobs=2).stats["dp_cells"]
                 for s in (segments, segments[:-1])]
-    assert dp_cells[0] == dp_cells[1] > 0
+    assert dp_cells[0] > dp_cells[1] > 0
 
 
 @pytest.mark.parametrize("mode", ["within", "across"])

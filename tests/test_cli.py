@@ -231,6 +231,22 @@ def test_score_corpus_rejects_a_row_the_archive_cannot_serve(bad, task, tmp_path
             score_corpus(archive, segments[:-1], "within", kind, af_table=af_table)
 
 
+def test_eval_names_the_first_unservable_row_in_file_order(corpus_dir, tmp_path, capsys):
+    # 'zz' is listed before 'aa', though 'aa' sorts first
+    rows = load_item_file(corpus_dir / "items.item")
+    good = rows[0]
+    bad = [ItemSegment(utt, good.onset, good.offset, good.phone, good.prev, good.next,
+                       good.speaker) for utt in ("zz", "aa")]
+    items = tmp_path / "bad.item"
+    items.write_bytes(item_file_bytes(rows + bad))
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--features", str(corpus_dir / "features"),
+                     "--items", str(items), "--mode", "within", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "'zz'" in err and "'aa'" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_eval_overflowing_item_time_exits_3(corpus_dir, tmp_path, capsys):
     items = tmp_path / "items.item"
     items.write_text(f"{ITEM_HEADER}\nu01 1e303 1e304 AA S T s01\n")
@@ -367,6 +383,17 @@ def test_analyze_phoneme_bad_csv_exits_3(tmp_path, capsys, text, where):
     ) == 3
     assert where in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_analyze_phoneme_without_a_pair_of_two_categories_exits_3(tmp_path, capsys):
+    bad = tmp_path / "pairwise.csv"
+    bad.write_text(f"{abx.PAIRWISE_HEADER}\na,a,S,T,within,0.5\n")
+    out = tmp_path / "o"
+    assert cli.main(["analyze", "phoneme", "--pairwise", str(bad), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}: no pair of two different categories" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_analyze_phoneme_folds_a_pair_listed_both_ways(tmp_path):
@@ -705,6 +732,21 @@ def test_analyze_rate_map_listing_a_category_twice_exits_3(tmp_path, capsys, nam
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text", ['{"a,b": 0.5, "c": 0.2}', '{"xi": {"a,b": "0.5"}}'])
+def test_analyze_rate_map_category_holding_a_comma_exits_3(tmp_path, capsys, text):
+    bad = tmp_path / "rates.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    # one map on both sides, so nothing but the comma could refuse it
+    argv = ["analyze", "reduce", "--baseline", str(bad), "--improved", str(bad),
+            "--out", str(out)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}: category 'a,b' holds a comma" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_analyze_reads_csv_rate_maps(tmp_path):
     """phoneme.csv and pco.csv rows are read at full repr precision, a
     header row skipped: the outputs are those of JSON maps of the same
@@ -895,6 +937,19 @@ def test_apc_gradcheck_flags_left_out_leave_the_config_seed(tmp_path, capsys):
     assert line("--config", str(cfg)) == line("--seed", "7")
     assert line("--seed", "0", "--config", str(cfg)) == line()
     assert line() != line("--seed", "7")
+
+
+def test_apc_gradcheck_config_lies_over_the_default_instance(tmp_path, capsys):
+    cfg = tmp_path / "seed7.json"
+    cfg.write_text(json.dumps({"seed": 7}))
+
+    def line(*argv):
+        assert cli.main(["apc", "gradcheck", *argv]) == 0
+        return capsys.readouterr().out
+
+    seeded = line("--seed", "7")
+    assert "6.426464e-07" in seeded
+    assert line("--config", str(cfg)) == seeded
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-1e-5", "nan", "inf"])
