@@ -14,9 +14,12 @@ to its feature rows in list order, so a row the archive cannot serve
 fails before any scoring; then each plan computes a dense segment x
 segment block of DTW dissimilarities, every unordered pair once through
 the batched kernel, and its cells are scored by lookups into that
-block.  Plans are pure functions of the
-resolved frames, so they can be scored in parallel; a process pool
-starts only when the task's DP cells reach ``POOL_MIN_DP_CELLS``.
+block.  Plans are pure functions of the resolved frames, so they can be
+scored in parallel; a process pool starts only when the task's DP cells
+reach ``POOL_MIN_DP_CELLS``.  A task's settings are plain keyword
+values, each checked once by the function that uses it: the speaker-pair
+cap and its seed by ``build_cells``, the zero-vector charge by
+``distance.dtw_pairs`` and the worker cap by ``score_corpus``.
 
 Scoring counts strict wins and exact ties as integers and divides once
 at the end, so the comparison order inside a cell cannot perturb eta.
@@ -38,7 +41,7 @@ import numpy as np
 
 from .af_tables import AfTable
 from .corpus import FeatureArchive, segment_frames
-from .distance import DEFAULT_DTW, DtwConfig, dtw_pairs
+from .distance import dtw_pairs
 from .errors import EmptyTaskError, UsageError
 from .manifest import json_bytes, lines_bytes
 
@@ -54,26 +57,6 @@ PAIRWISE_HEADER = "category_x,category_y,context_prev,context_next,condition,rat
 # and 6/10 pairs and lost in 12/12 and 9/10 in two other series; at 4.2M
 # it won in 10/12, 10/10 and 5/10, at 2.1M in 7/10 and at 1.3M in 1/10.
 POOL_MIN_DP_CELLS = 3_000_000
-
-
-@dataclass(frozen=True)
-class CellLimits:
-    """Optional cap on across-speaker combinatorics.
-
-    When max_speaker_pairs_per_context is set, the ordered speaker pairs
-    of each (category pair, context) group are subsampled with a seeded
-    shuffle; the seed lands in report metadata.
-    """
-
-    max_speaker_pairs_per_context: int | None = None
-    seed: int = 42
-
-    def __post_init__(self):
-        cap = self.max_speaker_pairs_per_context
-        if cap is not None and cap < 1:
-            raise UsageError(f"max_speaker_pairs_per_context must be >= 1, got {cap}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +153,7 @@ class GroupPlan(NamedTuple):
 
 
 def build_cells(segments, mode, kind, af_table: AfTable | None = None,
-                limits: CellLimits = CellLimits()
+                max_speaker_pairs: int | None = None, seed: int = 42
                 ) -> tuple[list[GroupPlan], dict]:
     """The package's one cell builder: the task's cells, planned for
     scoring in groups of the segments they read, one per (context,
@@ -181,10 +164,11 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
     is s_ab; across, any other speaker of the context.  A candidate is
     skipped silently when s_ab lacks x or y, and counts as undersized
     when s_x holds fewer than ``need`` segments of x or y: 2 within,
-    where X is never its own A, and 1 across.  The speaker-pair cap then
-    draws from the candidates left, in their sorted label order, so a
-    rename that reorders labels can change the draw; within there is at
-    most one candidate, so it never draws.
+    where X is never its own A, and 1 across.  ``max_speaker_pairs``
+    (None, or >= 1) then caps the candidates left per (category pair,
+    context): a shuffle seeded with ``seed`` (>= 0) draws from them in
+    their sorted label order, so a rename that reorders labels can change
+    the draw; within there is at most one candidate, so it never draws.
 
     A segment is named by its position in ``segments``, so a segment
     listed twice is two segments.  Returns ``(plans, stats)``: one
@@ -198,6 +182,10 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
         raise UsageError(f"task kind must be one of {TASK_KINDS}, got {kind!r}")
     if (kind == "af") != (af_table is not None):
         raise UsageError("af_table is required for the af task and only for it")
+    if max_speaker_pairs is not None and max_speaker_pairs < 1:
+        raise UsageError(f"max_speaker_pairs_per_context must be >= 1, got {max_speaker_pairs}")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
 
     categories = _categorize(segments, kind, af_table)
     by_ctx: dict[tuple, dict[str, dict[str, list]]] = {}
@@ -232,12 +220,11 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
                         stats["undersized"] += 1
                         continue
                     valid.append((s_ab, s_x))
-                cap = limits.max_speaker_pairs_per_context
-                if cap is not None and len(valid) > cap:
-                    stats["capped_speaker_pairs"] += len(valid) - cap
+                if max_speaker_pairs is not None and len(valid) > max_speaker_pairs:
+                    stats["capped_speaker_pairs"] += len(valid) - max_speaker_pairs
                     if rng is None:
-                        rng = np.random.default_rng(limits.seed)
-                    idx = rng.permutation(len(valid))[:cap]
+                        rng = np.random.default_rng(seed)
+                    idx = rng.permutation(len(valid))[:max_speaker_pairs]
                     valid = sorted(valid[i] for i in idx)
                 for s_ab, s_x in valid:
                     ab, sx = speakers[s_ab], speakers[s_x]
@@ -314,7 +301,7 @@ def _eta(block, a, b, x, within: bool) -> tuple[float, int]:
     return errors / (2 * total), total
 
 
-def _score_group(plan: GroupPlan, frames, cfg: DtwConfig) -> list[CellScore]:
+def _score_group(plan: GroupPlan, frames, zero_vector_distance: float) -> list[CellScore]:
     """Score the cells of a group from one distance block; ``frames``
     holds the feature rows of each segment-list position.
 
@@ -323,7 +310,7 @@ def _score_group(plan: GroupPlan, frames, cfg: DtwConfig) -> list[CellScore]:
     n = len(plan.positions)
     block = np.zeros((n, n))
     block[plan.i, plan.j] = block[plan.j, plan.i] = dtw_pairs(
-        [frames[p] for p in plan.positions], plan.i, plan.j, cfg
+        [frames[p] for p in plan.positions], plan.i, plan.j, zero_vector_distance
     )
     scores = []
     for head, (x_ab, y_ab, x_x, y_x) in zip(plan.heads, plan.members):
@@ -390,22 +377,19 @@ def aggregate(per_cell, kind: str, condition: str, metadata: dict | None = None)
 _WORKER_STATE = None
 
 
-def _worker_init(frames, cfg):
+def _worker_init(frames, zero_vector_distance):
     global _WORKER_STATE
-    _WORKER_STATE = (frames, cfg)
+    _WORKER_STATE = (frames, zero_vector_distance)
 
 
 def _worker_group(plan):
     return _score_group(plan, *_WORKER_STATE)
 
 
-def config_digest(doc: dict) -> str:
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-
-
 def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
-                 af_table: AfTable | None = None, cfg: DtwConfig = DEFAULT_DTW,
-                 limits: CellLimits = CellLimits(), jobs: int = 1) -> AbxReport:
+                 af_table: AfTable | None = None, zero_vector_distance: float = 1.0,
+                 max_speaker_pairs: int | None = None, seed: int = 42,
+                 jobs: int = 1) -> AbxReport:
     """Score an ABX task: the package's one scoring entry.
 
     ``build_cells`` plans -> distance blocks (parallel over plans) -> aggregate.
@@ -421,11 +405,13 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
     bit-identical for any jobs value: each group's cells are scored from
     its own distance block, and the scores are folded in sorted order.
     ``report.stats`` holds ``workers`` (the pool's processes, 1 inline)
-    and ``dp_cells`` (the count).
+    and ``dp_cells`` (the count).  ``dtw_pairs`` checks
+    ``zero_vector_distance``, so an unservable row or an empty task is
+    reported before it.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
-    plans, stats = build_cells(segments, mode, kind, af_table, limits)
+    plans, stats = build_cells(segments, mode, kind, af_table, max_speaker_pairs, seed)
     frames = [segment_frames(s, archive) for s in segments]
     if not plans:
         raise EmptyTaskError(
@@ -434,16 +420,22 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
     dp_cells = _dp_cells(plans, frames)
     workers = min(jobs, len(plans)) if dp_cells >= POOL_MIN_DP_CELLS else 1
     if workers == 1:
-        scored = [_score_group(p, frames, cfg) for p in plans]
+        scored = [_score_group(p, frames, zero_vector_distance) for p in plans]
     else:
         # imported here: the pool's modules cost start-up of every command
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(frames, cfg),
+            max_workers=workers, initializer=_worker_init,
+            initargs=(frames, zero_vector_distance),
         ) as pool:
             scored = list(pool.map(_worker_group, plans))
     scores = [s for group in scored for s in group]
+    config = {
+        "task": kind, "condition": mode, "zero_vector_distance": zero_vector_distance,
+        "max_speaker_pairs_per_context": max_speaker_pairs, "seed": seed,
+        "af_table": af_table.feature_name if af_table else None,
+    }
     metadata = {
         "task": kind,
         "condition": mode,
@@ -452,17 +444,8 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
         "skipped_undersized": stats["undersized"],
         "capped_speaker_pairs": stats["capped_speaker_pairs"],
         "speaker_pairs": "ordered",
-        "seed": limits.seed,
-        "config_sha256": config_digest(
-            {
-                "task": kind,
-                "condition": mode,
-                "zero_vector_distance": cfg.zero_vector_distance,
-                "max_speaker_pairs_per_context": limits.max_speaker_pairs_per_context,
-                "seed": limits.seed,
-                "af_table": af_table.feature_name if af_table else None,
-            }
-        ),
+        "seed": seed,
+        "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
     }
     report = aggregate(scores, kind, mode, metadata)
     report.stats = {"workers": workers, "dp_cells": dp_cells}

@@ -658,8 +658,16 @@ def extract_features(model: ApcModel, archive: FeatureArchive) -> FeatureArchive
 # gradient check
 
 
-def gradient_check(model: ApcModel, x, n: int, epsilon: float = 1e-5) -> float:
-    """Max relative error between BPTT and central-difference gradients.
+def _check_small(cfg: ApcConfig, t: int) -> None:
+    if cfg.L > 2 or cfg.hidden_dim > 8 or t > 20 or cfg.n >= t:
+        raise UsageError("gradient_check wants a small instance: L <= 2, hidden_dim <= 8, "
+                         f"T <= 20, n < T; got L {cfg.L}, hidden_dim {cfg.hidden_dim}, "
+                         f"T {t}, n {cfg.n}")
+
+
+def gradient_check(model: ApcModel, x, epsilon: float = 1e-5) -> float:
+    """Max relative error between BPTT and central-difference gradients of
+    the loss at the model's own horizon ``n``.
 
     Each coordinate of ``model.theta`` is perturbed in place and restored,
     so the model is left bit-identical.
@@ -667,11 +675,8 @@ def gradient_check(model: ApcModel, x, n: int, epsilon: float = 1e-5) -> float:
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise UsageError(f"epsilon must be finite and > 0, got {epsilon!r}")
     x = np.asarray(x, dtype=np.float64)
-    cfg = model.config
-    if cfg.L > 2 or cfg.hidden_dim > 8 or x.shape[0] > 20:
-        raise UsageError(
-            "gradient_check wants a small instance: L <= 2, hidden_dim <= 8, T <= 20"
-        )
+    _check_small(model.config, x.shape[0])
+    n = model.config.n
     analytic = np.empty_like(model.theta)
 
     def fill(block, grad):
@@ -714,6 +719,7 @@ def run_gradient_check(cfg: ApcConfig, epsilon: float = 1e-5):
     margin below 1e-4.
     """
     cfg = replace(cfg, input_dim=cfg.input_dim or 2)
+    _check_small(cfg, GRADCHECK_T)
     model = init_model(cfg)
     rng = np.random.default_rng(cfg.seed)
     for attempt in range(GRADCHECK_MAX_RESAMPLES + 1):
@@ -721,7 +727,7 @@ def run_gradient_check(cfg: ApcConfig, epsilon: float = 1e-5):
         xhat, _ = forward(model, x)
         gap = np.abs(_seq_losses(xhat[None], x[None], cfg.n)[1]).min()
         if gap >= KINK_MARGIN:
-            return gradient_check(model, x, cfg.n, epsilon), attempt
+            return gradient_check(model, x, epsilon), attempt
     raise InconclusiveGradCheck(
         f"could not find a kink-free evaluation point in {GRADCHECK_MAX_RESAMPLES} resamples"
     )

@@ -27,7 +27,10 @@ instance, and ``manifest.read_json`` decodes every JSON input.
 
 Exit codes: 0 success, 1 gradient check over its error bound, 2 usage
 error, 3 malformed or inconsistent data, 4 empty task (no scorable cells),
-5 inconclusive gradient check.
+5 inconclusive gradient check.  ``eval`` adds no checks of its own: it
+passes its flags to ``score_corpus`` as plain values (``--jobs`` left out
+becomes the CPUs the process may use), and the library checks each one
+where it is used, so a bad setting is reported after the inputs load.
 
 ``analysis``, ``svgplot`` and ``synth`` are imported inside the commands
 that use them, so ``eval`` and ``apc`` do not pay for them at start-up.
@@ -65,7 +68,7 @@ from typing import NamedTuple
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads: see above
 
 from . import __version__
-from .abx import PAIRWISE_HEADER, CellLimits, fold_pairs, score_corpus
+from .abx import PAIRWISE_HEADER, fold_pairs, score_corpus
 from .af_tables import BUILTIN_TABLES, load_af_table
 from .apc import (
     GRADCHECK_CONFIG,
@@ -86,7 +89,6 @@ from .corpus import (
     read_rows,
     read_text_file,
 )
-from .distance import DtwConfig
 from .errors import (
     AbxlabError,
     DataError,
@@ -136,15 +138,12 @@ def _config_doc(cls, args, default=None) -> dict:
 
 
 def _resolve_jobs(value) -> int:
-    if value is None:
-        # the CPUs this process may run on, which can be fewer than the machine's
-        if hasattr(os, "sched_getaffinity"):
-            value = len(os.sched_getaffinity(0))
-        else:
-            value = os.cpu_count() or 1
-    if value < 1:
-        raise UsageError(f"jobs must be >= 1, got {value}")
-    return value
+    """``--jobs``, else the CPUs this process may use (maybe fewer than the machine's)."""
+    if value is not None:
+        return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _parse_rate(path, line_no: int, text: str) -> float:
@@ -164,15 +163,10 @@ def _parse_rate(path, line_no: int, text: str) -> float:
 def cmd_eval(args) -> Outputs:
     args.jobs = _resolve_jobs(args.jobs)  # the manifest records the resolved cap
     report = score_corpus(
-        load_feature_archive(args.features),
-        load_item_file(args.items),
-        mode=args.mode,
-        kind=args.task,
+        load_feature_archive(args.features), load_item_file(args.items), args.mode, args.task,
         af_table=None if args.af_table is None else load_af_table(args.af_table),
-        cfg=DtwConfig(zero_vector_distance=args.zero_vector_distance),
-        limits=CellLimits(max_speaker_pairs_per_context=args.max_speaker_pairs,
-                          seed=args.seed),
-        jobs=args.jobs,
+        zero_vector_distance=args.zero_vector_distance,
+        max_speaker_pairs=args.max_speaker_pairs, seed=args.seed, jobs=args.jobs,
     )
     return Outputs(
         {
@@ -296,6 +290,8 @@ def _load_rate_map(path, key: str) -> dict:
         for name, value in doc.items():
             if "," in name:  # the CSVs written from the map would split on it
                 raise DataError(f"{path}: category {name!r} holds a comma")
+            if name.splitlines() != [name]:  # read_rows splits lines as str.splitlines
+                raise DataError(f"{path}: category {name!r} is empty or holds a line break")
             if isinstance(value, dict):
                 value = value.get(key)
             try:

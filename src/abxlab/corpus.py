@@ -313,6 +313,8 @@ def feature_archive_files(archive: FeatureArchive, format: str = "binary") -> di
     """The archive as {"<utt>.fbin" or "<utt>.ftxt": file bytes}."""
     if format not in ("binary", "text"):
         raise UsageError(f"unknown feature format {format!r}")
+    if format == "binary" and archive.frame_period > 2**32 - 1:  # the header's u32
+        raise DataError(f"frame period {archive.frame_period} us overflows a .fbin header")
     files = {}
     for utt in archive.utterance_ids():
         mat = archive.frames(utt)

@@ -22,32 +22,9 @@ length, so numpy's complex minimum is its (cost, length) tie-break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError, UsageError
-
-
-@dataclass(frozen=True)
-class DtwConfig:
-    """Knobs for the DTW dissimilarity.
-
-    zero_vector_distance is the cosine distance charged when exactly one
-    of the two frames has zero norm; silence padding in synthetic data
-    makes such frames legitimate, so they are not an error.
-    """
-
-    zero_vector_distance: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.zero_vector_distance <= 2.0:
-            raise UsageError(
-                f"zero_vector_distance must be in [0, 2], got {self.zero_vector_distance}"
-            )
-
-
-DEFAULT_DTW = DtwConfig()
 
 
 # Pairs run through the kernel in shape-sorted chunks of this many; it
@@ -56,7 +33,7 @@ DEFAULT_DTW = DtwConfig()
 DTW_CHUNK = 64
 
 
-def dtw_dissimilarity(A, X, cfg: DtwConfig = DEFAULT_DTW) -> float:
+def dtw_dissimilarity(A, X, zero_vector_distance: float = 1.0) -> float:
     """Mean cell cost along the best monotone alignment path.
 
     The path minimizes accumulated cost, with ties broken toward fewer
@@ -65,19 +42,23 @@ def dtw_dissimilarity(A, X, cfg: DtwConfig = DEFAULT_DTW) -> float:
     One pair through ``dtw_pairs``, so a 1 x 1 call returns the cosine
     distance of its two frames exactly.
     """
-    return float(dtw_pairs([A, X], [0], [1], cfg)[0])
+    return float(dtw_pairs([A, X], [0], [1], zero_vector_distance)[0])
 
 
-def dtw_pairs(frames, i, j, cfg: DtwConfig = DEFAULT_DTW) -> np.ndarray:
+def dtw_pairs(frames, i, j, zero_vector_distance: float = 1.0) -> np.ndarray:
     """``dtw_dissimilarity(frames[i[p]], frames[j[p]])`` for every p.
 
-    ``frames`` must hold non-empty (t, d) matrices of one dim d, and ``i``
-    and ``j`` must be 1-D index arrays of one length into ``frames``;
-    anything else is a ``UsageError``.  Each pair runs with its shorter
-    segment first, the pairs are sorted by shape and run in chunks of
-    ``DTW_CHUNK``, each chunk padded to its longest pair by repeating each
-    segment's last frame; the results come back in input order as float64.
+    ``zero_vector_distance``, in [0, 2], is the cost of a frame pair with
+    one zero norm (silence padding, so not an error).  ``frames`` must hold
+    non-empty (t, d) matrices of one dim d, and ``i`` and ``j`` must be 1-D
+    index arrays of one length into ``frames``; anything else is a
+    ``UsageError``.  Each pair runs with its shorter segment first, the
+    pairs are sorted by shape and run in chunks of ``DTW_CHUNK``, each
+    chunk padded to its longest pair by repeating each segment's last
+    frame; the results come back in input order as float64.
     """
+    if not 0.0 <= zero_vector_distance <= 2.0:  # NaN fails too
+        raise UsageError(f"zero_vector_distance must be in [0, 2], got {zero_vector_distance}")
     frames = [np.asarray(f) for f in frames]
     for f in frames:
         if f.ndim != 2 or len(f) == 0 or f.shape[1] != frames[0].shape[1]:
@@ -118,7 +99,7 @@ def dtw_pairs(frames, i, j, cfg: DtwConfig = DEFAULT_DTW) -> np.ndarray:
         k = order[lo:lo + DTW_CHUNK]
         m, n = lengths[i[k]], lengths[j[k]]
         ra, rx = table[i[k], :m.max()], table[j[k], :n.max()]
-        out[k] = _dtw_padded(_cost_matrices(ra, rx, flat, norms, cfg), m, n)
+        out[k] = _dtw_padded(_cost_matrices(ra, rx, flat, norms, zero_vector_distance), m, n)
     return out
 
 
@@ -158,10 +139,10 @@ def _dtw_padded(cost, m, n) -> np.ndarray:
     return end.real / end.imag
 
 
-def _cost_matrices(ra, rx, flat, norms, cfg: DtwConfig) -> np.ndarray:
+def _cost_matrices(ra, rx, flat, norms, zero_vector_distance: float) -> np.ndarray:
     """(P, M, N) cosine cost matrices between the rows ``ra`` (P, M) and
     ``rx`` (P, N) of ``flat``, from their squared ``norms``: 1 - cos in
-    [0, 2], ``cfg.zero_vector_distance`` where one frame has zero norm, 0.0
+    [0, 2], ``zero_vector_distance`` where one frame has zero norm, 0.0
     where both do and, by the arithmetic alone, between equal frames."""
     sa = norms[ra]
     sx = norms[rx]
@@ -174,7 +155,7 @@ def _cost_matrices(ra, rx, flat, norms, cfg: DtwConfig) -> np.ndarray:
     za, zx = (sa == 0.0)[:, :, None], (sx == 0.0)[:, None, :]
     # + 0.0 charges a -0.0 setting as 0.0: a -0.0 cost would let the tie
     # order of the DP, and so the pair's orientation, pick a zero's sign
-    cost[za | zx] = cfg.zero_vector_distance + 0.0
+    cost[za | zx] = zero_vector_distance + 0.0
     cost[za & zx] = 0.0
     np.clip(cost, 0.0, 2.0, out=cost)
     return cost

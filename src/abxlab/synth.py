@@ -85,8 +85,9 @@ class SynthConfig(JsonConfig):
                 )
         if len(set(self.contexts)) != len(self.contexts):
             raise UsageError("duplicate contexts")
-        if self.frame_period < 1:
-            raise UsageError("frame_period must be >= 1 microsecond")
+        if not 1 <= self.frame_period <= 2**32 - 1:  # a .fbin header holds a u32
+            raise UsageError(f"frame_period must be in [1, {2**32 - 1}] microseconds, "
+                             f"got {self.frame_period}")
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.means is not None:

@@ -12,7 +12,6 @@ import pytest
 from abxlab import abx
 from abxlab.abx import (
     AbxReport,
-    CellLimits,
     aggregate,
     build_cells,
     means,
@@ -20,7 +19,7 @@ from abxlab.abx import (
 )
 from abxlab.af_tables import AfTable, load_af_table
 from abxlab.corpus import FeatureArchive, ItemSegment, item_file_bytes, load_item_file
-from abxlab.distance import DtwConfig, dtw_pairs
+from abxlab.distance import dtw_pairs
 from abxlab.errors import DataError, EmptyTaskError, UnmappedPhoneError, UsageError
 from abxlab.synth import SynthConfig, generate_corpus
 
@@ -202,8 +201,7 @@ def test_skip_counts_match_enumeration(mode, cap):
         s.context == ctx and s.speaker == "s02" and s.phone == "IY")]
     expected = _skip_counts(segments, mode, cap)
     assert expected[0] > 0 and (expected[1] > 0) == (mode == "across" and cap is not None)
-    report = score_corpus(corpus.archive, segments, mode, "phone",
-                          limits=CellLimits(max_speaker_pairs_per_context=cap))
+    report = score_corpus(corpus.archive, segments, mode, "phone", max_speaker_pairs=cap)
     md = report.metadata
     assert (md["skipped_undersized"], md["capped_speaker_pairs"], md["cells"]) == expected
 
@@ -212,18 +210,17 @@ def test_speaker_pair_cap_is_deterministic():
     corpus = generate_corpus(
         SynthConfig(phones=("AE", "EH"), n_speakers=4, dim=4, noise_scale=0.2, seed=5)
     )
-    limits = CellLimits(max_speaker_pairs_per_context=3, seed=42)
+    def cells(max_speaker_pairs=None, seed=42):
+        return planned_cells(build_cells(corpus.segments, "across", "phone",
+                                         max_speaker_pairs=max_speaker_pairs, seed=seed)[0])
 
-    def cells(limits=CellLimits()):
-        return planned_cells(build_cells(corpus.segments, "across", "phone", limits=limits)[0])
-
-    a = cells(limits)
-    assert a == cells(limits)
+    a = cells(3, 42)
+    assert a == cells(3, 42)
     assert len(a) == 3 * len(corpus.config.contexts)
     full = cells()
     assert len(full) == 12 * len(corpus.config.contexts)
     assert set(a) <= set(full)
-    different = cells(CellLimits(max_speaker_pairs_per_context=3, seed=43))
+    different = cells(3, 43)
     assert len(different) == len(a) and set(different) <= set(full)
 
 
@@ -235,8 +232,7 @@ def test_cell_groups_are_the_segments_cells_read(mode, cap):
         phones=("AE", "EH", "IY"), n_speakers=4, dim=4, segments_per_cell=2, seed=3,
     ))
     segments = [s for s in corpus.segments if s.speaker != "s02" or s.phone == "AE"]
-    limits = CellLimits(max_speaker_pairs_per_context=cap)
-    plans, _ = build_cells(segments, mode, "phone", limits=limits)
+    plans, _ = build_cells(segments, mode, "phone", max_speaker_pairs=cap)
 
     def group_key(head):  # head: category_x, category_y, context, speaker_ab, speaker_x
         return (head[2], head[3]) if mode == "within" else (head[2],)
@@ -327,10 +323,11 @@ def test_means_sums_in_row_order_and_sorts_keys():
 
 
 def test_cell_limit_validation():
-    with pytest.raises(UsageError):
-        CellLimits(max_speaker_pairs_per_context=0)
-    with pytest.raises(UsageError):
-        CellLimits(seed=-1)
+    _, segments = one_hot_corpus()
+    with pytest.raises(UsageError, match="max_speaker_pairs_per_context must be >= 1, got 0"):
+        build_cells(segments, "across", "phone", max_speaker_pairs=0)
+    with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
+        build_cells(segments, "across", "phone", seed=-1)
 
 
 def test_mode_and_kind_validation():
@@ -554,9 +551,9 @@ def test_single_job_counts_dp_cells_without_a_pool(monkeypatch):
     corpus = _pool_corpus()
     received = []
 
-    def recording(frames, i, j, cfg):
+    def recording(frames, i, j, zero_vector_distance):
         received.append(sum(len(frames[a]) * len(frames[b]) for a, b in zip(i, j)))
-        return dtw_pairs(frames, i, j, cfg)
+        return dtw_pairs(frames, i, j, zero_vector_distance)
 
     monkeypatch.setattr(abx, "dtw_pairs", recording)
     monkeypatch.setattr(abx, "POOL_MIN_DP_CELLS", 0)  # a pool would be due at jobs > 1
@@ -570,15 +567,33 @@ def test_dp_cells_count_what_dtw_receives(mode, monkeypatch):
     corpus = _pool_corpus()
     received = []
 
-    def recording(frames, i, j, cfg):
+    def recording(frames, i, j, zero_vector_distance):
         received.append(sum(len(frames[a]) * len(frames[b]) for a, b in zip(i, j)))
-        return dtw_pairs(frames, i, j, cfg)
+        return dtw_pairs(frames, i, j, zero_vector_distance)
 
     monkeypatch.setattr(abx, "dtw_pairs", recording)
     report = score_corpus(corpus.archive, corpus.segments, mode, "phone", jobs=2)
     assert report.stats["workers"] == 1  # inline, so every call is seen here
     assert len(received) > 1
     assert report.stats["dp_cells"] == sum(received)
+
+
+@pytest.mark.parametrize("threshold", [abx.POOL_MIN_DP_CELLS, 0])
+def test_settings_are_checked_where_they_are_used(threshold, monkeypatch):
+    # dtw_pairs checks the zero-vector charge, inline and in the pool's
+    # workers alike, once the task is known to have cells; jobs is checked
+    # on entry
+    corpus = _pool_corpus()
+    monkeypatch.setattr(abx, "POOL_MIN_DP_CELLS", threshold)
+    for bad in (2.5, -0.1, float("nan")):
+        with pytest.raises(UsageError, match=r"zero_vector_distance must be in \[0, 2\]"):
+            score_corpus(corpus.archive, corpus.segments, "within", "phone",
+                         zero_vector_distance=bad, jobs=2)
+    with pytest.raises(EmptyTaskError):
+        score_corpus(corpus.archive, corpus.segments[:1], "within", "phone",
+                     zero_vector_distance=2.5)
+    with pytest.raises(UsageError, match="jobs must be >= 1, got 0"):
+        score_corpus(corpus.archive, corpus.segments, "within", "phone", jobs=0)
 
 
 class UncheckedArchive:
@@ -611,7 +626,7 @@ def test_aggregate_empty_fails():
 # oracle equivalence on noisy corpora
 
 
-def dist_for(corpus, cfg=DtwConfig()):
+def dist_for(corpus, zero_vector_distance=1.0):
     cache = {}
 
     def d(a, b):
@@ -623,7 +638,7 @@ def dist_for(corpus, cfg=DtwConfig()):
             qa = round(a.offset * 1e6 / corpus.archive.frame_period)
             pb = round(b.onset * 1e6 / corpus.archive.frame_period)
             qb = round(b.offset * 1e6 / corpus.archive.frame_period)
-            cache[key] = dtw_scalar(fa[pa:qa], fb[pb:qb], cfg.zero_vector_distance)
+            cache[key] = dtw_scalar(fa[pa:qa], fb[pb:qb], zero_vector_distance)
         return cache[key]
 
     return d

@@ -38,7 +38,7 @@ from abxlab.corpus import (
     load_item_file,
     load_label_track,
 )
-from abxlab.distance import DtwConfig, dtw_dissimilarity
+from abxlab.distance import dtw_dissimilarity
 from abxlab.errors import DataError, FormatError, RowError
 from abxlab.manifest import write_outputs
 from abxlab.synth import SynthConfig, generate_corpus
@@ -47,7 +47,7 @@ from abxlab import cli
 from oracles import abx_ref, dtw_ref, dtw_scalar
 
 
-def dist_for(corpus, cfg=DtwConfig()):
+def dist_for(corpus, zero_vector_distance=1.0):
     period = corpus.archive.frame_period
     cache = {}
 
@@ -60,7 +60,7 @@ def dist_for(corpus, cfg=DtwConfig()):
             qa = round(a.offset * 1e6 / period)
             pb = round(b.onset * 1e6 / period)
             qb = round(b.offset * 1e6 / period)
-            cache[key] = dtw_scalar(fa[pa:qa], fb[pb:qb], cfg.zero_vector_distance)
+            cache[key] = dtw_scalar(fa[pa:qa], fb[pb:qb], zero_vector_distance)
         return cache[key]
 
     return d
@@ -186,13 +186,12 @@ def test_criterion_05_dtw_oracle():
         p = round(seg.onset * 1e6 / period)
         q = round(seg.offset * 1e6 / period)
         mats.append(np.asarray(frames[p:q], dtype=np.float64))
-    cfg = DtwConfig()
     checked = 0
     for i, a in enumerate(mats):
         for b in mats[i:]:
             assert len(a) <= 5 and len(b) <= 5
-            got = dtw_dissimilarity(a, b, cfg)
-            want = dtw_ref(a.tolist(), b.tolist(), cfg.zero_vector_distance)
+            got = dtw_dissimilarity(a, b)
+            want = dtw_ref(a.tolist(), b.tolist())
             assert got == pytest.approx(want, abs=1e-12)
             checked += 1
     assert checked > 100

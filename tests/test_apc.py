@@ -217,10 +217,25 @@ def test_run_gradient_check_draws_from_the_config_seed():
 def test_gradient_check_rejects_large_instances():
     model = init_model(ApcConfig(hidden_dim=9, input_dim=2, L=1))
     with pytest.raises(UsageError):
-        gradient_check(model, np.zeros((4, 2)), 1)
+        gradient_check(model, np.zeros((4, 2)))
     model = init_model(ApcConfig(hidden_dim=3, input_dim=2, L=1))
     with pytest.raises(UsageError):
-        gradient_check(model, np.zeros((21, 2)), 1)
+        gradient_check(model, np.zeros((21, 2)))
+    # the horizon must leave a target frame
+    model = init_model(ApcConfig(n=4, hidden_dim=3, input_dim=2, L=1))
+    with pytest.raises(UsageError, match="n < T; got L 1, hidden_dim 3, T 4, n 4"):
+        gradient_check(model, np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("n", [8, 100])
+def test_run_gradient_check_refuses_a_horizon_past_its_instance(n, monkeypatch):
+    # refused before the first draw: T is GRADCHECK_T = 8 frames
+    monkeypatch.setattr(apc, "init_model", lambda cfg: pytest.fail("drew an instance"))
+    with pytest.raises(UsageError, match=f"n < T; got L 2, hidden_dim 3, T 8, n {n}$"):
+        run_gradient_check(replace(GRADCHECK_CONFIG, n=n))
+    monkeypatch.undo()
+    err, _ = run_gradient_check(replace(GRADCHECK_CONFIG, n=7))
+    assert err < 1e-4
 
 
 def test_gradient_check_leaves_theta_bit_identical():
@@ -228,19 +243,28 @@ def test_gradient_check_leaves_theta_bit_identical():
     model = init_model(cfg)
     before = model.theta.copy()
     x = np.random.default_rng(4).standard_normal((8, 2))
-    gradient_check(model, x, 1)
+    gradient_check(model, x)
     assert np.array_equal(model.theta.view(np.int64), before.view(np.int64))
 
 
-def test_gradient_check_detects_disagreement():
-    # the analytic pass differentiates the loss at config.n; asking the
-    # numeric pass about a different shift must trip the bound
+def test_gradient_check_detects_disagreement(monkeypatch):
+    # an analytic pass that writes half of each recurrent weight gradient
+    # must trip the bound
     cfg = ApcConfig(n=1, L=1, hidden_dim=3, input_dim=2, cell_kind="simple-rnn", seed=0)
     model = init_model(cfg)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((8, 2))
-    assert gradient_check(model, x, 1) < 1e-4
-    assert gradient_check(model, x, 2) > 1e-2
+    assert gradient_check(model, x) < 1e-4
+    rnn_backward = apc._rnn_backward
+
+    def halved(layer, cache, dh_out, out):
+        dx = rnn_backward(layer, cache, dh_out, out)
+        for grad in out.values():
+            grad *= 0.5
+        return dx
+
+    monkeypatch.setattr(apc, "_rnn_backward", halved)
+    assert gradient_check(model, x) > 1e-2
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ from abxlab.af_tables import load_af_table
 from abxlab.apc import load_checkpoint
 from abxlab.corpus import (
     ITEM_HEADER,
+    FeatureArchive,
     FrameLabelTrack,
     ItemSegment,
+    feature_archive_files,
     item_file_bytes,
     label_track_bytes,
     load_feature_archive,
@@ -245,6 +247,35 @@ def test_eval_names_the_first_unservable_row_in_file_order(corpus_dir, tmp_path,
     err = capsys.readouterr().err
     assert "'zz'" in err and "'aa'" not in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message,codes", [
+    # exit codes on (good, malformed, unservable-row, empty-task) item files
+    (["--zero-vector-distance", "3"], "zero_vector_distance must be in [0, 2], got 3.0",
+     (2, 3, 3, 4)),
+    (["--jobs", "0"], "jobs must be >= 1, got 0", (2, 3, 2, 2)),
+])
+def test_eval_reports_a_bad_setting_after_the_inputs(flags, message, codes, corpus_dir,
+                                                     tmp_path, capsys):
+    # the library checks each setting where it is used: --jobs once the
+    # inputs load, the zero-vector charge once scoring starts
+    rows = load_item_file(corpus_dir / "items.item")
+    good = rows[0]
+    unknown = ItemSegment("zz", good.onset, good.offset, good.phone, good.prev, good.next,
+                          good.speaker)
+    out = tmp_path / "out"
+    texts = (item_file_bytes(rows), b"not an item file\n",
+             item_file_bytes(rows + [unknown]), item_file_bytes(rows[:1]))
+    for k, (text, rc) in enumerate(zip(texts, codes)):
+        (tmp_path / f"{k}.item").write_bytes(text)
+        argv = ["eval", "--features", str(corpus_dir / "features"),
+                "--items", str(tmp_path / f"{k}.item"), "--mode", "within",
+                "--out", str(out), *flags]
+        assert cli.main(argv) == rc, k
+        err = capsys.readouterr().err
+        assert (message in err) == (rc == 2), k
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def test_eval_overflowing_item_time_exits_3(corpus_dir, tmp_path, capsys):
@@ -747,6 +778,20 @@ def test_analyze_rate_map_category_holding_a_comma_exits_3(tmp_path, capsys, tex
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["a\nb", "a\rb", "a\u2028b", ""])
+def test_analyze_rate_map_category_holding_a_line_break_exits_3(tmp_path, capsys, name):
+    bad = tmp_path / "rates.json"
+    bad.write_text(json.dumps({name: 0.5, "c": 0.2}))
+    out = tmp_path / "out"
+    argv = ["analyze", "reduce", "--baseline", str(bad), "--improved", str(bad),
+            "--out", str(out)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}: category {name!r} is empty or holds a line break" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_analyze_reads_csv_rate_maps(tmp_path):
     """phoneme.csv and pco.csv rows are read at full repr precision, a
     header row skipped: the outputs are those of JSON maps of the same
@@ -1006,6 +1051,12 @@ _BAD_INPUTS = {
     "eval within seed -1": (["eval", "--mode", "within", "--seed", "-1"], None),
     "eval across seed -1": (["eval", "--mode", "across", "--seed", "-1"], None),
     "eval jobs 0": (["eval", "--mode", "within", "--jobs", "0"], None),
+    "eval zero vector distance nan": (["eval", "--mode", "within",
+                                       "--zero-vector-distance", "nan"], None),
+    "eval max speaker pairs 0": (["eval", "--mode", "across", "--max-speaker-pairs", "0"],
+                                 None),
+    "synth frame period past u32": (["synth", "--phones", "a,b", "--dim", "2", "--seed", "1",
+                                     "--frame-period", "4294967296"], None),
     "apc train seed -1": (["apc", "train", "--seed", "-1"], None),
     "apc train config n": (["apc", "train"], {"n": 1.5}),
     "apc train config hidden_dim": (["apc", "train"], {"hidden_dim": 2.5}),
@@ -1014,6 +1065,8 @@ _BAD_INPUTS = {
     "apc gradcheck seed -1": (["apc", "gradcheck", "--seed", "-1"], None),
     "apc gradcheck config seed -1": (["apc", "gradcheck", "--seed", "-1"], {"n": 1}),
     "apc gradcheck config input_dim": (["apc", "gradcheck"], {"input_dim": 2.5}),
+    "apc gradcheck config n 8": (["apc", "gradcheck"], {"n": 8}),
+    "apc gradcheck config n 100": (["apc", "gradcheck"], {"n": 100}),
 }
 
 
@@ -1062,6 +1115,30 @@ def _extract_exit_code(corpus_dir, ckpt, out, capsys):
     assert "Traceback" not in captured.out + captured.err
     assert not out.exists()
     return rc, captured.err
+
+
+def test_frame_period_past_u32_has_no_fbin_header(corpus_dir, apc_dir, tmp_path, capsys):
+    # a text archive carries the period; a .fbin header holds it as a u32
+    archive = load_feature_archive(corpus_dir / "features")
+    frames = {u: archive.frames(u) for u in archive.utterance_ids()}
+    features = tmp_path / "features"
+    write_outputs(features, feature_archive_files(FeatureArchive(frames, 5_000_000_000),
+                                                  "text"))
+    rc, err = _extract_exit_code(tmp_path, apc_dir / "apc.ckpt", tmp_path / "o", capsys)
+    assert rc == 3
+    assert "frame period 5000000000 us overflows a .fbin header" in err
+    out = tmp_path / "txt"
+    assert cli.main(["apc", "extract", "--model", str(apc_dir / "apc.ckpt"), "--features",
+                     str(features), "--format", "text", "--out", str(out)]) == 0
+    assert load_feature_archive(out).frame_period == 5_000_000_000
+    # the largest period a header holds still round-trips
+    out = tmp_path / "synth"
+    assert cli.main(["synth", "--phones", "a,b", "--dim", "2", "--seed", "1",
+                     "--frame-period", "4294967295", "--out", str(out)]) == 0
+    assert load_feature_archive(out / "features").frame_period == 2**32 - 1
+    assert cli.main(["eval", "--features", str(out / "features"), "--items",
+                     str(out / "items.item"), "--mode", "within",
+                     "--out", str(tmp_path / "eval")]) == 0
 
 
 def test_apc_extract_checkpoint_config_repeating_a_key_exits_3(corpus_dir, apc_dir, tmp_path,

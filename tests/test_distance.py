@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abxlab.distance import DTW_CHUNK, DtwConfig, dtw_dissimilarity, dtw_pairs
+from abxlab.distance import DTW_CHUNK, dtw_dissimilarity, dtw_pairs
 from abxlab.errors import DataError, UsageError
 
 from oracles import cosine_cost_matrix, cosine_ref, dtw_ref, dtw_scalar
@@ -17,8 +17,8 @@ def rand_mat(rng, t, d):
 # cosine distance: a 1 x 1 DTW returns its one cost cell exactly
 
 
-def cosine_distance(a, b, cfg=DtwConfig()):
-    return dtw_dissimilarity([a], [b], cfg)
+def cosine_distance(a, b, zero_vector_distance=1.0):
+    return dtw_dissimilarity([a], [b], zero_vector_distance)
 
 
 def test_cosine_trivial_values():
@@ -30,10 +30,9 @@ def test_cosine_trivial_values():
 
 def test_cosine_zero_vector_rules():
     assert cosine_distance([0.0, 0.0], [1.0, 0.0]) == 1.0  # default charge
-    cfg = DtwConfig(zero_vector_distance=0.25)
-    assert cosine_distance([0.0, 0.0], [1.0, 0.0], cfg) == 0.25
+    assert cosine_distance([0.0, 0.0], [1.0, 0.0], 0.25) == 0.25
     # identical frames win over the zero-norm rule, even all-zero ones
-    assert cosine_distance([0.0, 0.0], [0.0, 0.0], cfg) == 0.0
+    assert cosine_distance([0.0, 0.0], [0.0, 0.0], 0.25) == 0.0
 
 
 def test_cosine_validation():
@@ -41,10 +40,12 @@ def test_cosine_validation():
         cosine_distance([1.0], [1.0, 2.0])
     with pytest.raises(DataError):
         cosine_distance([np.nan], [1.0])
-    with pytest.raises(UsageError):
-        DtwConfig(zero_vector_distance=2.5)
-    with pytest.raises(UsageError):
-        DtwConfig(zero_vector_distance=-0.1)
+    with pytest.raises(UsageError, match=r"zero_vector_distance must be in \[0, 2\], got 2.5"):
+        dtw_pairs([np.ones((1, 2))] * 2, [0], [1], zero_vector_distance=2.5)
+    with pytest.raises(UsageError, match=r"zero_vector_distance must be in \[0, 2\], got -0.1"):
+        dtw_dissimilarity([[1.0]], [[1.0]], -0.1)
+    with pytest.raises(UsageError, match="got nan"):
+        dtw_pairs([], [], [], float("nan"))
 
 
 def test_cost_matrix_validation():
@@ -73,16 +74,15 @@ def test_cost_matrix_matches_scalar_distance():
     A[2] = X[1]  # plant an exact repeat
     A[3] = 0.0
     X[4] = 0.0
-    cfg = DtwConfig(zero_vector_distance=0.5)
     cost = cosine_cost_matrix(A, X, 0.5)
     for i in range(4):
         for j in range(5):
-            got = cosine_distance(A[i], X[j], cfg)
+            got = cosine_distance(A[i], X[j], 0.5)
             assert got == cost[i, j]
             assert got == pytest.approx(cosine_ref(A[i], X[j], 0.5), abs=1e-12)
-    assert cosine_distance(A[2], X[1], cfg) == 0.0
-    assert cosine_distance(A[3], X[4], cfg) == 0.0  # both zero: bitwise equal
-    assert cosine_distance(A[3], X[0], cfg) == 0.5  # one zero
+    assert cosine_distance(A[2], X[1], 0.5) == 0.0
+    assert cosine_distance(A[3], X[4], 0.5) == 0.0  # both zero: bitwise equal
+    assert cosine_distance(A[3], X[0], 0.5) == 0.5  # one zero
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +141,9 @@ def test_dtw_oracle_agreement_with_planted_ties_and_zeros():
         if k % 2:
             A[rng.integers(ta)] = 0.0
             X[rng.integers(tx)] = 0.0
-        cfg = DtwConfig(zero_vector_distance=float(rng.choice([0.0, 0.5, 1.0, 2.0])))
-        assert dtw_dissimilarity(A, X, cfg) == pytest.approx(
-            dtw_ref(A, X, cfg.zero_vector_distance), abs=1e-12
+        zero_vector_distance = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+        assert dtw_dissimilarity(A, X, zero_vector_distance) == pytest.approx(
+            dtw_ref(A, X, zero_vector_distance), abs=1e-12
         )
 
 
@@ -248,13 +248,12 @@ def test_dtw_batch_is_bitwise_scalar(d, dtype, zero_vector_distance):
     # more pairs than one chunk, in random shape order: the engine's shape
     # sort, its chunk boundaries and the write-back to input order all run
     rng = np.random.default_rng(d * 1000 + int(zero_vector_distance * 4))
-    cfg = DtwConfig(zero_vector_distance=zero_vector_distance)
     pairs = planted_pairs(rng, d, dtype)
     assert len(pairs) > 2 * DTW_CHUNK
     frames = [f for pair in pairs for f in pair]
     left = np.arange(0, len(frames), 2)
     for i, j in ((left, left + 1), (left + 1, left)):  # and the transpose
-        got = dtw_pairs(frames, i, j, cfg)
+        got = dtw_pairs(frames, i, j, zero_vector_distance)
         want = np.array([dtw_scalar(frames[a], frames[b], zero_vector_distance + 0.0)
                          for a, b in zip(i, j)])
         assert got.dtype == np.float64
@@ -303,20 +302,19 @@ def test_equal_frames_at_the_range_edges_are_bitwise_scalar(d, dtype, zero_vecto
     # and its dot product with an equal frame must get the same einsum bits,
     # also where the norms are thinnest and where zeros differ in sign
     rng = np.random.default_rng(d * 10 + (dtype == np.float64))
-    cfg = DtwConfig(zero_vector_distance=zero_vector_distance)
     pool = edge_frames(rng, d, dtype)
     norms = np.einsum("ij,ij->i", pool.astype(np.float64), pool.astype(np.float64))
     assert ((2.0**-511 <= norms) & (norms <= 2.0**511) | (norms == 0.0)).all()
     frames = [pool[rng.integers(len(pool), size=int(t))] for t in rng.integers(1, 9, size=80)]
     left = np.arange(0, len(frames), 2)
     for i, j in ((left, left + 1), (left + 1, left)):
-        got = dtw_pairs(frames, i, j, cfg)
+        got = dtw_pairs(frames, i, j, zero_vector_distance)
         want = np.array([dtw_scalar(frames[a], frames[b], zero_vector_distance + 0.0)
                          for a, b in zip(i, j)])
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
     # each frame against itself and against its twin costs +0.0
     n = len(pool)
-    got = dtw_pairs(list(pool[:, None]), np.r_[:n, :n], np.r_[:n, n // 2:n, :n // 2], cfg)
+    got = dtw_pairs(list(pool[:, None]), np.r_[:n, :n], np.r_[:n, n // 2:n, :n // 2], zero_vector_distance)
     assert got.view(np.int64).tolist() == [0] * 2 * n
 
 
@@ -352,17 +350,16 @@ def test_dtw_batch_ignores_pair_order_and_orientation(d, zero_vector_distance):
     # side first, so neither the caller's order nor its orientation may
     # reach a result bit; -0.0 is charged as 0.0, bit for bit
     rng = np.random.default_rng(d)
-    cfg = DtwConfig(zero_vector_distance=zero_vector_distance)
     frames = [f for pair in planted_pairs(rng, d, np.float64) for f in pair]
     left = np.arange(0, len(frames), 2)
     i = np.concatenate((left, rng.integers(len(frames), size=100)))
     j = np.concatenate((left + 1, rng.integers(len(frames), size=100)))
-    base = dtw_pairs(frames, i, j, cfg).view(np.int64)
+    base = dtw_pairs(frames, i, j, zero_vector_distance).view(np.int64)
     perm = rng.permutation(len(i))
-    assert dtw_pairs(frames, i[perm], j[perm], cfg).view(np.int64).tolist() == base[perm].tolist()
-    assert dtw_pairs(frames, j, i, cfg).view(np.int64).tolist() == base.tolist()
+    assert dtw_pairs(frames, i[perm], j[perm], zero_vector_distance).view(np.int64).tolist() == base[perm].tolist()
+    assert dtw_pairs(frames, j, i, zero_vector_distance).view(np.int64).tolist() == base.tolist()
     if np.signbit(zero_vector_distance):
-        plus = dtw_pairs(frames, i, j, DtwConfig(zero_vector_distance=0.0))
+        plus = dtw_pairs(frames, i, j, 0.0)
         assert plus.view(np.int64).tolist() == base.tolist()
 
 
@@ -374,14 +371,14 @@ def test_dtw_minus_zero_setting_gives_plus_zero_both_ways():
     A = np.array([[0.0], [1.0], [-1.0]])
     X = np.array([[1.0], [-1.0], [-1.0], [0.0]])
     assert np.signbit([dtw_scalar(A, X, -0.0), dtw_scalar(X, A, -0.0)]).tolist() == [True, False]
-    got = dtw_pairs([A, X], [0, 1], [1, 0], DtwConfig(zero_vector_distance=-0.0))
+    got = dtw_pairs([A, X], [0, 1], [1, 0], -0.0)
     assert got.view(np.int64).tolist() == [0, 0]
 
 
 def test_signed_zero_frames_are_equal():
     # -0.0 == 0.0 component by component, so the equal-frame rule wins
     # over the zero-norm charge and the cost is +0.0, not 0.5
-    got = dtw_dissimilarity([[-0.0, 0.0]], [[0.0, 0.0]], DtwConfig(zero_vector_distance=0.5))
+    got = dtw_dissimilarity([[-0.0, 0.0]], [[0.0, 0.0]], 0.5)
     assert got == 0.0 and not np.signbit(got)
 
 
@@ -391,9 +388,8 @@ def test_equal_frames_in_overlapping_segments_cost_zero():
     rng = np.random.default_rng(8)
     utt = rand_mat(rng, 8, 4)
     utt[3] = 0.0
-    cfg = DtwConfig(zero_vector_distance=2.0)
     frames = [utt[3:4], utt[3:4], utt[1:5], utt[3:7]]
-    got = dtw_pairs(frames, [0, 2], [1, 3], cfg)
+    got = dtw_pairs(frames, [0, 2], [1, 3], 2.0)
     assert got[0] == 0.0
     assert got[1] == dtw_scalar(utt[1:5], utt[3:7], 2.0)
 
