@@ -3,12 +3,12 @@
 A cell is the smallest scoring unit: one unordered category pair, one
 triphone context and one ordered speaker pair (s_ab, s_x), where s_x is
 s_ab within and another speaker across; one rule builds the cells of
-both conditions.  Cells that read the same segments (one context and
-speaker within, one context across) form a group.  ``build_cells`` is
-the one cell builder: it names each segment by its position in the
-segment list and plans each group from its own cells' positions, with
-no pass over the corpus: the cells' heads, their (x_ab, y_ab, x_x, y_x)
-member indices and the segment pairs its distance block computes.
+both conditions, and the cells of one context form a group in both.
+``build_cells`` is the one cell builder: it names each segment by its
+position in the segment list and plans each group from its own cells'
+positions, with no pass over the corpus: the cells' heads, their (x_ab,
+y_ab, x_x, y_x) member indices and the segment pairs its distance block
+computes, which within join segments of one speaker.
 ``score_corpus`` is the one scoring entry.  It resolves each listed row
 to its feature rows in list order, so a row the archive cannot serve
 fails before any scoring; then each plan computes a dense segment x
@@ -156,19 +156,19 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
                 max_speaker_pairs: int | None = None, seed: int = 42
                 ) -> tuple[list[GroupPlan], dict]:
     """The package's one cell builder: the task's cells, planned for
-    scoring in groups of the segments they read, one per (context,
-    speaker) within and one per context across.
+    scoring in one group per context, in both conditions.
 
     One rule serves both modes.  A group loops over its sorted category
-    pairs, then over its candidate (s_ab, s_x) speaker pairs: within, s_x
-    is s_ab; across, any other speaker of the context.  A candidate is
-    skipped silently when s_ab lacks x or y, and counts as undersized
-    when s_x holds fewer than ``need`` segments of x or y: 2 within,
-    where X is never its own A, and 1 across.  ``max_speaker_pairs``
-    (None, or >= 1) then caps the candidates left per (category pair,
-    context): a shuffle seeded with ``seed`` (>= 0) draws from them in
-    their sorted label order, so a rename that reorders labels can change
-    the draw; within there is at most one candidate, so it never draws.
+    pairs, then over its candidate (s_ab, s_x) pairs of the context's
+    sorted speakers: within, (s, s) for each speaker; across, every
+    ordered pair of two speakers.  A candidate is skipped silently when
+    s_ab lacks x or y, and counts as undersized when s_x holds fewer than
+    ``need`` segments of x or y: 2 within, where X is never its own A,
+    and 1 across.  ``max_speaker_pairs`` (None, or >= 1) then caps the
+    across candidates left per (category pair, context): a shuffle seeded
+    with ``seed`` (>= 0) draws from them in their sorted label order, so
+    a rename that reorders labels can change the draw.  Within cells are
+    never capped.
 
     A segment is named by its position in ``segments``, so a segment
     listed twice is two segments.  Returns ``(plans, stats)``: one
@@ -203,35 +203,30 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
     for ctx in sorted(by_ctx):
         speakers = by_ctx[ctx]
         order = sorted(speakers)
-        if mode == "within":
-            blocks = [[(s, s)] for s in order]
-        else:
-            blocks = [[(a, b) for a in order for b in order if a != b]]
-        for candidates in blocks:
-            heads, sets = [], []  # sets: per cell its x_ab, y_ab, x_x and y_x positions
-            labels = sorted({c for s_ab, _ in candidates for c in speakers[s_ab]})
-            for x, y in combinations(labels, 2):
-                valid = []
-                for s_ab, s_x in candidates:
-                    if x not in speakers[s_ab] or y not in speakers[s_ab]:
-                        continue
-                    sx = speakers[s_x]
-                    if len(sx.get(x, ())) < need or len(sx.get(y, ())) < need:
-                        stats["undersized"] += 1
-                        continue
-                    valid.append((s_ab, s_x))
-                if max_speaker_pairs is not None and len(valid) > max_speaker_pairs:
-                    stats["capped_speaker_pairs"] += len(valid) - max_speaker_pairs
-                    if rng is None:
-                        rng = np.random.default_rng(seed)
-                    idx = rng.permutation(len(valid))[:max_speaker_pairs]
-                    valid = sorted(valid[i] for i in idx)
-                for s_ab, s_x in valid:
-                    ab, sx = speakers[s_ab], speakers[s_x]
-                    heads.append((x, y, ctx, s_ab, s_x))
-                    sets.extend((ab[x], ab[y], sx[x], sx[y]))
-            if heads:
-                plans.append(_plan_group(heads, sets))
+        candidates = [(a, b) for a in order for b in order if (a == b) == (mode == "within")]
+        heads, sets = [], []  # sets: per cell its x_ab, y_ab, x_x and y_x positions
+        for x, y in combinations(sorted({c for spk in speakers.values() for c in spk}), 2):
+            valid = []
+            for s_ab, s_x in candidates:
+                if x not in speakers[s_ab] or y not in speakers[s_ab]:
+                    continue
+                sx = speakers[s_x]
+                if len(sx.get(x, ())) < need or len(sx.get(y, ())) < need:
+                    stats["undersized"] += 1
+                    continue
+                valid.append((s_ab, s_x))
+            if mode == "across" and max_speaker_pairs and len(valid) > max_speaker_pairs:
+                stats["capped_speaker_pairs"] += len(valid) - max_speaker_pairs
+                if rng is None:
+                    rng = np.random.default_rng(seed)
+                idx = rng.permutation(len(valid))[:max_speaker_pairs]
+                valid = sorted(valid[i] for i in idx)
+            for s_ab, s_x in valid:
+                ab, sx = speakers[s_ab], speakers[s_x]
+                heads.append((x, y, ctx, s_ab, s_x))
+                sets.extend((ab[x], ab[y], sx[x], sx[y]))
+        if heads:
+            plans.append(_plan_group(heads, sets))
     return plans, stats
 
 
@@ -406,8 +401,8 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
     its own distance block, and the scores are folded in sorted order.
     ``report.stats`` holds ``workers`` (the pool's processes, 1 inline)
     and ``dp_cells`` (the count).  ``dtw_pairs`` checks
-    ``zero_vector_distance``, so an unservable row or an empty task is
-    reported before it.
+    ``zero_vector_distance``, with a zero-pair call before a pool starts,
+    so an unservable row or an empty task is reported before it.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
@@ -422,6 +417,7 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
     if workers == 1:
         scored = [_score_group(p, frames, zero_vector_distance) for p in plans]
     else:
+        dtw_pairs([], [], [], zero_vector_distance)  # checks the charge before any worker
         # imported here: the pool's modules cost start-up of every command
         from concurrent.futures import ProcessPoolExecutor
 

@@ -628,16 +628,20 @@ def train(cfg: ApcConfig, archive: FeatureArchive):
                for k, h_top in _forward_only(model, batches)}
     losses = [sum(initial[k] for k in range(len(batches))) / n_seqs]
     buf = _grad_buffer(model)
-    for epoch in range(1, cfg.epochs + 1):
-        total = 0.0
-        for batch in batches:
-            seq_losses = _batch_loss_grads(model, batch, 1.0 / batch.shape[0], buf,
-                                           opt.next_batch())
-            total += float(seq_losses.sum())
-        mean_loss = total / n_seqs
-        if not np.isfinite(mean_loss):
-            raise TrainingError(f"loss diverged at epoch {epoch}")
-        losses.append(mean_loss)
+    # a diverging step overflows before its loss shows it: the first
+    # non-finite running total stops training, and numpy stays quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            total = 0.0
+            for batch in batches:
+                seq_losses = _batch_loss_grads(model, batch, 1.0 / batch.shape[0], buf,
+                                               opt.next_batch())
+                total += float(seq_losses.sum())
+                if not np.isfinite(total):
+                    raise TrainingError(f"loss diverged at epoch {epoch}")
+            losses.append(total / n_seqs)
+    if not np.isfinite(model.theta).all():  # the last step, which no loss has seen
+        raise TrainingError(f"parameters diverged at epoch {cfg.epochs}")
     return model, losses
 
 

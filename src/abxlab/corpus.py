@@ -229,13 +229,15 @@ def _read_fbin(path: Path) -> tuple[str, np.ndarray, int]:
 def _read_ftxt(path: Path) -> tuple[str, np.ndarray, int]:
     dim_period = []
 
-    def header(fields):  # "dim=<D> period_us=<P>": rows hold D values
+    def header(fields):  # dim=<D> (>= 1) and period_us=<P>, each once: rows hold D values
+        kv = dict(part.partition("=")[::2] for part in fields)
         try:
-            kv = dict(part.split("=", 1) for part in fields)
-            dim_period[:] = int(kv["dim"]), int(kv["period_us"])
+            if len(kv) == len(fields) == 2 and int(kv["dim"]) >= 1:
+                dim_period[:] = int(kv["dim"]), int(kv["period_us"])
+                return dim_period[0]
         except (ValueError, KeyError):
-            raise FormatError(f"{path}: header must be 'dim=<D> period_us=<P>'") from None
-        return dim_period[0]
+            pass
+        raise FormatError(f"{path}: header must be 'dim=<D> period_us=<P>'")
 
     rows = []
     for line_no, vals in read_rows(path, "feature file", header=header):

@@ -227,22 +227,24 @@ def test_speaker_pair_cap_is_deterministic():
 @pytest.mark.parametrize("mode", ["within", "across"])
 @pytest.mark.parametrize("cap", [None, 2])
 def test_cell_groups_are_the_segments_cells_read(mode, cap):
-    # s02 keeps only AE, so its within groups are empty and get dropped
+    # s02 keeps only AE, so it heads no within cell
     corpus = generate_corpus(SynthConfig(
         phones=("AE", "EH", "IY"), n_speakers=4, dim=4, segments_per_cell=2, seed=3,
     ))
     segments = [s for s in corpus.segments if s.speaker != "s02" or s.phone == "AE"]
     plans, _ = build_cells(segments, mode, "phone", max_speaker_pairs=cap)
 
-    def group_key(head):  # head: category_x, category_y, context, speaker_ab, speaker_x
-        return (head[2], head[3]) if mode == "within" else (head[2],)
-
-    keys = [group_key(p.heads[0]) for p in plans]
+    # head: category_x, category_y, context, speaker_ab, speaker_x
+    keys = [p.heads[0][2] for p in plans]
     assert all(p.heads for p in plans) and keys == sorted(set(keys))
-    if mode == "within":
-        assert [k[1] for k in keys] == ["s01", "s03", "s04"] * len(corpus.config.contexts)
     for plan in plans:
-        assert {group_key(h) for h in plan.heads} == {group_key(plan.heads[0])}
+        assert {h[2] for h in plan.heads} == {plan.heads[0][2]}
+        if mode == "within":
+            # the block joins segments of one speaker only, and s02 is in none
+            assert {h[3] for h in plan.heads} == {"s01", "s03", "s04"}
+            for i, j in zip(plan.i, plan.j):
+                a, b = (segments[plan.positions[k]] for k in (i, j))
+                assert a.speaker == b.speaker
         assert plan.heads == sorted(plan.heads)
         assert len(plan.members) == len(plan.heads)
         cells = planned_cells([plan])
@@ -262,6 +264,39 @@ def test_cell_groups_are_the_segments_cells_read(mode, cap):
         assert all(plan.i < plan.j)
 
 
+def test_within_cells_are_never_capped():
+    # three speakers give each (category pair, context) three within
+    # candidates, which a cap of 1 would cut if it applied
+    corpus = _pool_corpus()
+    plain = score_corpus(corpus.archive, corpus.segments, "within", "phone")
+    capped = score_corpus(corpus.archive, corpus.segments, "within", "phone",
+                          max_speaker_pairs=1)
+    assert capped.metadata["capped_speaker_pairs"] == 0
+    assert capped.to_csv_bytes() == plain.to_csv_bytes()
+    assert capped.per_cell == plain.per_cell
+
+
+@pytest.mark.parametrize("mode", ["within", "across"])
+def test_one_plan_per_context_holding_a_cell(mode):
+    corpus = generate_corpus(SynthConfig(
+        phones=("AE", "EH", "IY"), n_speakers=3, dim=4, segments_per_cell=2, seed=3,
+        contexts=(("B", "D"), ("G", "P"), ("S", "T")),
+    ))
+    # ("B", "D") keeps one speaker, so it holds no across cell; ("G", "P")
+    # keeps one segment of each (speaker, phone), so it holds no within cell
+    first = {}
+    for k, s in enumerate(corpus.segments):
+        first.setdefault((s.context, s.speaker, s.phone), k)
+    segments = [s for k, s in enumerate(corpus.segments)
+                if (s.context != ("B", "D") or s.speaker == "s01")
+                and (s.context != ("G", "P") or first[(s.context, s.speaker, s.phone)] == k)]
+    plans, _ = build_cells(segments, mode, "phone")
+    report = score_corpus(corpus.archive, segments, mode, "phone")
+    contexts = sorted({c.context for c in report.per_cell})
+    assert contexts == [("B", "D") if mode == "within" else ("G", "P"), ("S", "T")]
+    assert [p.heads[0][2] for p in plans] == contexts
+
+
 @pytest.mark.parametrize("mode", ["within", "across"])
 def test_a_plan_depends_only_on_its_group(mode):
     # the extra contexts hold two more speakers and are listed first, so
@@ -273,11 +308,10 @@ def test_a_plan_depends_only_on_its_group(mode):
         phones=("AE", "EH", "IY"), n_speakers=4, dim=4, segments_per_cell=2, seed=4,
         contexts=(("B", "D"), ("G", "P")),
     )).segments
-    key = (lambda h: h[2:4]) if mode == "within" else (lambda h: h[2])
     runs = []
     for segments in (small, extra + small):
         plans, _ = build_cells(segments, mode, "phone")
-        runs.append(({key(p.heads[0]): p for p in plans}, segments))
+        runs.append(({p.heads[0][2]: p for p in plans}, segments))  # by context
     (plans_a, segments_a), (plans_b, segments_b) = runs
     assert len(plans_b) > len(plans_a) and plans_a.keys() <= plans_b.keys()
     moved = 0
@@ -580,15 +614,20 @@ def test_dp_cells_count_what_dtw_receives(mode, monkeypatch):
 
 @pytest.mark.parametrize("threshold", [abx.POOL_MIN_DP_CELLS, 0])
 def test_settings_are_checked_where_they_are_used(threshold, monkeypatch):
-    # dtw_pairs checks the zero-vector charge, inline and in the pool's
-    # workers alike, once the task is known to have cells; jobs is checked
+    # dtw_pairs checks the zero-vector charge, inline or before a pool is
+    # constructed, once the task is known to have cells; jobs is checked
     # on entry
     corpus = _pool_corpus()
     monkeypatch.setattr(abx, "POOL_MIN_DP_CELLS", threshold)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     for bad in (2.5, -0.1, float("nan")):
         with pytest.raises(UsageError, match=r"zero_vector_distance must be in \[0, 2\]"):
             score_corpus(corpus.archive, corpus.segments, "within", "phone",
                          zero_vector_distance=bad, jobs=2)
+    if threshold == 0:  # a good charge reaches the pool
+        with pytest.raises(AssertionError, match="process pool"):
+            score_corpus(corpus.archive, corpus.segments, "within", "phone",
+                         zero_vector_distance=2.0, jobs=2)
     with pytest.raises(EmptyTaskError):
         score_corpus(corpus.archive, corpus.segments[:1], "within", "phone",
                      zero_vector_distance=2.5)

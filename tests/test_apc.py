@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -754,6 +755,39 @@ def test_training_detects_divergence():
     )
     with np.errstate(all="ignore"), pytest.raises(TrainingError):
         train(cfg, archive)
+
+
+def test_training_stops_at_the_first_diverged_batch(monkeypatch):
+    # four lengths, so four batches an epoch; Adam's first step at this
+    # rate overflows the weights, and the next batch's loss is NaN
+    archive = FeatureArchive({f"u{t}": np.ones((t, 2), np.float32) + np.arange(t)[:, None]
+                              for t in (4, 5, 6, 7)}, 10000)
+    finite = []
+
+    def recording(*args):
+        losses = batch_loss_grads(*args)
+        finite.append(bool(np.isfinite(losses.sum())))
+        return losses
+
+    batch_loss_grads = apc._batch_loss_grads
+    monkeypatch.setattr(apc, "_batch_loss_grads", recording)
+    cfg = ApcConfig(n=1, L=1, hidden_dim=4, learning_rate=1e308, epochs=3, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings stay quiet
+        with pytest.raises(TrainingError, match="loss diverged at epoch 1"):
+            train(cfg, archive)
+    assert finite == [True, False]  # no batch runs after the first non-finite loss
+
+
+def test_training_refuses_parameters_the_last_step_diverged():
+    # one batch, one epoch: the step that overflows comes after every loss
+    archive = FeatureArchive({"u0": np.ones((6, 2), np.float32) + np.arange(6)[:, None]},
+                             10000)
+    cfg = ApcConfig(n=1, L=1, hidden_dim=4, learning_rate=1e308, epochs=1, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingError, match="parameters diverged at epoch 1"):
+            train(cfg, archive)
 
 
 def test_make_batches_buckets_by_length():

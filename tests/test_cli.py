@@ -292,6 +292,22 @@ def test_eval_overflowing_item_time_exits_3(corpus_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("header", ["dim=2 dim=3 period_us=10000",
+                                    "dim=2 period_us=10000 foo=3", "dim=-1 period_us=10000"])
+def test_eval_on_a_bad_ftxt_header_exits_3(corpus_dir, tmp_path, capsys, header):
+    feats = tmp_path / "feats"
+    feats.mkdir()
+    (feats / "u01.ftxt").write_text(f"{header}\n1 2 3\n")
+    out = tmp_path / "out"
+    rc = cli.main(["eval", "--features", str(feats), "--items", str(corpus_dir / "items.item"),
+                   "--mode", "within", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("abxlab: error: ") and "Traceback" not in err
+    assert f"{feats / 'u01.ftxt'}: header must be 'dim=<D> period_us=<P>'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("loader", ["items", "labels", "af-table"])
 def test_comma_in_a_label_exits_3(corpus_dir, tmp_path, capsys, loader):
     bad = tmp_path / "bad"
@@ -1517,6 +1533,21 @@ def test_command_entry_matches_in_process_main(corpus_dir, tmp_path, capsys):
     assert proc.stderr.startswith("abxlab: error:")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_diverging_apc_train_prints_one_error_line(corpus_dir, tmp_path):
+    # a command process shows numpy's warnings; training under errstate keeps
+    # them out, so stderr holds only the error
+    out = tmp_path / "apc"
+    proc = subprocess.run(
+        [sys.executable, "-m", "abxlab.cli", "apc", "train",
+         "--features", str(corpus_dir / "features"), "--epochs", "1", "--hidden-dim", "4",
+         "--layers", "1", "--lr", "1e308", "--seed", "1", "--out", str(out)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "abxlab: error: loss diverged at epoch 1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, code", [(["--version"], 0), (["eval"], 2)])

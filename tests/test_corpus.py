@@ -215,6 +215,27 @@ def test_fbin_malformations(tmp_path):
         load_feature_archive(tmp_path / "feat")
 
 
+FTXT_BAD_HEADERS = ["dim=2 dim=3 period_us=10000", "dim=2 period_us=10000 foo=3",
+                    "dim=-1 period_us=10000"]
+
+
+@pytest.mark.parametrize("header", FTXT_BAD_HEADERS, ids=["repeated", "unknown", "dim -1"])
+def test_ftxt_header_holds_dim_and_period_once_each(tmp_path, header):
+    (tmp_path / "u.ftxt").write_text(f"{header}\n1 2 3\n")
+    with pytest.raises(FormatError, match="header must be 'dim=<D> period_us=<P>'") as e:
+        load_feature_archive(tmp_path)
+    assert e.value.exit_code == 3 and str(tmp_path / "u.ftxt") in str(e.value)
+
+
+def test_ftxt_header_keys_come_in_either_order(tmp_path):
+    (tmp_path / "u.ftxt").write_text("period_us=10000 dim=3\n1 2 3\n")
+    archive = load_feature_archive(tmp_path)
+    assert (archive.dim, archive.frame_period) == (3, 10000)
+    (tmp_path / "u.ftxt").write_text("dim=3 period_us=0\n1 2 3\n")
+    with pytest.raises(DataError, match="frame period must be positive"):
+        load_feature_archive(tmp_path)
+
+
 def test_archive_loader_consistency(tmp_path):
     write_outputs(tmp_path / "feat", feature_archive_files(small_archive(10000)))
     write_outputs(tmp_path / "feat", feature_archive_files(
