@@ -200,8 +200,7 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
     stats = {"undersized": 0, "capped_speaker_pairs": 0}
     rng = None  # made on the first capped group: numpy 2 loads numpy.random on first use
 
-    for ctx in sorted(by_ctx):
-        speakers = by_ctx[ctx]
+    for ctx, speakers in sorted(by_ctx.items()):
         order = sorted(speakers)
         candidates = [(a, b) for a in order for b in order if (a == b) == (mode == "within")]
         heads, sets = [], []  # sets: per cell its x_ab, y_ab, x_x and y_x positions
@@ -215,7 +214,8 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
                     stats["undersized"] += 1
                     continue
                 valid.append((s_ab, s_x))
-            if mode == "across" and max_speaker_pairs and len(valid) > max_speaker_pairs:
+            if (mode == "across" and max_speaker_pairs is not None
+                    and len(valid) > max_speaker_pairs):
                 stats["capped_speaker_pairs"] += len(valid) - max_speaker_pairs
                 if rng is None:
                     rng = np.random.default_rng(seed)

@@ -488,7 +488,7 @@ def test_csv_rates_reaggregate_exactly():
 
 
 def _pool_corpus():
-    # several groups (contexts, and speakers within), so the pool gets work
+    # several contexts, so the pool gets more than one group in both conditions
     return generate_corpus(
         SynthConfig(
             phones=("AE", "EH", "IY", "UW"), n_speakers=3, dim=4,
