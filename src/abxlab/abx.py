@@ -6,17 +6,19 @@ s_ab within and another speaker across; one rule builds the cells of
 both conditions, and the cells of one context form a group in both.
 ``build_cells`` is the one cell builder: it names each segment by its
 position in the segment list and plans each group from its own cells'
-positions, with no pass over the corpus: the cells' heads, their (x_ab,
-y_ab, x_x, y_x) member indices and the segment pairs its distance block
-computes, which within join segments of one speaker.
+(speaker, category) position lists, with no pass over the corpus.  A
+group's distance block lays the lists its cells read end to end as runs,
+so each cell's (x_ab, y_ab, x_x, y_x) members are slices of the block;
+the plan also holds the segment pairs the block computes, which within
+join segments of one speaker.
 ``score_corpus`` is the one scoring entry.  It resolves each listed row
 to its feature rows in list order, so a row the archive cannot serve
 fails before any scoring; then each plan computes a dense segment x
 segment block of DTW dissimilarities, every unordered pair once through
-the batched kernel, and its cells are scored by lookups into that
-block.  Plans are pure functions of the resolved frames, so they can be
-scored in parallel; a process pool starts only when the task's DP cells
-reach ``POOL_MIN_DP_CELLS``.  A task's settings are plain keyword
+the batched kernel, and its cells are scored from views of that block.
+Plans are pure functions of the resolved frames, so they can be scored
+in parallel; a process pool starts only when the task's DP cells reach
+``POOL_MIN_DP_CELLS``.  A task's settings are plain keyword
 values, each checked once by the function that uses it: the speaker-pair
 cap and its seed by ``build_cells``, the zero-vector charge by
 ``distance.dtw_pairs`` and the worker cap by ``score_corpus``.
@@ -34,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -146,9 +148,9 @@ class GroupPlan(NamedTuple):
     """What scoring a group needs before any DTW runs."""
 
     heads: list  # per cell, its categories, context and speakers
-    positions: list  # the segment-list positions the cells read, ascending
-    members: list  # per cell, its (x_ab, y_ab, x_x, y_x) index arrays into positions
-    i: np.ndarray  # the segment pairs the distance block computes, i < j
+    positions: list  # the segment-list position of each block row, in run order
+    members: list  # per cell, its (x_ab, y_ab, x_x, y_x) runs as slices of the block
+    i: np.ndarray  # the block rows whose pairs the block computes, i < j
     j: np.ndarray
 
 
@@ -203,7 +205,7 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
     for ctx, speakers in sorted(by_ctx.items()):
         order = sorted(speakers)
         candidates = [(a, b) for a in order for b in order if (a == b) == (mode == "within")]
-        heads, sets = [], []  # sets: per cell its x_ab, y_ab, x_x and y_x positions
+        heads = []
         for x, y in combinations(sorted({c for spk in speakers.values() for c in spk}), 2):
             valid = []
             for s_ab, s_x in candidates:
@@ -221,41 +223,37 @@ def build_cells(segments, mode, kind, af_table: AfTable | None = None,
                     rng = np.random.default_rng(seed)
                 idx = rng.permutation(len(valid))[:max_speaker_pairs]
                 valid = sorted(valid[i] for i in idx)
-            for s_ab, s_x in valid:
-                ab, sx = speakers[s_ab], speakers[s_x]
-                heads.append((x, y, ctx, s_ab, s_x))
-                sets.extend((ab[x], ab[y], sx[x], sx[y]))
+            heads.extend((x, y, ctx, s_ab, s_x) for s_ab, s_x in valid)
         if heads:
-            plans.append(_plan_group(heads, sets))
+            plans.append(_plan_group(heads, speakers))
     return plans, stats
 
 
-def _plan_group(heads, sets) -> GroupPlan:
-    """The member indices of a group's cells and the pairs they read,
-    from its own ``sets`` (four ascending position lists per cell: x_ab,
-    y_ab, x_x, y_x) with no pass over the corpus.
+def _plan_group(heads, speakers) -> GroupPlan:
+    """A group's block layout and the pairs its cells read, from its
+    ``heads`` and its context's ``{speaker: {category: positions}}``.
 
-    Every pair in A x X and B x X of a cell's two (A, B, X) triples is
-    read, each unordered pair computed once: DTW is bit-symmetric.  The
-    block's diagonal stays 0.0, which is what DTW of a segment with
-    itself gives (each of its frames costs 0.0 against itself); pairs
-    that nothing reads also stay 0.0 and are never looked at.
+    The block's rows are runs: each (speaker, category) list a cell reads,
+    once, in sorted (speaker, category) order, each in segment-list order,
+    so a cell's x_ab, y_ab, x_x and y_x are slices.  Every pair in A x X
+    and B x X of a cell's two (A, B, X) triples is read, each unordered
+    pair computed once: DTW is bit-symmetric.  The diagonal stays 0.0,
+    what DTW of a segment with itself gives (each frame costs 0.0 against
+    itself); pairs that nothing reads also stay 0.0 and are never looked at.
     """
-    flat = np.fromiter(chain.from_iterable(sets), dtype=np.intp)
-    # the group's positions, ascending, and each listed position's index into them
-    used, inverse = np.unique(flat, return_inverse=True)
-    bounds = [0, *np.cumsum([len(s) for s in sets]).tolist()]
-    idx = [inverse[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    members = [tuple(idx[k:k + 4]) for k in range(0, len(idx), 4)]
-    n = len(used)
-    read = np.zeros((n, n), dtype=bool)
-    for k in range(0, len(idx), 4):
-        # both triples read sets k, k + 1 (x_ab, y_ab) against sets
-        # k + 2, k + 3 (x_x, y_x), each two consecutive runs of ``inverse``
-        lo, mid, hi = bounds[k], bounds[k + 2], bounds[k + 4]
-        read[inverse[lo:mid, None], inverse[mid:hi]] = True
+    positions, runs = [], {}
+    for s, c in sorted({(s, c) for x, y, _, s_ab, s_x in heads
+                        for s in (s_ab, s_x) for c in (x, y)}):
+        runs[s, c] = slice(len(positions), len(positions) + len(speakers[s][c]))
+        positions += speakers[s][c]
+    members = [(runs[s_ab, x], runs[s_ab, y], runs[s_x, x], runs[s_x, y])
+               for x, y, _, s_ab, s_x in heads]
+    read = np.zeros((len(positions),) * 2, dtype=bool)
+    for x_ab, y_ab, x_x, y_x in members:
+        for ab in (x_ab, y_ab):
+            read[ab, x_x] = read[ab, y_x] = True
     i, j = np.nonzero(np.triu(read | read.T, 1))
-    return GroupPlan(heads, used.tolist(), members, i, j)
+    return GroupPlan(heads, positions, members, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -274,24 +272,24 @@ def _dp_cells(plans, frames) -> int:
 
 
 def _eta(block, a, b, x, within: bool) -> tuple[float, int]:
-    """Error rate of A, X drawn from ``a`` and ``x`` against B from ``b``,
-    and the number of comparisons it is taken over.
+    """Error rate of A, X drawn from runs ``a`` and ``x`` against B from
+    run ``b`` (slices of ``block``), and its number of comparisons.
 
     A strict d(A,X) > d(B,X) counts 1, an exact 64-bit tie counts 1/2;
     within mode (``x`` is ``a``) skips the A at X's own position.  The
     integer totals are divided once, so no comparison order is involved.
     """
-    dax = block[a[:, None, None], x]
-    dbx = block[b[:, None], x]
+    dax = block[a, x][:, None, :]
+    dbx = block[b, x]
     gt = dax > dbx
     eq = dax == dbx
+    n_a, n_b, _ = gt.shape
+    total = gt.size
     if within:
-        other = ~np.eye(len(a), dtype=bool)[:, None, :]
+        other = ~np.eye(n_a, dtype=bool)[:, None, :]
         gt &= other
         eq &= other
-        total = len(a) * (len(a) - 1) * len(b)
-    else:
-        total = len(a) * len(b) * len(x)
+        total -= n_a * n_b
     errors = 2 * int(np.count_nonzero(gt)) + int(np.count_nonzero(eq))
     return errors / (2 * total), total
 

@@ -189,6 +189,8 @@ def _read_pairwise_csv(path):
     for line_no, parts in read_rows(path, "pairwise file", sep=",", n_fields=6,
                                     header=PAIRWISE_HEADER):
         x, y, prev, nxt, condition, rate_text = parts
+        if not all((x, y, prev, nxt)):
+            raise RowError(path, line_no, "empty category or context")
         rate = _parse_rate(path, line_no, rate_text)
         if not 0.0 <= rate <= 1.0:
             raise RowError(path, line_no, f"rate {rate!r} outside [0, 1]")
@@ -314,6 +316,8 @@ def _load_rate_map(path, key: str) -> dict:
                 float(parts[1])
             except ValueError:
                 continue  # header row
+        if not parts[0]:
+            raise RowError(path, line_no, "empty category")
         if parts[0] in out:
             raise RowError(path, line_no, f"category {parts[0]!r} listed twice")
         out[parts[0]] = _parse_rate(path, line_no, parts[1])

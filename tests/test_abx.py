@@ -249,16 +249,22 @@ def test_cell_groups_are_the_segments_cells_read(mode, cap):
         assert len(plan.members) == len(plan.heads)
         cells = planned_cells([plan])
         read = set()
-        for (x, y, ctx, s_ab, s_x), sets in cells:
-            for members, cat, speaker in zip(sets, (x, y, x, y), (s_ab, s_ab, s_x, s_x)):
-                assert members and list(members) == sorted(members)
-                segs = [segments[p] for p in members]
-                assert {(s.context, s.phone, s.speaker) for s in segs} == {(ctx, cat, speaker)}
+        for ((x, y, ctx, s_ab, s_x), sets), runs in zip(cells, plan.members, strict=True):
+            for run, members, cat, speaker in zip(runs, sets, (x, y, x, y),
+                                                  (s_ab, s_ab, s_x, s_x)):
+                # a member is a slice of the block: that speaker's item rows
+                # of that category in this context, in file order
+                assert isinstance(run, slice)
+                assert list(members) == [
+                    k for k, s in enumerate(segments)
+                    if (s.context, s.phone, s.speaker) == (ctx, cat, speaker)
+                ]
             read |= {(min(p, q), max(p, q)) for p in sets[0] + sets[1]
                      for q in sets[2] + sets[3] if p != q}
-        # the plan's positions are what its cells read, and its pairs are
-        # every distinct unordered pair an A or B meets an X in
-        assert plan.positions == sorted({p for _, sets in cells for m in sets for p in m})
+        # the plan's positions list each row its cells read once, and its
+        # pairs are every distinct unordered pair an A or B meets an X in
+        assert len(set(plan.positions)) == len(plan.positions)
+        assert set(plan.positions) == {p for _, sets in cells for m in sets for p in m}
         assert {(plan.positions[i], plan.positions[j])
                 for i, j in zip(plan.i, plan.j)} == read
         assert all(plan.i < plan.j)
@@ -320,8 +326,7 @@ def test_a_plan_depends_only_on_its_group(mode):
         assert a.heads == b.heads
         assert np.array_equal(a.i, b.i) and np.array_equal(a.j, b.j)
         assert [segments_a[p] for p in a.positions] == [segments_b[p] for p in b.positions]
-        for ma, mb in zip(a.members, b.members, strict=True):
-            assert all(np.array_equal(p, q) for p, q in zip(ma, mb, strict=True))
+        assert a.members == b.members
         moved += a.positions != b.positions
     assert moved == len(plans_a)  # every group's positions shift past the extras
 

@@ -421,7 +421,12 @@ def test_analyze_phoneme_matches_report(vowel_dir, tmp_path, mode, task):
     ("nope,nope\n", "pairwise.csv: first line"),
     (f"{abx.PAIRWISE_HEADER}\na,b,S,T,within,1.5\n", "pairwise.csv:2:"),
     (f"{abx.PAIRWISE_HEADER}\na,b,S,T,within,abc\n", "pairwise.csv:2:"),
-], ids=["header", "rate 1.5", "rate abc"])
+    (f"{abx.PAIRWISE_HEADER}\n,b,S,T,within,0.1\n", "pairwise.csv:2: empty category"),
+    (f"{abx.PAIRWISE_HEADER}\na,b,S,T,within,0.1\na,,S,T,within,0.1\n",
+     "pairwise.csv:3: empty category"),
+    (f"{abx.PAIRWISE_HEADER}\na,b,,T,within,0.1\n", "pairwise.csv:2: empty category or context"),
+    (f"{abx.PAIRWISE_HEADER}\na,b,S,,within,0.1\n", "pairwise.csv:2: empty category or context"),
+], ids=["header", "rate 1.5", "rate abc", "empty x", "empty y", "empty prev", "empty next"])
 def test_analyze_phoneme_bad_csv_exits_3(tmp_path, capsys, text, where):
     bad = tmp_path / "pairwise.csv"
     bad.write_text(text)
@@ -773,6 +778,27 @@ def test_analyze_rate_map_listing_a_category_twice_exits_3(tmp_path, capsys, nam
     argv = ["analyze", "reduce", "--baseline", str(bad),
             "--improved", str(tmp_path / "imp.json"), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}{where}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--baseline", "--improved", "--pco"])
+@pytest.mark.parametrize("text,where", [
+    ("category,rate\na,0.1\n,0.2\n", ":3: empty category"),
+    (",0.2\na,0.1\n", ":1: empty category"),
+])
+def test_analyze_csv_rate_map_empty_category_exits_3(tmp_path, capsys, flag, text, where):
+    # the JSON maps refuse an empty category too (the line-break test below)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"a": 0.4, "b": 0.2}))
+    bad = tmp_path / "rates.csv"
+    bad.write_text(text)
+    argv = ["analyze", "correlate" if flag == "--pco" else "reduce"]
+    for f in ("--baseline", "--improved") + (("--pco",) if flag == "--pco" else ()):
+        argv += [f, str(bad if f == flag else good)]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert f"{bad}{where}" in err
     assert "Traceback" not in err
