@@ -92,7 +92,6 @@ from .corpus import (
 from .errors import (
     AbxlabError,
     DataError,
-    FormatError,
     RowError,
     UsageError,
 )
@@ -191,6 +190,8 @@ def _read_pairwise_csv(path):
         x, y, prev, nxt, condition, rate_text = parts
         if not all((x, y, prev, nxt)):
             raise RowError(path, line_no, "empty category or context")
+        if not condition:
+            raise RowError(path, line_no, "empty condition")
         rate = _parse_rate(path, line_no, rate_text)
         if not 0.0 <= rate <= 1.0:
             raise RowError(path, line_no, f"rate {rate!r} outside [0, 1]")
@@ -275,47 +276,19 @@ def cmd_analyze_confusion(args) -> Outputs:
     )
 
 
-def _load_rate_map(path, key: str) -> dict:
-    """Read a {category: value} map from JSON or a 2+ column CSV.
-
-    JSON may be a flat object or a report whose ``key`` entry holds the
-    map (``"xi"`` in phoneme.json, ``"p_co"`` in confusion.json); a
-    value that is itself an object is read at ``key`` too.
+def _load_rate_map(path) -> dict:
+    """Read a {category: rate} map from a CSV of 2+ columns: the
+    ``phoneme.csv`` or ``pco.csv`` that ``analyze`` writes, whose rates
+    are full precision.  Line 1 is a header when its second field is
+    ``rate`` or ``p_co``; a JSON report is refused, as its rates are rounded.
     """
     if Path(path).suffix == ".json":
-        doc = read_json(read_text_file(path, "rate file"), path, FormatError)
-        if isinstance(doc, dict) and isinstance(doc.get(key), dict):
-            doc = doc[key]
-        if not isinstance(doc, dict) or not doc:
-            raise DataError(f"{path}: expected a non-empty JSON object of rates")
-        out = {}
-        for name, value in doc.items():
-            if "," in name:  # the CSVs written from the map would split on it
-                raise DataError(f"{path}: category {name!r} holds a comma")
-            if name.splitlines() != [name]:  # read_rows splits lines as str.splitlines
-                raise DataError(f"{path}: category {name!r} is empty or holds a line break")
-            if isinstance(value, dict):
-                value = value.get(key)
-            try:
-                if isinstance(value, bool):  # true is not 1.0, as in JsonConfig
-                    raise TypeError
-                value = float(value)
-            except (TypeError, ValueError, OverflowError):  # an int past float
-                raise DataError(
-                    f"{path}: value for {name!r} is not numeric"
-                ) from None
-            if not math.isfinite(value):
-                raise DataError(f"{path}: value for {name!r} is not finite")
-            out[str(name)] = value
-        return out
+        raise UsageError(f"{path}: rate maps are read from phoneme.csv or pco.csv, not JSON")
     out = {}
     rows = read_rows(path, "rate file", sep=",", n_fields=range(2, sys.maxsize))
     for line_no, parts in rows:
-        if line_no == 1:
-            try:
-                float(parts[1])
-            except ValueError:
-                continue  # header row
+        if line_no == 1 and parts[1] in ("rate", "p_co"):
+            continue  # header row
         if not parts[0]:
             raise RowError(path, line_no, "empty category")
         if parts[0] in out:
@@ -329,8 +302,8 @@ def _load_rate_map(path, key: str) -> dict:
 def cmd_analyze_reduce(args) -> Outputs:
     from .analysis import relative_reduction
 
-    baseline = _load_rate_map(args.baseline, "xi")
-    improved = _load_rate_map(args.improved, "xi")
+    baseline = _load_rate_map(args.baseline)
+    improved = _load_rate_map(args.improved)
     reductions, undefined = relative_reduction(baseline, improved)
 
     csv_lines = ["category,reduction_percent"]
@@ -356,9 +329,9 @@ def cmd_analyze_correlate(args) -> Outputs:
     from .analysis import pearson_correlation, relative_reduction, spearman_correlation
     from .svgplot import scatter_plot
 
-    baseline = _load_rate_map(args.baseline, "xi")
-    improved = _load_rate_map(args.improved, "xi")
-    pco = _load_rate_map(args.pco, "p_co")
+    baseline = _load_rate_map(args.baseline)
+    improved = _load_rate_map(args.improved)
+    pco = _load_rate_map(args.pco)
     reductions, undefined = relative_reduction(baseline, improved)
 
     common = sorted(set(reductions) & set(pco))

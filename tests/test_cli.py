@@ -426,7 +426,9 @@ def test_analyze_phoneme_matches_report(vowel_dir, tmp_path, mode, task):
      "pairwise.csv:3: empty category"),
     (f"{abx.PAIRWISE_HEADER}\na,b,,T,within,0.1\n", "pairwise.csv:2: empty category or context"),
     (f"{abx.PAIRWISE_HEADER}\na,b,S,,within,0.1\n", "pairwise.csv:2: empty category or context"),
-], ids=["header", "rate 1.5", "rate abc", "empty x", "empty y", "empty prev", "empty next"])
+    (f"{abx.PAIRWISE_HEADER}\na,b,S,T,,0.1\n", "pairwise.csv:2: empty condition"),
+], ids=["header", "rate 1.5", "rate abc", "empty x", "empty y", "empty prev", "empty next",
+        "empty condition"])
 def test_analyze_phoneme_bad_csv_exits_3(tmp_path, capsys, text, where):
     bad = tmp_path / "pairwise.csv"
     bad.write_text(text)
@@ -662,13 +664,13 @@ def test_fbin_directory_exits_2(corpus_dir, tmp_path, capsys):
 def test_undecodable_text_input_exits_3(flag, corpus_dir, tmp_path, capsys):
     bad = tmp_path / "bad"
     bad.mkdir()
-    names = {"--features": "u1.ftxt", "--af-table": "table.tsv", "--baseline": "base.json"}
+    names = {"--features": "u1.ftxt", "--af-table": "table.tsv", "--baseline": "base.csv"}
     target = bad / names.get(flag, "input")
     target.write_bytes(b"\xff\xfe")
     labels = tmp_path / "labels.tsv"
     labels.write_text("u1\t0.0\t0.1\ta\n")
-    rates = tmp_path / "rates.json"
-    rates.write_text('{"a": 0.1}')
+    rates = tmp_path / "rates.csv"
+    rates.write_text("a,0.1\n")
     features, items = str(corpus_dir / "features"), str(corpus_dir / "items.item")
     argv = {
         "--items": ["eval", "--features", features, "--items", str(target),
@@ -691,26 +693,29 @@ def test_undecodable_text_input_exits_3(flag, corpus_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _rate_csv(rates, header=""):
+    """The text of a rate-map CSV of ``rates``, below ``header`` if one is given."""
+    return header + "".join(f"{k},{v!r}\n" for k, v in rates.items())
+
+
 def test_analyze_reduce_and_correlate(tmp_path):
-    base = {"a": 0.4, "b": 0.2, "c": 0.0}
-    improved = {"a": 0.2, "b": 0.15, "c": 0.0}
-    (tmp_path / "base.json").write_text(json.dumps(base))
-    (tmp_path / "imp.json").write_text(json.dumps(improved))
+    (tmp_path / "base.csv").write_text(_rate_csv({"a": 0.4, "b": 0.2, "c": 0.0}))
+    (tmp_path / "imp.csv").write_text(_rate_csv({"a": 0.2, "b": 0.15, "c": 0.0}))
     rc = cli.main([
-        "analyze", "reduce", "--baseline", str(tmp_path / "base.json"),
-        "--improved", str(tmp_path / "imp.json"), "--out", str(tmp_path / "rd"),
+        "analyze", "reduce", "--baseline", str(tmp_path / "base.csv"),
+        "--improved", str(tmp_path / "imp.csv"), "--out", str(tmp_path / "rd"),
     ])
     assert rc == 0
     doc = json.loads((tmp_path / "rd" / "reduction.json").read_text())
     assert doc["reduction"]["a"] == "50.000000"
     assert doc["undefined"] == ["c"]
 
-    pco = {"a": {"p_co": 0.75}, "b": {"p_co": 0.5}, "c": {"p_co": 0.5}}
-    (tmp_path / "pco.json").write_text(json.dumps({"p_co": pco}))
+    (tmp_path / "pco.csv").write_text(
+        _rate_csv({"a": 0.75, "b": 0.5, "c": 0.5}, "phone,p_co,label\n"))
     rc = cli.main([
-        "analyze", "correlate", "--baseline", str(tmp_path / "base.json"),
-        "--improved", str(tmp_path / "imp.json"),
-        "--pco", str(tmp_path / "pco.json"), "--out", str(tmp_path / "co"),
+        "analyze", "correlate", "--baseline", str(tmp_path / "base.csv"),
+        "--improved", str(tmp_path / "imp.csv"),
+        "--pco", str(tmp_path / "pco.csv"), "--out", str(tmp_path / "co"),
     ])
     assert rc == 0
     doc = json.loads((tmp_path / "co" / "correlate.json").read_text())
@@ -721,21 +726,17 @@ def test_analyze_reduce_and_correlate(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--baseline", "--improved", "--pco"])
-@pytest.mark.parametrize("name,text,where", [
-    ("rates.csv", "category,rate\na,0.1\nb,nan\n", ":3: non-finite rate 'nan'"),
-    ("rates.csv", "a,0.1\nb,-inf\n", ":2: non-finite rate '-inf'"),
-    ("rates.json", '{"a": 0.1, "b": NaN}', ": value for 'b' is not finite"),
-    ("rates.json", '{"a": {"xi": 0.1, "p_co": 0.1}, "b": {"xi": "inf", "p_co": "inf"}}',
-     ": value for 'b' is not finite"),
+@pytest.mark.parametrize("text,where", [
+    ("category,rate\na,0.1\nb,nan\n", ":3: non-finite rate 'nan'"),
+    ("a,0.1\nb,-inf\n", ":2: non-finite rate '-inf'"),
 ])
-def test_analyze_non_finite_rate_exits_3(tmp_path, capsys, flag, name, text, where):
-    good = {"a": 0.4, "b": 0.2}
+def test_analyze_non_finite_rate_exits_3(tmp_path, capsys, flag, text, where):
     for f in ("base", "imp", "pco"):
-        (tmp_path / f"{f}.json").write_text(json.dumps(good))
-    bad = tmp_path / name
+        (tmp_path / f"{f}.csv").write_text(_rate_csv({"a": 0.4, "b": 0.2}))
+    bad = tmp_path / "rates.csv"
     bad.write_text(text)
-    files = {"--baseline": tmp_path / "base.json", "--improved": tmp_path / "imp.json",
-             "--pco": tmp_path / "pco.json", flag: bad}
+    files = {"--baseline": tmp_path / "base.csv", "--improved": tmp_path / "imp.csv",
+             "--pco": tmp_path / "pco.csv", flag: bad}
     argv = ["analyze", "correlate" if flag == "--pco" else "reduce"]
     for f in ("--baseline", "--improved") + (("--pco",) if flag == "--pco" else ()):
         argv += [f, str(files[f])]
@@ -746,37 +747,16 @@ def test_analyze_non_finite_rate_exits_3(tmp_path, capsys, flag, name, text, whe
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text", ['{"a": 0.2, "b": true}', '{"xi": {"a": 0.2, "b": false}}',
-                                  '{"a": {"xi": 0.2}, "b": {"xi": true}}'])
-def test_analyze_boolean_rate_exits_3(tmp_path, capsys, text):
-    (tmp_path / "base.json").write_text(text)
-    (tmp_path / "imp.json").write_text(json.dumps({"a": "0.100000", "b": "0.100000"}))
-    argv = ["analyze", "reduce", "--baseline", str(tmp_path / "base.json"),
-            "--improved", str(tmp_path / "imp.json")]
-    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 3
-    assert "value for 'b' is not numeric" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-    # the numeric strings of phoneme.json stay rates
-    (tmp_path / "base.json").write_text(json.dumps({"xi": {"a": "0.200000", "b": "0.2"}}))
-    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
-    assert (tmp_path / "out" / "reduction.csv").read_text() == (
-        "category,reduction_percent\na,50.0\nb,50.0\n")
-
-
-@pytest.mark.parametrize("name,text,where", [
-    ("rates.csv", "category,rate\nAA,0.5\nAA,0.1\n", ":3: category 'AA' listed twice"),
-    ("rates.csv", "AA,0.5\nIY,0.2\nAA,0.1\n", ":3: category 'AA' listed twice"),
-    ("rates.json", '{"AA": 0.5, "IY": 0.2, "AA": 0.1}', ": invalid JSON: repeated key 'AA'"),
-    ("rates.json", '{"xi": {"AA": "0.5", "AA": "0.1"}}', ": invalid JSON: repeated key 'AA'"),
-    ("rates.json", '{"xi": {"AA": 0.5}, "xi": {"AA": 0.1}}', ": invalid JSON: repeated key 'xi'"),
+@pytest.mark.parametrize("text,where", [
+    ("category,rate\nAA,0.5\nAA,0.1\n", ":3: category 'AA' listed twice"),
+    ("AA,0.5\nIY,0.2\nAA,0.1\n", ":3: category 'AA' listed twice"),
 ])
-def test_analyze_rate_map_listing_a_category_twice_exits_3(tmp_path, capsys, name, text,
-                                                          where):
-    bad = tmp_path / name
+def test_analyze_rate_map_listing_a_category_twice_exits_3(tmp_path, capsys, text, where):
+    bad = tmp_path / "rates.csv"
     bad.write_text(text)
-    (tmp_path / "imp.json").write_text(json.dumps({"AA": 0.2, "IY": 0.1}))
+    (tmp_path / "imp.csv").write_text(_rate_csv({"AA": 0.2, "IY": 0.1}))
     argv = ["analyze", "reduce", "--baseline", str(bad),
-            "--improved", str(tmp_path / "imp.json"), "--out", str(tmp_path / "out")]
+            "--improved", str(tmp_path / "imp.csv"), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert f"{bad}{where}" in err
@@ -790,9 +770,8 @@ def test_analyze_rate_map_listing_a_category_twice_exits_3(tmp_path, capsys, nam
     (",0.2\na,0.1\n", ":1: empty category"),
 ])
 def test_analyze_csv_rate_map_empty_category_exits_3(tmp_path, capsys, flag, text, where):
-    # the JSON maps refuse an empty category too (the line-break test below)
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps({"a": 0.4, "b": 0.2}))
+    good = tmp_path / "good.csv"
+    good.write_text(_rate_csv({"a": 0.4, "b": 0.2}))
     bad = tmp_path / "rates.csv"
     bad.write_text(text)
     argv = ["analyze", "correlate" if flag == "--pco" else "reduce"]
@@ -805,76 +784,74 @@ def test_analyze_csv_rate_map_empty_category_exits_3(tmp_path, capsys, flag, tex
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text", ['{"a,b": 0.5, "c": 0.2}', '{"xi": {"a,b": "0.5"}}'])
-def test_analyze_rate_map_category_holding_a_comma_exits_3(tmp_path, capsys, text):
-    bad = tmp_path / "rates.json"
-    bad.write_text(text)
-    out = tmp_path / "out"
-    # one map on both sides, so nothing but the comma could refuse it
-    argv = ["analyze", "reduce", "--baseline", str(bad), "--improved", str(bad),
-            "--out", str(out)]
-    assert cli.main(argv) == 3
+@pytest.mark.parametrize("flag", ["--baseline", "--improved", "--pco"])
+def test_analyze_json_rate_map_exits_2(tmp_path, capsys, flag):
+    # a JSON report's rates are rounded to 6 digits: only the CSVs are read
+    good = tmp_path / "good.csv"
+    good.write_text(_rate_csv({"a": 0.4, "b": 0.2}))
+    bad = tmp_path / "phoneme.json"
+    bad.write_text('{"a": 0.1, "b": 0.1}')
+    argv = ["analyze", "correlate" if flag == "--pco" else "reduce"]
+    for f in ("--baseline", "--improved") + (("--pco",) if flag == "--pco" else ()):
+        argv += [f, str(bad if f == flag else good)]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert f"{bad}: category 'a,b' holds a comma" in err
+    assert f"{bad}: rate maps are read from phoneme.csv or pco.csv, not JSON" in err
     assert "Traceback" not in err
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name", ["a\nb", "a\rb", "a\u2028b", ""])
-def test_analyze_rate_map_category_holding_a_line_break_exits_3(tmp_path, capsys, name):
-    bad = tmp_path / "rates.json"
-    bad.write_text(json.dumps({name: 0.5, "c": 0.2}))
-    out = tmp_path / "out"
-    argv = ["analyze", "reduce", "--baseline", str(bad), "--improved", str(bad),
-            "--out", str(out)]
+def test_analyze_non_numeric_first_rate_exits_3(tmp_path, capsys):
+    # line 1 is a header only when its rate column is named rate or p_co
+    good = tmp_path / "good.csv"
+    good.write_text(_rate_csv({"AA": 0.4, "EH": 0.2, "IY": 0.3}))
+    pco = tmp_path / "pco.csv"
+    pco.write_text("AA,bad\nEH,0.5\nIY,0.9\n")
+    argv = ["analyze", "correlate", "--baseline", str(good), "--improved", str(good),
+            "--pco", str(pco), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
-    assert f"{bad}: category {name!r} is empty or holds a line break" in err
+    assert f"{pco}:1: non-numeric rate 'bad'" in err
     assert "Traceback" not in err
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_reads_csv_rate_maps(tmp_path):
     """phoneme.csv and pco.csv rows are read at full repr precision, a
-    header row skipped: the outputs are those of JSON maps of the same
-    floats."""
-    from abxlab.analysis import relative_reduction
+    header row skipped: the outputs are the library's on the same floats."""
+    from abxlab.analysis import pearson_correlation, relative_reduction
 
     maps = {"base": {"a": 1 / 7, "b": 0.2, "c": 1 / 3},
             "imp": {"a": 0.1, "b": 0.15, "c": 0.2},
             "pco": {"a": 0.75, "b": 2 / 3, "c": 0.5}}
-    for stem, rates in maps.items():
-        (tmp_path / f"{stem}.json").write_text(json.dumps(rates))
     (tmp_path / "base.csv").write_text("category,rate,n_pairs,tag\n" + "".join(
         f"{k},{v!r},2,other\n" for k, v in maps["base"].items()))
     (tmp_path / "imp.csv").write_text("".join(  # no header: the first row is data
         f"{k},{v!r},2,other\n" for k, v in maps["imp"].items()))
     (tmp_path / "pco.csv").write_text("phone,p_co,label\n" + "".join(
         f"{k},{v!r},{k}\n" for k, v in maps["pco"].items()))
-    outputs = {}
-    for ext in ("json", "csv"):
-        base, imp, pco = (str(tmp_path / f"{stem}.{ext}") for stem in maps)
-        for argv in (["reduce"], ["correlate", "--pco", pco]):
-            out = tmp_path / f"{argv[0]}-{ext}"
-            assert cli.main(["analyze", *argv, "--baseline", base, "--improved", imp,
-                             "--out", str(out)]) == 0
-            outputs[ext, argv[0]] = {p.name: p.read_bytes() for p in out.iterdir()
-                                     if p.name != "manifest.json"}
-    for cmd in ("reduce", "correlate"):
-        assert outputs["csv", cmd] == outputs["json", cmd]
-    reduction = relative_reduction(maps["base"], maps["imp"])[0]["a"]
-    assert reduction != relative_reduction({"a": round(1 / 7, 6)}, {"a": 0.1})[0]["a"]
-    assert f"a,{reduction!r}\n".encode() in outputs["csv", "reduce"]["reduction.csv"]
+    base, imp, pco = (str(tmp_path / f"{stem}.csv") for stem in maps)
+    for argv in (["reduce"], ["correlate", "--pco", pco]):
+        assert cli.main(["analyze", *argv, "--baseline", base, "--improved", imp,
+                         "--out", str(tmp_path / argv[0])]) == 0
+    reductions = relative_reduction(maps["base"], maps["imp"])[0]
+    assert (tmp_path / "reduce" / "reduction.csv").read_text() == (
+        "category,reduction_percent\n" + _rate_csv(reductions))
+    r = pearson_correlation([maps["pco"][k] for k in "abc"], [reductions[k] for k in "abc"])
+    assert json.loads((tmp_path / "correlate" / "correlate.json").read_text())["r"] == (
+        f"{r:.6f}")
+    # the 6-digit rates of phoneme.json would change the reduction
+    assert reductions["a"] != relative_reduction({"a": round(1 / 7, 6)}, {"a": 0.1})[0]["a"]
 
 
 def test_analyze_correlate_needs_two_points(tmp_path):
-    (tmp_path / "base.json").write_text(json.dumps({"a": 0.4}))
-    (tmp_path / "imp.json").write_text(json.dumps({"a": 0.2}))
-    (tmp_path / "pco.json").write_text(json.dumps({"a": 0.9}))
+    (tmp_path / "base.csv").write_text("a,0.4\n")
+    (tmp_path / "imp.csv").write_text("a,0.2\n")
+    (tmp_path / "pco.csv").write_text("a,0.9\n")
     rc = cli.main([
-        "analyze", "correlate", "--baseline", str(tmp_path / "base.json"),
-        "--improved", str(tmp_path / "imp.json"),
-        "--pco", str(tmp_path / "pco.json"), "--out", str(tmp_path / "co"),
+        "analyze", "correlate", "--baseline", str(tmp_path / "base.csv"),
+        "--improved", str(tmp_path / "imp.csv"),
+        "--pco", str(tmp_path / "pco.csv"), "--out", str(tmp_path / "co"),
     ])
     assert rc == 3
 
@@ -1246,8 +1223,8 @@ def _runner_case(name, corpus_dir, vowel_dir, eval_dir, apc_dir, tmp_path):
     rates = {}
     for stem, doc in (("base", {"a": 0.4, "b": 0.2}), ("imp", {"a": 0.2, "b": 0.15}),
                       ("pco", {"a": 0.9, "b": 0.5})):
-        rates[stem] = tmp_path / f"{stem}.json"
-        rates[stem].write_text(json.dumps(doc))
+        rates[stem] = tmp_path / f"{stem}.csv"
+        rates[stem].write_text(_rate_csv(doc))
     hyp = tmp_path / "hyp.tsv"
     hyp.write_bytes((corpus_dir / "labels.tsv").read_bytes())
     synth_cfg = tmp_path / "synth.json"

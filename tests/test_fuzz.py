@@ -110,25 +110,11 @@ _JSON = st.recursive(
 )
 
 
-@pytest.mark.parametrize("key", ["xi", "p_co"])
-@FUZZ
-@given(data=st.one_of(_TEXT, st.binary(max_size=64), _JSON.map(json.dumps),
-                      st.dictionaries(st.sampled_from(["xi", "p_co", "a"]), _JSON)
-                      .map(json.dumps)))
-@example(data='{"a": 1' + "0" * 400 + "}")
-@example(data='{"a": true}')
-@example(data="[" * 100000)
-def test_json_rate_map(tmp_path, key, data):
-    _loads_or_fails_cleanly(lambda p: cli._load_rate_map(p, key), tmp_path / "rates.json",
-                            data)
-
-
 @FUZZ
 @given(data=st.one_of(_TEXT, st.binary(max_size=64)))
 @example(data="category,rate\na,1e999\n")
 def test_csv_rate_map(tmp_path, data):
-    _loads_or_fails_cleanly(lambda p: cli._load_rate_map(p, "xi"), tmp_path / "rates.csv",
-                            data)
+    _loads_or_fails_cleanly(cli._load_rate_map, tmp_path / "rates.csv", data)
 
 
 def _ckpt(block, payload):
