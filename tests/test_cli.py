@@ -726,14 +726,17 @@ def test_analyze_reduce_and_correlate(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--baseline", "--improved", "--pco"])
-@pytest.mark.parametrize("text,where", [
-    ("category,rate\na,0.1\nb,nan\n", ":3: non-finite rate 'nan'"),
-    ("a,0.1\nb,-inf\n", ":2: non-finite rate '-inf'"),
+@pytest.mark.parametrize("name,text,where", [
+    ("rates.csv", "category,rate\na,0.1\nb,nan\n", ":3: non-finite rate 'nan'"),
+    ("rates.csv", "a,0.1\nb,-inf\n", ":2: non-finite rate '-inf'"),
+    ("rates.csv", "a,0.1\nb,NaN\n", ":2: non-finite rate 'NaN'"),
+    # only a .json name is refused up front: any other is read as a CSV
+    ("rates", "phone,p_co,label\na,0.1,a\nb,inf,b\n", ":3: non-finite rate 'inf'"),
 ])
-def test_analyze_non_finite_rate_exits_3(tmp_path, capsys, flag, text, where):
+def test_analyze_non_finite_rate_exits_3(tmp_path, capsys, flag, name, text, where):
     for f in ("base", "imp", "pco"):
         (tmp_path / f"{f}.csv").write_text(_rate_csv({"a": 0.4, "b": 0.2}))
-    bad = tmp_path / "rates.csv"
+    bad = tmp_path / name
     bad.write_text(text)
     files = {"--baseline": tmp_path / "base.csv", "--improved": tmp_path / "imp.csv",
              "--pco": tmp_path / "pco.csv", flag: bad}
@@ -747,12 +750,19 @@ def test_analyze_non_finite_rate_exits_3(tmp_path, capsys, flag, text, where):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text,where", [
-    ("category,rate\nAA,0.5\nAA,0.1\n", ":3: category 'AA' listed twice"),
-    ("AA,0.5\nIY,0.2\nAA,0.1\n", ":3: category 'AA' listed twice"),
+@pytest.mark.parametrize("name,text,where", [
+    ("rates.csv", "category,rate\nAA,0.5\nAA,0.1\n", ":3: category 'AA' listed twice"),
+    ("rates.csv", "AA,0.5\nIY,0.2\nAA,0.1\n", ":3: category 'AA' listed twice"),
+    ("rates.csv", "phone,p_co,label\nAA,0.5,AA\nAA,0.1,AA\n",
+     ":3: category 'AA' listed twice"),
+    # the same rate twice is refused too
+    ("rates.csv", "category,rate,n_pairs,tag\nAA,0.5,2,x\nIY,0.2,2,x\nAA,0.5,2,x\n",
+     ":4: category 'AA' listed twice"),
+    ("rates", "AA,0.5\nAA,0.1\n", ":2: category 'AA' listed twice"),
 ])
-def test_analyze_rate_map_listing_a_category_twice_exits_3(tmp_path, capsys, text, where):
-    bad = tmp_path / "rates.csv"
+def test_analyze_rate_map_listing_a_category_twice_exits_3(tmp_path, capsys, name, text,
+                                                          where):
+    bad = tmp_path / name
     bad.write_text(text)
     (tmp_path / "imp.csv").write_text(_rate_csv({"AA": 0.2, "IY": 0.1}))
     argv = ["analyze", "reduce", "--baseline", str(bad),
@@ -762,6 +772,37 @@ def test_analyze_rate_map_listing_a_category_twice_exits_3(tmp_path, capsys, tex
     assert f"{bad}{where}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rate", ["true", "false", "True"])
+def test_analyze_boolean_rate_exits_3(tmp_path, capsys, rate):
+    # a boolean is not read as the rate 1 or 0
+    bad = tmp_path / "base.csv"
+    bad.write_text(f"a,0.2\nb,{rate}\n")
+    (tmp_path / "imp.csv").write_text(_rate_csv({"a": 0.1, "b": 0.1}))
+    argv = ["analyze", "reduce", "--baseline", str(bad),
+            "--improved", str(tmp_path / "imp.csv"), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}:2: non-numeric rate {rate!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["a\nb", "a\rb", "a\u2028b", ""])
+def test_analyze_rate_map_category_holding_a_line_break_exits_3(tmp_path, capsys, name):
+    # a line break splits the row, so no category of reduction.csv can hold one
+    bad = tmp_path / "rates.csv"
+    bad.write_text(f"{name},0.5\nc,0.2\n")
+    out = tmp_path / "out"
+    argv = ["analyze", "reduce", "--baseline", str(bad), "--improved", str(bad),
+            "--out", str(out)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    where = ":1: expected at least 2 fields, got 1" if name else ":1: empty category"
+    assert f"{bad}{where}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--baseline", "--improved", "--pco"])
