@@ -16,12 +16,15 @@ to its feature rows in list order, so a row the archive cannot serve
 fails before any scoring; then each plan computes a dense segment x
 segment block of DTW dissimilarities, every unordered pair once through
 the batched kernel, and its cells are scored from views of that block.
-Plans are pure functions of the resolved frames, so they can be scored
-in parallel; a process pool starts only when the task's DP cells reach
-``POOL_MIN_DP_CELLS``.  A task's settings are plain keyword
-values, each checked once by the function that uses it: the speaker-pair
-cap and its seed by ``build_cells``, the zero-vector charge by
-``distance.dtw_pairs`` and the worker cap by ``score_corpus``.
+A plan's one ``dtw_pairs`` call, over its own group's rows and pairs, is
+a pure function of its arguments, so the calls can run in a process
+pool, which starts only when the task's DP cells reach
+``POOL_MIN_DP_CELLS``; inline or pooled, the parent builds each block
+from the returned distances and scores every cell.  A task's settings
+are plain keyword values, each checked once by the function that uses
+it: the speaker-pair cap and its seed by ``build_cells``, the
+zero-vector charge by ``distance.dtw_pairs`` and the worker cap by
+``score_corpus``.
 
 Scoring counts strict wins and exact ties as integers and divides once
 at the end, so the comparison order inside a cell cannot perturb eta.
@@ -53,7 +56,7 @@ PAIRWISE_HEADER = "category_x,category_y,context_prev,context_next,condition,rat
 
 # Below this many DP cells (the unpadded sum of m x n over every segment
 # pair the distance blocks compute) the groups are scored inline: a pool
-# costs its start-up and a copy of the archive per worker.  Timing fresh
+# costs its start-up and a pickled copy of each group's rows.  Timing fresh
 # ``abxlab eval`` processes at --jobs 1 and 2 on a shared 2-core machine
 # (10-12 alternating pairs a series), the pool won at 3.1M cells in 10/10
 # and 6/10 pairs and lost in 12/12 and 9/10 in two other series; at 4.2M
@@ -294,17 +297,15 @@ def _eta(block, a, b, x, within: bool) -> tuple[float, int]:
     return errors / (2 * total), total
 
 
-def _score_group(plan: GroupPlan, frames, zero_vector_distance: float) -> list[CellScore]:
-    """Score the cells of a group from one distance block; ``frames``
-    holds the feature rows of each segment-list position.
+def _score_cells(plan: GroupPlan, distances) -> list[CellScore]:
+    """Score the cells of a group from its DTW ``distances``, the
+    ``dtw_pairs`` result over the block's pairs ``(plan.i, plan.j)``.
 
     epsilon = (eta(x->y) + eta(y->x)) / 2 for each cell.
     """
     n = len(plan.positions)
     block = np.zeros((n, n))
-    block[plan.i, plan.j] = block[plan.j, plan.i] = dtw_pairs(
-        [frames[p] for p in plan.positions], plan.i, plan.j, zero_vector_distance
-    )
+    block[plan.i, plan.j] = block[plan.j, plan.i] = distances
     scores = []
     for head, (x_ab, y_ab, x_x, y_x) in zip(plan.heads, plan.members):
         within = head[3] == head[4]  # speaker_ab == speaker_x
@@ -367,36 +368,26 @@ def aggregate(per_cell, kind: str, condition: str, metadata: dict | None = None)
 # ---------------------------------------------------------------------------
 # end-to-end driver
 
-_WORKER_STATE = None
-
-
-def _worker_init(frames, zero_vector_distance):
-    global _WORKER_STATE
-    _WORKER_STATE = (frames, zero_vector_distance)
-
-
-def _worker_group(plan):
-    return _score_group(plan, *_WORKER_STATE)
-
-
 def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
                  af_table: AfTable | None = None, zero_vector_distance: float = 1.0,
                  max_speaker_pairs: int | None = None, seed: int = 42,
                  jobs: int = 1) -> AbxReport:
     """Score an ABX task: the package's one scoring entry.
 
-    ``build_cells`` plans -> distance blocks (parallel over plans) -> aggregate.
+    ``build_cells`` plans -> one ``dtw_pairs`` call per plan (parallel over
+    plans) -> cells scored from each plan's block -> aggregate.
     Every listed row, af-excluded ones too, is resolved to its frames
     first, in list order, so a row the archive cannot serve raises
     ``DataError`` (exit 3), naming the first such row, before an empty
     task raises ``EmptyTaskError`` (exit 4).  ``jobs`` caps the worker
     processes: the task's DP cells are counted first, and when they
     reach ``POOL_MIN_DP_CELLS`` a pool of ``min(jobs, groups)`` workers
-    scores the groups if that is more than one; otherwise every group is
-    scored inline.  Workers get the resolved frames once, through the
-    pool initializer; plans carry only positions.  The report is
-    bit-identical for any jobs value: each group's cells are scored from
-    its own distance block, and the scores are folded in sorted order.
+    runs the groups' ``dtw_pairs`` calls if that is more than one;
+    otherwise every call runs inline.  Either way a call carries only its
+    group's rows, in block-row order, and its pairs; the parent scores
+    each group's cells from its distances in plan order, so one block is
+    alive at a time.  The report is bit-identical for any jobs value: the
+    calls are the same, and the scores are folded in sorted order.
     ``report.stats`` holds ``workers`` (the pool's processes, 1 inline)
     and ``dp_cells`` (the count).  ``dtw_pairs`` checks
     ``zero_vector_distance``, with a zero-pair call before a pool starts,
@@ -412,19 +403,21 @@ def score_corpus(archive: FeatureArchive, segments, mode: str, kind: str,
         )
     dp_cells = _dp_cells(plans, frames)
     workers = min(jobs, len(plans)) if dp_cells >= POOL_MIN_DP_CELLS else 1
+    # the arguments of one dtw_pairs call per group, carrying only its rows
+    args = (([frames[p] for p in plan.positions] for plan in plans),
+            [plan.i for plan in plans], [plan.j for plan in plans],
+            [zero_vector_distance] * len(plans))
     if workers == 1:
-        scored = [_score_group(p, frames, zero_vector_distance) for p in plans]
+        scores = [s for plan, d in zip(plans, map(dtw_pairs, *args))
+                  for s in _score_cells(plan, d)]
     else:
         dtw_pairs([], [], [], zero_vector_distance)  # checks the charge before any worker
         # imported here: the pool's modules cost start-up of every command
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init,
-            initargs=(frames, zero_vector_distance),
-        ) as pool:
-            scored = list(pool.map(_worker_group, plans))
-    scores = [s for group in scored for s in group]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            scores = [s for plan, d in zip(plans, pool.map(dtw_pairs, *args))
+                      for s in _score_cells(plan, d)]
     config = {
         "task": kind, "condition": mode, "zero_vector_distance": zero_vector_distance,
         "max_speaker_pairs_per_context": max_speaker_pairs, "seed": seed,

@@ -151,7 +151,8 @@ def relative_reduction(baseline, improved):
     """100 * (baseline - improved) / baseline per key.
 
     Returns (reductions, undefined): keys with baseline 0 land in
-    ``undefined``.  Key sets must match exactly.
+    ``undefined``.  Key sets must match exactly, and a reduction that
+    overflows float64 is a ``DataError`` naming its key.
     """
     bkeys, ikeys = set(baseline), set(improved)
     if bkeys != ikeys:
@@ -166,7 +167,11 @@ def relative_reduction(baseline, improved):
         if b == 0.0:
             undefined.append(key)
             continue
-        reductions[key] = 100.0 * (b - float(improved[key])) / b
+        i = float(improved[key])
+        reductions[key] = 100.0 * (b - i) / b
+        if not np.isfinite(reductions[key]):
+            raise DataError(f"relative reduction of {key!r} is not finite: "
+                            f"baseline {b!r}, improved {i!r}")
     return reductions, undefined
 
 
@@ -183,7 +188,8 @@ def pearson_correlation(xs, ys) -> float:
     """Pearson r, clamped to [-1, 1].
 
     Uses a single square root of the variance product so exactly linear
-    integer-friendly inputs come out as exactly +/-1.0.
+    integer-friendly inputs come out as exactly +/-1.0; a product that
+    overflows float64 is a ``DataError``, not a silent r of 0.0.
     """
     x = _as_float_array(xs, "xs")
     y = _as_float_array(ys, "ys")
@@ -195,6 +201,9 @@ def pearson_correlation(xs, ys) -> float:
     sv2 = float(np.einsum("i,i->", v, v))
     if su2 == 0.0 or sv2 == 0.0:
         raise DataError("correlation undefined: zero variance in one series")
+    if not np.isfinite(su2 * sv2):
+        raise DataError("correlation undefined: the product of the series' "
+                        "sums of squares overflows float64")
     r = float(np.einsum("i,i->", u, v)) / np.sqrt(su2 * sv2)
     return min(max(r, -1.0), 1.0)
 

@@ -18,7 +18,13 @@ from abxlab.abx import (
     score_corpus,
 )
 from abxlab.af_tables import AfTable, load_af_table
-from abxlab.corpus import FeatureArchive, ItemSegment, item_file_bytes, load_item_file
+from abxlab.corpus import (
+    FeatureArchive,
+    ItemSegment,
+    item_file_bytes,
+    load_item_file,
+    segment_frames,
+)
 from abxlab.distance import dtw_pairs
 from abxlab.errors import DataError, EmptyTaskError, UnmappedPhoneError, UsageError
 from abxlab.synth import SynthConfig, generate_corpus
@@ -525,6 +531,48 @@ def test_parallel_scoring_is_bit_identical(kind, mode, monkeypatch):
             assert r1.to_json_bytes() == rj.to_json_bytes()
             assert r1.to_csv_bytes() == rj.to_csv_bytes()
             assert [c.epsilon for c in r1.per_cell] == [c.epsilon for c in rj.per_cell]
+
+
+@pytest.mark.parametrize("mode", ["within", "across"])
+def test_pool_maps_dtw_pairs_over_each_groups_rows(mode, monkeypatch):
+    # a worker runs only the DTW engine, one call per group carrying that
+    # group's rows; the parent scores every cell from the distances
+    corpus = _pool_corpus()
+    mapped = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, *iterables):
+            args = [list(it) for it in iterables]
+            mapped.append((fn, args))
+            return map(fn, *args)
+
+    inline = score_corpus(corpus.archive, corpus.segments, mode, "phone", jobs=1)
+    monkeypatch.setattr(abx, "POOL_MIN_DP_CELLS", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    pooled = score_corpus(corpus.archive, corpus.segments, mode, "phone", jobs=2)
+    assert pooled.stats["workers"] == 2
+    [(fn, (group_frames, i, j, charges))] = mapped
+    assert fn is dtw_pairs
+    plans = build_cells(corpus.segments, mode, "phone")[0]
+    assert len(group_frames) == len(i) == len(j) == len(plans) > 1
+    frames = [segment_frames(s, corpus.archive) for s in corpus.segments]
+    for plan, rows, pi, pj in zip(plans, group_frames, i, j):
+        assert len(rows) == len(plan.positions)
+        assert all(np.array_equal(r, frames[p]) for r, p in zip(rows, plan.positions))
+        assert np.array_equal(pi, plan.i) and np.array_equal(pj, plan.j)
+    assert charges == [1.0] * len(plans)
+    assert pooled.to_json_bytes(include_per_cell=True) == inline.to_json_bytes(
+        include_per_cell=True)
+    assert pooled.to_csv_bytes() == inline.to_csv_bytes()
 
 
 _START_METHOD_SCRIPT = """

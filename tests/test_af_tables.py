@@ -141,6 +141,10 @@ def test_load_af_table_tsv_errors(tmp_path):
     with pytest.raises(RowError):
         load_af_table(p)
 
+    p.write_text(f"AA\t{EXCLUDED_TOKEN}\nAA\tOpen\n")  # excluded, then mapped
+    with pytest.raises(RowError, match=r"bad\.tsv:2: AA both mapped and excluded$"):
+        load_af_table(p)
+
     p.write_text(f"AA\t{EXCLUDED_TOKEN}\n")  # excluded rows only
     with pytest.raises(DataError):
         load_af_table(p)

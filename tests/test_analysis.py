@@ -356,6 +356,12 @@ def test_relative_reduction_key_mismatch():
     assert "b" in msg and "z" in msg
 
 
+def test_relative_reduction_refuses_a_non_finite_reduction():
+    # 100 * (5e-324 - 1) / 5e-324 overflows to -inf
+    with pytest.raises(DataError, match="relative reduction of 'a' is not finite"):
+        relative_reduction({"a": 5e-324, "b": 0.4}, {"a": 1.0, "b": 0.2})
+
+
 # ---------------------------------------------------------------------------
 # correlation
 
@@ -381,6 +387,20 @@ def test_pearson_validation():
         pearson_correlation([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(DataError):
         pearson_correlation([1.0, np.nan], [1.0, 2.0])
+
+
+def test_pearson_refuses_an_overflowing_variance_product():
+    # once the product of the sums of squares is inf, uv / sqrt(inf) reads 0.0
+    xs = [0.1, 0.5, 0.9]
+    for x, y in [
+        (xs, [-5e161, 25.0, 200 / 3]),  # one sum of squares overflows
+        ([-1e100, 0.0, 1e100], [-1e100, 0.0, 2e100]),  # only their product
+    ]:
+        with pytest.raises(DataError, match="sums of squares overflows float64"):
+            pearson_correlation(x, y)
+    # a finite product keeps its value
+    assert pearson_correlation(xs, [-5e150, 25.0, 200 / 3]) == pytest.approx(
+        np.sqrt(3) / 2, abs=1e-9)
 
 
 def test_pearson_known_value():

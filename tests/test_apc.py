@@ -26,7 +26,7 @@ from abxlab.apc import (
     _make_batches,
 )
 from abxlab.corpus import FeatureArchive
-from abxlab.errors import DataError, FormatError, TrainingError, UsageError
+from abxlab.errors import DataError, FormatError, InconclusiveGradCheck, TrainingError, UsageError
 from abxlab.manifest import write_outputs
 from oracles import (
     AdamByName,
@@ -237,6 +237,21 @@ def test_run_gradient_check_refuses_a_horizon_past_its_instance(n, monkeypatch):
     monkeypatch.undo()
     err, _ = run_gradient_check(replace(GRADCHECK_CONFIG, n=7))
     assert err < 1e-4
+
+
+def test_run_gradient_check_gives_up_after_its_resamples(monkeypatch):
+    # no draw can clear a margin of 1e9: the first draw and every resample fail
+    drawn = []
+
+    def counting_forward(model, x):
+        drawn.append(x)
+        return forward(model, x)
+
+    monkeypatch.setattr(apc, "KINK_MARGIN", 1e9)
+    monkeypatch.setattr(apc, "forward", counting_forward)
+    with pytest.raises(InconclusiveGradCheck, match="in 10 resamples"):
+        run_gradient_check(GRADCHECK_CONFIG)
+    assert len(drawn) == apc.GRADCHECK_MAX_RESAMPLES + 1 == 11
 
 
 def test_gradient_check_leaves_theta_bit_identical():

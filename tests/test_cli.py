@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from abxlab import abx, cli
+from abxlab import abx, apc, cli
 from abxlab.abx import score_corpus
 from abxlab.af_tables import load_af_table
 from abxlab.apc import load_checkpoint
@@ -885,6 +885,41 @@ def test_analyze_reads_csv_rate_maps(tmp_path):
     assert reductions["a"] != relative_reduction({"a": round(1 / 7, 6)}, {"a": 0.1})[0]["a"]
 
 
+def test_analyze_correlate_overflowing_pearson_exits_3(tmp_path, capsys):
+    # a's reduction of -5e161 squares past float64, where pearson r read 0.0
+    (tmp_path / "base.csv").write_text("category,rate\na,1e-160\nb,0.4\nc,0.3\n")
+    (tmp_path / "imp.csv").write_text("a,0.5\nb,0.3\nc,0.1\n")
+    (tmp_path / "pco.csv").write_text("phone,p_co,label\na,0.1\nb,0.5\nc,0.9\n")
+    argv = ["analyze", "correlate", "--baseline", str(tmp_path / "base.csv"),
+            "--improved", str(tmp_path / "imp.csv"), "--pco", str(tmp_path / "pco.csv")]
+    assert cli.main(argv + ["--out", str(tmp_path / "pearson")]) == 3
+    err = capsys.readouterr().err
+    assert "correlation undefined: the product of the series' sums of squares" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "pearson").exists()
+    # ranks do not overflow
+    out = tmp_path / "spearman"
+    assert cli.main(argv + ["--method", "spearman", "--out", str(out)]) == 0
+    assert json.loads((out / "correlate.json").read_text())["r"] == "1.000000"
+
+
+@pytest.mark.parametrize("command", ["reduce", "correlate"])
+def test_analyze_non_finite_reduction_exits_3(tmp_path, capsys, command):
+    # 100 * (5e-324 - 1) / 5e-324 overflows to -inf
+    (tmp_path / "base.csv").write_text("a,5e-324\nb,0.4\n")
+    (tmp_path / "imp.csv").write_text("a,1\nb,0.2\n")
+    (tmp_path / "pco.csv").write_text("a,0.1\nb,0.5\n")
+    argv = ["analyze", command, "--baseline", str(tmp_path / "base.csv"),
+            "--improved", str(tmp_path / "imp.csv"), "--out", str(tmp_path / "out")]
+    if command == "correlate":
+        argv += ["--pco", str(tmp_path / "pco.csv")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "relative reduction of 'a' is not finite: baseline 5e-324, improved 1.0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_correlate_needs_two_points(tmp_path):
     (tmp_path / "base.csv").write_text("a,0.4\n")
     (tmp_path / "imp.csv").write_text("a,0.2\n")
@@ -1030,6 +1065,12 @@ def test_apc_gradcheck_failure_paths(monkeypatch, capsys):
     assert cli.main(["apc", "gradcheck"]) == 5
     assert "kinks everywhere" in capsys.readouterr().err
 
+    # the real check, with a kink margin no draw can clear
+    monkeypatch.undo()
+    monkeypatch.setattr(apc, "KINK_MARGIN", 1e9)
+    assert cli.main(["apc", "gradcheck"]) == 5
+    assert "kink-free evaluation point in 10 resamples" in capsys.readouterr().err
+
 
 def test_apc_gradcheck_flags_left_out_leave_the_config_seed(tmp_path, capsys):
     cfg = tmp_path / "seed7.json"
@@ -1127,6 +1168,19 @@ _BAD_INPUTS = {
     "apc gradcheck config input_dim": (["apc", "gradcheck"], {"input_dim": 2.5}),
     "apc gradcheck config n 8": (["apc", "gradcheck"], {"n": 8}),
     "apc gradcheck config n 100": (["apc", "gradcheck"], {"n": 100}),
+    "synth config not an object": (["synth"], [1]),
+    "apc gradcheck config not an object": (["apc", "gradcheck"], [1]),
+    "apc train batch size 0": (["apc", "train", "--batch-size", "0"], None),
+    "apc train config input_dim 0": (["apc", "train"], {"input_dim": 0}),
+    "synth segments per cell 0": (["synth", "--seed", "1", "--segments-per-cell", "0"], None),
+}
+# what the error names, where one check is the only one its input can reach
+_BAD_INPUT_ERRORS = {
+    "synth config not an object": "cfg.json: config must be a JSON object",
+    "apc gradcheck config not an object": "cfg.json: config must be a JSON object",
+    "apc train batch size 0": "epochs and batch_size must be >= 1",
+    "apc train config input_dim 0": "input_dim must be >= 1",
+    "synth segments per cell 0": "segments_per_cell must be >= 1",
 }
 
 
@@ -1145,6 +1199,22 @@ def test_bad_config_or_range_exits_2(name, corpus_dir, tmp_path, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert "abxlab: error:" in captured.err
+    assert _BAD_INPUT_ERRORS.get(name, "") in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_apc_extract_checkpoint_config_past_the_file_exits_3(corpus_dir, apc_dir, tmp_path,
+                                                            capsys):
+    raw = (apc_dir / "apc.ckpt").read_bytes()
+    (tmp_path / "bad.ckpt").write_bytes(raw[:4] + len(raw).to_bytes(4, "little") + raw[8:])
+    rc = cli.main([
+        "apc", "extract", "--model", str(tmp_path / "bad.ckpt"),
+        "--features", str(corpus_dir / "features"), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert f"{tmp_path / 'bad.ckpt'}: truncated config block" in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "o").exists()
 
