@@ -184,12 +184,30 @@ def _as_float_array(xs, name):
     return arr
 
 
+def _scaled_up(u: np.ndarray) -> np.ndarray:
+    """``u`` times the power of two that brings its largest magnitude into
+    [0.5, 1), when that magnitude is below 1: exact, as nothing overflows."""
+    top = np.abs(u).max()
+    if 0.0 < top < 1.0:
+        u = np.ldexp(u, -np.frexp(top)[1])
+    return u
+
+
+def _sums(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
+    """The sums of squares of ``u`` and ``v`` and of their products."""
+    return tuple(float(np.einsum("i,i->", a, b)) for a, b in ((u, u), (v, v), (u, v)))
+
+
 def pearson_correlation(xs, ys) -> float:
     """Pearson r, clamped to [-1, 1].
 
     Uses a single square root of the variance product so exactly linear
     integer-friendly inputs come out as exactly +/-1.0; a product that
-    overflows float64 is a ``DataError``, not a silent r of 0.0.
+    overflows float64 is a ``DataError``, not a silent r of 0.0.  Each
+    centred series whose largest magnitude is below 1 is first scaled up
+    by a power of two, so a tiny series keeps its sums out of the
+    subnormal range; r is scale-free and the scale is exact, so a result
+    whose sums held no subnormal keeps its bits.
     """
     x = _as_float_array(xs, "xs")
     y = _as_float_array(ys, "ys")
@@ -197,14 +215,18 @@ def pearson_correlation(xs, ys) -> float:
         raise UsageError("series must have equal length >= 2")
     u = x - x.mean()
     v = y - y.mean()
-    su2 = float(np.einsum("i,i->", u, u))
-    sv2 = float(np.einsum("i,i->", v, v))
+    su2, sv2, uv = _sums(_scaled_up(u), _scaled_up(v))
+    if not np.isfinite(su2 * sv2):
+        # a scaled-up series can push the product past float64 beside a
+        # sum of squares near its top: the overflow refusal and r then
+        # come from the series as given
+        su2, sv2, uv = _sums(u, v)
     if su2 == 0.0 or sv2 == 0.0:
         raise DataError("correlation undefined: zero variance in one series")
     if not np.isfinite(su2 * sv2):
         raise DataError("correlation undefined: the product of the series' "
                         "sums of squares overflows float64")
-    r = float(np.einsum("i,i->", u, v)) / np.sqrt(su2 * sv2)
+    r = uv / np.sqrt(su2 * sv2)
     return min(max(r, -1.0), 1.0)
 
 

@@ -32,10 +32,9 @@ passes its flags to ``score_corpus`` as plain values (``--jobs`` left out
 becomes the CPUs the process may use), and the library checks each one
 where it is used, so a bad setting is reported after the inputs load.
 
-``analysis``, ``svgplot`` and ``synth`` are imported inside the commands
-that use them, so ``eval`` and ``apc`` do not pay for them at start-up.
-``apc`` stays a module-level import: the benchmark tracer and the tests
-patch its names on this module.
+``analysis``, ``apc``, ``svgplot`` and ``synth`` are imported inside the
+commands that use them, so no command pays at start-up for one of them
+that it does not use.
 
 The command runs OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is
 set.  APC is the only BLAS user, and its products are too small for a
@@ -70,15 +69,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads: see ab
 from . import __version__
 from .abx import PAIRWISE_HEADER, fold_pairs, score_corpus
 from .af_tables import BUILTIN_TABLES, load_af_table
-from .apc import (
-    GRADCHECK_CONFIG,
-    ApcConfig,
-    checkpoint_bytes,
-    extract_features,
-    load_checkpoint,
-    run_gradient_check,
-    train,
-)
 from .corpus import (
     check_archive_outputs,
     feature_archive_files,
@@ -427,6 +417,8 @@ def cmd_synth(args) -> Outputs:
 
 
 def cmd_apc_train(args) -> Outputs:
+    from .apc import ApcConfig, checkpoint_bytes, train
+
     cfg = ApcConfig.from_dict(_config_doc(ApcConfig, args))
     archive = load_feature_archive(args.features)
     model, losses = train(cfg, archive)
@@ -441,6 +433,8 @@ def cmd_apc_train(args) -> Outputs:
 
 
 def cmd_apc_extract(args) -> Outputs:
+    from .apc import extract_features, load_checkpoint
+
     model = load_checkpoint(args.model)
     archive = load_feature_archive(args.features)
     out_archive = extract_features(model, archive)
@@ -452,6 +446,8 @@ def cmd_apc_extract(args) -> Outputs:
 
 
 def cmd_apc_gradcheck(args) -> int:
+    from .apc import GRADCHECK_CONFIG, ApcConfig, run_gradient_check
+
     cfg = ApcConfig.from_dict(_config_doc(ApcConfig, args, GRADCHECK_CONFIG.to_dict()))
     err, resamples = run_gradient_check(cfg, epsilon=args.epsilon)
     status = "ok" if err < GRADCHECK_BOUND else "FAIL"

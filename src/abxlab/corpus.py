@@ -255,7 +255,8 @@ def _read_ftxt(path: Path) -> tuple[str, np.ndarray, int]:
 def feature_paths(path, format: str = "auto") -> list[Path]:
     """The files of the feature archive in directory ``path``, sorted: its
     top-level ``*.fbin`` (binary) or ``*.ftxt`` (text) files.  ``auto``
-    takes whichever kind is there, and both kinds are inconsistent."""
+    takes whichever kind is there; both kinds are inconsistent, and
+    neither is an empty archive."""
     root = Path(path)
     if not root.is_dir():
         raise UsageError(f"feature directory not found: {root}")
@@ -265,6 +266,8 @@ def feature_paths(path, format: str = "auto") -> list[Path]:
             raise ConsistencyError(
                 f"{root}: {n_bin} .fbin and {n_txt} .ftxt files; an archive has one format"
             )
+        if not (n_bin or n_txt):
+            raise EmptyArchiveError(f"no .fbin or .ftxt files under {root}")
         format = "binary" if n_bin else "text"
     suffix = {"binary": "*.fbin", "text": "*.ftxt"}.get(format)
     if suffix is None:

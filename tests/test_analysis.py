@@ -403,6 +403,40 @@ def test_pearson_refuses_an_overflowing_variance_product():
         np.sqrt(3) / 2, abs=1e-9)
 
 
+def test_pearson_of_a_tiny_series_does_not_drift():
+    # p_co 0, e, 3e against three reductions: the sums of squares of the p_co
+    # series went subnormal from e = 1e-160 on, and r drifted to 0.665895
+    ys = [25.0, 10 / 3, 50.0]
+    want = pearson_correlation([0.0, 1.0, 3.0], ys)
+    for e in (1e-155, 1e-158, 1e-160, 1e-161, 1e-162, 1e-200, 1e-300):
+        assert pearson_correlation([0.0, e, 3 * e], ys) == pytest.approx(want, abs=1e-12), e
+        assert pearson_correlation(ys, [0.0, e, 3 * e]) == pytest.approx(want, abs=1e-12), e
+
+
+def test_pearson_power_of_two_scales_keep_the_bits():
+    # criterion 09's exact +/-1.0 holds at every scale down to tiny series,
+    # and a result whose sums held no subnormal is the unscaled one, bit for bit
+    xs = np.array([1.0, 2.0, 3.0, 4.0])
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal(7), rng.standard_normal(7)
+    r = pearson_correlation(a, b)
+    for k in (0, -1, -30, -400, -1000):
+        s = 2.0 ** k
+        assert pearson_correlation(xs * s, (2 * xs + 1) * s) == 1.0
+        assert pearson_correlation(xs * s, (5 - 3 * xs) * s) == -1.0
+        assert pearson_correlation(xs * s, -xs) == -1.0
+        assert pearson_correlation(a * s, b) == r
+        assert pearson_correlation(a * s, b * s) == r
+
+
+def test_pearson_scaling_never_refuses_a_finite_product():
+    # x's centred sums of squares are 0.32 as given and 1.28 scaled up, and
+    # y's are 1.5e308: only the scaled product overflows
+    y = [-8.7e153, 0.0, 8.7e153]
+    assert pearson_correlation([0.1, 0.5, 0.9], y) == pytest.approx(1.0, abs=1e-15)
+    assert pearson_correlation(y, [0.9, 0.5, 0.1]) == pytest.approx(-1.0, abs=1e-15)
+
+
 def test_pearson_known_value():
     # hand-computed: x=[0,1,2], y=[0,0,3]: u=[-1,0,1], v=[-1,-1,2]
     # suv=3, su2=2, sv2=6 -> r = 3/sqrt(12)

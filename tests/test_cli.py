@@ -903,6 +903,18 @@ def test_analyze_correlate_overflowing_pearson_exits_3(tmp_path, capsys):
     assert json.loads((out / "correlate.json").read_text())["r"] == "1.000000"
 
 
+@pytest.mark.parametrize("e", ["1e-155", "1e-160", "1e-161", "1e-162"])
+def test_analyze_correlate_tiny_pco_series_keeps_its_r(tmp_path, capsys, e):
+    # the p_co series 0, e, 3e: its sum of squares is subnormal from 1e-160 on
+    (tmp_path / "base.csv").write_text("category,rate\na,0.4\nb,0.3\nc,0.2\n")
+    (tmp_path / "imp.csv").write_text("a,0.3\nb,0.29\nc,0.1\n")
+    (tmp_path / "pco.csv").write_text(f"phone,p_co,label\na,0\nb,{e}\nc,{3 * float(e)!r}\n")
+    assert cli.main(["analyze", "correlate", "--baseline", str(tmp_path / "base.csv"),
+                     "--improved", str(tmp_path / "imp.csv"), "--pco", str(tmp_path / "pco.csv"),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("pearson r = 0.685245 over 3 categories")
+
+
 @pytest.mark.parametrize("command", ["reduce", "correlate"])
 def test_analyze_non_finite_reduction_exits_3(tmp_path, capsys, command):
     # 100 * (5e-324 - 1) / 5e-324 overflows to -inf
@@ -1054,14 +1066,14 @@ def test_apc_train_extract_gradcheck(corpus_dir, tmp_path, capsys):
 
 
 def test_apc_gradcheck_failure_paths(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_gradient_check", lambda *a, **k: (5e-4, 3))
+    monkeypatch.setattr(apc, "run_gradient_check", lambda *a, **k: (5e-4, 3))
     assert cli.main(["apc", "gradcheck"]) == 1
     assert "gradcheck FAIL" in capsys.readouterr().out
 
     def explode(*a, **k):
         raise InconclusiveGradCheck("kinks everywhere")
 
-    monkeypatch.setattr(cli, "run_gradient_check", explode)
+    monkeypatch.setattr(apc, "run_gradient_check", explode)
     assert cli.main(["apc", "gradcheck"]) == 5
     assert "kinks everywhere" in capsys.readouterr().err
 
@@ -1514,10 +1526,10 @@ def _child_env(blas_threads=None):
 
 
 def test_cli_import_leaves_unused_modules_out():
-    # eval and apc start-up pays only for what they use: the pool, the SVG
-    # plots (and through them xml.sax), synth and analysis load on demand
+    # every command's start-up pays only for what it uses: the pool, the SVG
+    # plots (and through them xml.sax), synth, analysis and apc load on demand
     lazy = ["concurrent.futures.process", "xml.sax", "abxlab.synth",
-            "abxlab.analysis", "abxlab.svgplot"]
+            "abxlab.analysis", "abxlab.svgplot", "abxlab.apc"]
     proc = subprocess.run(
         [sys.executable, "-c",
          "import json, sys, abxlab.cli; "
@@ -1526,6 +1538,45 @@ def test_cli_import_leaves_unused_modules_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_only_the_apc_commands_load_apc(corpus_dir, tmp_path):
+    # one fresh process runs every other command in turn, and an eval that
+    # fails: none loads abxlab.apc, then apc gradcheck does
+    (tmp_path / "base.csv").write_text("category,rate\na,0.4\nb,0.3\nc,0.2\n")
+    (tmp_path / "imp.csv").write_text("a,0.3\nb,0.29\nc,0.1\n")
+    (tmp_path / "pco.csv").write_text("phone,p_co,label\na,0.1\nb,0.5\nc,0.8\n")
+    synth = tmp_path / "synth"
+    runs = [
+        ["synth", "--phones", "a,b", "--dim", "3", "--speakers", "2", "--frames", "3:4",
+         "--segments-per-cell", "2", "--seed", "1", "--out", str(synth)],
+        ["eval", "--features", str(corpus_dir / "features"), "--items",
+         str(corpus_dir / "items.item"), "--mode", "within", "--out", str(tmp_path / "eval")],
+        ["analyze", "phoneme", "--pairwise", str(tmp_path / "eval" / "pairwise.csv"),
+         "--out", str(tmp_path / "phoneme")],
+        ["analyze", "confusion", "--truth", str(synth / "labels.tsv"), "--hyp",
+         str(synth / "labels.tsv"), "--frame-period", "10000", "--out", str(tmp_path / "cm")],
+        ["analyze", "reduce", "--baseline", str(tmp_path / "base.csv"), "--improved",
+         str(tmp_path / "imp.csv"), "--out", str(tmp_path / "reduce")],
+        ["analyze", "correlate", "--baseline", str(tmp_path / "base.csv"), "--improved",
+         str(tmp_path / "imp.csv"), "--pco", str(tmp_path / "pco.csv"),
+         "--out", str(tmp_path / "correlate")],
+        ["eval", "--features", str(tmp_path / "empty"), "--items", str(corpus_dir / "items.item"),
+         "--mode", "within", "--out", str(tmp_path / "failed")],
+        ["apc", "gradcheck"],
+    ]
+    (tmp_path / "empty").mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, abxlab.cli as c\n"
+         "for argv in json.loads(sys.argv[1]):\n"
+         "    print(json.dumps([c.main(argv), 'abxlab.apc' in sys.modules]))",
+         json.dumps(runs)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert results == [[0, False]] * 6 + [[3, False], [0, True]]
 
 
 def test_only_a_capped_eval_loads_numpy_random(corpus_dir, tmp_path):

@@ -246,8 +246,13 @@ def test_archive_loader_consistency(tmp_path):
 
 def test_archive_loader_empty_and_unknown_format(tmp_path):
     (tmp_path / "feat").mkdir()
-    with pytest.raises(EmptyArchiveError):
+    (tmp_path / "feat" / "notes.txt").write_text("not a feature file\n")
+    # auto names both kinds it looked for; an explicit format names its own
+    with pytest.raises(EmptyArchiveError, match=r"^no \.fbin or \.ftxt files under "):
         load_feature_archive(tmp_path / "feat")
+    for format, suffix in (("binary", "fbin"), ("text", "ftxt")):
+        with pytest.raises(EmptyArchiveError, match=rf"^no \*\.{suffix} files under "):
+            load_feature_archive(tmp_path / "feat", format=format)
     with pytest.raises(UsageError):
         load_feature_archive(tmp_path / "feat", format="npz")
 
