@@ -155,8 +155,7 @@ def _cost_matrices(ra, rx, flat, norms, zero_vector_distance: float) -> np.ndarr
     za, zx = (sa == 0.0)[:, :, None], (sx == 0.0)[:, None, :]
     # + 0.0 charges a -0.0 setting as 0.0: a -0.0 cost would let the tie
     # order of the DP, and so the pair's orientation, pick a zero's sign
-    if za.any() or zx.any():  # the masks match nothing in most chunks
-        cost[za | zx] = zero_vector_distance + 0.0
-        cost[za & zx] = 0.0
+    cost[za | zx] = zero_vector_distance + 0.0
+    cost[za & zx] = 0.0
     np.clip(cost, 0.0, 2.0, out=cost)
     return cost

@@ -206,21 +206,6 @@ def test_dtw_general_scale_invariance_within_tolerance():
 # batched DTW
 
 
-@pytest.mark.parametrize("zero_every", [0, 1, 4])
-def test_chunks_with_and_without_zero_frames_are_bitwise_scalar(zero_every):
-    # a chunk with no zero-norm frame skips the zero-vector masks: with none,
-    # with one in every segment and with one in every fourth, each pair keeps
-    # the bits of the scalar program, which always applies them
-    rng = np.random.default_rng(5 + zero_every)
-    frames = [rand_mat(rng, int(t), 7) for t in rng.integers(1, 12, size=4 * DTW_CHUNK)]
-    for f in frames[::zero_every] if zero_every else ():
-        f[rng.integers(len(f))] = 0.0
-    i = np.arange(0, len(frames), 2)
-    got = dtw_pairs(frames, i, i + 1, 0.25)
-    want = np.array([dtw_scalar(frames[a], frames[a + 1], 0.25) for a in i])
-    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-
-
 def planted_pairs(rng, d, dtype, count=150):
     """(A, X) pairs of 1-16 frames with zero, equal and tie-heavy frames."""
     pairs = []
