@@ -175,17 +175,14 @@ def read_rows(path, what: str, sep=None, n_fields=None, header=None, comment=Non
     """Yield ``(line_no, fields)`` for each non-blank line of a text table.
 
     Fields are split on ``sep`` (None: runs of whitespace).  ``header`` is
-    the text of line 1, compared with surrounding whitespace stripped, or a
-    function of line 1's fields that returns the data rows' field count
-    (a ``.ftxt`` header carries its dimension); line 1 is then not yielded.
-    Lines starting with ``comment`` after leading whitespace are skipped.
-    A row whose field count is not ``n_fields`` (an int, or a range of
-    counts) is a RowError naming its line.
+    the text of line 1, compared with surrounding whitespace stripped;
+    line 1 is then not yielded.  Lines starting with ``comment`` after
+    leading whitespace are skipped.  A row whose field count is not
+    ``n_fields`` (an int, or a range of counts) is a RowError naming its
+    line.
     """
     lines = read_text_file(path, what).splitlines()
-    if callable(header):
-        n_fields = header(lines[0].split(sep) if lines else [])
-    elif header is not None and (not lines or lines[0].strip() != header):
+    if header is not None and (not lines or lines[0].strip() != header):
         raise FormatError(f"{path}: first line must be {header!r}")
     start = 1 if header is None else 2
     counts = n_fields if isinstance(n_fields, range) else (n_fields,)
@@ -227,29 +224,45 @@ def _read_fbin(path: Path) -> tuple[str, np.ndarray, int]:
 
 
 def _read_ftxt(path: Path) -> tuple[str, np.ndarray, int]:
-    dim_period = []
+    """One ``.ftxt`` file's frames, parsed by numpy's C reader in one call.
 
-    def header(fields):  # dim=<D> (>= 1) and period_us=<P>, each once: rows hold D values
-        kv = dict(part.partition("=")[::2] for part in fields)
-        try:
-            if len(kv) == len(fields) == 2 and int(kv["dim"]) >= 1:
-                dim_period[:] = int(kv["dim"]), int(kv["period_us"])
-                return dim_period[0]
-        except (ValueError, KeyError):
-            pass
+    The body goes to ``np.loadtxt`` as float64 with no comment character,
+    so no Python float is made per value, and is then cast to float32.
+    Only when a row does not hold D numbers does a per-line scan run, to
+    name the first such line.
+    """
+    lines = read_text_file(path, "feature file").splitlines()
+    fields = lines[0].split() if lines else []
+    kv = dict(part.partition("=")[::2] for part in fields)
+    try:  # dim=<D> (>= 1) and period_us=<P>, each once: rows hold D values
+        dim, period = int(kv["dim"]), int(kv["period_us"])
+        well_formed = len(kv) == len(fields) == 2 and dim >= 1
+    except (ValueError, KeyError):
+        well_formed = False
+    if not well_formed:
         raise FormatError(f"{path}: header must be 'dim=<D> period_us=<P>'")
-
-    rows = []
-    for line_no, vals in read_rows(path, "feature file", header=header):
-        try:
-            rows.append([float(v) for v in vals])
-        except ValueError:
-            raise RowError(path, line_no, "non-numeric feature value") from None
-    if not rows:
+    body = lines[1:]
+    if not any(map(str.strip, body)):  # before loadtxt warns that it read no data
         raise DataError(f"{path}: no frames")
+    try:
+        values = np.loadtxt(body, comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is None or values.shape[1] != dim:
+        # lines that each hold D numbers parse together, so one of them is at fault
+        for line_no, line in enumerate(body, start=2):
+            n = len(line.split())
+            if not n:
+                continue
+            if n != dim:
+                raise RowError(path, line_no, f"expected {dim} fields, got {n}")
+            try:
+                np.loadtxt([line], comments=None)
+            except ValueError:
+                raise RowError(path, line_no, "non-numeric feature value") from None
     with np.errstate(over="ignore"):  # past the float32 range is inf: the archive rejects it
-        mat = np.array(rows, dtype=np.float32)
-    return path.stem, mat, dim_period[1]
+        mat = values.astype(np.float32)
+    return path.stem, mat, period
 
 
 def feature_paths(path, format: str = "auto") -> list[Path]:

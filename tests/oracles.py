@@ -24,7 +24,10 @@ array at a time, from one whole gradient vector, with Adam's moments in
 dicts keyed by parameter name; the optimizers in ``abxlab.apc``, which
 update one parameter block at a time as the backward hands it over,
 must match them bit for bit.  ``ftxt_rows_per_value``
-formats text archive rows one element at a time.  ``confusion_per_frame``
+formats text archive rows one element at a time, and
+``ftxt_frames_per_value`` parses them one ``float()`` per value; the
+reader's one ``np.loadtxt`` call must return its bits wherever it
+accepts a body.  ``confusion_per_frame``
 labels every frame of every span in a dict and counts the frames both
 tracks label one at a time, then fills the matrix row by row; the span
 overlap merge in ``abxlab.analysis.confusion_matrix`` must match it bit
@@ -432,6 +435,32 @@ def initial_loss_per_batch(model, batches, n):
 def ftxt_rows_per_value(mat):
     """Text archive rows: repr of each element widened to a Python float."""
     return [" ".join(repr(float(v)) for v in row) for row in mat]
+
+
+def ftxt_frames_per_value(body, dim):
+    """A text archive body's float32 frames from one ``float()`` per value.
+
+    ``body`` is the file's lines after the header.  Blank lines are
+    skipped; None stands for a body the loader must refuse: a row that
+    does not hold ``dim`` values ``float()`` reads, no row at all, or a
+    value that is not finite in float32.
+    """
+    rows = []
+    for line in body:
+        vals = line.split()
+        if not vals:
+            continue
+        if len(vals) != dim:
+            return None
+        try:
+            rows.append([float(v) for v in vals])
+        except ValueError:
+            return None
+    if not rows:
+        return None
+    with np.errstate(over="ignore"):
+        mat = np.array(rows, dtype=np.float32)
+    return mat if np.isfinite(mat).all() else None
 
 
 def frame_labels(track, frame_period):

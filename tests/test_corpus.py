@@ -1,4 +1,7 @@
 import pickle
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from abxlab.corpus import (
     time_to_frame,
 )
 from abxlab.errors import (
+    AbxlabError,
     ConsistencyError,
     DataError,
     EmptyArchiveError,
@@ -31,7 +35,7 @@ from abxlab.errors import (
     UsageError,
 )
 from abxlab.manifest import json_bytes, lines_bytes, write_outputs
-from oracles import ftxt_rows_per_value
+from oracles import ftxt_frames_per_value, ftxt_rows_per_value
 
 
 def small_archive(period=10000):
@@ -154,11 +158,20 @@ def test_fbin_round_trip_is_byte_exact(tmp_path):
 
 
 def test_ftxt_round_trip_is_exact(tmp_path):
-    arch = small_archive()
-    write_outputs(tmp_path / "feat", feature_archive_files(arch, "text"))
+    f32 = np.finfo(np.float32)
+    edge = np.array([[0.0, -0.0, f32.smallest_subnormal, -f32.smallest_subnormal],
+                     [f32.tiny * 0.75, f32.max, -f32.max, f32.tiny],
+                     [1e-5, -1e16, 3e-30, 1.5e20]], dtype=np.float32)
+    base = small_archive()
+    arch = FeatureArchive({"edge": edge, **{u: base.frames(u) for u in base.utterance_ids()}},
+                          10000)
+    files = feature_archive_files(arch, "text")
+    # repr puts an exponent on each value of the last edge row
+    assert all(b"e" in v for v in files["edge.ftxt"].split(b"\n")[3].split())
+    write_outputs(tmp_path / "feat", files)
     back = load_feature_archive(tmp_path / "feat", format="text")
-    for utt in arch.utterance_ids():
-        assert np.array_equal(back.frames(utt), arch.frames(utt))
+    for utt in arch.utterance_ids():  # bit for bit: -0.0 stays -0.0
+        assert back.frames(utt).tobytes() == arch.frames(utt).tobytes()
 
 
 def test_ftxt_bytes_match_per_value_oracle():
@@ -236,6 +249,89 @@ def test_ftxt_header_keys_come_in_either_order(tmp_path):
         load_feature_archive(tmp_path)
 
 
+# a body the per-value oracle accepts in this alphabet, the reader must accept too
+_FTXT_NUMERIC_BODY = re.compile(r"(?:[0-9+\-.eE \t\n]|inf|nan)*")
+_FTXT_TOKEN = st.one_of(
+    st.floats(width=32).map(repr),
+    st.text(alphabet="0123456789+-.eE", min_size=1, max_size=6),
+    st.sampled_from(["inf", "-inf", "nan", "1e39", "-0", "+.5", "1.", "1e-46"]),
+)
+
+
+@st.composite
+def _ftxt_dim_and_body(draw):
+    """A dimension and a body: rows of that many tokens and blank lines,
+    or any text."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    row = st.lists(st.tuples(st.sampled_from([" ", "\t", "  ", " \t"]), _FTXT_TOKEN),
+                   min_size=dim, max_size=dim).map(lambda parts: "".join(a + b for a, b in parts))
+    numeric = st.lists(st.one_of(row, st.sampled_from(["", " \t"])), max_size=5).map("\n".join)
+    other = st.text(alphabet=st.one_of(st.sampled_from(list("0123456789.-+eE \t\n\r_#")),
+                                       st.characters(codec="utf-8")), max_size=60)
+    return dim, draw(st.one_of(numeric, other))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim_body=_ftxt_dim_and_body())
+def test_ftxt_reader_matches_per_value_oracle(tmp_path_factory, dim_body):
+    dim, body = dim_body
+    text = f"dim={dim} period_us=10000\n{body}"
+    want = ftxt_frames_per_value(text.splitlines()[1:], dim)
+    d = tmp_path_factory.mktemp("ftxt")
+    (d / "u.ftxt").write_bytes(text.encode())
+    try:
+        got = load_feature_archive(d).frames("u")
+    except AbxlabError as e:
+        assert e.exit_code == 3
+        assert want is None or not _FTXT_NUMERIC_BODY.fullmatch(body), (body, e)
+        return
+    assert want is not None and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+def test_ftxt_row_errors_name_their_line(tmp_path, newline):
+    def load(*rows):
+        (tmp_path / "u.ftxt").write_bytes(newline.join(("dim=2 period_us=10000",) + rows).encode())
+        with pytest.raises(RowError) as e:
+            load_feature_archive(tmp_path)
+        assert e.value.exit_code == 3
+        return e.value.line_no, e.value.message
+
+    assert load("1 2", "", " \t ", "1 2 3", "x y") == (5, "expected 2 fields, got 3")
+    assert load("", "1 2", "  ", "1 x", "1 2 3") == (5, "non-numeric feature value")
+    assert load("\t", "3") == (3, "expected 2 fields, got 1")  # no row holds 2 values
+    # float() reads these; numpy's parser does not, and the row is refused
+    assert load("1 2", "", "1_0 2") == (4, "non-numeric feature value")
+    assert load("\u0661 2") == (2, "non-numeric feature value")  # ARABIC-INDIC DIGIT ONE
+    assert load("1 2", "1 #2") == (3, "non-numeric feature value")  # no comments
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n \t\n\r\n"], ids=["header only", "blank", "spaces"])
+def test_ftxt_without_frames_is_a_data_error_and_warns_nothing(tmp_path, body):
+    (tmp_path / "u.ftxt").write_text(f"dim=2 period_us=10000\n{body}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"u\.ftxt: no frames$") as e:
+            load_feature_archive(tmp_path)
+    assert e.value.exit_code == 3
+
+
+def test_ftxt_load_peak_grows_with_the_text_not_per_value(tmp_path):
+    mat = np.random.default_rng(0).standard_normal((5000, 100)).astype(np.float32)
+    write_outputs(tmp_path, feature_archive_files(FeatureArchive({"u": mat}, 10000), "text"))
+    text_bytes = (tmp_path / "u.ftxt").stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = load_feature_archive(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.frames("u").tobytes() == mat.tobytes()
+    # the text twice over (str and lines) and a float64 per value; a Python
+    # float per value would cost 32 bytes (the object and its list slot)
+    assert peak < 2 * text_bytes + 8 * mat.size, (peak, text_bytes)
+
+
 def test_archive_loader_consistency(tmp_path):
     write_outputs(tmp_path / "feat", feature_archive_files(small_archive(10000)))
     write_outputs(tmp_path / "feat", feature_archive_files(
@@ -298,13 +394,8 @@ def test_read_rows_numbers_lines_past_header_and_blanks(tmp_path):
         list(read_rows(p, "table", sep=",", header="h,x"))
 
 
-def test_read_rows_header_function_and_field_range(tmp_path):
+def test_read_rows_field_range_and_missing_file(tmp_path):
     p = tmp_path / "t.txt"
-    p.write_text("n=2\n1 2\n\n1 2 3\n")
-    rows = read_rows(p, "table", header=lambda fields: int(fields[0][2:]))
-    assert next(rows) == (2, ["1", "2"])
-    with pytest.raises(RowError, match=":4: expected 2 fields, got 3"):
-        next(rows)
     p.write_text("a\tb\tc\n\na\n")
     with pytest.raises(RowError, match=":3: expected at least 2 tab-separated fields, got 1"):
         list(read_rows(p, "table", sep="\t", n_fields=range(2, 9)))
