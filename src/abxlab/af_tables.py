@@ -113,10 +113,14 @@ BUILTIN_TABLES = {
 EXCLUDED_TOKEN = "__EXCLUDED__"
 
 
-def _parse_af_tsv(path: Path) -> AfTable:
+def _parse_af_tsv(key: str) -> AfTable:
+    # read by the key as given, which keys its digest; messages name Path(key)
+    path = Path(key)
     entries: dict[str, str] = {}
     excluded: set[str] = set()
-    for i, parts in read_rows(path, "AF table file", sep="\t", n_fields=2, comment="#"):
+    for i, parts in read_rows(key, "AF table file", sep="\t", comment="#"):
+        if len(parts) != 2:
+            raise RowError(path, i, f"expected 2 tab-separated fields, got {len(parts)}")
         phone, attribute = parts[0].strip(), parts[1].strip()
         if not phone or not attribute:
             raise RowError(path, i, "empty phone or attribute")
@@ -146,9 +150,8 @@ def load_af_table(name_or_path) -> AfTable:
     key = str(name_or_path)
     if key in BUILTIN_TABLES:
         return BUILTIN_TABLES[key]
-    p = Path(key)
-    if p.exists():
-        return _parse_af_tsv(p)
+    if Path(key).exists():
+        return _parse_af_tsv(key)
     raise UsageError(
         f"unknown AF table {key!r}; built-ins: {', '.join(sorted(BUILTIN_TABLES))}"
     )

@@ -752,8 +752,8 @@ def checkpoint_bytes(model: ApcModel) -> bytes:
 
 
 def load_checkpoint(path) -> ApcModel:
+    raw = read_bytes_file(path, "checkpoint file")  # the flag's spelling keys its digest
     path = Path(path)
-    raw = read_bytes_file(path, "checkpoint file")
     if len(raw) < 8 or raw[:4] != CKPT_MAGIC:
         raise FormatError(f"{path}: not an APC1 checkpoint")
     (cfg_len,) = struct.unpack_from("<I", raw, 4)

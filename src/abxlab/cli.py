@@ -18,12 +18,11 @@ builds the manifest dict from the parsed flags and writes it with the
 files in one atomic ``write_outputs`` call.  The config is every flag of
 the command (``synth`` and ``apc train`` return their merged config
 instead, and ``analyze phoneme`` adds the condition it derives), the seed
-is the config's ``seed``, and the inputs are the flags typed
-``InputPath`` whose path exists: a feature directory stands for its
-archive files, and a built-in AF table name is not a file and is not
-digested.  Flags given lie over the ``--config`` file, a flag left out
-leaves its value, the file lies over ``apc gradcheck``'s default
-instance, and ``manifest.read_json`` decodes every JSON input.
+is the config's ``seed``, and the inputs are the files the command read,
+each digested from the bytes it read (``corpus.recording_reads``).
+Flags given lie over the ``--config`` file, a flag left out leaves its
+value, the file lies over ``apc gradcheck``'s default instance, and
+``manifest.read_json`` decodes every JSON input.
 
 Exit codes: 0 success, 1 gradient check over its error bound, 2 usage
 error, 3 malformed or inconsistent data, 4 empty task (no scorable cells),
@@ -72,12 +71,12 @@ from .af_tables import BUILTIN_TABLES, load_af_table
 from .corpus import (
     check_archive_outputs,
     feature_archive_files,
-    feature_paths,
     load_feature_archive,
     load_item_file,
     load_label_track,
     read_rows,
     read_text_file,
+    recording_reads,
 )
 from .errors import (
     AbxlabError,
@@ -85,7 +84,7 @@ from .errors import (
     RowError,
     UsageError,
 )
-from .manifest import digest_inputs, json_bytes, lines_bytes, read_json, write_outputs
+from .manifest import json_bytes, lines_bytes, read_json, write_outputs
 
 GRADCHECK_BOUND = 1e-4
 
@@ -97,12 +96,6 @@ class Outputs(NamedTuple):
     message: str  # printed once everything is written
     config: dict | None = None  # None: the command's flags
     stats: dict | None = None  # what the run did, for the manifest
-
-
-class InputPath(str):
-    """Argparse type of a flag that names an input file or feature
-    directory; the manifest digests each such value that exists on disk,
-    a directory as the archive files ``load_feature_archive`` reads."""
 
 
 # dests the parser sets for itself, not flags of the command
@@ -473,15 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="score an ABX task")
-    p_eval.add_argument("--features", type=InputPath, required=True,
-                        help="feature archive directory")
-    p_eval.add_argument("--items", type=InputPath, required=True,
-                        help="item file of segments")
+    p_eval.add_argument("--features", required=True, help="feature archive directory")
+    p_eval.add_argument("--items", required=True, help="item file of segments")
     p_eval.add_argument("--mode", required=True, choices=["within", "across"])
     p_eval.add_argument("--task", default="phone", choices=["phone", "af"])
     p_eval.add_argument(
         "--af-table",
-        type=lambda v: v if v in BUILTIN_TABLES else InputPath(v),
         default=None,
         help=f"builtin table name ({', '.join(sorted(BUILTIN_TABLES))}) or TSV path",
     )
@@ -500,13 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
     an_sub = p_an.add_subparsers(dest="analysis", required=True)
 
     p_ph = an_sub.add_parser("phoneme", help="per-category rates from pairwise.csv")
-    p_ph.add_argument("--pairwise", type=InputPath, required=True)
+    p_ph.add_argument("--pairwise", required=True)
     p_ph.add_argument("--out", required=True)
     p_ph.set_defaults(func=cmd_analyze_phoneme)
 
     p_cf = an_sub.add_parser("confusion", help="frame confusion matrix and p_co")
-    p_cf.add_argument("--truth", type=InputPath, required=True)
-    p_cf.add_argument("--hyp", type=InputPath, required=True)
+    p_cf.add_argument("--truth", required=True)
+    p_cf.add_argument("--hyp", required=True)
     p_cf.add_argument("--frame-period", type=int, required=True,
                       help="frame period in microseconds")
     p_cf.add_argument("--strip-tones", action="store_true")
@@ -514,21 +504,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.set_defaults(func=cmd_analyze_confusion)
 
     p_rd = an_sub.add_parser("reduce", help="relative error reduction")
-    p_rd.add_argument("--baseline", type=InputPath, required=True)
-    p_rd.add_argument("--improved", type=InputPath, required=True)
+    p_rd.add_argument("--baseline", required=True)
+    p_rd.add_argument("--improved", required=True)
     p_rd.add_argument("--out", required=True)
     p_rd.set_defaults(func=cmd_analyze_reduce)
 
     p_co = an_sub.add_parser("correlate", help="reduction vs. p_co correlation")
-    p_co.add_argument("--baseline", type=InputPath, required=True)
-    p_co.add_argument("--improved", type=InputPath, required=True)
-    p_co.add_argument("--pco", type=InputPath, required=True)
+    p_co.add_argument("--baseline", required=True)
+    p_co.add_argument("--improved", required=True)
+    p_co.add_argument("--pco", required=True)
     p_co.add_argument("--method", default="pearson", choices=["pearson", "spearman"])
     p_co.add_argument("--out", required=True)
     p_co.set_defaults(func=cmd_analyze_correlate)
 
     p_sy = sub.add_parser("synth", help="generate a synthetic corpus")
-    p_sy.add_argument("--config", type=InputPath, default=None, help="JSON config file")
+    p_sy.add_argument("--config", default=None, help="JSON config file")
     # flag destinations are SynthConfig field names
     p_sy.add_argument("--phones", type=_parse_phones, default=None,
                       help="comma-separated phone labels")
@@ -552,8 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # flag destinations are ApcConfig field names; the archive sets input_dim
     p_tr = apc_sub.add_parser("train", help="train an APC model")
-    p_tr.add_argument("--features", type=InputPath, required=True)
-    p_tr.add_argument("--config", type=InputPath, default=None, help="JSON config file")
+    p_tr.add_argument("--features", required=True)
+    p_tr.add_argument("--config", default=None, help="JSON config file")
     p_tr.add_argument("--n", type=int, default=None, help="prediction horizon")
     p_tr.add_argument("--layers", dest="L", type=int, default=None)
     p_tr.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=None)
@@ -568,14 +558,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.set_defaults(func=cmd_apc_train)
 
     p_ex = apc_sub.add_parser("extract", help="extract features with a checkpoint")
-    p_ex.add_argument("--model", type=InputPath, required=True, help="apc.ckpt path")
-    p_ex.add_argument("--features", type=InputPath, required=True)
+    p_ex.add_argument("--model", required=True, help="apc.ckpt path")
+    p_ex.add_argument("--features", required=True)
     p_ex.add_argument("--format", default="binary", choices=["binary", "text"])
     p_ex.add_argument("--out", required=True)
     p_ex.set_defaults(func=cmd_apc_extract)
 
     p_gc = apc_sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p_gc.add_argument("--config", type=InputPath, default=None, help="JSON config file")
+    p_gc.add_argument("--config", default=None, help="JSON config file")
     p_gc.add_argument("--seed", type=int, default=None)
     p_gc.add_argument("--epsilon", type=float, default=1e-5)
     p_gc.set_defaults(func=cmd_apc_gradcheck)
@@ -602,18 +592,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        run = args.func(args)
+        with recording_reads() as inputs:
+            run = args.func(args)
         if isinstance(run, int):  # apc gradcheck writes no files
             return run
         flags = {k: v for k, v in vars(args).items() if k not in _PARSER_DESTS}
         config = flags if run.config is None else run.config
-        inputs = [f for v in flags.values()
-                  if isinstance(v, InputPath) and Path(v).exists()
-                  for f in (feature_paths(v) if Path(v).is_dir() else [v])]
         manifest = {
             "command": ["abxlab"] + argv,
             "config": config,
-            "inputs": digest_inputs(inputs),
+            "inputs": inputs,
             "seed": config.get("seed"),
             "wall_time_s": round(time.perf_counter() - t0, 6),
             "tool_version": __version__,

@@ -11,8 +11,11 @@ across threads or worker processes.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,25 +153,49 @@ def segment_frames(seg: ItemSegment, archive: FeatureArchive) -> np.ndarray:
 # text input
 
 
+_read_digests = ContextVar("read_digests", default=None)  # set by recording_reads
+
+
+@contextmanager
+def recording_reads():
+    """Within the block, ``read_bytes_file`` records each file it reads in
+    the dict this yields, as {path as given: sha256 of the bytes read}.
+    Reads outside such a block record nothing."""
+    digests = {}
+    token = _read_digests.set(digests)
+    try:
+        yield digests
+    finally:
+        _read_digests.reset(token)
+
+
 def read_bytes_file(path, what: str) -> bytes:
-    """The bytes of ``path``; a missing file (or a directory) is a usage
-    error (exit 2) named by ``what``."""
-    path = Path(path)
-    if not path.is_file():
-        raise UsageError(f"{what} not found: {path}")
-    return path.read_bytes()
+    """The bytes of ``path``, the one read of every input file.  A missing
+    file (or a directory) or one that cannot be read is a usage error
+    (exit 2) named by ``what``."""
+    p = Path(path)
+    if not p.is_file():
+        raise UsageError(f"{what} not found: {p}")
+    try:
+        raw = p.read_bytes()
+    except OSError as e:
+        raise UsageError(f"cannot read {what} {p}: {e.strerror}") from None
+    digests = _read_digests.get()
+    if digests is not None:
+        digests[str(path)] = hashlib.sha256(raw).hexdigest()
+    return raw
 
 
 def read_text_file(path, what: str) -> str:
-    """The UTF-8 text of ``path``; a missing file is a usage error (exit
-    2) named by ``what``, undecodable bytes a format error (exit 3)."""
-    path = Path(path)
-    if not path.is_file():
-        raise UsageError(f"{what} not found: {path}")
+    """The UTF-8 text of ``path`` with universal newlines, as
+    ``Path.read_text`` gives it; undecodable bytes are a format error
+    (exit 3)."""
+    raw = read_bytes_file(path, what)
     try:
-        return path.read_text(encoding="utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
+        raise FormatError(f"{Path(path)}: not UTF-8 text (byte {e.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_rows(path, what: str, sep=None, n_fields=None, header=None, comment=None):

@@ -1,16 +1,16 @@
 """Run manifests and atomic output writing.
 
 Every CLI command leaves a manifest.json next to its outputs recording
-the exact command, the merged effective config, a sha256 per input
-file, the tool version, the seed, the wall time and the run's stats;
-``cli.main`` builds it as a plain dict and encodes it with ``json_bytes``.
+the exact command, the merged effective config, a sha256 per input file
+read (``corpus.recording_reads``), the tool version, the seed, the wall
+time and the run's stats; ``cli.main`` builds it as a plain dict and
+encodes it with ``json_bytes``.
 Reports are never written partially: all files land under temporary
 names first and are renamed only after every write succeeded.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import fields
@@ -106,19 +106,6 @@ def lines_bytes(lines) -> bytes:
     """The one line encoding of a written text file: each line ends in a
     newline, so no lines give no bytes."""
     return "".join(f"{line}\n" for line in lines).encode()
-
-
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def digest_inputs(paths) -> dict:
-    """{path: sha256} of every input file."""
-    return {str(p): sha256_file(p) for p in paths}
 
 
 def _make_dir(path: Path) -> None:

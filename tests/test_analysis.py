@@ -389,18 +389,28 @@ def test_pearson_validation():
         pearson_correlation([1.0, np.nan], [1.0, 2.0])
 
 
-def test_pearson_refuses_an_overflowing_variance_product():
-    # once the product of the sums of squares is inf, uv / sqrt(inf) reads 0.0
+def test_pearson_of_an_overflowing_variance_product():
+    # a sum of squares past float64, or a product of two, read r = 0.0 and
+    # was then refused; each series scaled into [0.5, 1) gives the r of the
+    # pair scaled by 2**-100, whose sums never overflowed, bit for bit
     xs = [0.1, 0.5, 0.9]
     for x, y in [
         (xs, [-5e161, 25.0, 200 / 3]),  # one sum of squares overflows
         ([-1e100, 0.0, 1e100], [-1e100, 0.0, 2e100]),  # only their product
     ]:
-        with pytest.raises(DataError, match="sums of squares overflows float64"):
-            pearson_correlation(x, y)
-    # a finite product keeps its value
-    assert pearson_correlation(xs, [-5e150, 25.0, 200 / 3]) == pytest.approx(
+        assert pearson_correlation(x, y) == pearson_correlation(np.ldexp(x, -100),
+                                                                np.ldexp(y, -100))
+    assert pearson_correlation(xs, [-5e161, 25.0, 200 / 3]) == pytest.approx(
         np.sqrt(3) / 2, abs=1e-9)
+
+
+def test_pearson_refuses_a_series_whose_centring_overflows():
+    # the mean overflows, then the centred value: numpy warned before a refusal
+    for x in ([1.7e308, 1.7e308, -1.7e308], [1.7e308, -1.7e308, -1.7e308]):
+        with pytest.raises(DataError, match="centring a series overflows float64"):
+            pearson_correlation(x, [1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match="centring a series overflows float64"):
+            pearson_correlation([1.0, 2.0, 3.0], x)
 
 
 def test_pearson_of_a_tiny_series_does_not_drift():

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import io
 import json
 import math
 import os
@@ -6,7 +8,9 @@ import shutil
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from abxlab import abx, apc, cli
@@ -25,7 +29,7 @@ from abxlab.corpus import (
     load_item_file,
 )
 from abxlab.errors import DataError, EmptyTaskError, InconclusiveGradCheck
-from abxlab.manifest import digest_inputs, write_outputs
+from abxlab.manifest import write_outputs
 from abxlab.synth import SynthConfig, generate_corpus, write_corpus
 
 
@@ -84,13 +88,13 @@ def test_eval_manifest_digests(eval_dir, corpus_dir):
     assert manifest["command"][0] == "abxlab"
     assert manifest["config"]["mode"] == "within"
     assert manifest["config"]["jobs"] >= 1
-    assert digest_inputs(list(manifest["inputs"])) == manifest["inputs"]
+    assert _sha256s(manifest["inputs"]) == manifest["inputs"]
     victim = corpus_dir / "items.item"
     original = victim.read_bytes()
     try:
         victim.write_bytes(original + b"# extra\n")
         for path, digest in manifest["inputs"].items():
-            assert (digest_inputs([path])[path] != digest) == (path == str(victim)), path
+            assert (_sha256s([path])[path] != digest) == (path == str(victim)), path
     finally:
         victim.write_bytes(original)
 
@@ -136,6 +140,48 @@ def test_eval_digests_only_archive_files(corpus_dir, tmp_path):
     assert inputs[0] == inputs[1]
     assert set(inputs[0]) == {str(f) for f in feats.glob("*.fbin")} | {
         str(corpus_dir / "items.item")}
+
+
+def test_eval_manifest_digests_the_bytes_it_scored(corpus_dir, tmp_path, monkeypatch):
+    """An input replaced after it was loaded keeps the digest of the bytes
+    the run read, not of what lies on disk once it ends."""
+    items = tmp_path / "items.item"
+    original = (corpus_dir / "items.item").read_bytes()
+    items.write_bytes(original)
+    score = cli.score_corpus
+
+    def replace_then_score(*args, **kwargs):
+        items.write_bytes(original + b"# replaced\n")
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "score_corpus", replace_then_score)
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--features", str(corpus_dir / "features"), "--items", str(items),
+                     "--mode", "within", "--jobs", "1", "--out", str(out)]) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert inputs[str(items)] == hashlib.sha256(original).hexdigest()
+    assert items.read_bytes() != original
+
+
+@pytest.mark.parametrize("name", ["eval", "apc extract", "analyze reduce"])
+def test_runner_reads_each_input_once(name, corpus_dir, vowel_dir, eval_dir, apc_dir,
+                                      tmp_path, monkeypatch):
+    argv, _, inputs, _ = _runner_case(name, corpus_dir, vowel_dir, eval_dir, apc_dir, tmp_path)
+    opened = {}
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "r" in mode:
+            path = os.path.abspath(file)
+            opened[path] = opened.get(path, 0) + 1
+        return real_open(file, mode, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(io, "open", counting_open)
+        m.setattr("builtins.open", counting_open)
+        rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert opened == {os.path.abspath(key): 1 for key in _digest_keys(*inputs)}
 
 
 def test_eval_usage_errors(corpus_dir, tmp_path):
@@ -561,6 +607,25 @@ def test_missing_input_file_exits_2(flag, corpus_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_unreadable_input_exits_2(corpus_dir, tmp_path, monkeypatch, capsys):
+    items = corpus_dir / "items.item"
+    read_bytes = Path.read_bytes
+
+    def denied(path):
+        if path == items:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", denied)
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--features", str(corpus_dir / "features"), "--items", str(items),
+                     "--mode", "within", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"abxlab: error: cannot read item file {items}: Permission denied" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "apc train"])
 def test_missing_feature_directory_exits_2(command, corpus_dir, tmp_path, capsys):
     missing = tmp_path / "nope"
@@ -885,22 +950,26 @@ def test_analyze_reads_csv_rate_maps(tmp_path):
     assert reductions["a"] != relative_reduction({"a": round(1 / 7, 6)}, {"a": 0.1})[0]["a"]
 
 
-def test_analyze_correlate_overflowing_pearson_exits_3(tmp_path, capsys):
+def test_analyze_correlate_huge_reduction_gets_pearson_r(tmp_path, capsys):
     # a's reduction of -5e161 squares past float64, where pearson r read 0.0
+    # and was then refused: r is now that of the series scaled by 2**-100
+    from abxlab.analysis import pearson_correlation, relative_reduction
+
     (tmp_path / "base.csv").write_text("category,rate\na,1e-160\nb,0.4\nc,0.3\n")
     (tmp_path / "imp.csv").write_text("a,0.5\nb,0.3\nc,0.1\n")
     (tmp_path / "pco.csv").write_text("phone,p_co,label\na,0.1\nb,0.5\nc,0.9\n")
     argv = ["analyze", "correlate", "--baseline", str(tmp_path / "base.csv"),
             "--improved", str(tmp_path / "imp.csv"), "--pco", str(tmp_path / "pco.csv")]
-    assert cli.main(argv + ["--out", str(tmp_path / "pearson")]) == 3
-    err = capsys.readouterr().err
-    assert "correlation undefined: the product of the series' sums of squares" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "pearson").exists()
-    # ranks do not overflow
-    out = tmp_path / "spearman"
-    assert cli.main(argv + ["--method", "spearman", "--out", str(out)]) == 0
-    assert json.loads((out / "correlate.json").read_text())["r"] == "1.000000"
+    reductions = relative_reduction({"a": 1e-160, "b": 0.4, "c": 0.3},
+                                    {"a": 0.5, "b": 0.3, "c": 0.1})[0]
+    r = pearson_correlation(np.ldexp([0.1, 0.5, 0.9], -100),
+                            np.ldexp([reductions[k] for k in "abc"], -100))
+    for method, want in (("pearson", f"{r:.6f}"), ("spearman", "1.000000")):
+        out = tmp_path / method
+        assert cli.main(argv + ["--method", method, "--out", str(out)]) == 0
+        assert json.loads((out / "correlate.json").read_text())["r"] == want
+    assert r == pytest.approx(np.sqrt(3) / 2, abs=1e-9)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("e", ["1e-155", "1e-160", "1e-161", "1e-162"])
@@ -1312,12 +1381,28 @@ def test_apc_extract_non_finite_parameter_exits_3(corpus_dir, apc_dir, tmp_path,
 
 def _digest_keys(*paths):
     """The manifest input keys of ``paths``: a directory stands for its
-    archive files."""
+    archive files, a file for its path as spelled."""
     keys = set()
     for p in paths:
-        files = [*p.glob("*.fbin"), *p.glob("*.ftxt")] if p.is_dir() else [p]
+        d = Path(p)
+        files = [*d.glob("*.fbin"), *d.glob("*.ftxt")] if d.is_dir() else [p]
         keys |= {str(f) for f in files}
     return keys
+
+
+def _sha256s(paths):
+    """{path: sha256 of the file's bytes now}."""
+    return {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
+
+
+def _dotted(argv, config, inputs):
+    """The case with each input path spelled relative to the working
+    directory behind "./", a directory with a trailing "/"."""
+    spelled = {a: f"./{os.path.relpath(a)}{'/' if os.path.isdir(a) else ''}"
+               for a in argv if os.path.isabs(a) and os.path.exists(a)}
+    return ([spelled.get(a, a) for a in argv],
+            {k: spelled.get(v, v) if isinstance(v, str) else v for k, v in config.items()},
+            [spelled[str(p)] for p in inputs])
 
 
 def _json(doc):
@@ -1418,14 +1503,14 @@ def _runner_case(name, corpus_dir, vowel_dir, eval_dir, apc_dir, tmp_path):
     }[name]
 
 
-@pytest.mark.parametrize("name", [
+_RUNNER_CASES = [
     "eval", "eval across, --jobs 2", "eval af, built-in table", "eval af, TSV table",
     "analyze phoneme", "analyze confusion", "analyze reduce", "analyze correlate",
     "synth", "synth --config", "apc train", "apc train --config", "apc extract",
-])
-def test_runner_writes_manifest(name, corpus_dir, vowel_dir, eval_dir, apc_dir, tmp_path):
-    argv, config, inputs, seed = _runner_case(
-        name, corpus_dir, vowel_dir, eval_dir, apc_dir, tmp_path)
+]
+
+
+def _check_runner_manifest(argv, config, inputs, seed, tmp_path):
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -1441,9 +1526,27 @@ def test_runner_writes_manifest(name, corpus_dir, vowel_dir, eval_dir, apc_dir, 
     assert manifest["command"] == ["abxlab"] + argv + ["--out", str(out)]
     assert manifest["config"] == config
     assert set(manifest["inputs"]) == _digest_keys(*inputs)
-    assert digest_inputs(list(manifest["inputs"])) == manifest["inputs"]
+    assert _sha256s(manifest["inputs"]) == manifest["inputs"]
     assert manifest["seed"] == seed
     assert list(out.rglob("*.tmp-*")) == []
+
+
+@pytest.mark.parametrize("name", _RUNNER_CASES)
+def test_runner_writes_manifest(name, corpus_dir, vowel_dir, eval_dir, apc_dir, tmp_path):
+    argv, config, inputs, seed = _runner_case(
+        name, corpus_dir, vowel_dir, eval_dir, apc_dir, tmp_path)
+    _check_runner_manifest(argv, config, inputs, seed, tmp_path)
+
+
+@pytest.mark.parametrize("name", _RUNNER_CASES)
+def test_runner_manifest_keys_paths_as_given(name, corpus_dir, vowel_dir, eval_dir, apc_dir,
+                                             tmp_path, monkeypatch):
+    # paths spelled "./x" and "./dir/" key a file's digest as given, and a
+    # directory's files by their paths below it
+    argv, config, inputs, seed = _runner_case(
+        name, corpus_dir, vowel_dir, eval_dir, apc_dir, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    _check_runner_manifest(*_dotted(argv, config, inputs), seed, tmp_path)
 
 
 def test_builtin_af_table_name_digests_no_file(vowel_dir, tmp_path, monkeypatch):
@@ -1468,11 +1571,11 @@ def test_builtin_af_table_name_digests_no_file(vowel_dir, tmp_path, monkeypatch)
 @pytest.mark.parametrize("name", ["synth", "apc extract"])
 def test_runner_failure_writes_nothing(name, corpus_dir, vowel_dir, eval_dir, apc_dir,
                                        tmp_path, monkeypatch):
-    def fail(paths):
-        raise DataError("cannot digest inputs")
+    def fail():
+        raise DataError("cannot measure the resident set")
 
     argv = _runner_case(name, corpus_dir, vowel_dir, eval_dir, apc_dir, tmp_path)[0]
-    monkeypatch.setattr(cli, "digest_inputs", fail)
+    monkeypatch.setattr(cli, "_peak_rss_mb", fail)
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == 3
     assert [p for p in out.rglob("*") if p.is_file()] == []
