@@ -294,14 +294,19 @@ def _read_ftxt(path: Path) -> tuple[str, np.ndarray, int]:
 
 def feature_paths(path, format: str = "auto") -> list[Path]:
     """The files of the feature archive in directory ``path``, sorted: its
-    top-level ``*.fbin`` (binary) or ``*.ftxt`` (text) files.  ``auto``
-    takes whichever kind is there; both kinds are inconsistent, and
-    neither is an empty archive."""
+    top-level entries with suffix ``.fbin`` (binary) or ``.ftxt`` (text),
+    as ``check_archive_outputs`` tests, so not a file named just ``.fbin``.
+    ``auto`` takes whichever kind is there; both or neither is an error."""
     root = Path(path)
     if not root.is_dir():
         raise UsageError(f"feature directory not found: {root}")
+    try:
+        entries = sorted(root.iterdir())
+    except OSError as e:
+        raise UsageError(f"cannot read feature directory {root}: {e.strerror}") from None
+    found = {s: [p for p in entries if p.suffix == s] for s in (".fbin", ".ftxt")}
     if format == "auto":
-        n_bin, n_txt = (len(list(root.glob(s))) for s in ("*.fbin", "*.ftxt"))
+        n_bin, n_txt = len(found[".fbin"]), len(found[".ftxt"])
         if n_bin and n_txt:
             raise ConsistencyError(
                 f"{root}: {n_bin} .fbin and {n_txt} .ftxt files; an archive has one format"
@@ -309,13 +314,12 @@ def feature_paths(path, format: str = "auto") -> list[Path]:
         if not (n_bin or n_txt):
             raise EmptyArchiveError(f"no .fbin or .ftxt files under {root}")
         format = "binary" if n_bin else "text"
-    suffix = {"binary": "*.fbin", "text": "*.ftxt"}.get(format)
+    suffix = {"binary": ".fbin", "text": ".ftxt"}.get(format)
     if suffix is None:
         raise UsageError(f"unknown feature format {format!r}")
-    files = sorted(root.glob(suffix))
-    if not files:
-        raise EmptyArchiveError(f"no {suffix} files under {root}")
-    return files
+    if not found[suffix]:
+        raise EmptyArchiveError(f"no *{suffix} files under {root}")
+    return found[suffix]
 
 
 def check_archive_outputs(out_dir, names) -> None:

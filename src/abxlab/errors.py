@@ -38,12 +38,8 @@ class RowError(FormatError):
 
     def __init__(self, path, line_no, message):
         super().__init__(f"{path}:{line_no}: {message}")
-        self.path = str(path)
         self.line_no = line_no
         self.message = message
-
-    def __reduce__(self):
-        return (type(self), (self.path, self.line_no, self.message))
 
 
 class UnmappedPhoneError(DataError):
@@ -54,9 +50,6 @@ class UnmappedPhoneError(DataError):
         super().__init__(
             "phones not mapped or excluded by the AF table: " + " ".join(self.phones)
         )
-
-    def __reduce__(self):
-        return (type(self), (self.phones,))
 
 
 class EmptyTaskError(AbxlabError):

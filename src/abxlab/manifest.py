@@ -32,8 +32,6 @@ def _from_json(value, hint):
             args = args[:1] * len(value)
         if len(value) == len(args):
             return tuple(map(_from_json, value, args))
-    elif origin is dict and isinstance(value, dict):
-        return {_from_json(k, args[0]): _from_json(v, args[1]) for k, v in value.items()}
     elif origin is None and not isinstance(value, bool) and isinstance(
         value, (int, float) if hint is float else hint
     ):

@@ -49,7 +49,6 @@ class SynthConfig(JsonConfig):
     frame_period: int = 10000
     seed: int = 0
     mean_scale: float = 1.0
-    means: dict[str, tuple[float, ...]] | None = None
 
     def __post_init__(self):
         if len(self.phones) < 1:
@@ -60,7 +59,7 @@ class SynthConfig(JsonConfig):
             raise UsageError("need at least 1 speaker")
         if self.dim < 1:
             raise UsageError("dim must be >= 1")
-        if self.means is None and self.dim < len(self.phones):
+        if self.dim < len(self.phones):
             raise UsageError(
                 f"one-hot means need dim >= n_phones, got dim={self.dim} "
                 f"for {len(self.phones)} phones"
@@ -90,20 +89,6 @@ class SynthConfig(JsonConfig):
                              f"got {self.frame_period}")
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
-        if self.means is not None:
-            for p in self.phones:
-                if p not in self.means:
-                    raise UsageError(f"no mean vector for phone {p}")
-                if len(self.means[p]) != self.dim:
-                    raise UsageError(f"mean vector for {p} has wrong dimension")
-                if not all(map(math.isfinite, self.means[p])):
-                    raise UsageError(f"mean vector for {p} is not finite")
-
-    def to_dict(self) -> dict:
-        doc = super().to_dict()
-        if self.means is not None:  # written as floats whatever numbers they came as
-            doc["means"] = {p: list(map(float, v)) for p, v in self.means.items()}
-        return doc
 
 
 @dataclass
@@ -115,15 +100,10 @@ class SynthCorpus:
 
 
 def _phone_means(cfg: SynthConfig) -> dict:
-    if cfg.means is not None:
-        return {p: np.asarray(cfg.means[p], dtype=np.float64) * cfg.mean_scale
-                for p in cfg.phones}
-    means = {}
-    for i, p in enumerate(cfg.phones):
-        v = np.zeros(cfg.dim)
-        v[i] = cfg.mean_scale
-        means[p] = v
-    return means
+    """Phone i's mean is the i-th one-hot vector times ``mean_scale``."""
+    means = np.zeros((len(cfg.phones), cfg.dim))
+    np.fill_diagonal(means, cfg.mean_scale)
+    return dict(zip(cfg.phones, means))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # caught below, before the cast

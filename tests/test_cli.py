@@ -626,6 +626,26 @@ def test_unreadable_input_exits_2(corpus_dir, tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_unlistable_feature_directory_exits_2(corpus_dir, tmp_path, monkeypatch, capsys):
+    features = corpus_dir / "features"
+    iterdir = Path.iterdir
+
+    def denied(path):
+        if path == features:
+            raise PermissionError(13, "Permission denied", str(path))
+        return iterdir(path)
+
+    monkeypatch.setattr(Path, "iterdir", denied)
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--features", str(features),
+                     "--items", str(corpus_dir / "items.item"), "--mode", "within",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"abxlab: error: cannot read feature directory {features}: Permission denied" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "apc train"])
 def test_missing_feature_directory_exits_2(command, corpus_dir, tmp_path, capsys):
     missing = tmp_path / "nope"
@@ -720,6 +740,22 @@ def test_fbin_directory_exits_2(corpus_dir, tmp_path, capsys):
     assert f"feature file not found: {features / 'x.fbin'}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_file_named_just_fbin_is_not_an_archive_file(corpus_dir, eval_dir, tmp_path):
+    """An archive's files are the entries whose suffix is .fbin or .ftxt, as
+    ``check_archive_outputs`` tests; a file named ``.fbin`` has no suffix."""
+    features = tmp_path / "features"
+    shutil.copytree(corpus_dir / "features", features)
+    shutil.copy(features / "u01.fbin", features / ".fbin")
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--features", str(features),
+                     "--items", str(corpus_dir / "items.item"), "--mode", "within",
+                     "--out", str(out)]) == 0
+    for name in ("report.json", "pairwise.csv"):
+        assert (out / name).read_bytes() == (eval_dir / name).read_bytes(), name
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert str(features / ".fbin") not in inputs
 
 
 @pytest.mark.parametrize(
@@ -1097,6 +1133,29 @@ def test_synth_same_seed_same_bytes(tmp_path):
                 assert pa.read_bytes() == pb.read_bytes(), (other, pa.name)
 
 
+@pytest.mark.parametrize("source", ["synth.json", "manifest.json"])
+def test_synth_config_block_reproduces_the_corpus(source, tmp_path):
+    """The config block a corpus records, passed back as --config, writes
+    the same corpus."""
+    first = tmp_path / "first"
+    assert cli.main([
+        "synth", "--phones", "a,b,c", "--dim", "5", "--speakers", "3",
+        "--contexts", "S:T,K:N,P:D", "--segments-per-cell", "2", "--frames", "3:7",
+        "--noise-scale", "0.3", "--speaker-offset-scale", "0.2", "--mean-scale", "2",
+        "--frame-period", "12500", "--seed", "11", "--out", str(first),
+    ]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(json.loads((first / source).read_text())["config"]))
+    again = tmp_path / "again"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(again)]) == 0
+    trees = [_tree(first), _tree(again)]
+    for tree in trees:
+        del tree["manifest.json"]
+    assert sorted(trees[0]) == ["features/u01.fbin", "features/u02.fbin", "features/u03.fbin",
+                                "items.item", "labels.tsv", "synth.json"]
+    assert trees[1] == trees[0]
+
+
 # ---------------------------------------------------------------------------
 # apc
 
@@ -1132,6 +1191,18 @@ def test_apc_train_extract_gradcheck(corpus_dir, tmp_path, capsys):
     assert rc == 0
     assert "gradcheck ok" in out
     assert "bound 0.0001" in out
+
+
+def test_apc_train_config_block_reproduces_the_checkpoint(corpus_dir, apc_dir, tmp_path):
+    """The merged config an apc train manifest records, passed back as
+    --config on the same archive, trains the same checkpoint."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(json.loads((apc_dir / "manifest.json").read_text())["config"]))
+    out = tmp_path / "again"
+    assert cli.main(["apc", "train", "--features", str(corpus_dir / "features"),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("apc.ckpt", "loss_curve.csv"):
+        assert (out / name).read_bytes() == (apc_dir / name).read_bytes(), name
 
 
 def test_apc_gradcheck_failure_paths(monkeypatch, capsys):
@@ -1228,8 +1299,9 @@ _BAD_INPUTS = {
     "synth config contexts": (["synth"], {"seed": 1, "contexts": [["S"]]}),
     "synth config seed": (["synth"], {"seed": "abc"}),
     "synth config phones": (["synth"], {"seed": 1, "phones": "AE"}),
-    "synth config means nan": (["synth"], {"seed": 1, "phones": ["a"], "dim": 1,
-                                           "means": {"a": [math.nan]}}),
+    # a key that synth.json and manifest.json no longer carry
+    "synth config means": (["synth"], {"seed": 1, "phones": ["a", "b"], "dim": 2,
+                                       "means": {"a": [1.0, 0.0], "b": [0.0, 1.0]}}),
     "eval within seed -1": (["eval", "--mode", "within", "--seed", "-1"], None),
     "eval across seed -1": (["eval", "--mode", "across", "--seed", "-1"], None),
     "eval jobs 0": (["eval", "--mode", "within", "--jobs", "0"], None),
@@ -1257,6 +1329,7 @@ _BAD_INPUTS = {
 }
 # what the error names, where one check is the only one its input can reach
 _BAD_INPUT_ERRORS = {
+    "synth config means": "unknown SynthConfig keys: ['means']",
     "synth config not an object": "cfg.json: config must be a JSON object",
     "apc gradcheck config not an object": "cfg.json: config must be a JSON object",
     "apc train batch size 0": "epochs and batch_size must be >= 1",

@@ -37,8 +37,6 @@ def _near(hint):
         if args[-1] is Ellipsis:
             return st.lists(_near(args[0]), max_size=5)
         return st.tuples(*map(_near, args)).map(list)
-    if origin is dict:
-        return st.dictionaries(_near(args[0]), _near(args[1]), max_size=4)
     if hint is int:
         return st.integers(1, 40) | st.integers()
     if hint is float:
@@ -98,8 +96,6 @@ def test_apc_config_document_is_config_or_usage_error(doc):
 @example({"seed": 1, "noise_scale": math.nan})
 @example({"seed": 1, "speaker_offset_scale": math.inf})
 @example({"seed": 1, "mean_scale": -math.inf})
-@example({"seed": 1, "phones": ["a"], "dim": 1, "means": {"a": [math.nan]}})
-@example({"seed": 1, "phones": ["a"], "dim": 1, "means": {"a": [10**400]}})
 @example({"seed": 1, "frames": [2, 3]})
 @example("seed")
 def test_synth_config_document_is_config_or_usage_error(doc):
@@ -115,8 +111,6 @@ def test_synth_config_document_is_config_or_usage_error(doc):
     (SynthConfig, {"phones": "AE"}),  # a string is not an array of phones
     (SynthConfig, {"frames_per_segment": [2, 3, 4]}),
     (SynthConfig, {"contexts": [["S", 1]]}),
-    (SynthConfig, {"phones": ["a"], "dim": 1, "means": {"a": ["1"]}}),
-    (SynthConfig, {"phones": ["a"], "dim": 1, "means": [1.0]}),
     # labels that items.item (split on whitespace) or pairwise.csv (on commas)
     # cannot carry
     (SynthConfig, {"phones": [""]}),
@@ -136,14 +130,10 @@ def test_values_are_checked_not_coerced():
     cfg = SynthConfig.from_dict({
         "seed": 1, "phones": ["a", "b"], "dim": 2, "noise_scale": 0,
         "frames_per_segment": [2, 3], "contexts": [["S", "T"]],
-        "means": {"a": [1, 0], "b": [0, 1]},
     })
     assert cfg.phones == ("a", "b") and cfg.contexts == (("S", "T"),)
-    assert cfg.means == {"a": (1, 0), "b": (0, 1)}
     doc = cfg.to_dict()
     assert doc["noise_scale"] == 0 and isinstance(doc["noise_scale"], int)
-    assert doc["means"] == {"a": [1.0, 0.0], "b": [0.0, 1.0]}
-    assert all(isinstance(v, float) for row in doc["means"].values() for v in row)
     assert ApcConfig.from_dict({"learning_rate": 1}).learning_rate == 1
 
 

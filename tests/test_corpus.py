@@ -1,4 +1,3 @@
-import pickle
 import re
 import tracemalloc
 import warnings
@@ -31,7 +30,6 @@ from abxlab.errors import (
     EmptyArchiveError,
     FormatError,
     RowError,
-    UnmappedPhoneError,
     UsageError,
 )
 from abxlab.manifest import json_bytes, lines_bytes, write_outputs
@@ -343,6 +341,8 @@ def test_archive_loader_consistency(tmp_path):
 def test_archive_loader_empty_and_unknown_format(tmp_path):
     (tmp_path / "feat").mkdir()
     (tmp_path / "feat" / "notes.txt").write_text("not a feature file\n")
+    (tmp_path / "feat" / ".fbin").write_bytes(b"")  # no suffix, so no feature file
+    check_archive_outputs(tmp_path / "feat", ["u01.fbin"])
     # auto names both kinds it looked for; an explicit format names its own
     with pytest.raises(EmptyArchiveError, match=r"^no \.fbin or \.ftxt files under "):
         load_feature_archive(tmp_path / "feat")
@@ -509,15 +509,3 @@ def test_label_track_row_errors(tmp_path):
         with pytest.raises(RowError, match="empty or holds a comma") as e:
             load_label_track(p)
         assert e.value.line_no == 2
-
-
-def test_row_error_pickles():
-    for error, text in (
-        (RowError("x.tsv", 3, "bad row"), "x.tsv:3: bad row"),
-        (UnmappedPhoneError({"YY", "XX"}),
-         "phones not mapped or excluded by the AF table: XX YY"),
-    ):
-        e = pickle.loads(pickle.dumps(error))
-        assert type(e) is type(error)
-        assert str(e) == text
-        assert vars(e) == vars(error)

@@ -55,21 +55,6 @@ def test_config_validation():
         SynthConfig(contexts=())
     with pytest.raises(UsageError):  # each cell gets segments_per_cell once
         SynthConfig(contexts=(("S", "T"), ("K", "N"), ("S", "T")))
-    with pytest.raises(UsageError):
-        SynthConfig(means={"AE": [1.0, 0.0]}, dim=2, phones=("AE", "EH"))
-    with pytest.raises(UsageError):
-        SynthConfig(means={"AE": [1.0], "EH": [0.0]}, dim=2, phones=("AE", "EH"))
-    with pytest.raises(UsageError):
-        SynthConfig(means={"AE": [math.nan]}, dim=1, phones=("AE",))
-
-
-def test_explicit_means_allow_low_dim():
-    cfg = SynthConfig(
-        phones=("A", "B", "C"), dim=2,
-        means={"A": [1.0, 0.0], "B": [0.0, 1.0], "C": [1.0, 1.0]},
-    )
-    corpus = generate_corpus(cfg)
-    assert corpus.archive.dim == 2
 
 
 # ---------------------------------------------------------------------------
