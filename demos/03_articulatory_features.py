@@ -14,10 +14,12 @@ from abxlab.synth import SynthConfig, generate_corpus
 
 def main():
     for name, table in BUILTIN_TABLES.items():
-        attrs = table.attributes()
-        print(f"{name}: {len(table.entries)} phones -> {len(attrs)} attributes")
-        for attr in attrs:
-            print(f"    {attr:<14} {' '.join(table.phones_for(attr))}")
+        groups = {}  # attribute -> its phones, in sorted order
+        for phone, attr in sorted(table.entries.items()):
+            groups.setdefault(attr, []).append(phone)
+        print(f"{name}: {len(table.entries)} phones -> {len(groups)} attributes")
+        for attr, phones in sorted(groups.items()):
+            print(f"    {attr:<14} {' '.join(phones)}")
     print()
 
     # vowel-height task on a synthetic monophthong corpus

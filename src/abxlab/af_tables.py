@@ -70,12 +70,6 @@ class AfTable:
         self.entries = dict(entries)
         self.excluded = frozenset(excluded)
 
-    def attributes(self) -> list[str]:
-        return sorted(set(self.entries.values()))
-
-    def phones_for(self, attribute: str) -> list[str]:
-        return sorted(p for p, a in self.entries.items() if a == attribute)
-
     def classify(self, phone: str) -> str | None:
         """Attribute for ``phone``, or None when excluded."""
         if phone in self.entries:

@@ -15,7 +15,8 @@ it waited for; ``eval`` adds the worker processes that scored and the DP
 cells, counted on every run to decide on a pool).  Each such command
 returns only its files (as bytes), a message and its stats; ``main``
 builds the manifest dict from the parsed flags and writes it with the
-files in one atomic ``write_outputs`` call.  The config is every flag of
+files in one ``corpus.write_outputs`` call, which refuses stale feature
+files and maps a filesystem error to exit 2.  The config is every flag of
 the command (``synth`` and ``apc train`` return their merged config
 instead, and ``analyze phoneme`` adds the condition it derives), the seed
 is the config's ``seed``, and the inputs are the files the command read,
@@ -69,7 +70,6 @@ from . import __version__
 from .abx import PAIRWISE_HEADER, fold_pairs, score_corpus
 from .af_tables import BUILTIN_TABLES, load_af_table
 from .corpus import (
-    check_archive_outputs,
     feature_archive_files,
     load_feature_archive,
     load_item_file,
@@ -77,6 +77,7 @@ from .corpus import (
     read_rows,
     read_text_file,
     recording_reads,
+    write_outputs,
 )
 from .errors import (
     AbxlabError,
@@ -84,7 +85,7 @@ from .errors import (
     RowError,
     UsageError,
 )
-from .manifest import json_bytes, lines_bytes, read_json, write_outputs
+from .manifest import json_bytes, lines_bytes, read_json
 
 GRADCHECK_BOUND = 1e-4
 
@@ -607,7 +608,6 @@ def main(argv=None) -> int:
             "tool_version": __version__,
             "stats": dict(run.stats or {}, peak_rss_mb=_peak_rss_mb()),
         }
-        check_archive_outputs(args.out, run.files)
         write_outputs(args.out, {**run.files, "manifest.json": json_bytes(manifest)})
     except AbxlabError as e:
         print(f"abxlab: error: {e}", file=sys.stderr)

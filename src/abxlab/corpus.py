@@ -7,14 +7,19 @@ binary file per utterance (``<utt>.fbin``) and a plain-text variant
 
 All loaded objects are immutable after construction and safe to share
 across threads or worker processes.
+
+``read_bytes_file`` is the one read of every input file and
+``write_outputs`` the one write of every output tree; an OSError in
+either is a usage error (exit 2) naming the path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +40,8 @@ from .manifest import lines_bytes
 FBIN_MAGIC = b"FEAT"
 FBIN_VERSION = 1
 _FBIN_HEADER = struct.Struct("<4sIIII")  # magic, version, dim, nframes, period_us
+
+_FEATURE_SUFFIXES = (".fbin", ".ftxt")
 
 ITEM_HEADER = "#file onset offset #phone prev-phone next-phone speaker"
 
@@ -153,6 +160,16 @@ def segment_frames(seg: ItemSegment, archive: FeatureArchive) -> np.ndarray:
 # text input
 
 
+@contextmanager
+def _os_errors(action: str):
+    """An OSError inside the block is a usage error (exit 2) that names
+    the path in ``action`` and the OS's reason: ``cannot <action>: <reason>``."""
+    try:
+        yield
+    except OSError as e:
+        raise UsageError(f"cannot {action}: {e.strerror or e}") from None
+
+
 _read_digests = ContextVar("read_digests", default=None)  # set by recording_reads
 
 
@@ -176,10 +193,8 @@ def read_bytes_file(path, what: str) -> bytes:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"{what} not found: {p}")
-    try:
+    with _os_errors(f"read {what} {p}"):
         raw = p.read_bytes()
-    except OSError as e:
-        raise UsageError(f"cannot read {what} {p}: {e.strerror}") from None
     digests = _read_digests.get()
     if digests is not None:
         digests[str(path)] = hashlib.sha256(raw).hexdigest()
@@ -196,6 +211,53 @@ def read_text_file(path, what: str) -> str:
     except UnicodeDecodeError as e:
         raise FormatError(f"{Path(path)}: not UTF-8 text (byte {e.start})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _make_dir(path: Path) -> None:
+    with _os_errors(f"create output directory {path}"):  # a file in the way too
+        path.mkdir(parents=True, exist_ok=True)
+
+
+def write_outputs(out_dir, files: dict) -> None:
+    """Write {relative name: bytes} atomically into out_dir.
+
+    A reader takes a whole directory, so one that gets feature files and
+    holds another ``.fbin``/``.ftxt`` file is refused before anything is
+    staged.  Files go to .tmp-<pid> names and are renamed only after all
+    writes succeed; temp files not renamed are removed on any failure.
+    OSErrors, a file where a directory goes and a directory where a file
+    goes are usage errors (exit 2) naming the path.
+    """
+    out = Path(out_dir)
+    finals = {out / name: data for name, data in files.items()}
+    for d in sorted({p.parent for p in finals if p.suffix in _FEATURE_SUFFIXES}):
+        with _os_errors(f"read output directory {d}"):
+            found = _feature_entries(d, "output directory") if d.is_dir() else {}
+        stale = sorted(p.name for ps in found.values() for p in ps if p not in finals)
+        if stale:
+            raise UsageError(
+                f"{d} holds {len(stale)} feature file(s) this run does not write "
+                f"(first {stale[0]}); a feature archive is read as a whole directory"
+            )
+    _make_dir(out)
+    staged = {}  # temp file: final name, until it is renamed
+    try:
+        for final, data in finals.items():
+            _make_dir(final.parent)
+            with _os_errors(f"write {final}"):
+                if final.is_dir():
+                    raise UsageError(f"cannot write {final}: it is a directory")
+                tmp = final.with_name(f"{final.name}.tmp-{os.getpid()}")
+                staged[tmp] = final
+                tmp.write_bytes(data)
+        for tmp, final in list(staged.items()):
+            with _os_errors(f"write {final}"):
+                os.replace(tmp, final)
+            del staged[tmp]
+    finally:
+        for tmp in staged:
+            with suppress(OSError):
+                tmp.unlink(missing_ok=True)
 
 
 def read_rows(path, what: str, sep=None, n_fields=None, header=None, comment=None):
@@ -292,19 +354,22 @@ def _read_ftxt(path: Path) -> tuple[str, np.ndarray, int]:
     return path.stem, mat, period
 
 
+def _feature_entries(root: Path, what: str) -> dict:
+    """{".fbin": paths, ".ftxt": paths}: the sorted top-level entries of
+    ``root`` with each suffix, so not a file named just ``.fbin``."""
+    with _os_errors(f"read {what} {root}"):
+        entries = sorted(root.iterdir())
+    return {s: [p for p in entries if p.suffix == s] for s in _FEATURE_SUFFIXES}
+
+
 def feature_paths(path, format: str = "auto") -> list[Path]:
-    """The files of the feature archive in directory ``path``, sorted: its
-    top-level entries with suffix ``.fbin`` (binary) or ``.ftxt`` (text),
-    as ``check_archive_outputs`` tests, so not a file named just ``.fbin``.
-    ``auto`` takes whichever kind is there; both or neither is an error."""
+    """The files of the feature archive in directory ``path``, sorted (see
+    ``_feature_entries``).  ``auto`` takes whichever kind is there; both
+    or neither is an error."""
     root = Path(path)
     if not root.is_dir():
         raise UsageError(f"feature directory not found: {root}")
-    try:
-        entries = sorted(root.iterdir())
-    except OSError as e:
-        raise UsageError(f"cannot read feature directory {root}: {e.strerror}") from None
-    found = {s: [p for p in entries if p.suffix == s] for s in (".fbin", ".ftxt")}
+    found = _feature_entries(root, "feature directory")
     if format == "auto":
         n_bin, n_txt = len(found[".fbin"]), len(found[".ftxt"])
         if n_bin and n_txt:
@@ -320,27 +385,6 @@ def feature_paths(path, format: str = "auto") -> list[Path]:
     if not found[suffix]:
         raise EmptyArchiveError(f"no *{suffix} files under {root}")
     return found[suffix]
-
-
-def check_archive_outputs(out_dir, names) -> None:
-    """Refuse to add feature files to a directory holding other ones.
-
-    ``names`` are the files a run will write under ``out_dir``.  A reader
-    takes every feature file in a directory, so one that gets feature
-    files and already holds a ``.fbin`` or ``.ftxt`` file not among them
-    is a usage error: the earlier file would be read with the new ones.
-    """
-    out = Path(out_dir)
-    finals = {out / name for name in names}
-    suffixes = (".fbin", ".ftxt")
-    for d in sorted({p.parent for p in finals if p.suffix in suffixes}):
-        stale = sorted(p.name for p in (d.iterdir() if d.is_dir() else ())
-                       if p.suffix in suffixes and p not in finals)
-        if stale:
-            raise UsageError(
-                f"{d} holds {len(stale)} feature file(s) this run does not write "
-                f"(first {stale[0]}); a feature archive is read as a whole directory"
-            )
 
 
 def load_feature_archive(path, format: str = "auto") -> FeatureArchive:

@@ -1,20 +1,17 @@
-"""Run manifests and atomic output writing.
+"""Run manifests: the JSON config and the encodings of written files.
 
 Every CLI command leaves a manifest.json next to its outputs recording
 the exact command, the merged effective config, a sha256 per input file
 read (``corpus.recording_reads``), the tool version, the seed, the wall
-time and the run's stats; ``cli.main`` builds it as a plain dict and
-encodes it with ``json_bytes``.
-Reports are never written partially: all files land under temporary
-names first and are renamed only after every write succeeded.
+time and the run's stats; ``cli.main`` builds it as a plain dict, encodes
+it with ``json_bytes`` and writes it with ``corpus.write_outputs``.
+``read_json`` is the one decoder of JSON from outside the program.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import fields
-from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -104,40 +101,3 @@ def lines_bytes(lines) -> bytes:
     """The one line encoding of a written text file: each line ends in a
     newline, so no lines give no bytes."""
     return "".join(f"{line}\n" for line in lines).encode()
-
-
-def _make_dir(path: Path) -> None:
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise UsageError(
-            f"cannot create output directory {path}: it or a parent is a file"
-        ) from None
-
-
-def write_outputs(out_dir, files: dict) -> None:
-    """Write {relative name: bytes} atomically into out_dir.
-
-    Everything goes to .tmp-<pid> names first; renames happen only after
-    all writes succeed, so a failing command leaves no partial reports.
-    A directory that cannot be made because a regular file is in its
-    way, or an output name taken by a directory, is a usage error (exit 2).
-    """
-    out = Path(out_dir)
-    _make_dir(out)
-    staged = []
-    try:
-        for name, data in files.items():
-            final = out / name
-            _make_dir(final.parent)
-            if final.is_dir():
-                raise UsageError(f"cannot write {final}: it is a directory")
-            tmp = final.with_name(f"{final.name}.tmp-{os.getpid()}")
-            tmp.write_bytes(data)
-            staged.append((tmp, final))
-    except BaseException:
-        for tmp, _ in staged:
-            tmp.unlink(missing_ok=True)
-        raise
-    for tmp, final in staged:
-        os.replace(tmp, final)

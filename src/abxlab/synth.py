@@ -24,13 +24,13 @@ from .corpus import (
     FeatureArchive,
     FrameLabelTrack,
     ItemSegment,
-    check_archive_outputs,
     feature_archive_files,
     item_file_bytes,
     label_track_bytes,
+    write_outputs,
 )
 from .errors import UsageError
-from .manifest import JsonConfig, json_bytes, write_outputs
+from .manifest import JsonConfig, json_bytes
 
 
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -173,12 +173,11 @@ def corpus_files(corpus: SynthCorpus) -> dict:
 
 
 def write_corpus(corpus: SynthCorpus, out_dir) -> dict:
-    """Write features/, items.item, labels.tsv and the synth.json sidecar;
-    as ``abxlab synth``, refuse a features/ that holds other feature files."""
+    """Write features/, items.item, labels.tsv and the synth.json sidecar
+    with ``corpus.write_outputs``: as ``abxlab synth``, a features/ that
+    holds other feature files, or any filesystem error, is a UsageError."""
     out = Path(out_dir)
-    files = corpus_files(corpus)
-    check_archive_outputs(out, files)
-    write_outputs(out, files)
+    write_outputs(out, corpus_files(corpus))
     return {
         "features": out / "features",
         "items": out / "items.item",

@@ -1,4 +1,11 @@
-"""Print one pass/fail line per acceptance criterion after the run."""
+"""Print one pass/fail line per acceptance criterion after the run, and
+the ``deny_below`` fixture the output-writing tests share."""
+
+import errno
+import os
+from pathlib import Path
+
+import pytest
 
 ACCEPTANCE_CRITERIA = [
     ("test_criterion_01_brute_force_equivalence",
@@ -42,3 +49,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("=", "acceptance criteria")
     for text, ok in rows:
         terminalreporter.write_line(f"{'pass' if ok else 'FAIL'}  {text}")
+
+
+@pytest.fixture
+def deny_below(monkeypatch):
+    """``deny_below(op, root)`` makes ``op`` ("iterdir", "mkdir",
+    "write_bytes" on ``Path``, or "replace" on ``os``, by its target) raise
+    a permission error for ``root`` and every path below it; other paths
+    pass through, and ``monkeypatch.undo()`` lifts it."""
+    def deny(op, root):
+        owner = os if op == "replace" else Path
+        real = getattr(owner, op)
+
+        def denied(path, *args, **kwargs):
+            target = Path(args[0] if op == "replace" else path)
+            if target == root or root in target.parents:
+                raise PermissionError(errno.EACCES, "Permission denied", str(target))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(owner, op, denied)
+    return deny

@@ -37,10 +37,10 @@ from abxlab.corpus import (
     load_feature_archive,
     load_item_file,
     load_label_track,
+    write_outputs,
 )
 from abxlab.distance import dtw_dissimilarity
 from abxlab.errors import DataError, FormatError, RowError
-from abxlab.manifest import write_outputs
 from abxlab.synth import SynthConfig, generate_corpus
 from abxlab import cli
 

@@ -25,9 +25,8 @@ from abxlab.apc import (
     _batch_loss_grads,
     _make_batches,
 )
-from abxlab.corpus import FeatureArchive
+from abxlab.corpus import FeatureArchive, write_outputs
 from abxlab.errors import DataError, FormatError, InconclusiveGradCheck, TrainingError, UsageError
-from abxlab.manifest import write_outputs
 from oracles import (
     AdamByName,
     SgdByName,

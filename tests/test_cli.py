@@ -27,9 +27,9 @@ from abxlab.corpus import (
     label_track_bytes,
     load_feature_archive,
     load_item_file,
+    write_outputs,
 )
 from abxlab.errors import DataError, EmptyTaskError, InconclusiveGradCheck
-from abxlab.manifest import write_outputs
 from abxlab.synth import SynthConfig, generate_corpus, write_corpus
 
 
@@ -728,6 +728,36 @@ def test_synth_into_a_larger_corpus_exits_2(tmp_path, capsys):
     assert cli.main(argv + ["--speakers", "3"]) == 0
 
 
+@pytest.mark.parametrize("command, op", [
+    (command, op)
+    for command in ("synth", "apc extract", "eval")
+    for op in ("iterdir", "mkdir", "write_bytes", "replace")
+    if (command, op) != ("eval", "iterdir")  # eval writes no feature files to list beside
+])
+def test_output_tree_os_error_exits_2(command, op, corpus_dir, apc_dir, tmp_path,
+                                      deny_below, monkeypatch, capsys):
+    feats = corpus_dir / "features"
+    argv = {
+        "synth": ["synth", "--phones", "a,b", "--dim", "2", "--seed", "1"],
+        "apc extract": ["apc", "extract", "--model", str(apc_dir / "apc.ckpt"),
+                        "--features", str(feats)],
+        "eval": ["eval", "--features", str(feats), "--items", str(corpus_dir / "items.item"),
+                 "--mode", "within"],
+    }[command]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    before = _tree(out)
+    capsys.readouterr()
+    deny_below(op, out)
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    monkeypatch.undo()
+    assert err.startswith("abxlab: error: cannot ") and err.count("\n") == 1
+    assert f"{out}" in err and err.endswith(": Permission denied\n")
+    assert "Traceback" not in err
+    # no temp file is left, and the earlier run's files are unchanged
+    assert _tree(out) == before
+
 def test_fbin_directory_exits_2(corpus_dir, tmp_path, capsys):
     features = tmp_path / "features"
     shutil.copytree(corpus_dir / "features", features)
@@ -744,7 +774,7 @@ def test_fbin_directory_exits_2(corpus_dir, tmp_path, capsys):
 
 def test_a_file_named_just_fbin_is_not_an_archive_file(corpus_dir, eval_dir, tmp_path):
     """An archive's files are the entries whose suffix is .fbin or .ftxt, as
-    ``check_archive_outputs`` tests; a file named ``.fbin`` has no suffix."""
+    ``write_outputs`` refuses them; a file named ``.fbin`` has no suffix."""
     features = tmp_path / "features"
     shutil.copytree(corpus_dir / "features", features)
     shutil.copy(features / "u01.fbin", features / ".fbin")

@@ -1,6 +1,8 @@
+import os
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from abxlab.corpus import (
     FrameLabelTrack,
     ItemSegment,
     ITEM_HEADER,
-    check_archive_outputs,
     feature_archive_files,
     item_file_bytes,
     label_track_bytes,
@@ -22,6 +23,7 @@ from abxlab.corpus import (
     read_rows,
     segment_frames,
     time_to_frame,
+    write_outputs,
 )
 from abxlab.errors import (
     AbxlabError,
@@ -32,7 +34,7 @@ from abxlab.errors import (
     RowError,
     UsageError,
 )
-from abxlab.manifest import json_bytes, lines_bytes, write_outputs
+from abxlab.manifest import json_bytes, lines_bytes
 from oracles import ftxt_frames_per_value, ftxt_rows_per_value
 
 
@@ -330,9 +332,16 @@ def test_ftxt_load_peak_grows_with_the_text_not_per_value(tmp_path):
     assert peak < 2 * text_bytes + 8 * mat.size, (peak, text_bytes)
 
 
+def _write_beside(d, files):
+    """Write ``files`` into ``d`` past ``write_outputs``, which refuses to
+    add feature files beside others."""
+    for name, data in files.items():
+        (d / name).write_bytes(data)
+
+
 def test_archive_loader_consistency(tmp_path):
     write_outputs(tmp_path / "feat", feature_archive_files(small_archive(10000)))
-    write_outputs(tmp_path / "feat", feature_archive_files(
+    _write_beside(tmp_path / "feat", feature_archive_files(
         FeatureArchive({"u99": np.ones((3, 4), np.float32)}, 20000)))
     with pytest.raises(ConsistencyError):
         load_feature_archive(tmp_path / "feat")
@@ -342,7 +351,6 @@ def test_archive_loader_empty_and_unknown_format(tmp_path):
     (tmp_path / "feat").mkdir()
     (tmp_path / "feat" / "notes.txt").write_text("not a feature file\n")
     (tmp_path / "feat" / ".fbin").write_bytes(b"")  # no suffix, so no feature file
-    check_archive_outputs(tmp_path / "feat", ["u01.fbin"])
     # auto names both kinds it looked for; an explicit format names its own
     with pytest.raises(EmptyArchiveError, match=r"^no \.fbin or \.ftxt files under "):
         load_feature_archive(tmp_path / "feat")
@@ -351,31 +359,63 @@ def test_archive_loader_empty_and_unknown_format(tmp_path):
             load_feature_archive(tmp_path / "feat", format=format)
     with pytest.raises(UsageError):
         load_feature_archive(tmp_path / "feat", format="npz")
+    write_outputs(tmp_path / "feat", {"u01.fbin": b""})  # nothing stale to refuse
 
 
 def test_archive_with_both_formats_is_inconsistent(tmp_path):
     # a text extract written over a binary one must not be read as the binary
     write_outputs(tmp_path / "feat", feature_archive_files(small_archive()))
     stale = {utt: small_archive().frames(utt)[:, :3] for utt in ("u01", "u02")}
-    write_outputs(tmp_path / "feat",
-                  feature_archive_files(FeatureArchive(stale, 10000), "text"))
+    _write_beside(tmp_path / "feat", feature_archive_files(FeatureArchive(stale, 10000), "text"))
     with pytest.raises(ConsistencyError, match="2 .fbin and 2 .ftxt"):
         load_feature_archive(tmp_path / "feat")
     assert load_feature_archive(tmp_path / "feat", format="binary").dim == 4
     assert load_feature_archive(tmp_path / "feat", format="text").dim == 3
 
 
-def test_archive_check_reads_only_directories_that_get_feature_files(tmp_path):
+def test_archive_check_reads_only_directories_that_get_feature_files(tmp_path, monkeypatch):
     out = tmp_path / "out"
     (out / "feats").mkdir(parents=True)
     (out / "old.fbin").write_bytes(b"")
     (out / "feats" / "note.txt").write_bytes(b"")
+    listed, iterdir = [], Path.iterdir
+    monkeypatch.setattr(Path, "iterdir", lambda d: listed.append(d) or iterdir(d))
     # no feature file goes to out itself, and feats holds no other one
-    check_archive_outputs(out, ["report.txt", "feats/a.ftxt"])
-    check_archive_outputs(tmp_path / "missing", ["a.fbin"])
+    write_outputs(out, {"report.txt": b"", "feats/a.ftxt": b""})
+    assert listed == [out / "feats"]
+    write_outputs(tmp_path / "missing", {"a.fbin": b""})
     with pytest.raises(UsageError, match=r"holds 1 feature file\(s\) .*\(first old.fbin\)"):
-        check_archive_outputs(out, ["a.fbin", "old.ftxt"])
+        write_outputs(out, {"a.fbin": b"", "old.ftxt": b""})
+    assert not (out / "a.fbin").exists() and not (out / "old.ftxt").exists()
 
+
+
+def _tree(root):
+    """{relative path: bytes} of every file below root."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("op, denied, named, action", [
+    ("iterdir", "feats", "feats", "read output directory"),
+    ("mkdir", ".", ".", "create output directory"),
+    ("mkdir", "feats", "feats", "create output directory"),
+    ("write_bytes", ".", "feats/a.fbin", "write"),
+    # the second write fails after the first file was staged
+    ("write_bytes", f"report.txt.tmp-{os.getpid()}", "report.txt", "write"),
+    ("replace", ".", "feats/a.fbin", "write"),
+])
+def test_write_outputs_maps_os_errors_to_usage_errors(op, denied, named, action,
+                                                      tmp_path, deny_below, monkeypatch):
+    out = tmp_path / "out"
+    write_outputs(out, {"feats/a.fbin": b"old", "report.txt": b"old"})
+    deny_below(op, out / denied)
+    with pytest.raises(UsageError) as e:
+        write_outputs(out, {"feats/a.fbin": b"new", "report.txt": b"new"})
+    assert str(e.value) == f"cannot {action} {out / named}: Permission denied"
+    assert e.value.exit_code == 2
+    monkeypatch.undo()
+    # no temp file is left, and the files already there are unchanged
+    assert _tree(out) == {"feats/a.fbin": b"old", "report.txt": b"old"}
 
 # ---------------------------------------------------------------------------
 # text tables

@@ -13,8 +13,7 @@ import pytest
 
 from abxlab import abx, cli
 from abxlab.corpus import (FeatureArchive, feature_archive_files, item_file_bytes,
-                           time_to_frame)
-from abxlab.manifest import write_outputs
+                           time_to_frame, write_outputs)
 from abxlab.synth import SynthConfig, generate_corpus
 
 # four speakers give 12 ordered speaker pairs across, so a cap of 2 draws
